@@ -110,7 +110,7 @@ class RvElem:
         """The element of k: sum c_j / pi^j."""
         ctx = self.place.ctx
         d = max(len(self.coeffs) - 1, 0)
-        pi = place_uniformizer_poly(self.place)
+        pi = self.place.uniformizer()
         num = PolyA.zero(ctx)
         for j, c in enumerate(self.coeffs):
             if c:
@@ -135,10 +135,6 @@ class RvElem:
 
     def __repr__(self):
         return f"RvElem({self})"
-
-
-def place_uniformizer_poly(place):
-    return place.uniformizer()
 
 
 def parse_rv(place, text):

@@ -619,6 +619,28 @@ def parse_ratk(ctx, text):
     return RatK(parse_poly(ctx, text.strip("()")))
 
 
+def parse_fields(text, repeated=()):
+    """Parse ``key: value`` lines, skipping ``#`` comments and blank lines.
+
+    A key in ``repeated`` collects its values, in order, into a list; any
+    other key keeps its last value.
+    """
+    fields = {key: [] for key in repeated}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition(":")
+        if not sep:
+            raise ParseError(f"malformed line {raw!r}")
+        key, val = key.strip(), val.strip()
+        if key in repeated:
+            fields[key].append(val)
+        else:
+            fields[key] = val
+    return fields
+
+
 def monic_enumerate(ctx, d):
     """All q^d monic polynomials of degree d, lexicographic by coefficient vector."""
     if d < 0:

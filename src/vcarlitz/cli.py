@@ -38,6 +38,10 @@ class RunConfig:
         if not 0 <= lam < self.ctx.q:
             raise ValueError("the place parameter must lie in F_q")
         self.lam = lam
+        for name, value in (("prec", prec), ("t-order", t_order),
+                            ("infinite-place prec", inf_prec)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.prec = prec
         self.t_order = t_order
         self.inf_prec = inf_prec
@@ -216,6 +220,8 @@ def _cmd_eval(ns):
         cfg.emit([("value", val)])
         return EXIT_OK
     # mzv-v: transport a certified decomposition to the finite place
+    if ns.cert_prec < 1:
+        raise ValueError(f"cert-prec must be >= 1, got {ns.cert_prec}")
     s = Index.parse(ns.index)
     if ns.decomposition:
         with open(ns.decomposition) as fh:
@@ -229,8 +235,8 @@ def _cmd_eval(ns):
             raise VCarlitzError(
                 "built-in decompositions cover depth one; supply a file")
         dec = depth1_decomposition(cfg.ctx, s[0])
-    if not dec.certified:
-        verify_decomposition_inf(dec, ns.cert_prec)
+    # a "certified" line in a file is a claim, never a substitute for the check
+    verify_decomposition_inf(dec, ns.cert_prec)
     tmodules = None
     if ns.tmodule:
         from .tmodule import parse_tmodule_spec, validate_tmodule
@@ -370,6 +376,8 @@ def _cmd_certify(ns):
 
 def _cmd_relations(ns):
     cfg = _config(ns)
+    if ns.deg < 0:
+        raise ValueError(f"deg must be >= 0, got {ns.deg}")
     values = []
     for i, text in enumerate(ns.value):
         idx_s, sep, args_s = text.partition("|")

@@ -290,12 +290,6 @@ class Residual:
     def __repr__(self):
         return f"Residual(ord={self.ord}, zero={self.is_zero})"
 
-    def dump(self):
-        # a residual that is zero through the working window reports "inf"
-        ordtxt = "inf" if self.is_zero else str(self.ord)
-        status = "ok" if self.is_zero else "fail"
-        return f"residual_ord: {ordtxt}\nstatus: {status}"
-
 
 def verify_difference(sys, D, N):
     """Gauss-norm bound of psi - Phi^(1) psi^(1) mod (t^D, pi^N)."""

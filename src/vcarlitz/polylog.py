@@ -4,6 +4,11 @@ Everything is evaluated through LocalNum windows, so the returned precision
 is provable: the only analytic input is the choice of a truncation index,
 and the bound justifying each truncation is computed here from exact
 valuations of the arguments.
+
+Every nested sum over chains i_1 > ... > i_r (or i_1 >= ... >= i_r) -- the
+CMPL/CMSPL values, the infinite-place MZVs and both deformation sums -- is
+evaluated by one suffix-sum routine, _nested_sum, in O(r * I) products of
+its factor rows rather than one product per chain.
 """
 
 from __future__ import annotations
@@ -198,32 +203,61 @@ def _chain_plan(s, u, place, prec):
     return I, W
 
 
-def _chain_sum(s, u, place, prec, strict):
-    r = s.depth
-    I, W = _chain_plan(s, u, place, prec)
-    # incremental q-power towers of the embedded arguments
-    towers = []
-    for x in u:
-        base = embed_local(x, place, W)
-        tower = [base]
-        for _ in range(1, I):
-            tower.append(tower[-1].qpow())
-        towers.append(tower)
-    chains = (itertools.combinations(range(I), r) if strict
-              else itertools.combinations_with_replacement(range(I), r))
-    acc = LocalNum.zero_to_precision(place, prec)
-    for chain in chains:
-        idx = tuple(reversed(chain))  # descending i_1 >= ... >= i_r
-        term = None
-        for ell in range(r):
-            i = idx[ell]
-            f = towers[ell][i] * _L_inv_local(place, i, W).pow(s[ell])
-            term = f if term is None else term * f
-        acc = acc + term
-    out = acc.truncate(prec)
+def _nested_sum(rows, strict):
+    """Sum of f_1(i_1) ... f_r(i_r) over chains i_1 > ... > i_r (>= if not strict).
+
+    rows[l - 1][i] is f_l(i); entries past the end of a row count as zero.
+    Suffix sums take O(r * I) products: S_r(i) = f_r(i) and
+    S_l(i) = f_l(i) * sum_(j < i) S_(l+1)(j), with j <= i for weak chains.
+    Partial sums start from the empty sum (None, also returned when there
+    is no chain), so each product keeps the window its chains give it and
+    one code serves LocalNum and TSeries rows.
+    """
+    below = list(rows[-1])
+    for row in reversed(rows[:-1]):
+        cur, acc = [], None
+        for i, f in enumerate(row):
+            if not strict and i < len(below):
+                acc = _add(acc, below[i])
+            cur.append(None if acc is None else f * acc)
+            if strict and i < len(below):
+                acc = _add(acc, below[i])
+        below = cur
+    total = None
+    for x in below:
+        total = _add(total, x)
+    return total
+
+
+def _add(acc, x):
+    if x is None:
+        return acc
+    return x if acc is None else acc + x
+
+
+def _tower(x, place, window, I, cutoff=None):
+    """x, x^q, ..., x^(q^(I-1)) embedded with the window, each cut at cutoff."""
+    out = [embed_local(x, place, window)]
+    while len(out) < I:
+        nxt = out[-1].qpow()
+        out.append(nxt if cutoff is None else nxt.truncate(cutoff))
+    return out[:I]
+
+
+def _clip(total, place, prec):
+    """Close a LocalNum chain sum at prec; PrecisionLoss if the window is short."""
+    out = _add(LocalNum.zero_to_precision(place, prec), total).truncate(prec)
     if out.cutoff < prec:
         raise PrecisionLoss("window collapsed below the requested precision")
     return out
+
+
+def _chain_sum(s, u, place, prec, strict):
+    I, W = _chain_plan(s, u, place, prec)
+    rows = [[a * _L_inv_local(place, i, W).pow(si)
+             for i, a in enumerate(_tower(x, place, W, I))]
+            for si, x in zip(s, u)]
+    return _clip(_nested_sum(rows, strict), place, prec)
 
 
 def cmpl_eval(s, u, place, prec):
@@ -357,26 +391,15 @@ def mzv_inf(s, ctx, D_max, prec=None):
     tail = (D_max + 1) * s[0]
     if prec is None or prec > tail:
         prec = tail
-    place = PlaceInf(ctx)
-    r = s.depth
-    sums = {}
-    acc = LocalNum.zero_to_precision(place, prec)
-    for chain in itertools.combinations(range(D_max + 1), r):
-        degs = tuple(reversed(chain))  # d_1 > ... > d_r >= 0
-        term = None
-        for ell in range(r):
-            key = (degs[ell], s[ell])
-            f = sums.get(key)
-            if f is None:
-                f = power_sum_inf(ctx, degs[ell], s[ell], prec)
-                sums[key] = f
-            if f.is_zero_to_precision() and f.nu >= prec:
-                term = None
-                break
-            term = f if term is None else term * f
-        if term is not None:
-            acc = acc + term
-    return acc.truncate(prec)
+    # every power sum has valuation >= 0, so chains whose top degree has a
+    # power sum that is zero to prec add nothing and their rows are not built
+    top = [power_sum_inf(ctx, d, s[0], prec) for d in range(D_max + 1)]
+    while top and top[-1].is_zero_to_precision():
+        top.pop()
+    rows = [top] + [[power_sum_inf(ctx, d, si, prec)
+                     for d in range(len(top) - ell)]
+                    for ell, si in enumerate(s.s[1:], 1)]
+    return _clip(_nested_sum(rows, strict=True), PlaceInf(ctx), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -486,32 +509,15 @@ def deformation_build(s, u, place, D, N):
     if not domain_check(s, u, CONV_V, place):
         raise DomainError("arguments outside the v-adic convergence domain")
     q = place.q
-    r = s.depth
     d1 = u.ords(place)[0]
     I = 0
     while q ** I * d1 < N and I < D:
         I += 1
-    towers = []
-    for x in u:
-        base = embed_local(x, place, N)
-        tower = [base]
-        for _ in range(1, I):
-            tower.append(tower[-1].qpow().truncate(N))
-        towers.append(tower)
-    acc = TSeries.zero(place, D, N)
-    for chain in itertools.combinations(range(I), r):
-        idx = tuple(reversed(chain))
-        if sum(i * si for i, si in zip(idx, s)) >= D:
-            continue
-        scalar = None
-        series = None
-        for ell in range(r):
-            i = idx[ell]
-            c = towers[ell][i]
-            scalar = c if scalar is None else (scalar * c).truncate(N)
-            f = _F_series(place, i, s[ell], D, N)
-            series = f if series is None else series * f
-        acc = acc + series.scale(scalar)
+    # slot l at index i carries t^(i*s_l): its row stops where that is >= D
+    rows = [[_F_series(place, i, si, D, N).scale(c) for i, c in
+             enumerate(_tower(x, place, N, min(I, -(-D // si)), cutoff=N))]
+            for si, x in zip(s, u)]
+    acc = _add(TSeries.zero(place, D, N), _nested_sum(rows, strict=True))
     return TSeries(place, [c.truncate(N) for c in acc.coeffs])
 
 
@@ -555,23 +561,8 @@ def deformation_specialize(s, u, place, N_twist, prec, normalized=True):
     I = max(_truncation_index(bound, prec), N_twist + r)
     floor = min(bound(i) for i in range(I + 1))
     W = prec + max(0, -floor) + 8
-    towers = []
-    for x in u:
-        base = embed_local(x, place, W)
-        tower = [base]
-        for _ in range(1, I):
-            tower.append(tower[-1].qpow())
-        towers.append(tower)
-    acc = LocalNum.zero_to_precision(place, prec)
-    for chain in itertools.combinations(range(N_twist, I), r):
-        idx = tuple(reversed(chain))
-        term = None
-        for ell in range(r):
-            i = idx[ell]
-            f = towers[ell][i] * _F_at_inverse_power(place, i, N_twist, W).pow(s[ell])
-            term = f if term is None else term * f
-        acc = acc + term.shift(shift)
-    out = acc.truncate(prec)
-    if out.cutoff < prec:
-        raise PrecisionLoss("window collapsed below the requested precision")
-    return out
+    rows = [[a * _F_at_inverse_power(place, i, N_twist, W).pow(si)
+             for i, a in enumerate(_tower(x, place, W, I)) if i >= N_twist]
+            for si, x in zip(s, u)]
+    total = _nested_sum(rows, strict=True)
+    return _clip(None if total is None else total.shift(shift), place, prec)

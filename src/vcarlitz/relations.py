@@ -11,9 +11,7 @@ precision, never proofs.
 
 from __future__ import annotations
 
-import datetime
-
-from .algebra import FqContext, PolyA, RatK, parse_ratk
+from .algebra import FqContext, PolyA, RatK, parse_fields, parse_ratk
 from .errors import (
     CertificationFailed, MissingTModuleSpec, ParseError,
     UncertifiedDecomposition,
@@ -212,11 +210,7 @@ def verify_decomposition_inf(dec, N):
         raise CertificationFailed(
             f"decomposition residual at the infinite place has order {bound}",
             residual_ord=bound)
-    dec.certification = {
-        "certified": True,
-        "prec": N,
-        "date": datetime.date.today().isoformat(),
-    }
+    dec.certification = {"certified": True, "prec": N}
     return dict(dec.certification)
 
 
@@ -291,30 +285,16 @@ def dump_decomposition(dec, ctx):
     if dec.certified:
         lines.append("certified: true")
         lines.append(f"prec: {dec.certification.get('prec')}")
-        lines.append(f"date: {dec.certification.get('date')}")
     return "\n".join(lines) + "\n"
 
 
 def parse_decomposition(text):
-    fields = {}
-    terms = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition(":")
-        if not sep:
-            raise ParseError(f"malformed line {raw!r}")
-        key, val = key.strip(), val.strip()
-        if key == "term":
-            terms.append(val)
-        else:
-            fields[key] = val
+    fields = parse_fields(text, repeated=("term",))
     try:
         ctx = FqContext(int(fields["p"]), int(fields.get("e", "1")))
         target = Index.parse(fields["target"])
         parsed = []
-        for t in terms:
+        for t in fields["term"]:
             b_s, s_s, u_s = (part.strip() for part in t.split("|"))
             b = parse_ratk(ctx, b_s)
             s_l = Index.parse(s_s)
@@ -322,9 +302,8 @@ def parse_decomposition(text):
             parsed.append((b, s_l, u_l))
         cert = None
         if fields.get("certified") == "true":
-            cert = {"certified": True,
-                    "prec": int(fields["prec"]),
-                    "date": fields.get("date", "")}
+            # a "date" line from older files is accepted and ignored
+            cert = {"certified": True, "prec": int(fields["prec"])}
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad decomposition file: {exc}") from exc
     return Decomposition(target, parsed, cert), ctx

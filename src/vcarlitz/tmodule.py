@@ -16,7 +16,8 @@ the logarithm, and d[a]^{-1} Log(phi_a(point)) recovers the value.
 from __future__ import annotations
 
 from .algebra import (
-    FqContext, PolyA, RatK, parse_poly, parse_ratk, theta_power_poly,
+    FqContext, PolyA, RatK, parse_fields, parse_poly, parse_ratk,
+    theta_power_poly,
 )
 from .errors import (
     AnnihilationFailure, ConvergenceNotCertified, DomainError, ParseError,
@@ -590,36 +591,19 @@ def dump_tmodule_spec(spec):
 
 def parse_tmodule_spec(text):
     """Parse the structured-text schema produced by dump_tmodule_spec."""
-    fields = {}
-    n0_rows, b1_rows, tests = [], [], []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition(":")
-        if not sep:
-            raise ParseError(f"malformed line {raw!r}")
-        key, val = key.strip(), val.strip()
-        if key == "n0-row":
-            n0_rows.append(val)
-        elif key == "b1-row":
-            b1_rows.append(val)
-        elif key == "test-point":
-            tests.append(val)
-        else:
-            fields[key] = val
+    fields = parse_fields(text, repeated=("n0-row", "b1-row", "test-point"))
     try:
         ctx = FqContext(int(fields["p"]), int(fields.get("e", "1")))
         dim = int(fields["dim"])
-        N0 = [[int(x) for x in row.split()] for row in n0_rows]
+        N0 = [[int(x) for x in row.split()] for row in fields["n0-row"]]
         B1 = [[parse_poly(ctx, e.strip()) for e in row.split(",")]
-              for row in b1_rows]
+              for row in fields["b1-row"]]
         readout = tuple(int(x) - 1 for x in fields["readout"].split())
         index = Index.parse(fields["index"])
         args = ArgTuple([parse_ratk(ctx, x) for x in fields["args"].split(",")])
         point = [parse_ratk(ctx, x) for x in fields["point"].split(",")]
         test_points = []
-        for t in tests:
+        for t in fields["test-point"]:
             a_s, _, p_s = t.partition("|")
             tp_args = ArgTuple([parse_ratk(ctx, x) for x in a_s.split(",")])
             tp_point = [parse_ratk(ctx, x) for x in p_s.split(",")]

@@ -118,18 +118,6 @@ class TSeries:
             parts.append(f"({c})*t^{i}" if i else f"({c})")
         return " + ".join(parts) + f" + O(t^{self.order})"
 
-    def residual_profile(self):
-        """Per-coefficient (valuation or lower bound, exact?) pairs."""
-        out = []
-        for c in self.coeffs:
-            v = c.valuation()
-            out.append((c.nu, v is not None))
-        return out
-
-    def min_zero_cutoff(self):
-        """For a window-zero series: the weakest coefficient cutoff."""
-        return min((c.cutoff for c in self.coeffs), default=INF)
-
 
 def ts_arith(f, g, op):
     """Dispatch form: op in {add, mul}."""

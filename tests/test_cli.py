@@ -179,8 +179,41 @@ def test_verification_failure_exits_1(capsys, tmp_path):
     assert code == 1 and "certified=false" in out
 
 
+# zeta(1) = T * Li*_1(1) is false, whatever the file claims
+FORGED = "p: 3\ne: 1\ntarget: 1\nterm: T | 1 | 1\ncertified: true\nprec: 60\n"
+
+
+def test_forged_certification_is_rechecked(capsys, tmp_path):
+    forged = tmp_path / "forged.txt"
+    forged.write_text(FORGED)
+    code, out = run(capsys, "eval", "mzv-v", "--index", "1",
+                    "--decomposition", str(forged))
+    assert code == 1 and out == ""
+    code, out = run(capsys, "verify", "decomposition", "--file", str(forged))
+    assert code == 1 and "certified=false" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "cmpl", "--index", "1", "--args", "T", "--prec", "-5"],
+    ["eval", "cmpl", "--index", "1", "--args", "T", "--prec", "0"],
+    ["verify", "omega", "--t-order", "0"],
+    ["verify", "omega", "--t-order", "-1"],
+    ["verify", "omega", "--prec", "0"],
+    ["eval", "mzv-v", "--index", "1", "--cert-prec", "0"],
+    ["relations", "find", "--value", "1|T", "--value", "2|T", "--deg", "-1"],
+])
+def test_out_of_range_input_exits_2(capsys, argv):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be >= " in captured.err
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(p=3, lam=5)
     with pytest.raises(ValueError):
         RunConfig(p=3, output="xml")
+    with pytest.raises(ValueError):
+        RunConfig(p=3, prec=0)
+    with pytest.raises(ValueError):
+        RunConfig(p=3, t_order=-1)

@@ -160,6 +160,94 @@ def test_depth1_stuffle(place):
     assert lhs.congruent(rhs, 14)
 
 
+# -- the suffix-sum engine against the chain loop ------------------------
+
+def chain_loop(rows, strict):
+    """Brute-force oracle: one product per chain, entries past a row's end zero."""
+    n = max(len(row) for row in rows)
+    chains = (itertools.combinations(range(n), len(rows)) if strict
+              else itertools.combinations_with_replacement(range(n), len(rows)))
+    total = None
+    for chain in chains:
+        idx = tuple(reversed(chain))  # i_1 >= ... >= i_r
+        if any(i >= len(row) for i, row in zip(idx, rows)):
+            continue
+        term = None
+        for i, row in zip(idx, rows):
+            term = row[i] if term is None else term * row[i]
+        total = term if total is None else total + term
+    return total
+
+
+@st.composite
+def local_entry(draw, place, window, nu_min):
+    """A LocalNum with exact valuation, or sometimes an exact zero."""
+    if draw(st.integers(0, 9)) == 0:
+        return LocalNum.exact_zero(place)
+    w = draw(st.integers(0, 6)) if window is None else window
+    q = place.ctx.q
+    digits = draw(st.lists(st.integers(0, q - 1), min_size=w, max_size=w))
+    if digits:
+        digits[0] = draw(st.integers(1, q - 1))
+    return LocalNum(place, draw(st.integers(nu_min, 6)), digits)
+
+
+@st.composite
+def local_rows(draw, uniform):
+    """Up to 4 rows of at most 6 entries; a uniform draw shares one window."""
+    place = draw(st.sampled_from([V0, INF3, PlaceV(FqContext(2), 1)]))
+    window = draw(st.integers(1, 6)) if uniform else None
+    n = draw(st.integers(0, 6))
+    return [draw(st.lists(local_entry(place, window, -4), max_size=n))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_rows(uniform=True), st.booleans())
+def test_nested_sum_matches_chain_loop(rows, strict):
+    # one relative window, as in every chain sum: same digits, same cutoff
+    assert pl._nested_sum(rows, strict) == chain_loop(rows, strict)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_rows(uniform=False), st.booleans())
+def test_nested_sum_window_never_narrower(rows, strict):
+    fast, slow = pl._nested_sum(rows, strict), chain_loop(rows, strict)
+    assert (fast is None) == (slow is None)
+    if slow is not None:
+        assert fast.cutoff >= slow.cutoff and fast.congruent(slow)
+
+
+@st.composite
+def tseries_rows(draw):
+    """Rows of series mod (t^D, pi^N) whose digits are integral and known to N."""
+    D, N = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+
+    def coeff():
+        if draw(st.booleans()):
+            return LocalNum.zero_to_precision(V0, N + draw(st.integers(0, 2)))
+        return draw(local_entry(V0, N + 2, 0)).truncate(N + 2)
+
+    n = draw(st.integers(0, 4))
+    rows = [[TSeries(V0, [coeff() for _ in range(D)])
+             for _ in range(draw(st.integers(0, n)))]
+            for _ in range(draw(st.integers(1, 3)))]
+    return rows, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(tseries_rows(), st.booleans())
+def test_nested_sum_matches_chain_loop_on_series(rows_N, strict):
+    rows, N = rows_N
+    fast, slow = pl._nested_sum(rows, strict), chain_loop(rows, strict)
+    assert (fast is None) == (slow is None)
+    if slow is not None:
+        # every digit below pi^N is known on both sides and agrees
+        assert all(c.cutoff >= N for c in fast.coeffs + slow.coeffs)
+        assert [c.truncate(N) for c in fast.coeffs] \
+            == [c.truncate(N) for c in slow.coeffs]
+
+
 # -- infinite-place zeta values ----------------------------------------
 
 def naive_mzv(svec, D_max, prec=30):

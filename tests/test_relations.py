@@ -185,6 +185,7 @@ def test_decomposition_file_roundtrip():
     dec = depth1_decomposition(CTX3, 2)
     verify_decomposition_inf(dec, 40)
     text = dump_decomposition(dec, CTX3)
+    assert text == dump_decomposition(dec, CTX3) and "date" not in text
     assert "target: 2" in text and "term: 1 | 2 | 1" in text
     assert "certified: true" in text and "prec: 40" in text
     back, ctx = parse_decomposition(text)
@@ -199,6 +200,11 @@ def test_decomposition_parse_errors():
         parse_decomposition("p: 3\ntarget: 2\nnonsense line\n")
     with pytest.raises(ParseError):
         parse_decomposition("p: 3\ntarget: x\nterm: 1 | 2 | 1\n")
+    # a date line, as in files written before dumps were reproducible
+    dated, _ = parse_decomposition("p: 3\ntarget: 2\nterm: 1 | 2 | 1\n"
+                                   "certified: true\nprec: 40\n"
+                                   "date: 2026-08-25\n")
+    assert dated.certification == {"certified": True, "prec": 40}
     with pytest.raises(ParseError):  # missing certification precision
         parse_decomposition("p: 3\ntarget: 2\nterm: 1 | 2 | 1\n"
                             "certified: true\n")
