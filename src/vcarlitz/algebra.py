@@ -477,17 +477,17 @@ def _parse_fq_coeff(ctx, text):
         for part in body.split("+"):
             if "x" in part:
                 head, _, exp = part.partition("x")
-                c = int(head) if head else 1
-                i = int(exp[1:]) if exp.startswith("^") else (1 if not exp else None)
+                c = _parse_int(head, text) if head else 1
+                i = _parse_int(exp[1:], text) if exp.startswith("^") else (1 if not exp else None)
                 if i is None:
                     raise ParseError(f"bad coefficient term {part!r}")
             else:
-                c, i = int(part), 0
+                c, i = _parse_int(part, text), 0
             if i >= ctx.e:
                 raise ParseError("coefficient exponent exceeds field degree")
             v[i] = (v[i] + c) % ctx.p
         return ctx.from_vector(v)
-    c = int(text) % ctx.p
+    c = _parse_int(text, text) % ctx.p
     return c
 
 
@@ -500,11 +500,18 @@ def _parse_term(ctx, term):
     c = _parse_fq_coeff(ctx, head) if head else 1
     if tail == "":
         k = 1
-    elif tail.startswith("^"):
+    elif tail.startswith("^") and tail[1:].isdecimal():
         k = int(tail[1:])
     else:
         raise ParseError(f"bad term {term!r}")
     return c, k
+
+
+def _parse_int(text, coeff):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad coefficient {coeff!r}") from None
 
 
 class RatK:

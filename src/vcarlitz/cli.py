@@ -14,8 +14,8 @@ import sys
 
 from .algebra import FqContext, RatK, parse_ratk
 from .errors import (
-    CertificationFailed, MissingTModuleSpec, UncertifiedDecomposition,
-    VCarlitzError,
+    CertificationFailed, MissingTModuleSpec, ParseError,
+    UncertifiedDecomposition, VCarlitzError,
 )
 from .local import PlaceInf, PlaceV, embed_local
 from .polylog import ArgTuple, Index, cmpl_eval, cmspl_eval, mzv_inf, pi_tilde
@@ -32,19 +32,17 @@ EXIT_USAGE = 2
 class RunConfig:
     """Validated run-wide settings shared by every subcommand."""
 
-    def __init__(self, p=3, e=1, lam=0, prec=40, t_order=40, inf_prec=40,
+    def __init__(self, p=3, e=1, lam=0, prec=40, t_order=40,
                  output="machine"):
         self.ctx = FqContext(p, e)
         if not 0 <= lam < self.ctx.q:
             raise ValueError("the place parameter must lie in F_q")
         self.lam = lam
-        for name, value in (("prec", prec), ("t-order", t_order),
-                            ("infinite-place prec", inf_prec)):
+        for name, value in (("prec", prec), ("t-order", t_order)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         self.prec = prec
         self.t_order = t_order
-        self.inf_prec = inf_prec
         if output not in ("machine", "human"):
             raise ValueError("output mode must be machine or human")
         self.output = output
@@ -90,8 +88,7 @@ def _add_common(sub):
 def _config(ns):
     p, e = _factor_prime_power(ns.q)
     return RunConfig(p, e, ns.lam, prec=ns.prec,
-                     t_order=getattr(ns, "t_order", 40),
-                     inf_prec=ns.prec, output=ns.output)
+                     t_order=getattr(ns, "t_order", 40), output=ns.output)
 
 
 def _parse_args_tuple(cfg, text):
@@ -346,7 +343,11 @@ def _cmd_certify(ns):
             ftype = (RatK.zero(cfg.ctx),) * w + (RatK.one(cfg.ctx),)
         else:
             ftype = _parse_tpoly(cfg, ns.ftype)
-        n_list = [int(x) for x in ns.n_list.split(",")]
+        try:
+            n_list = [int(x) for x in ns.n_list.split(",")]
+        except ValueError:
+            raise ParseError(f"bad --n-list {ns.n_list!r}; expected "
+                             "comma-separated integers") from None
         cert = mpl_certificate(sys_, w, ftype, n_list,
                                prec=min(ns.prec, 30))
         records = [("ok", str(cert.ok).lower()), ("weight", w)]

@@ -1,7 +1,10 @@
-"""Small exact linear algebra helpers: matrices over k and over F_q.
+"""Small linear algebra helpers: matrices over k, its completions, and F_q.
 
-Matrices are tuples of tuples.  Everything here is Gaussian elimination at
-desk scale; no pivoting heuristics beyond "first nonzero".
+Matrices are tuples of tuples.  The kmat_* helpers serve any entry ring
+with + - * (RatK over k, LocalNum over a completion); kmat_identity,
+kmat_zero, kmat_frobenius, kmat_inv and kmat_poly_eval are exact, over k.
+The fq* helpers serve F_q.  Everything is Gaussian elimination at desk
+scale; no pivoting heuristics beyond "first nonzero".
 """
 
 from __future__ import annotations

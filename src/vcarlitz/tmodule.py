@@ -279,33 +279,6 @@ def residue_annihilator(spec, place):
 # read off the windows are sound inputs to the stopping rule, and the
 # windows themselves bound the error of every retained digit.
 
-def _lmat_zero(place, dim):
-    z = LocalNum.exact_zero(place)
-    return kmat([[z] * dim for _ in range(dim)])
-
-
-def _lmat_add(A, B):
-    return kmat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def _lmat_mul(A, B, place):
-    dim = len(A)
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = LocalNum.exact_zero(place)
-            for l in range(dim):
-                acc = acc + A[i][l] * B[l][j]
-            row.append(acc)
-        out.append(row)
-    return kmat(out)
-
-
-def _lmat_qpow(A, n=1):
-    return kmat([[a.qpow(n) for a in r] for r in A])
-
-
 def _lmat_n0(spec, A, place, side):
     """N0 @ A (side='left') or A @ N0 (side='right'), N0 over F_q."""
     dim = spec.dim
@@ -359,18 +332,15 @@ class _LocalLogCoeffs:
         while len(self.P) <= i_max:
             i = len(self.P)
             if i > 1:
-                self._B1tw = _lmat_qpow(self._B1tw)
-            R = kmat([[-x for x in r]
-                      for r in _lmat_mul(self.P[i - 1], self._B1tw, place)])
+                self._B1tw = kmat([[x.qpow() for x in r]
+                                   for r in self._B1tw])
+            R = kmat_neg(kmat_mul(self.P[i - 1], self._B1tw))
             dinv = _delta_local(place, i, W).inv()
-            P = _lmat_zero(place, spec.dim)
-            for _ in range(2 * spec.dim + 2):
-                comm = _lmat_add(
-                    _lmat_n0(spec, P, place, "left"),
-                    kmat([[-x for x in r]
-                          for r in _lmat_n0(spec, P, place, "right")]))
-                P = kmat([[(a + b) * dinv for a, b in zip(ra, rb)]
-                          for ra, rb in zip(R, comm)])
+            P = kmat_scale(R, dinv)
+            for _ in range(2 * spec.dim + 1):
+                comm = kmat_sub(_lmat_n0(spec, P, place, "left"),
+                                _lmat_n0(spec, P, place, "right"))
+                P = kmat_scale(kmat_add(R, comm), dinv)
             self.P.append(P)
 
 

@@ -91,6 +91,7 @@ class TSeries:
     def t_shift(self, n, window):
         """Multiply by t^n (drops the top n coefficients)."""
         zero = LocalNum.zero_to_precision(self.place, window)
+        n = min(n, self.order)
         return TSeries(self.place, (zero,) * n + self.coeffs[:self.order - n])
 
     def pow(self, n):

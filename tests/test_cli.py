@@ -119,6 +119,17 @@ def test_certify_vabp_pass_and_fail(capsys):
                     "--gamma", "1/T", "--rho", "1", "--pcoeffs", "1",
                     "--t-order", "20", "--prec", "20")
     assert code == 1 and out == "certified=false\n"
+    # a 12 x 12 block sum: Omega^3 + 2 Omega^3 = 0 in characteristic 3
+    blocks = []
+    for args in ("T,T,T", "T^2,T,T+1", "T,T^2,T"):
+        blocks += ["--index", "1,1,1", "--args", args]
+    P = "1;0;0;0;2;0;0;0;0;0;0;0"
+    code, out = run(capsys, "certify", "vabp", *blocks, "--gamma", "1/T",
+                    "--rho", P.replace(";", ","), "--pcoeffs", P)
+    assert code == 0 and out == "certified=true\n"
+    code, out = run(capsys, "certify", "vabp", *blocks, "--gamma", "1/T",
+                    "--rho", "1,0,0,0,1,0,0,0,0,0,0,0", "--pcoeffs", P)
+    assert code == 1 and out == "certified=false\n"
 
 
 def test_relations_find(capsys):
@@ -206,6 +217,19 @@ def test_out_of_range_input_exits_2(capsys, argv):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "must be >= " in captured.err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eval", "cmpl", "--index", "1", "--args", "T^"], "bad term 'T^'"),
+    (["eval", "cmpl", "--index", "1", "--args", "xT"], "bad coefficient 'x'"),
+    (["eval", "cmpl", "--index", "1", "--args", "T^-1"], "bad term 'T^-1'"),
+    (["certify", "mpl", "--index", "1", "--args", "T", "--n-list", "a"],
+     "--n-list 'a'"),
+])
+def test_parse_errors_name_the_input(capsys, argv, named):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
 
 
 def test_runconfig_validation():

@@ -1,6 +1,10 @@
 """Tests for Frobenius difference systems and their certificates."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcarlitz.algebra import FqContext, RatK
 from vcarlitz.cli import _residual_records
@@ -8,10 +12,10 @@ from vcarlitz.errors import CertificationFailed, DomainError
 from vcarlitz.local import LocalNum, PlaceV
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, pi_tilde
 from vcarlitz.diffsys import (
-    DiffSystem, Residual, block_sum, build_cmpl_system, build_omega_system,
-    dump_system, mpl_certificate, specialize_psi, tp_add, tp_apply, tp_eval_k,
-    tp_mul, tp_normalize, tp_one, tp_pow, tp_scale, tp_str, vabp_certify,
-    verify_difference,
+    DiffSystem, Residual, _tp_det, block_sum, build_cmpl_system,
+    build_omega_system, dump_system, mpl_certificate, specialize_psi, tp_add,
+    tp_apply, tp_eval_k, tp_mul, tp_normalize, tp_one, tp_pow, tp_scale,
+    tp_str, vabp_certify, verify_difference,
 )
 from vcarlitz.tseries import TSeries
 
@@ -210,6 +214,72 @@ def test_vabp_refuses_unstructured_determinant():
     gamma = RatK(V0.uniformizer()).inv()
     with pytest.raises(CertificationFailed):
         vabp_certify(broken, gamma, (RatK.zero(CTX3),), ((),), 10, 10)
+
+
+# -- determinants --------------------------------------------------------
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        ln = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        if ln % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def _det_by_permutations(phi, ctx):
+    """The n! permutation sum that the Laplace expansion replaced."""
+    det = ()
+    for perm in itertools.permutations(range(len(phi))):
+        term = tp_one(ctx)
+        for i, j in enumerate(perm):
+            term = tp_mul(term, phi[i][j], ctx)
+        if _perm_sign(perm) < 0:
+            term = tp_scale(term, -ONE, ctx)
+        det = tp_add(det, term, ctx)
+    return det
+
+
+_COEFFS = [RatK.zero(CTX3), ONE, -ONE, T, T + ONE, T.inv(), T * T]
+_ENTRY = st.one_of(
+    st.just(()),
+    st.lists(st.sampled_from(_COEFFS), min_size=1, max_size=3).map(
+        tp_normalize))
+
+
+@st.composite
+def _tp_matrices(draw):
+    n = draw(st.integers(1, 6))
+    rows = [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        rows[j] = rows[i]     # singular: a repeated row
+    return tuple(tuple(r) for r in rows)
+
+
+@given(_tp_matrices())
+@settings(max_examples=60, deadline=None)
+def test_tp_det_matches_permutation_sum(phi):
+    assert _tp_det(phi, CTX3) == _det_by_permutations(phi, CTX3)
+
+
+def test_tp_det_of_built_systems():
+    sys = block_sum([build_cmpl_system(Index([1, 1]), ArgTuple([T, T]), V0),
+                     build_omega_system(V0)])
+    diag = tp_one(CTX3)
+    for i in range(sys.size):
+        diag = tp_mul(diag, sys.phi[i][i], CTX3)
+    assert _tp_det(sys.phi, CTX3) == diag
+    assert _tp_det(sys.phi, CTX3) == _det_by_permutations(sys.phi, CTX3)
 
 
 # -- dumps ---------------------------------------------------------------

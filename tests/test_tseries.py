@@ -77,6 +77,18 @@ def test_twist_composition_and_identity():
         frobenius_twist(f, -1)
 
 
+def test_t_shift_keeps_the_order():
+    f = TSeries.from_local_coeffs(V0, [unit(), pi()], 4, W)
+    g = f.t_shift(1, W)
+    assert g.order == 4
+    assert g.coeff(0).is_zero_to_precision() and g.coeff(1).congruent(unit())
+    for n in (4, 6):
+        g = TSeries.one(V0, 4, W).t_shift(n, W)
+        assert g.order == 4
+        assert all(c.is_zero_to_precision() and c.cutoff == W
+                   for c in g.coeffs)
+
+
 def test_gauss_norm_values():
     f = TSeries.from_local_coeffs(V0, [pi(), pi() * pi()], 4, W)
     assert gauss_norm(f) == GaussNorm(-1, True)
