@@ -150,13 +150,16 @@ def parse_rv(place, text):
             raise ParseError("empty term")
         c, j = 1, 0
         for factor in term.split("*"):
-            if factor.startswith(sym):
-                tail = factor[len(sym):]
-                if not tail.startswith("^-"):
-                    raise ParseError(f"bad power {factor!r}")
-                j = int(tail[2:])
-            else:
-                c = ctx.mul(c, int(factor) % ctx.p)
+            try:
+                if factor.startswith(sym):
+                    tail = factor[len(sym):]
+                    if not tail.startswith("^-"):
+                        raise ParseError(f"bad power {factor!r}")
+                    j = int(tail[2:])
+                else:
+                    c = ctx.mul(c, int(factor) % ctx.p)
+            except ValueError:
+                raise ParseError(f"bad term {term!r}") from None
         if j in coeffs:
             raise ParseError(f"repeated power {sym}^-{j}")
         coeffs[j] = c

@@ -14,43 +14,115 @@ by pi^nu.  Exact zero is a separate state with infinite valuation.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 
 from .algebra import FqContext, PolyA, RatK
 from .errors import DivisionByZero, ParseError, PrecisionLoss
 
 INF = math.inf
 
-_PACK_BITS = 32
-_PACK_MASK = (1 << _PACK_BITS) - 1
+# Kronecker substitution.  A run of F_q digits d_0, d_1, ... becomes one
+# integer: digit m sits at position m, a position holds 2e - 1 coordinate
+# slots (the F_p coordinates of the digit, with room for the degree 2e - 2
+# of a coordinate product), and a slot is SIZE bytes, wide enough that no
+# sum of digit products carries into its neighbour.  One big-integer
+# product then convolves both the digits and their coordinates; the result
+# is folded modulo the field modulus (e > 1) and read back modulo p.
+
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+_WIDTHS = (1, 1, 2, 4, 4, 8, 8, 8, 8)   # array item size for 0..8 bytes
 
 
-def _convolve(ctx, a, b):
-    """Coefficient convolution of two F_q digit sequences."""
+def _slot_size(ctx, terms):
+    """Bytes per slot for a convolution summing at most `terms` digit products.
+
+    A slot holds at most B = terms * e * (p - 1)^2 before the fold.  Folding
+    x^u for u = 2e - 2, ..., e adds at most (p - 1) times slot u to each
+    lower slot, so slot u ends at most B p^(2e - 2 - u) <= B p^(2e - 2).
+    """
+    p, e = ctx.p, ctx.e
+    size = -(-(terms * e * (p - 1) ** 2 * p ** (2 * e - 2)).bit_length() // 8)
+    if size > 8:
+        raise OverflowError("convolution too large for 64-bit Kronecker slots")
+    return _WIDTHS[size]
+
+
+def _pack(ctx, pieces, length, size):
+    """One integer from (position, digits) pieces on `length` positions."""
+    p, e = ctx.p, ctx.e
+    E = 2 * e - 1
+    slots = [0] * (length * E)
+    for pos, digits in pieces:
+        if e == 1:
+            slots[pos:pos + len(digits)] = digits
+        else:
+            for u in range(e):
+                slots[pos * E + u:(pos + len(digits)) * E:E] = [
+                    d // p ** u % p for d in digits]
+    return _from_slots(slots, size)
+
+
+def _from_slots(slots, size):
+    """The integer whose little-endian `size`-byte slots are `slots`."""
+    arr = array(_TYPECODES[size], slots)
+    if sys.byteorder == "big":
+        arr.byteswap()
+    return int.from_bytes(arr, "little")
+
+
+def _to_slots(x, count, size):
+    """The bytes and the array of the `count` slots of x (which must fit)."""
+    raw = x.to_bytes(count * size, "little")
+    view = array(_TYPECODES[size], raw)
+    if sys.byteorder == "big":
+        view.byteswap()
+    return raw, view
+
+
+def _unpack(ctx, prod, length, size):
+    """The slots of the first `length` positions of a product, folded.
+
+    Returns (raw, view): the little-endian bytes and the slots as an array.
+    """
+    e = ctx.e
+    E = 2 * e - 1
+    prod &= (1 << 8 * length * E * size) - 1
+    if e > 1:
+        bits = 8 * size
+        low = int.from_bytes((b"\xff" * size + bytes(size * (E - 1))) * length,
+                             "little")
+        fold = [(-m) % ctx.p for m in ctx.modulus[:e]]
+        for u in range(2 * e - 2, e - 1, -1):
+            top = (prod >> u * bits) & low
+            prod -= top << u * bits
+            for i, c in enumerate(fold):
+                if c:
+                    prod += c * top << (u - e + i) * bits
+    return _to_slots(prod, length * E, size)
+
+
+def _digits(ctx, view, lo, hi):
+    """F_q digit codes of the folded positions lo, ..., hi - 1."""
+    p, e = ctx.p, ctx.e
+    E = 2 * e - 1
+    out = [x % p for x in view[lo * E:hi * E:E]]
+    for u in range(1, e):
+        pu = p ** u
+        out = [c + pu * (x % p)
+               for c, x in zip(out, view[lo * E + u:hi * E:E])]
+    return out
+
+
+def _convolve(ctx, a, b, n):
+    """The first n coefficients of the convolution of two F_q digit runs."""
     if not a or not b:
         return []
-    if ctx.e == 1:
-        # Kronecker packing: carries cannot overflow 32-bit slots at desk scale
-        pa = 0
-        for i in range(len(a) - 1, -1, -1):
-            pa = (pa << _PACK_BITS) | a[i]
-        pb = 0
-        for i in range(len(b) - 1, -1, -1):
-            pb = (pb << _PACK_BITS) | b[i]
-        prod = pa * pb
-        p = ctx.p
-        out = []
-        for _ in range(len(a) + len(b) - 1):
-            out.append((prod & _PACK_MASK) % p)
-            prod >>= _PACK_BITS
-        return out
-    out = [0] * (len(a) + len(b) - 1)
-    mul, add = ctx.mul, ctx.add
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-    return out
+    n = min(n, len(a) + len(b) - 1)
+    size = _slot_size(ctx, min(len(a), len(b)))
+    prod = (_pack(ctx, [(0, a)], len(a), size)
+            * _pack(ctx, [(0, b)], len(b), size))
+    return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
 
 
 class Place:
@@ -261,7 +333,7 @@ class LocalNum:
     # -- arithmetic ----------------------------------------------------
 
     def _check_place(self, other):
-        if self.place != other.place:
+        if not (self.place is other.place or self.place == other.place):
             raise ValueError("operands live at different places")
 
     def __add__(self, other):
@@ -305,7 +377,9 @@ class LocalNum:
         if not self.coeffs or not other.coeffs:
             return LocalNum.zero_to_precision(self.place, cutoff)
         ctx = self.place.ctx
-        digits = _convolve(ctx, self.coeffs, other.coeffs)
+        # leading digits are nonzero, so the product keeps min(W_a, W_b)
+        digits = _convolve(ctx, self.coeffs, other.coeffs,
+                           min(len(self.coeffs), len(other.coeffs)))
         out = LocalNum(self.place, self.nu + other.nu, digits)
         return out.truncate(cutoff)
 
@@ -424,30 +498,33 @@ def parse_local(place, text):
         part = part.strip()
         if not part:
             continue
-        if part.startswith("O("):
-            if not part.endswith(")"):
-                raise ParseError(f"bad tail {part!r}")
-            inner = part[2:-1]
-            if not inner.startswith(f"{sym}^"):
-                raise ParseError(f"bad tail {part!r}")
-            cutoff = int(inner[len(sym) + 1:])
-            continue
-        if sym in part:
-            head, _, tail = part.partition(sym)
-            head = head.rstrip("*")
-            if not tail.startswith("^"):
-                raise ParseError(f"bad term {part!r}")
-            k = int(tail[1:])
-        else:
-            head, k = part, 0
-        if head == "":
-            c = 1
-        elif head.startswith("["):
-            from .algebra import _parse_fq_coeff
-            c = _parse_fq_coeff(ctx, head)
-        else:
-            c = int(head) % ctx.p
-        digits[k] = c
+        try:
+            if part.startswith("O("):
+                if not part.endswith(")"):
+                    raise ParseError(f"bad tail {part!r}")
+                inner = part[2:-1]
+                if not inner.startswith(f"{sym}^"):
+                    raise ParseError(f"bad tail {part!r}")
+                cutoff = int(inner[len(sym) + 1:])
+                continue
+            if sym in part:
+                head, _, tail = part.partition(sym)
+                head = head.rstrip("*")
+                if not tail.startswith("^"):
+                    raise ParseError(f"bad term {part!r}")
+                k = int(tail[1:])
+            else:
+                head, k = part, 0
+            if head == "":
+                c = 1
+            elif head.startswith("["):
+                from .algebra import _parse_fq_coeff
+                c = _parse_fq_coeff(ctx, head)
+            else:
+                c = int(head) % ctx.p
+            digits[k] = c
+        except ValueError:
+            raise ParseError(f"bad term {part!r}") from None
     if cutoff is None:
         raise ParseError("missing O(...) tail")
     if not digits:

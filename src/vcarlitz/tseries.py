@@ -4,12 +4,24 @@ A TSeries holds the coefficients a_0, ..., a_(D-1) of a Tate-algebra
 element modulo t^D; each coefficient carries its own precision window.
 Twisting is forward only: coefficients are raised to q-th powers by exact
 multiplication, never coefficientwise on digits.
+
+A product is one big-integer multiplication (two-dimensional Kronecker
+substitution, with a third axis for the F_p coordinates when q = p^e,
+e > 1): each operand's digit grid, t by pi, is packed into one integer, and
+the first D t-rows of the product are read back in bulk.  Its windows are
+those of the coefficient schoolbook sum_(i+j=n) a_i * b_j: coefficient n
+is known modulo pi^c, c the minimum over the pairs with no exact-zero
+factor of min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an
+exact zero when every pair has an exact-zero factor (``_window_rule``).
 """
 
 from __future__ import annotations
 
 from .errors import DecayNotCertified, PrecisionLoss
-from .local import INF, LocalNum, embed_local
+from .local import (
+    _WIDTHS, INF, LocalNum, _digits, _from_slots, _pack, _slot_size, _to_slots,
+    _unpack, embed_local,
+)
 
 
 class TSeries:
@@ -56,7 +68,7 @@ class TSeries:
         return TSeries(self.place, self.coeffs[:D])
 
     def _check(self, other):
-        if self.place != other.place:
+        if not (self.place is other.place or self.place == other.place):
             raise ValueError("series live at different places")
 
     def __add__(self, other):
@@ -74,15 +86,51 @@ class TSeries:
     def __mul__(self, other):
         self._check(other)
         D = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs[:D], other.coeffs[:D]
+        place = self.place
+        ctx = place.ctx
+        # The coefficients with digits form a grid per operand: coefficient i
+        # is t row i - ta (ta the first with digits), its pi^nu digit column
+        # nu - oa.  One packed product convolves both grids; row r of the
+        # product holds coefficient ta + tb + r from pi^(oa + ob) on.
+        ra = [(i, c) for i, c in enumerate(a) if c.coeffs]
+        rb = [(j, c) for j, c in enumerate(b) if c.coeffs]
+        first, rows = D, 0
+        if ra and rb:
+            ta, tb = ra[0][0], rb[0][0]
+            first = ta + tb
+            rows = min(D, ra[-1][0] + rb[-1][0] + 1) - first
+        if rows > 0:
+            oa = min(c.nu for _, c in ra)
+            ob = min(c.nu for _, c in rb)
+            wa = max(c.cutoff for _, c in ra) - oa
+            wb = max(c.cutoff for _, c in rb) - ob
+            C = wa + wb - 1                     # columns per product row
+            size = _slot_size(ctx, min(len(ra), len(rb)) * min(wa, wb))
+            pa = _pack(ctx, [((i - ta) * C + c.nu - oa, c.coeffs)
+                             for i, c in ra], (ra[-1][0] - ta + 1) * C, size)
+            pb = _pack(ctx, [((j - tb) * C + c.nu - ob, c.coeffs)
+                             for j, c in rb], (rb[-1][0] - tb + 1) * C, size)
+            raw, view = _unpack(ctx, pa * pb, rows * C, size)
+            step = (2 * ctx.e - 1) * size       # bytes per position
         out = []
-        for n in range(D):
-            acc = None
-            for i in range(n + 1):
-                term = a[i] * b[n - i]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return TSeries(self.place, out)
+        for n, cut in enumerate(_window_rule(a, b)):
+            r = n - first
+            if cut is None:
+                out.append(LocalNum.exact_zero(place))
+                continue
+            if 0 <= r < rows and cut > oa + ob:
+                # a digit pair reaching row r puts the cutoff at most C
+                # columns up, so the clamp only cuts all-zero rows
+                lo, hi = r * C, r * C + min(cut - oa - ob, C)
+                seg = raw[lo * step:hi * step]
+                lo += (len(seg) - len(seg.lstrip(b"\0"))) // step
+                if lo < hi:
+                    out.append(LocalNum(place, oa + ob + lo - r * C,
+                                        _digits(ctx, view, lo, hi)))
+                    continue
+            out.append(LocalNum.zero_to_precision(place, cut))
+        return TSeries(place, out)
 
     def scale(self, x):
         """Multiply every coefficient by the LocalNum x."""
@@ -99,7 +147,8 @@ class TSeries:
             raise ValueError("negative powers of a TSeries")
         if n == 0:
             w = min((c.cutoff for c in self.coeffs), default=0)
-            return TSeries.one(self.place, self.order, int(w) if w is not INF else 1)
+            return TSeries.one(self.place, self.order,
+                               int(w) if w != INF else 1)
         out = None
         base = self
         while n:
@@ -118,6 +167,75 @@ class TSeries:
         for i, c in enumerate(self.coeffs):
             parts.append(f"({c})*t^{i}" if i else f"({c})")
         return " + ".join(parts) + f" + O(t^{self.order})"
+
+
+def _window_rule(a, b):
+    """Cutoff of each coefficient of a*b, or None where it is an exact zero.
+
+    Coefficient n is known modulo pi^c with c the minimum, over the pairs
+    i + j = n with neither a_i nor b_j an exact zero, of
+    min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)): the window that
+    LocalNum's product and sum give term by term.  With no such pair the
+    coefficient is an exact zero.
+
+    Both (min, +) convolutions run on fields packed into one integer (SWAR):
+    for each run of equal (nu, cutoff) in a, the minimum of b's fields over
+    the run's length comes from a table of power-of-two window minima.
+    """
+    D = len(a)
+    na, nb = [c.nu for c in a], [c.nu for c in b]
+    ca = [c.nu + len(c.coeffs) for c in a]
+    cb = [c.nu + len(c.coeffs) for c in b]
+    base = min(na + nb, default=INF)       # exact zeros have nu = INF
+    if base == INF:
+        return [None] * D
+    R = max(c for c in ca + cb if c != INF) - base
+    # a value is at most R, a live pair at most 2R; bigger means no pair
+    none = 2 * R + 1
+    size = _WIDTHS[-(-((3 * R + 1).bit_length() + 1) // 8)]
+    k = 8 * size
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * D, "little")
+    guard = ones << (k - 1)
+    full = (1 << D * k) - 1
+    nones = none * ones
+
+    def smin(x, y):
+        # fieldwise min: the guard bit of 2^(k-1) + x_f - y_f stays set
+        # iff x_f >= y_f, and no field borrows from the next
+        g = ((x | guard) - y) & guard
+        return x ^ ((x ^ y) & (g - (g >> (k - 1))))
+
+    def shift(x, s):
+        # field j moves to j + s; the s vacated fields read "no pair"
+        return ((x << s * k) & full) | (nones & ((1 << s * k) - 1))
+
+    tables = [[_from_slots([none if x == INF else x - base for x in xs], size)]
+              for xs in (cb, nb)]
+
+    def window(t, L):
+        levels = tables[t]          # levels[h]: minima over 2^h fields
+        h = L.bit_length() - 1
+        while len(levels) <= h:
+            x = levels[-1]
+            levels.append(smin(x, shift(x, 1 << (len(levels) - 1))))
+        x = levels[h]
+        return x if L == 1 << h else smin(x, shift(x, L - (1 << h)))
+
+    acc = nones
+    i = 0
+    while i < D:
+        start, v, c = i, na[i], ca[i]
+        i += 1
+        while i < D and na[i] == v and ca[i] == c:
+            i += 1
+        if v == INF:
+            continue
+        L = i - start
+        cand = smin(window(0, L) + (v - base) * ones,
+                    window(1, L) + (c - base) * ones)
+        acc = smin(acc, shift(cand, start))
+    return [None if f > 2 * R else f + 2 * base
+            for f in _to_slots(acc, D, size)[1]]
 
 
 def ts_arith(f, g, op):

@@ -225,6 +225,10 @@ def test_out_of_range_input_exits_2(capsys, argv):
     (["eval", "cmpl", "--index", "1", "--args", "T^-1"], "bad term 'T^-1'"),
     (["certify", "mpl", "--index", "1", "--args", "T", "--n-list", "a"],
      "--n-list 'a'"),
+    (["appendix", "sup-norm", "--coeffs", "1,y*v^-1", "--radius", "2"],
+     "bad term 'y*v^-1'"),
+    (["appendix", "small-solution", "--rows", "1,y", "--c-exp", "0"],
+     "bad term 'y'"),
 ])
 def test_parse_errors_name_the_input(capsys, argv, named):
     assert run_command(argv) == 2

@@ -1,14 +1,14 @@
 """Tests for truncated Laurent windows at the two places."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly, parse_ratk
-from vcarlitz.errors import DivisionByZero, PrecisionLoss
+from vcarlitz.errors import DivisionByZero, ParseError, PrecisionLoss
 from vcarlitz.local import (
-    INF, LocalNum, PlaceInf, PlaceV, embed_local, embed_poly, local_arith,
-    parse_local, valuation_of,
+    INF, LocalNum, PlaceInf, PlaceV, _convolve, embed_local, embed_poly,
+    local_arith, parse_local, valuation_of,
 )
 
 CTX3 = FqContext(3)
@@ -109,6 +109,47 @@ def test_mul_window_soundness():
     assert p.is_zero_to_precision() and p.cutoff == 3
 
 
+def _convolve_schoolbook(ctx, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
+    return out
+
+
+FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                    (3, 2))]
+
+
+@given(st.sampled_from(FIELDS).flatmap(lambda ctx: st.tuples(
+    st.just(ctx),
+    st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=30),
+    st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=30))))
+@settings(deadline=None)
+def test_convolve_matches_schoolbook(case):
+    ctx, a, b = case
+    n = len(a) + len(b) - 1
+    top = [ctx.q - 1] * len(a)       # every slot at its largest sum
+    for x in (a, top):
+        want = _convolve_schoolbook(ctx, x, b)
+        assert _convolve(ctx, x, b, n) == want
+        assert _convolve(ctx, x, b, len(b)) == want[:len(b)]
+
+
+def test_convolve_slots_never_overflow():
+    # 4200 * 1020^2 exceeds 2^32: fixed 32-bit slots read digit 4199 as 9
+    ctx = FqContext(1021)
+    place = PlaceV(ctx, 0)
+    x = LocalNum(place, 0, [1020] * 4200)
+    y = LocalNum(place, 0, [(7 * i + 3) % 1021 for i in range(4200)])
+    for a, b in ((x, x), (x, y)):
+        prod = a * b
+        for n in (0, 2099, 4199):
+            want = sum(a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1))
+            assert prod.digit(n) == want % 1021
+    assert (x * x).digit(4199) == 116
+
+
 def test_exact_zero_absorbs():
     z = LocalNum.exact_zero(V0)
     x = LocalNum(V0, 2, (1, 1))
@@ -167,6 +208,14 @@ def test_print_and_parse_roundtrip_inf():
     s = str(x)
     assert s == "w^-3 + 2*w^-1 + O(w^0)"
     assert parse_local(INF3, s) == x
+
+
+def test_parse_errors_name_the_term():
+    for text, term in (("y*v^2 + O(v^5)", "y*v^2"), ("v^x + O(v^5)", "v^x"),
+                       ("1 + O(v^z)", "O(v^z)")):
+        with pytest.raises(ParseError) as info:
+            parse_local(V0, text)
+        assert str(info.value) == f"bad term {term!r}"
 
 
 def test_parse_window_zero():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext
+from vcarlitz.algebra import FqContext, RatK, parse_ratk
 from vcarlitz.errors import DecayNotCertified
 from vcarlitz.local import LocalNum, PlaceV
+from vcarlitz.polylog import ArgTuple, Index, deformation_build, omega_product
 from vcarlitz.tseries import (
     GaussNorm, TSeries, eval_series, frobenius_twist, gauss_norm, ts_arith,
 )
@@ -50,6 +51,78 @@ def test_ring_axioms_to_window(f, g, h):
     rhs = f * g + f * h
     d = lhs - rhs
     assert all(c.is_exact_zero() or not c.coeffs for c in d.coeffs)
+
+
+# -- the packed product against the coefficient schoolbook ---------------
+
+FIELDS = {2: FqContext(2), 3: FqContext(3), 4: FqContext(2, 2),
+          5: FqContext(5), 8: FqContext(2, 3), 9: FqContext(3, 2)}
+
+
+def _schoolbook(f, g):
+    D = min(f.order, g.order)
+    a, b = f.coeffs, g.coeffs
+    out = []
+    for n in range(D):
+        acc = None
+        for i in range(n + 1):
+            term = a[i] * b[n - i]
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def _states(coeffs):
+    """Exact zero or window zero, valuation and digits of each coefficient."""
+    return [(c.is_exact_zero(), c.nu, c.coeffs) for c in coeffs]
+
+
+@st.composite
+def series_pairs(draw):
+    ctx = draw(st.sampled_from([FIELDS[q] for q in sorted(FIELDS)]))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    coeff = st.one_of(
+        st.just(LocalNum.exact_zero(place)),
+        st.integers(-6, 20).map(
+            lambda c: LocalNum.zero_to_precision(place, c)),
+        st.tuples(st.integers(-6, 12),
+                  st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                           max_size=24)).map(lambda t: LocalNum(place, *t)))
+    # runs of equal coefficients, as in padded and built series; every
+    # other copy loses `drop` digits, so neighbours share nu but not cutoff
+    run = st.tuples(coeff, st.integers(1, 4), st.integers(0, 3)).map(
+        lambda t: [t[0].truncate(t[0].cutoff - t[2]) if m % 2 else t[0]
+                   for m in range(t[1])])
+    series = st.lists(run, max_size=8).map(
+        lambda runs: TSeries(place, [c for r in runs for c in r]))
+    return draw(series), draw(series)
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_schoolbook(pair):
+    f, g = pair
+    assert _states((f * g).coeffs) == _states(_schoolbook(f, g))
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_product_matches_schoolbook_on_built_series(q):
+    ctx = FIELDS[q]
+    place = PlaceV(ctx, 1 % ctx.p)
+    pi = RatK(place.uniformizer())
+    D = N = 24
+    om = omega_product(pi, place, D, N)
+    dep = deformation_build(Index((2, 1)),
+                            ArgTuple((pi, parse_ratk(ctx, "T"))), place, D, N)
+    tw = frobenius_twist(om)
+    for f, g in ((om, om), (om, dep), (dep, tw), (dep, dep), (tw, om)):
+        assert _states((f * g).coeffs) == _states(_schoolbook(f, g))
+
+
+def test_pow_zero_of_exact_zero_series():
+    z = TSeries(V0, [LocalNum.exact_zero(V0)] * 3)
+    one = z.pow(0)
+    assert one.order == 3 and one.coeff(0) == LocalNum.unit_one(V0, 1)
 
 
 def test_ts_arith_dispatch():
