@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import PolyA, RatK
+from .algebra import PolyA, RatK, _parse_int
 from .errors import (
     AssertionFailure, NoSolutionInBudget, ParseError, RootCheckFailed,
     TooLarge,
@@ -150,16 +150,13 @@ def parse_rv(place, text):
             raise ParseError("empty term")
         c, j = 1, 0
         for factor in term.split("*"):
-            try:
-                if factor.startswith(sym):
-                    tail = factor[len(sym):]
-                    if not tail.startswith("^-"):
-                        raise ParseError(f"bad power {factor!r}")
-                    j = int(tail[2:])
-                else:
-                    c = ctx.mul(c, int(factor) % ctx.p)
-            except ValueError:
-                raise ParseError(f"bad term {term!r}") from None
+            if factor.startswith(sym):
+                tail = factor[len(sym):]
+                if not tail.startswith("^-"):
+                    raise ParseError(f"bad power {factor!r}")
+                j = _parse_int(tail[2:], term, "term")
+            else:
+                c = ctx.mul(c, _parse_int(factor, term, "term") % ctx.p)
         if j in coeffs:
             raise ParseError(f"repeated power {sym}^-{j}")
         coeffs[j] = c

@@ -507,11 +507,12 @@ def _parse_term(ctx, term):
     return c, k
 
 
-def _parse_int(text, coeff):
+def _parse_int(text, source, kind="coefficient"):
+    """int(text), or a ParseError naming the `kind` of input `source`."""
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"bad coefficient {coeff!r}") from None
+        raise ParseError(f"bad {kind} {source!r}") from None
 
 
 class RatK:

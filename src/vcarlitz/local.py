@@ -17,7 +17,7 @@ import math
 import sys
 from array import array
 
-from .algebra import FqContext, PolyA, RatK
+from .algebra import FqContext, PolyA, RatK, _parse_fq_coeff, _parse_int
 from .errors import DivisionByZero, ParseError, PrecisionLoss
 
 INF = math.inf
@@ -48,11 +48,11 @@ def _slot_size(ctx, terms):
     return _WIDTHS[size]
 
 
-def _pack(ctx, pieces, length, size):
-    """One integer from (position, digits) pieces on `length` positions."""
+def _pack(ctx, pieces, size):
+    """One integer from (position, digits) pieces."""
     p, e = ctx.p, ctx.e
     E = 2 * e - 1
-    slots = [0] * (length * E)
+    slots = [0] * (max(pos + len(digits) for pos, digits in pieces) * E)
     for pos, digits in pieces:
         if e == 1:
             slots[pos:pos + len(digits)] = digits
@@ -60,24 +60,10 @@ def _pack(ctx, pieces, length, size):
             for u in range(e):
                 slots[pos * E + u:(pos + len(digits)) * E:E] = [
                     d // p ** u % p for d in digits]
-    return _from_slots(slots, size)
-
-
-def _from_slots(slots, size):
-    """The integer whose little-endian `size`-byte slots are `slots`."""
     arr = array(_TYPECODES[size], slots)
     if sys.byteorder == "big":
         arr.byteswap()
     return int.from_bytes(arr, "little")
-
-
-def _to_slots(x, count, size):
-    """The bytes and the array of the `count` slots of x (which must fit)."""
-    raw = x.to_bytes(count * size, "little")
-    view = array(_TYPECODES[size], raw)
-    if sys.byteorder == "big":
-        view.byteswap()
-    return raw, view
 
 
 def _unpack(ctx, prod, length, size):
@@ -99,7 +85,11 @@ def _unpack(ctx, prod, length, size):
             for i, c in enumerate(fold):
                 if c:
                     prod += c * top << (u - e + i) * bits
-    return _to_slots(prod, length * E, size)
+    raw = prod.to_bytes(length * E * size, "little")
+    view = array(_TYPECODES[size], raw)
+    if sys.byteorder == "big":
+        view.byteswap()
+    return raw, view
 
 
 def _digits(ctx, view, lo, hi):
@@ -114,14 +104,35 @@ def _digits(ctx, view, lo, hi):
     return out
 
 
+def _grid_product(ctx, a, b, stride, widths, terms):
+    """The product of two digit grids, read back row by row.
+
+    A grid is a list of (position, digits) pieces: a run of F_q digits
+    starting at position row * stride + column.  `terms` bounds the number of
+    digit products that meet in one position of the product.  Returns, for
+    each product row r, (lo, digits): its digits at columns lo, ..., w - 1,
+    w = widths[r] <= stride, where the columns below lo hold zero digits.
+    """
+    size = _slot_size(ctx, terms)
+    raw, view = _unpack(ctx, _pack(ctx, a, size) * _pack(ctx, b, size),
+                        len(widths) * stride, size)
+    step = (2 * ctx.e - 1) * size       # bytes per position
+    out = []
+    for r, width in enumerate(widths):
+        lo, hi = r * stride, r * stride + width
+        seg = raw[lo * step:hi * step]
+        lo += (len(seg) - len(seg.lstrip(b"\0"))) // step
+        out.append((lo - r * stride, _digits(ctx, view, lo, hi)))
+    return out
+
+
 def _convolve(ctx, a, b, n):
     """The first n coefficients of the convolution of two F_q digit runs."""
     if not a or not b:
         return []
     n = min(n, len(a) + len(b) - 1)
     size = _slot_size(ctx, min(len(a), len(b)))
-    prod = (_pack(ctx, [(0, a)], len(a), size)
-            * _pack(ctx, [(0, b)], len(b), size))
+    prod = _pack(ctx, [(0, a)], size) * _pack(ctx, [(0, b)], size)
     return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
 
 
@@ -498,33 +509,29 @@ def parse_local(place, text):
         part = part.strip()
         if not part:
             continue
-        try:
-            if part.startswith("O("):
-                if not part.endswith(")"):
-                    raise ParseError(f"bad tail {part!r}")
-                inner = part[2:-1]
-                if not inner.startswith(f"{sym}^"):
-                    raise ParseError(f"bad tail {part!r}")
-                cutoff = int(inner[len(sym) + 1:])
-                continue
-            if sym in part:
-                head, _, tail = part.partition(sym)
-                head = head.rstrip("*")
-                if not tail.startswith("^"):
-                    raise ParseError(f"bad term {part!r}")
-                k = int(tail[1:])
-            else:
-                head, k = part, 0
-            if head == "":
-                c = 1
-            elif head.startswith("["):
-                from .algebra import _parse_fq_coeff
-                c = _parse_fq_coeff(ctx, head)
-            else:
-                c = int(head) % ctx.p
-            digits[k] = c
-        except ValueError:
-            raise ParseError(f"bad term {part!r}") from None
+        if part.startswith("O("):
+            if not part.endswith(")"):
+                raise ParseError(f"bad tail {part!r}")
+            inner = part[2:-1]
+            if not inner.startswith(f"{sym}^"):
+                raise ParseError(f"bad tail {part!r}")
+            cutoff = _parse_int(inner[len(sym) + 1:], part, "tail")
+            continue
+        if sym in part:
+            head, _, tail = part.partition(sym)
+            head = head.rstrip("*")
+            if not tail.startswith("^"):
+                raise ParseError(f"bad term {part!r}")
+            k = _parse_int(tail[1:], part, "term")
+        else:
+            head, k = part, 0
+        if head == "":
+            c = 1
+        elif head.startswith("["):
+            c = _parse_fq_coeff(ctx, head)
+        else:
+            c = _parse_int(head, part, "term") % ctx.p
+        digits[k] = c
     if cutoff is None:
         raise ParseError("missing O(...) tail")
     if not digits:

@@ -8,7 +8,8 @@ multiplication, never coefficientwise on digits.
 A product is one big-integer multiplication (two-dimensional Kronecker
 substitution, with a third axis for the F_p coordinates when q = p^e,
 e > 1): each operand's digit grid, t by pi, is packed into one integer, and
-the first D t-rows of the product are read back in bulk.  Its windows are
+the first D t-rows of the product are read back in bulk
+(``local._grid_product``, which alone knows the slot layout).  Its windows are
 those of the coefficient schoolbook sum_(i+j=n) a_i * b_j: coefficient n
 is known modulo pi^c, c the minimum over the pairs with no exact-zero
 factor of min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an
@@ -17,11 +18,13 @@ exact zero when every pair has an exact-zero factor (``_window_rule``).
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 from .errors import DecayNotCertified, PrecisionLoss
-from .local import (
-    _WIDTHS, INF, LocalNum, _digits, _from_slots, _pack, _slot_size, _to_slots,
-    _unpack, embed_local,
-)
+from .local import INF, LocalNum, _grid_product, embed_local
+
+_FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
 
 class TSeries:
@@ -95,41 +98,34 @@ class TSeries:
         # product holds coefficient ta + tb + r from pi^(oa + ob) on.
         ra = [(i, c) for i, c in enumerate(a) if c.coeffs]
         rb = [(j, c) for j, c in enumerate(b) if c.coeffs]
-        first, rows = D, 0
+        cuts = _window_rule(a, b)
+        first, rows = D, []
         if ra and rb:
             ta, tb = ra[0][0], rb[0][0]
             first = ta + tb
-            rows = min(D, ra[-1][0] + rb[-1][0] + 1) - first
-        if rows > 0:
             oa = min(c.nu for _, c in ra)
             ob = min(c.nu for _, c in rb)
             wa = max(c.cutoff for _, c in ra) - oa
             wb = max(c.cutoff for _, c in rb) - ob
             C = wa + wb - 1                     # columns per product row
-            size = _slot_size(ctx, min(len(ra), len(rb)) * min(wa, wb))
-            pa = _pack(ctx, [((i - ta) * C + c.nu - oa, c.coeffs)
-                             for i, c in ra], (ra[-1][0] - ta + 1) * C, size)
-            pb = _pack(ctx, [((j - tb) * C + c.nu - ob, c.coeffs)
-                             for j, c in rb], (rb[-1][0] - tb + 1) * C, size)
-            raw, view = _unpack(ctx, pa * pb, rows * C, size)
-            step = (2 * ctx.e - 1) * size       # bytes per position
+            # a digit pair reaching a row puts its cutoff at most C columns
+            # up, so the clamp only cuts all-zero rows
+            widths = [0 if cut is None else max(0, min(cut - oa - ob, C))
+                      for cut in cuts[first:ra[-1][0] + rb[-1][0] + 1]]
+            if any(widths):
+                rows = _grid_product(
+                    ctx, [((i - ta) * C + c.nu - oa, c.coeffs) for i, c in ra],
+                    [((j - tb) * C + c.nu - ob, c.coeffs) for j, c in rb],
+                    C, widths, min(len(ra), len(rb)) * min(wa, wb))
         out = []
-        for n, cut in enumerate(_window_rule(a, b)):
+        for n, cut in enumerate(cuts):
             r = n - first
             if cut is None:
                 out.append(LocalNum.exact_zero(place))
-                continue
-            if 0 <= r < rows and cut > oa + ob:
-                # a digit pair reaching row r puts the cutoff at most C
-                # columns up, so the clamp only cuts all-zero rows
-                lo, hi = r * C, r * C + min(cut - oa - ob, C)
-                seg = raw[lo * step:hi * step]
-                lo += (len(seg) - len(seg.lstrip(b"\0"))) // step
-                if lo < hi:
-                    out.append(LocalNum(place, oa + ob + lo - r * C,
-                                        _digits(ctx, view, lo, hi)))
-                    continue
-            out.append(LocalNum.zero_to_precision(place, cut))
+            elif 0 <= r < len(rows) and rows[r][1]:
+                out.append(LocalNum(place, oa + ob + rows[r][0], rows[r][1]))
+            else:
+                out.append(LocalNum.zero_to_precision(place, cut))
         return TSeries(place, out)
 
     def scale(self, x):
@@ -178,9 +174,11 @@ def _window_rule(a, b):
     LocalNum's product and sum give term by term.  With no such pair the
     coefficient is an exact zero.
 
-    Both (min, +) convolutions run on fields packed into one integer (SWAR):
-    for each run of equal (nu, cutoff) in a, the minimum of b's fields over
-    the run's length comes from a table of power-of-two window minima.
+    Both (min, +) convolutions run on fields packed into one integer (SWAR).
+    Padded and built series repeat (nu, cutoff) along t, so there is one pass
+    per run of equal (nu, cutoff) in a, not per coefficient: the minimum of
+    b's fields over the run's length comes from a table of power-of-two
+    window minima.
     """
     D = len(a)
     na, nb = [c.nu for c in a], [c.nu for c in b]
@@ -192,7 +190,8 @@ def _window_rule(a, b):
     R = max(c for c in ca + cb if c != INF) - base
     # a value is at most R, a live pair at most 2R; bigger means no pair
     none = 2 * R + 1
-    size = _WIDTHS[-(-((3 * R + 1).bit_length() + 1) // 8)]
+    # fields of 1, 2, 4 or 8 bytes, with room for 3R + 1 and a guard bit
+    size = next(w for w in (1, 2, 4, 8) if 8 * w > (3 * R + 1).bit_length())
     k = 8 * size
     ones = int.from_bytes((b"\1" + bytes(size - 1)) * D, "little")
     guard = ones << (k - 1)
@@ -209,8 +208,16 @@ def _window_rule(a, b):
         # field j moves to j + s; the s vacated fields read "no pair"
         return ((x << s * k) & full) | (nones & ((1 << s * k) - 1))
 
-    tables = [[_from_slots([none if x == INF else x - base for x in xs], size)]
-              for xs in (cb, nb)]
+    def fields(arr):
+        # an array of fields <-> the little-endian integer holding them
+        if sys.byteorder == "big":
+            arr.byteswap()
+        return arr
+
+    code = _FIELD_CODES[size]
+    tables = [[int.from_bytes(fields(array(code, [
+        none if x == INF else x - base for x in xs])), "little")]
+        for xs in (cb, nb)]
 
     def window(t, L):
         levels = tables[t]          # levels[h]: minima over 2^h fields
@@ -235,7 +242,7 @@ def _window_rule(a, b):
                     window(1, L) + (c - base) * ones)
         acc = smin(acc, shift(cand, start))
     return [None if f > 2 * R else f + 2 * base
-            for f in _to_slots(acc, D, size)[1]]
+            for f in fields(array(code, acc.to_bytes(D * size, "little")))]
 
 
 def ts_arith(f, g, op):
