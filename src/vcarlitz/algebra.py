@@ -115,23 +115,19 @@ class FqContext:
 
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
-        self._mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            va = self.to_vector(a)
-            for b in range(a, q):
-                vb = self.to_vector(b)
-                prod = _fp_polymul(va, vb, p)
-                if e > 1:
-                    prod = _fp_polymod(prod, self.modulus, p)
-                code = self.from_vector(prod)
-                self._mul[a][b] = code
-                self._mul[b][a] = code
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        if e == 1:
+            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            self._mul = [[0] * q for _ in range(q)]
+            for a in range(q):
+                va = self.to_vector(a)
+                for b in range(a, q):
+                    vb = self.to_vector(b)
+                    prod = _fp_polymod(_fp_polymul(va, vb, p), self.modulus, p)
+                    code = self.from_vector(prod)
+                    self._mul[a][b] = code
+                    self._mul[b][a] = code
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # -- element codec -------------------------------------------------
 
@@ -389,11 +385,19 @@ class PolyA:
         return out
 
     def frobenius(self, n=1):
-        """Raise to the q^n power; additive map on A."""
-        out = self
-        for _ in range(n):
-            out = out ** self.ctx.q
-        return out
+        """Raise to the Q = q^n power by spreading the coefficients.
+
+        (sum c_i T^i)^Q = sum c_i T^(Q i): c^Q = c on F_q, and the Q-th
+        power is additive in characteristic p.
+        """
+        if n < 0:
+            raise ValueError("only forward q-powers are supported")
+        Q = self.ctx.q ** n
+        if Q == 1 or not self.coeffs:
+            return self
+        out = [0] * ((len(self.coeffs) - 1) * Q + 1)
+        out[::Q] = self.coeffs
+        return PolyA(self.ctx, out)
 
     # -- canonical text form -------------------------------------------
 
@@ -521,8 +525,11 @@ class RatK:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = PolyA.one(num.ctx)
+        if den is None or den.coeffs == (1,):
+            # already reduced with a monic denominator
+            self.num = num
+            self.den = PolyA.one(num.ctx) if den is None else den
+            return
         if den.is_zero():
             raise DivisionByZero("zero denominator")
         if not num.is_zero():

@@ -110,15 +110,26 @@ def tp_str(a):
 
 
 def tp_apply(a, g, place, N):
-    """The t-polynomial a acting on a TSeries g, truncated to g's order."""
-    out = TSeries.zero(place, g.order, N)
-    for m, c in enumerate(a):
-        if c.is_zero():
-            continue
-        if m >= g.order:
-            break
-        out = out + g.t_shift(m, N).scale(embed_local(c, place, N))
-    return out
+    """The t-polynomial a acting on a TSeries g, truncated to g's order.
+
+    One series product: the embedded coefficients of a, padded with exact
+    zeros, times g.  The windows are those of the sum over m of
+    c_m * (t^m g), with t^m g padded by zeros known to pi^N: coefficient n is
+    also capped at N, and at N + nu(c_m) for each nonzero c_m, n < m < D.
+    """
+    D = g.order
+    coeffs = [embed_local(c, place, N) for c in a[:D]]
+    coeffs += [LocalNum.exact_zero(place)] * (D - len(coeffs))
+    prod = TSeries(place, coeffs) * g
+    out = [None] * D
+    cap = N
+    for n in range(D - 1, -1, -1):
+        c = prod.coeffs[n]
+        out[n] = (LocalNum.zero_to_precision(place, cap)
+                  if c.is_exact_zero() else c.truncate(cap))
+        if not coeffs[n].is_exact_zero():
+            cap = min(cap, N + coeffs[n].nu)
+    return TSeries(place, out)
 
 
 # -- the system ----------------------------------------------------------

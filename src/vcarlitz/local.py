@@ -52,7 +52,8 @@ def _pack(ctx, pieces, size):
     """One integer from (position, digits) pieces."""
     p, e = ctx.p, ctx.e
     E = 2 * e - 1
-    slots = [0] * (max(pos + len(digits) for pos, digits in pieces) * E)
+    slots = [0] * (max((pos + len(digits) for pos, digits in pieces),
+                       default=0) * E)
     for pos, digits in pieces:
         if e == 1:
             slots[pos:pos + len(digits)] = digits
@@ -114,8 +115,28 @@ def _grid_product(ctx, a, b, stride, widths, terms):
     w = widths[r] <= stride, where the columns below lo hold zero digits.
     """
     size = _slot_size(ctx, terms)
-    raw, view = _unpack(ctx, _pack(ctx, a, size) * _pack(ctx, b, size),
-                        len(widths) * stride, size)
+    prod = _pack(ctx, a, size) * _pack(ctx, b, size)
+    return _rows(ctx, prod, stride, widths, size)
+
+
+def _grid_sum(ctx, a, b, stride, widths, negate=False):
+    """The sum a + b, or a - b when `negate`, of two digit grids.
+
+    Grids and the rows returned are as for ``_grid_product``.  A difference
+    adds (p - 1) * b, so a coordinate slot holds at most
+    (p - 1) + (p - 1)^2 = p (p - 1) before it is read modulo p; the fold
+    of ``_unpack`` finds nothing above degree e - 1.
+    """
+    p = ctx.p
+    size = _WIDTHS[-(-(p * (p - 1)).bit_length() // 8)]
+    total = _pack(ctx, a, size) + (p - 1 if negate else 1) * _pack(
+        ctx, b, size)
+    return _rows(ctx, total, stride, widths, size)
+
+
+def _rows(ctx, packed, stride, widths, size):
+    """Rows (lo, digits) of the first len(widths) rows of a packed grid."""
+    raw, view = _unpack(ctx, packed, len(widths) * stride, size)
     step = (2 * ctx.e - 1) * size       # bytes per position
     out = []
     for r, width in enumerate(widths):
@@ -273,15 +294,15 @@ class LocalNum:
     def __init__(self, place, nu, coeffs):
         self.place = place
         # normalize: strip leading zero digits into the valuation
-        coeffs = list(coeffs)
-        i = 0
-        while i < len(coeffs) and coeffs[i] == 0:
-            i += 1
-        if i:
+        coeffs = tuple(coeffs)
+        if coeffs and coeffs[0] == 0:
+            i = 1
+            while i < len(coeffs) and coeffs[i] == 0:
+                i += 1
             nu += i
             coeffs = coeffs[i:]
         self.nu = nu
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     # -- constructors --------------------------------------------------
 
@@ -449,12 +470,22 @@ class LocalNum:
         return out
 
     def qpow(self, n=1):
-        """Raise to the q^n power by exact multiplication."""
-        q = self.place.ctx.q
-        out = self
-        for _ in range(n):
-            out = out.pow(q)
-        return out
+        """Raise to the Q = q^n power by spreading the digits.
+
+        x^Q = sum c_i^Q pi^(Q (nu + i)) = pi^(Q nu) sum c_i pi^(Q i), because
+        c^Q = c on F_q and Frobenius is additive in characteristic p.  The
+        result keeps the W = len(coeffs) digits from Q nu on, the window of
+        the product of Q copies of x, so its digits are that product's.
+        """
+        if n < 0:
+            raise ValueError("only forward q-powers are supported")
+        if self.is_exact_zero():
+            return self
+        Q = self.place.ctx.q ** n
+        W = len(self.coeffs)
+        out = [0] * W
+        out[::Q] = self.coeffs[:-(-W // Q)]
+        return LocalNum(self.place, Q * self.nu, out)
 
     # -- comparisons ---------------------------------------------------
 

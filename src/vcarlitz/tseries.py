@@ -2,18 +2,24 @@
 
 A TSeries holds the coefficients a_0, ..., a_(D-1) of a Tate-algebra
 element modulo t^D; each coefficient carries its own precision window.
-Twisting is forward only: coefficients are raised to q-th powers by exact
-multiplication, never coefficientwise on digits.
+Twisting is forward only, and it spreads digits: a coefficient
+pi^nu sum c_i pi^i raised to the power Q = q^n is pi^(Q nu) sum c_i pi^(Q i),
+because c^Q = c on F_q and the Q-th power is additive in characteristic p
+(``LocalNum.qpow``).  It keeps the coefficient's W digits, the window of
+the product of Q copies of it, so the digits are that product's.
 
-A product is one big-integer multiplication (two-dimensional Kronecker
-substitution, with a third axis for the F_p coordinates when q = p^e,
-e > 1): each operand's digit grid, t by pi, is packed into one integer, and
-the first D t-rows of the product are read back in bulk
-(``local._grid_product``, which alone knows the slot layout).  Its windows are
-those of the coefficient schoolbook sum_(i+j=n) a_i * b_j: coefficient n
-is known modulo pi^c, c the minimum over the pairs with no exact-zero
-factor of min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an
-exact zero when every pair has an exact-zero factor (``_window_rule``).
+A sum, a difference and a scaling by one LocalNum are each one packed
+big-integer operation (``local._grid_sum``, ``local._grid_product``), with
+LocalNum's sum or product window per coefficient.  A product is one
+big-integer multiplication (two-dimensional Kronecker substitution, with a
+third axis for the F_p coordinates when q = p^e, e > 1): each operand's
+digit grid, t by pi, is packed into one integer, and the first D t-rows of
+the product are read back in bulk (``local._grid_product``, which alone
+knows the slot layout).  Its windows are those of the coefficient
+schoolbook sum_(i+j=n) a_i * b_j: coefficient n is known modulo pi^c, c the
+minimum over the pairs with no exact-zero factor of
+min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an exact zero
+when every pair has an exact-zero factor (``_window_rule``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import sys
 from array import array
 
 from .errors import DecayNotCertified, PrecisionLoss
-from .local import INF, LocalNum, _grid_product, embed_local
+from .local import INF, LocalNum, _grid_product, _grid_sum, embed_local
 
 _FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
@@ -75,16 +81,51 @@ class TSeries:
             raise ValueError("series live at different places")
 
     def __add__(self, other):
-        self._check(other)
-        D = min(self.order, other.order)
-        return TSeries(self.place,
-                       [self.coeffs[i] + other.coeffs[i] for i in range(D)])
-
-    def __neg__(self):
-        return TSeries(self.place, [-c for c in self.coeffs])
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, True)
+
+    def _sum(self, other, negate):
+        """self + other, or self - other when `negate`: one packed sum.
+
+        Coefficient n has LocalNum's sum window: known modulo pi^c,
+        c = min(cutoff(a_n), cutoff(b_n)), with digits from
+        min(nu(a_n), nu(b_n)) on.  An exact zero b_n passes a_n through, and
+        an exact zero a_n passes b_n through in a sum.
+        """
+        self._check(other)
+        place = self.place
+        D = min(self.order, other.order)
+        a, b = self.coeffs[:D], other.coeffs[:D]
+        out = list(a)
+        spans = []                  # (n, base, cutoff) of the packed rows
+        for n, (x, y) in enumerate(zip(a, b)):
+            if y.nu == INF:
+                continue
+            if x.nu == INF and not negate:
+                out[n] = y
+                continue
+            cut = min(x.nu + len(x.coeffs), y.nu + len(y.coeffs))
+            base = min(x.nu, y.nu)
+            if cut <= base:
+                out[n] = LocalNum.zero_to_precision(place, cut)
+            else:
+                spans.append((n, base, cut))
+        if spans:
+            # row r holds coefficient spans[r][0], from its base on
+            S = max(cut - base for _, base, cut in spans)
+            pa, pb = [], []
+            for r, (n, base, cut) in enumerate(spans):
+                for c, pieces in ((a[n], pa), (b[n], pb)):
+                    if c.coeffs and c.nu < cut:
+                        pieces.append((r * S + c.nu - base,
+                                       c.coeffs[:cut - c.nu]))
+            rows = _grid_sum(place.ctx, pa, pb, S,
+                             [cut - base for _, base, cut in spans], negate)
+            for (n, base, _), (lo, digits) in zip(spans, rows):
+                out[n] = LocalNum(place, base + lo, digits)
+        return TSeries(place, out)
 
     def __mul__(self, other):
         self._check(other)
@@ -129,8 +170,37 @@ class TSeries:
         return TSeries(place, out)
 
     def scale(self, x):
-        """Multiply every coefficient by the LocalNum x."""
-        return TSeries(self.place, [c * x for c in self.coeffs])
+        """Multiply every coefficient by the LocalNum x: one packed product.
+
+        Coefficient n gets LocalNum's product window: the min(W(a_n), W(x))
+        digits from nu(a_n) + nu(x) on, or an exact zero when a factor is one.
+        """
+        self._check(x)
+        place = self.place
+        a = self.coeffs
+        live = [n for n, c in enumerate(a) if c.coeffs] if x.coeffs else []
+        rows = []
+        if live:
+            wa = max(len(a[n].coeffs) for n in live)
+            xd = x.coeffs[:wa]
+            S = wa + len(xd) - 1                 # a row's full convolution
+            widths = [0] * (live[-1] + 1)
+            for n in live:
+                widths[n] = min(len(a[n].coeffs), len(xd))
+            rows = _grid_product(
+                place.ctx, [(n * S, a[n].coeffs) for n in live], [(0, xd)],
+                S, widths, min(wa, len(xd)))
+        out = []
+        for n, c in enumerate(a):
+            if c.nu == INF or x.nu == INF:
+                out.append(LocalNum.exact_zero(place))
+            elif c.coeffs and x.coeffs:
+                lo, digits = rows[n]
+                out.append(LocalNum(place, c.nu + x.nu + lo, digits))
+            else:
+                out.append(LocalNum.zero_to_precision(
+                    place, min(c.nu + x.cutoff, x.nu + c.cutoff)))
+        return TSeries(place, out)
 
     def t_shift(self, n, window):
         """Multiply by t^n (drops the top n coefficients)."""
@@ -255,7 +325,13 @@ def ts_arith(f, g, op):
 
 
 def frobenius_twist(f, n=1):
-    """Raise each coefficient to the q^n power (exact powering)."""
+    """Raise each coefficient to the Q = q^n power.
+
+    sum a_i t^i becomes sum a_i^Q t^i.  Each a_i^Q is a_i's digits spread Q
+    apart (c^Q = c on F_q, and the Q-th power is additive in characteristic
+    p), with the window of the product of Q copies of a_i; nothing is
+    multiplied.
+    """
     if n < 0:
         raise ValueError("only forward twists are supported")
     if n == 0:

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import (
-    FqContext, PolyA, RatK, carlitz_action, carlitz_theta, fq_arith,
-    irreducible_test, monic_enumerate, parse_poly, parse_ratk, poly_arith,
+    FqContext, PolyA, RatK, _fp_polymod, _fp_polymul, carlitz_action,
+    carlitz_theta, fq_arith, irreducible_test, monic_enumerate, parse_poly,
+    parse_ratk, poly_arith,
 )
 from vcarlitz.errors import DivisionByZero, ParseError
 
@@ -98,6 +99,49 @@ def test_frobenius_additive(f, g):
     assert (f + g).frobenius() == f.frobenius() + g.frobenius()
 
 
+FROB_FIELDS = [FqContext(2), CTX3, CTX4, FqContext(5), FqContext(2, 3), CTX9]
+
+
+@st.composite
+def frob_cases(draw):
+    ctx = draw(st.sampled_from(FROB_FIELDS))
+    return draw(poly_strategy(ctx, 3)), draw(st.integers(0, 2))
+
+
+@given(frob_cases())
+@settings(max_examples=100, deadline=None)
+def test_frobenius_spread_matches_powering(case):
+    f, n = case
+    want = f
+    for _ in range(n):
+        want = want ** f.ctx.q
+    assert f.frobenius(n) == want
+
+
+def _tables_by_search(ctx):
+    """The field tables built by vector products and an inverse search."""
+    p, e, q = ctx.p, ctx.e, ctx.q
+    mul = [[0] * q for _ in range(q)]
+    for a in range(q):
+        for b in range(q):
+            prod = _fp_polymul(ctx.to_vector(a), ctx.to_vector(b), p)
+            if e > 1:
+                prod = _fp_polymod(prod, ctx.modulus, p)
+            mul[a][b] = ctx.from_vector(prod)
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
+    return mul, inv
+
+
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 1, None), (3, 1, None), (5, 1, None), (7, 1, None),
+    (2, 2, None), (3, 2, None), (5, 2, None), (7, 2, (1, 0, 1))])
+def test_field_tables_match_search(p, e, modulus):
+    ctx = FqContext(p, e, modulus)
+    assert (ctx._mul, ctx._inv) == _tables_by_search(ctx)
+
+
 def test_poly_arith_dispatch():
     f = parse_poly(CTX3, "T^2+1")
     g = parse_poly(CTX3, "T+1")
@@ -140,6 +184,20 @@ def test_ratk_field_axioms(a, b, c, d):
     assert x * y == y * x
     if not y.is_zero():
         assert (x / y) * y == x
+
+
+@given(poly_strategy(CTX9, 3), poly_strategy(CTX9, 3), st.integers(1, 8))
+def test_ratk_polynomial_fast_exit_is_reduced(f, g, c):
+    # RatK(f) takes the exit for a denominator of one; RatK(f g c, g c) takes
+    # the gcd and the monic rescale
+    if g.is_zero():
+        return
+    h = g.scale(c)
+    fast, general = RatK(f), RatK(f * h, h)
+    assert (fast.num, fast.den) == (general.num, general.den)
+    assert RatK(f, PolyA.one(CTX9)).den == general.den
+    s = RatK(f) + RatK(g)
+    assert (s.num, s.den) == (f + g, PolyA.one(CTX9))
 
 
 def test_ratk_monic_denominator():

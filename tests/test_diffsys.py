@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext, RatK
+from vcarlitz.algebra import FqContext, PolyA, RatK
 from vcarlitz.cli import _residual_records
 from vcarlitz.errors import CertificationFailed, DomainError
-from vcarlitz.local import LocalNum, PlaceV
+from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, pi_tilde
 from vcarlitz.diffsys import (
     DiffSystem, Residual, _tp_det, block_sum, build_cmpl_system,
@@ -48,8 +48,57 @@ def test_tpoly_apply_matches_scalar_action():
     out = tp_apply(a, g, V0, 20)
     # coefficient of t^1: T*T + 1*1
     want = T * T + ONE
-    from vcarlitz.local import embed_local
     assert (out.coeff(1) - embed_local(want, V0, 20)).is_zero_to_precision()
+
+
+def _tp_apply_by_terms(a, g, place, N):
+    """The sum over m of c_m * (t^m g), t^m g padded by zeros known to pi^N."""
+    zero = LocalNum.zero_to_precision(place, N)
+    out = []
+    for n in range(g.order):
+        acc = zero
+        for m, c in enumerate(a[:g.order]):
+            if not c.is_zero():
+                term = g.coeffs[n - m] if m <= n else zero
+                acc = acc + term * embed_local(c, place, N)
+        out.append(acc)
+    return out
+
+
+_TP_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
+              FqContext(2, 3), FqContext(3, 2)]
+
+
+@st.composite
+def _tp_apply_cases(draw):
+    ctx = draw(st.sampled_from(_TP_FIELDS))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    poly = st.lists(st.integers(0, ctx.q - 1), max_size=3).map(
+        lambda c: PolyA(ctx, c))
+    # num / (pi^k h): pi^k gives negative valuations at v
+    ratk = st.tuples(poly, st.integers(0, 2), poly).map(
+        lambda t: RatK(t[0], place.uniformizer() ** t[1]
+                       * (t[2] if not t[2].is_zero() else PolyA.one(ctx))))
+    coeff = st.one_of(
+        st.just(LocalNum.exact_zero(place)),
+        st.integers(-4, 16).map(
+            lambda c: LocalNum.zero_to_precision(place, c)),
+        st.tuples(st.integers(-4, 8),
+                  st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                           max_size=16)).map(lambda t: LocalNum(place, *t)))
+    a = tuple(draw(st.lists(ratk, max_size=6)))
+    g = TSeries(place, draw(st.lists(coeff, max_size=8)))
+    return a, g, place, draw(st.integers(1, 16))
+
+
+@given(_tp_apply_cases())
+@settings(max_examples=150, deadline=None)
+def test_tp_apply_matches_shifted_sum(case):
+    a, g, place, N = case
+    got = tp_apply(a, g, place, N).coeffs
+    want = _tp_apply_by_terms(a, g, place, N)
+    assert [(c.is_exact_zero(), c.nu, c.coeffs) for c in got] == [
+        (c.is_exact_zero(), c.nu, c.coeffs) for c in want]
 
 
 # -- construction and residuals -----------------------------------------

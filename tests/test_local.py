@@ -173,6 +173,38 @@ def test_qpow_is_additive(x):
     assert lhs.congruent(rhs, min(lhs.cutoff, rhs.cutoff))
 
 
+QPOW_FIELDS = [FqContext(2), FqContext(3), FqContext(2, 2), FqContext(5),
+               FqContext(2, 3), FqContext(3, 2)]
+
+
+@st.composite
+def qpow_cases(draw):
+    ctx = draw(st.sampled_from(QPOW_FIELDS))
+    place = draw(st.one_of(
+        st.just(PlaceInf(ctx)),
+        st.integers(0, ctx.q - 1).map(lambda lam: PlaceV(ctx, lam))))
+    x = draw(st.one_of(
+        st.just(LocalNum.exact_zero(place)),
+        st.integers(-8, 8).map(
+            lambda c: LocalNum.zero_to_precision(place, c)),
+        st.tuples(st.integers(-8, 8),
+                  st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                           max_size=12)).map(lambda t: LocalNum(place, *t))))
+    return x, draw(st.sampled_from([1, 2]))
+
+
+@given(qpow_cases())
+@settings(max_examples=150, deadline=None)
+def test_qpow_matches_repeated_powering(case):
+    x, n = case
+    want = x
+    for _ in range(n):
+        want = want.pow(x.place.q)
+    got = x.qpow(n)
+    assert (got.is_exact_zero(), got.nu, got.coeffs) == (
+        want.is_exact_zero(), want.nu, want.coeffs)
+
+
 def test_digit_access_and_precision_loss():
     x = LocalNum(V0, 1, (2, 0, 1))
     assert x.digit(1) == 2 and x.digit(3) == 1 and x.digit(0) == 0

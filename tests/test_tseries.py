@@ -77,25 +77,33 @@ def _states(coeffs):
     return [(c.is_exact_zero(), c.nu, c.coeffs) for c in coeffs]
 
 
-@st.composite
-def series_pairs(draw):
-    ctx = draw(st.sampled_from([FIELDS[q] for q in sorted(FIELDS)]))
-    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
-    coeff = st.one_of(
+def _coeff(place):
+    """Exact zeros, window zeros and digit windows, negative nu included."""
+    ctx = place.ctx
+    return st.one_of(
         st.just(LocalNum.exact_zero(place)),
         st.integers(-6, 20).map(
             lambda c: LocalNum.zero_to_precision(place, c)),
         st.tuples(st.integers(-6, 12),
                   st.lists(st.integers(0, ctx.q - 1), min_size=1,
                            max_size=24)).map(lambda t: LocalNum(place, *t)))
+
+
+def _series(place):
     # runs of equal coefficients, as in padded and built series; every
     # other copy loses `drop` digits, so neighbours share nu but not cutoff
-    run = st.tuples(coeff, st.integers(1, 4), st.integers(0, 3)).map(
+    run = st.tuples(_coeff(place), st.integers(1, 4), st.integers(0, 3)).map(
         lambda t: [t[0].truncate(t[0].cutoff - t[2]) if m % 2 else t[0]
                    for m in range(t[1])])
-    series = st.lists(run, max_size=8).map(
+    return st.lists(run, max_size=8).map(
         lambda runs: TSeries(place, [c for r in runs for c in r]))
-    return draw(series), draw(series)
+
+
+@st.composite
+def series_pairs(draw):
+    ctx = draw(st.sampled_from([FIELDS[q] for q in sorted(FIELDS)]))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    return draw(_series(place)), draw(_series(place))
 
 
 @given(series_pairs())
@@ -103,6 +111,24 @@ def series_pairs(draw):
 def test_product_matches_schoolbook(pair):
     f, g = pair
     assert _states((f * g).coeffs) == _states(_schoolbook(f, g))
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_sum_and_difference_match_coefficientwise(pair):
+    f, g = pair
+    assert _states((f + g).coeffs) == _states(
+        [x + y for x, y in zip(f.coeffs, g.coeffs)])
+    assert _states((f - g).coeffs) == _states(
+        [x - y for x, y in zip(f.coeffs, g.coeffs)])
+
+
+@given(series_pairs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_scale_matches_coefficientwise(pair, data):
+    f = pair[0]
+    x = data.draw(_coeff(f.place))
+    assert _states(f.scale(x).coeffs) == _states([c * x for c in f.coeffs])
 
 
 @pytest.mark.parametrize("q", sorted(FIELDS))
