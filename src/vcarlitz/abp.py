@@ -20,10 +20,6 @@ from .linalg import fq_kernel
 from .local import PlaceV
 
 
-def q_power_str(exp):
-    return f"q^{exp}"
-
-
 # -- elements of R_v -----------------------------------------------------
 
 class RvElem:
@@ -73,38 +69,24 @@ class RvElem:
     def __hash__(self):
         return hash((self.place, self.coeffs))
 
+    def _poly(self):
+        # the coefficients of 1/pi, lifted to A for PolyA's arithmetic
+        return PolyA(self.place.ctx, self.coeffs)
+
     def __add__(self, other):
-        ctx = self.place.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(ctx.add(a, b))
-        return RvElem(self.place, out)
+        return RvElem(self.place, (self._poly() + other._poly()).coeffs)
 
     def __neg__(self):
-        ctx = self.place.ctx
-        return RvElem(self.place, [ctx.neg(c) for c in self.coeffs])
+        return RvElem(self.place, (-self._poly()).coeffs)
 
     def __sub__(self, other):
-        return self + (-other)
+        return RvElem(self.place, (self._poly() - other._poly()).coeffs)
 
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return RvElem.zero(self.place)
-        ctx = self.place.ctx
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-        return RvElem(self.place, out)
+        return RvElem(self.place, (self._poly() * other._poly()).coeffs)
 
     def scale_fq(self, c):
-        ctx = self.place.ctx
-        return RvElem(self.place, [ctx.mul(c, x) for x in self.coeffs])
+        return RvElem(self.place, self._poly().scale(c).coeffs)
 
     def to_ratk(self):
         """The element of k: sum c_j / pi^j."""
@@ -152,9 +134,9 @@ def parse_rv(place, text):
         for factor in term.split("*"):
             if factor.startswith(sym):
                 tail = factor[len(sym):]
-                if not tail.startswith("^-"):
-                    raise ParseError(f"bad power {factor!r}")
-                j = _parse_int(tail[2:], term, "term")
+                if not (tail.startswith("^-") and tail[2:].isdecimal()):
+                    raise ParseError(f"bad power in term {term!r}")
+                j = int(tail[2:])
             else:
                 c = ctx.mul(c, _parse_int(factor, term, "term") % ctx.p)
         if j in coeffs:
@@ -342,6 +324,8 @@ def small_solution(M, C_exp, deg_budget, place):
     cols = len(M[0]) if rows else 0
     if rows >= cols:
         raise ValueError("the system must be strictly underdetermined")
+    if deg_budget < 0:
+        raise ValueError(f"deg-budget must be >= 0, got {deg_budget}")
     from fractions import Fraction
     mnorm = max((rvt_norm_exp(e) or 0) for row in M for e in row)
     if mnorm >= C_exp:

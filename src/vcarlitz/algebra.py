@@ -2,9 +2,12 @@
 
 Elements of F_q are encoded as integers in [0, q): the base-p digits of the
 code are the coordinates in the polynomial basis 1, x, ..., x^(e-1) of F_q
-over F_p.  For e = 1 the code is just the residue mod p.  All field
-operations go through small tables built once per context, so arithmetic
-is uniform in q.
+over F_p.  For e = 1 the code is just the residue mod p.  Every field
+operation (add, neg, mul, inv) is a lookup in a table built once per
+context, so arithmetic is uniform in q.  For e = 1 the tables are residue
+arithmetic mod p; for e > 1 they are computed with PolyA over F_p, as sums
+and as products reduced by the irreducible modulus m, so PolyA is the only
+polynomial arithmetic over a finite field in the package.
 
 Polynomials over F_q (type PolyA) are coefficient tuples, ascending in T,
 with trailing zeros stripped.  Rational functions (type RatK) are reduced
@@ -13,7 +16,6 @@ fractions with monic denominator, which makes equality structural.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 from .errors import DivisionByZero, ParseError
@@ -42,49 +44,6 @@ def _is_prime(n):
     return True
 
 
-def _fp_polymul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _fp_polymod(a, m, p):
-    # reduce a by the monic modulus m over F_p
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - c * mi) % p
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def _fp_irreducible(m, p):
-    # trial division; desk-scale degrees only
-    deg = len(m) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tail + (1,)
-            # does g divide m?
-            if _fp_polymod(m, g, p) == ():
-                return False
-    return True
-
-
 class FqContext:
     """The field F_q with q = p^e, elements coded as ints in [0, q)."""
 
@@ -100,6 +59,9 @@ class FqContext:
             raise ValueError("field size beyond desk scale")
         if e == 1:
             self.modulus = (0, 1)  # identity modulus: F_p itself
+            r = list(range(p))
+            self._add = [r[a:] + r[:a] for a in r]     # (a + b) % p
+            self._mul = [[a * b % p for b in range(p)] for a in range(p)]
         else:
             if modulus is None:
                 modulus = _DEFAULT_MODULI.get((p, e))
@@ -108,25 +70,17 @@ class FqContext:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree e")
-            if not _fp_irreducible(modulus, p):
+            m = PolyA(FqContext(p), modulus)
+            if not irreducible_test(m):
                 raise ValueError("modulus is not irreducible over F_p")
             self.modulus = modulus
-        self._build_tables()
-
-    def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
-        else:
-            self._mul = [[0] * q for _ in range(q)]
-            for a in range(q):
-                va = self.to_vector(a)
-                for b in range(a, q):
-                    vb = self.to_vector(b)
-                    prod = _fp_polymod(_fp_polymul(va, vb, p), self.modulus, p)
-                    code = self.from_vector(prod)
-                    self._mul[a][b] = code
-                    self._mul[b][a] = code
+            # F_q = F_p[x]/(m): codes of the sum and of the reduced product
+            vecs = [PolyA(m.ctx, self.to_vector(a)) for a in range(self.q)]
+            self._add = [[self.from_vector((va + vb).coeffs) for vb in vecs]
+                         for va in vecs]
+            self._mul = [[self.from_vector((va * vb % m).coeffs)
+                          for vb in vecs] for va in vecs]
+        self._neg = [row.index(0) for row in self._add]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # -- element codec -------------------------------------------------
@@ -148,29 +102,10 @@ class FqContext:
     # -- field operations ----------------------------------------------
 
     def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._add[a][b]
 
     def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((-a) % p % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._neg[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -207,19 +142,6 @@ class FqContext:
 
     def __repr__(self):
         return f"FqContext(q={self.q})"
-
-
-def fq_arith(ctx, a, b, op):
-    """Dispatch form of the field operations; op in {add, mul, inv, pow}."""
-    if op == "add":
-        return ctx.add(a, b)
-    if op == "mul":
-        return ctx.mul(a, b)
-    if op == "inv":
-        return ctx.inv(a)
-    if op == "pow":
-        return ctx.pow(a, b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 class PolyA:
@@ -365,16 +287,6 @@ class PolyA:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-
-    def derivative(self):
-        ctx = self.ctx
-        out = []
-        for i in range(1, len(self.coeffs)):
-            c = 0
-            for _ in range(i % ctx.p):
-                c = ctx.add(c, self.coeffs[i])
-            out.append(c)
-        return PolyA(ctx, out)
 
     def eval_fq(self, x):
         """Evaluate at an element of F_q (Horner)."""
@@ -563,10 +475,6 @@ class RatK:
     def T(cls, ctx):
         return cls(PolyA.T(ctx))
 
-    @classmethod
-    def from_poly(cls, f):
-        return cls(f)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -702,22 +610,3 @@ def carlitz_action(a, z):
         if c:
             out = out + iterates[i] * RatK(PolyA.constant(ctx, c))
     return out
-
-
-def poly_arith(f, g, op):
-    """Dispatch form: op in {add, mul, divmod, gcd}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "divmod":
-        return f.divmod(g)
-    if op == "gcd":
-        return f.gcd(g)
-    raise ValueError(f"unknown op {op!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def theta_power_poly(ctx, n):
-    """T^n as a PolyA (cached; used by Carlitz factorial builders)."""
-    return PolyA(ctx, (0,) * n + (1,))

@@ -357,6 +357,8 @@ def _cmd_certify(ns):
         cfg.emit(records)
         return EXIT_OK if cert.ok else EXIT_FAILED
     # vabp
+    if ns.omega_copies < 0:
+        raise ValueError(f"omega-copies must be >= 0, got {ns.omega_copies}")
     systems = []
     for _ in range(ns.omega_copies):
         systems.append(build_omega_system(cfg.place_v))

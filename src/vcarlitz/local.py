@@ -205,27 +205,28 @@ class PlaceV(Place):
     def ord_poly(self, f):
         if f.is_zero():
             return INF
-        root = self.theta_root()
+        pi = self.uniformizer()
         n = 0
-        while f.eval_fq(root) == 0:
-            # synthetic division by (T + lambda)
-            f = _deflate(f, root)
+        while True:
+            quo, rem = f.divmod(pi)
+            if not rem.is_zero():
+                return n
+            f = quo
             n += 1
-        return n
 
     def poly_digits(self, f):
-        """Exact digits of f in powers of the uniformizer (theta = pi - lambda)."""
-        ctx = self.ctx
-        # Horner: f(theta) = f(pi - lambda); repeatedly divide by (T + lambda)
-        digits = []
-        g = f
-        root = self.theta_root()
-        for _ in range(len(f.coeffs)):
-            digits.append(g.eval_fq(root))
-            g = _deflate_sub(g, root)
-            if g.is_zero():
-                break
-        return digits
+        """Exact digits of f in powers of the uniformizer pi = theta + lambda.
+
+        The digits are the coefficients of f(T + r), r = -lambda, computed
+        by a Taylor shift in characteristic p (von zur Gathen and Gerhard,
+        ISSAC 1997).  With m the largest power of p below len(f.coeffs),
+        write f = f_lo + T^m f_hi; since (T + r)^m = T^m + r^m,
+
+            f(T + r) = f_lo(T + r) + (T^m + r^m) f_hi(T + r),
+
+        and the shift recurses on f_lo and f_hi.
+        """
+        return list(_taylor_shift(f, self.theta_root()).coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, PlaceV) and self.ctx == other.ctx
@@ -267,23 +268,18 @@ class PlaceInf(Place):
         return f"PlaceInf(q={self.ctx.q})"
 
 
-def _deflate(f, root):
-    """f / (T - root), assuming exact divisibility."""
-    coeffs = f.coeffs
-    out = [0] * (len(coeffs) - 1)
+def _taylor_shift(f, r):
+    """f(T + r) for r in F_q; see PlaceV.poly_digits."""
+    n = len(f.coeffs)
+    if n < 2:
+        return f
     ctx = f.ctx
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = ctx.add(coeffs[i], ctx.mul(root, carry))
-        out[i - 1] = carry
-    return PolyA(ctx, out)
-
-
-def _deflate_sub(f, root):
-    """Quotient of f by (T - root) ignoring the remainder."""
-    if f.degree < 1:
-        return PolyA.zero(f.ctx)
-    return _deflate(f - PolyA.constant(f.ctx, f.eval_fq(root)), root)
+    m = 1
+    while m * ctx.p < n:
+        m *= ctx.p
+    lo = _taylor_shift(PolyA(ctx, f.coeffs[:m]), r)
+    hi = _taylor_shift(PolyA(ctx, f.coeffs[m:]), r)
+    return lo + hi.shift(m) + hi.scale(ctx.pow(r, m))
 
 
 class LocalNum:
@@ -562,9 +558,14 @@ def parse_local(place, text):
             c = _parse_fq_coeff(ctx, head)
         else:
             c = _parse_int(head, part, "term") % ctx.p
+        if k in digits:
+            raise ParseError(f"repeated power {sym}^{k}")
         digits[k] = c
     if cutoff is None:
         raise ParseError("missing O(...) tail")
+    if digits and max(digits) >= cutoff:
+        raise ParseError(f"term {sym}^{max(digits)} at or above the tail "
+                         f"O({sym}^{cutoff})")
     if not digits:
         return LocalNum.zero_to_precision(place, cutoff)
     nu = min(digits)
@@ -602,24 +603,3 @@ def embed_local(r, place, window):
         return num
     den = embed_poly(r.den, place, window)
     return num * den.inv()
-
-
-def local_arith(x, y, op):
-    """Dispatch form: op in {add, mul, inv, qpow}."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    if op == "qpow":
-        return x.qpow()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def valuation_of(x):
-    """Exact valuation, or the pair ('>=', bound) for a window-zero value."""
-    v = x.valuation()
-    if v is not None:
-        return v
-    return (">=", x.nu)

@@ -17,7 +17,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import PolyA, RatK, theta_power_poly
+from .algebra import PolyA, RatK
 from .errors import DomainError, ParseError, PrecisionLoss
 from .local import INF, LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
 from .tseries import TSeries
@@ -140,7 +140,7 @@ def L_factorial(ctx, i):
     cache = _L_CACHE.setdefault(ctx, [PolyA.one(ctx)])
     while len(cache) <= i:
         j = len(cache)
-        factor = PolyA.T(ctx) - theta_power_poly(ctx, ctx.q ** j)
+        factor = PolyA.T(ctx) - PolyA.T(ctx).frobenius(j)
         cache.append(cache[-1] * factor)
     return cache[i]
 

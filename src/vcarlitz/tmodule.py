@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from .algebra import (
     FqContext, PolyA, RatK, parse_fields, parse_poly, parse_ratk,
-    theta_power_poly,
 )
 from .errors import (
     AnnihilationFailure, ConvergenceNotCertified, DomainError, ParseError,
@@ -214,7 +213,7 @@ def _solve_twisted_sylvester(spec, i, R):
     terminates; the fixed point is checked exactly.
     """
     ctx = spec.ctx
-    delta = RatK(theta_power_poly(ctx, ctx.q ** i) - PolyA.T(ctx))
+    delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
     dinv = delta.inv()
     N0 = spec.N0k
     Q = kmat_zero(ctx, spec.dim, spec.dim)
@@ -501,40 +500,6 @@ def validate_tmodule(spec, place, prec=30):
     cert = ValidationCertificate(spec, place, prec, results)
     spec.validated = cert.ok
     return cert
-
-
-# -- depth-two candidates (no authority until validated) -----------------
-
-def candidate_depth2_spec(ctx, s1, s2, u1):
-    """A block-triangular candidate for Li*_(s1,s2)(u1, -).
-
-    This is a guess at the shape used in the literature, emitted for
-    experimentation only: it ships with no test points, so it cannot be
-    validated here and extended evaluation refuses it.
-    """
-    if s1 < 1 or s2 < 1:
-        raise ValueError("index entries must be >= 1")
-    u1 = u1 if isinstance(u1, RatK) else RatK(u1)
-    if not u1.is_poly():
-        raise ValueError("candidate generator expects a polynomial argument")
-    d1, d = s1 + s2, s1 + 2 * s2
-    N0 = [[0] * d for _ in range(d)]
-    for i in range(d1 - 1):
-        N0[i][i + 1] = 1
-    for i in range(d1, d - 1):
-        N0[i][i + 1] = 1
-    zero = PolyA.zero(ctx)
-    B1 = [[zero] * d for _ in range(d)]
-    B1[d1 - 1][0] = PolyA.one(ctx)
-    B1[d - 1][d1] = PolyA.one(ctx)
-    B1[d - 1][0] = u1.num
-    T = RatK.T(ctx)
-    point = [RatK.zero(ctx)] * d
-    point[d - 1] = T
-    return TModuleSpec(
-        ctx, d, N0, B1, readout=(d - 1,), index=Index([s1, s2]),
-        args=ArgTuple([u1, T]), point=point, test_points=(),
-        name=f"candidate-depth2-{s1}-{s2}")
 
 
 # -- spec files ----------------------------------------------------------

@@ -315,15 +315,6 @@ def _window_rule(a, b):
             for f in fields(array(code, acc.to_bytes(D * size, "little")))]
 
 
-def ts_arith(f, g, op):
-    """Dispatch form: op in {add, mul}."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
 def frobenius_twist(f, n=1):
     """Raise each coefficient to the Q = q^n power.
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext, RatK
+from vcarlitz.algebra import FqContext, PolyA, RatK
 from vcarlitz.errors import (
     AssertionFailure, NoSolutionInBudget, ParseError, RootCheckFailed,
     TooLarge,
@@ -12,8 +12,7 @@ from vcarlitz.errors import (
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.abp import (
     RvElem, liouville_check, norm_ball_count, norm_bound_checks, parse_rv,
-    q_power_str, rvt_norm_exp, small_solution, sup_norm_disk,
-    sup_norm_factored,
+    rvt_norm_exp, small_solution, sup_norm_disk, sup_norm_factored,
 )
 
 CTX3 = FqContext(3)
@@ -30,14 +29,38 @@ def rv_strategy(max_deg=4):
 def test_rv_print_parse_roundtrip():
     for text in ("2*v^-3+v^-1+1", "v^-1", "1", "0", "2*v^-2+2"):
         assert str(parse_rv(V0, text)) == text
-    with pytest.raises(ParseError):
-        parse_rv(V0, "v^-1+v^-1")
+    for bad in ("v^-1+v^-1", "v^--1", "2*v^--1", "v^-x", "v^1"):
+        with pytest.raises(ParseError):
+            parse_rv(V0, bad)
 
 
 def test_rv_matches_field_embedding():
     x = parse_rv(V0, "2*v^-3+v^-1+1")
     assert V0.ord_ratk(x.to_ratk()) == -3
     assert x.norm_exp() == 3
+
+
+@st.composite
+def rv_pairs(draw):
+    """Two elements of R_v at a random place with q in {3, 4, 5}, and c."""
+    ctx = draw(st.sampled_from([CTX3, FqContext(2, 2), FqContext(5)]))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    coeffs = st.lists(st.integers(0, ctx.q - 1), max_size=6)
+    return (RvElem(place, draw(coeffs)), RvElem(place, draw(coeffs)),
+            draw(st.integers(0, ctx.q - 1)))
+
+
+@given(rv_pairs())
+@settings(max_examples=150, deadline=None)
+def test_to_ratk_is_a_ring_homomorphism(case):
+    x, y, c = case
+    fx, fy = x.to_ratk(), y.to_ratk()
+    assert (x + y).to_ratk() == fx + fy
+    assert (x - y).to_ratk() == fx - fy
+    assert (-x).to_ratk() == -fx
+    assert (x * y).to_ratk() == fx * fy
+    const = RatK(PolyA.constant(x.place.ctx, c))
+    assert x.scale_fq(c).to_ratk() == const * fx
 
 
 @given(rv_strategy(), rv_strategy())
@@ -177,6 +200,8 @@ def test_small_solution_preconditions():
     pole3 = (parse_rv(V0, "v^-3"),)
     with pytest.raises(ValueError):
         small_solution([[pole3, one]], 2, 0, V0)  # ||M|| >= C
+    with pytest.raises(ValueError, match="deg-budget"):
+        small_solution([[one, one]], 2, -1, V0)
 
 
 def test_small_solution_degree_budget():
@@ -197,7 +222,3 @@ def test_small_solution_in_t():
     # verify it found something nonzero (re-verified internally)
     assert any(not c.is_zero() for e in x for c in e)
 
-
-def test_q_power_strings():
-    assert q_power_str(3) == "q^3"
-    assert q_power_str(-1) == "q^-1"

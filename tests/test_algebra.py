@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import (
-    FqContext, PolyA, RatK, _fp_polymod, _fp_polymul, carlitz_action,
-    carlitz_theta, fq_arith, irreducible_test, monic_enumerate, parse_poly,
-    parse_ratk, poly_arith,
+    FqContext, PolyA, RatK, carlitz_action, carlitz_theta, irreducible_test,
+    monic_enumerate, parse_poly, parse_ratk,
 )
 from vcarlitz.errors import DivisionByZero, ParseError
 
@@ -55,13 +54,6 @@ def test_f9_field_axioms(a, b, c):
     assert ctx.mul(a, b) == ctx.mul(b, a)
     if a:
         assert ctx.mul(a, ctx.inv(a)) == 1
-
-
-def test_fq_arith_dispatch():
-    assert fq_arith(CTX3, 2, 2, "add") == 1
-    assert fq_arith(CTX3, 2, 2, "mul") == 1
-    assert fq_arith(CTX3, 2, None, "inv") == 2
-    assert fq_arith(CTX3, 2, 5, "pow") == 2
 
 
 # -- polynomials --------------------------------------------------------
@@ -118,20 +110,56 @@ def test_frobenius_spread_matches_powering(case):
     assert f.frobenius(n) == want
 
 
+def _fp_polymul(a, b, p):
+    """Schoolbook product of two F_p[x] coefficient tuples."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _fp_polymod(a, m, p):
+    """Remainder of a by the monic modulus m over F_p."""
+    a = list(a)
+    dm = len(m) - 1
+    while len(a) - 1 >= dm:
+        c = a[-1]
+        if c:
+            shift = len(a) - 1 - dm
+            for i, mi in enumerate(m):
+                a[shift + i] = (a[shift + i] - c * mi) % p
+        a.pop()
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
 def _tables_by_search(ctx):
-    """The field tables built by vector products and an inverse search."""
+    """The field tables built coordinatewise, by vector products and by
+    searching for negatives and inverses."""
     p, e, q = ctx.p, ctx.e, ctx.q
+    add = [[0] * q for _ in range(q)]
     mul = [[0] * q for _ in range(q)]
     for a in range(q):
         for b in range(q):
+            # base-p digits are the coordinates over F_p
+            add[a][b] = sum((a // p ** u + b // p ** u) % p * p ** u
+                            for u in range(e))
             prod = _fp_polymul(ctx.to_vector(a), ctx.to_vector(b), p)
             if e > 1:
                 prod = _fp_polymod(prod, ctx.modulus, p)
             mul[a][b] = ctx.from_vector(prod)
+    neg = [next(b for b in range(q) if add[a][b] == 0) for a in range(q)]
     inv = [0] * q
     for a in range(1, q):
         inv[a] = next(b for b in range(1, q) if mul[a][b] == 1)
-    return mul, inv
+    return add, neg, mul, inv
 
 
 @pytest.mark.parametrize("p,e,modulus", [
@@ -139,15 +167,15 @@ def _tables_by_search(ctx):
     (2, 2, None), (3, 2, None), (5, 2, None), (7, 2, (1, 0, 1))])
 def test_field_tables_match_search(p, e, modulus):
     ctx = FqContext(p, e, modulus)
-    assert (ctx._mul, ctx._inv) == _tables_by_search(ctx)
+    assert (ctx._add, ctx._neg, ctx._mul, ctx._inv) == _tables_by_search(ctx)
 
 
-def test_poly_arith_dispatch():
-    f = parse_poly(CTX3, "T^2+1")
-    g = parse_poly(CTX3, "T+1")
-    assert poly_arith(f, g, "mul") == f * g
-    assert poly_arith(f, g, "gcd") == f.gcd(g)
-    assert poly_arith(f, g, "divmod") == f.divmod(g)
+@pytest.mark.parametrize("p,e,modulus", [
+    (2, 2, (1, 0, 1)),      # x^2 + 1 = (x + 1)^2 over F_2
+    (3, 2, (2, 0, 1))])     # x^2 + 2 = (x + 1)(x + 2) over F_3
+def test_reducible_modulus_is_refused(p, e, modulus):
+    with pytest.raises(ValueError, match="not irreducible"):
+        FqContext(p, e, modulus)
 
 
 def test_monic_enumerate_lexicographic():

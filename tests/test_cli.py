@@ -212,11 +212,21 @@ def test_forged_certification_is_rechecked(capsys, tmp_path):
     ["verify", "omega", "--prec", "0"],
     ["eval", "mzv-v", "--index", "1", "--cert-prec", "0"],
     ["relations", "find", "--value", "1|T", "--value", "2|T", "--deg", "-1"],
+    # the 12 x 12 block sum of test_certify_vabp_pass_and_fail, which
+    # certifies when the negative count is read as zero copies
+    ["certify", "vabp", *[arg for args in ("T,T,T", "T^2,T,T+1", "T,T^2,T")
+                          for arg in ("--index", "1,1,1", "--args", args)],
+     "--gamma", "1/T", "--rho", "1,0,0,0,2,0,0,0,0,0,0,0",
+     "--pcoeffs", "1;0;0;0;2;0;0;0;0;0;0;0", "--omega-copies", "-1"],
+    ["appendix", "small-solution", "--rows", "1,2", "--c-exp", "2",
+     "--deg-budget", "-5"],
 ])
 def test_out_of_range_input_exits_2(capsys, argv):
+    # the last option is the one out of range, and the error names it
     assert run_command(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "must be >= " in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[-2][2:]} must be >= ")
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -229,11 +239,16 @@ def test_out_of_range_input_exits_2(capsys, argv):
      "bad term 'y*v^-1'"),
     (["appendix", "small-solution", "--rows", "1,y", "--c-exp", "0"],
      "bad term 'y'"),
+    (["appendix", "sup-norm", "--coeffs", "1,v^--1", "--radius", "1"],
+     "bad power in term 'v^--1'"),
+    (["appendix", "small-solution", "--rows", "1,v^--1", "--c-exp", "2"],
+     "bad power in term 'v^--1'"),
 ])
 def test_parse_errors_name_the_input(capsys, argv, named):
     assert run_command(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and named in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_runconfig_validation():

@@ -8,7 +8,7 @@ from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly, parse_ratk
 from vcarlitz.errors import DivisionByZero, ParseError, PrecisionLoss
 from vcarlitz.local import (
     INF, LocalNum, PlaceInf, PlaceV, _convolve, embed_local, embed_poly,
-    local_arith, parse_local, valuation_of,
+    parse_local,
 )
 
 CTX3 = FqContext(3)
@@ -48,6 +48,61 @@ def test_poly_digits_shifted_place():
     assert digits == [1, 1, 1]  # 1 + pi + pi^2 over F_3
 
 
+def _deflate(f, root):
+    """The quotient of f by (T - root), dropping the remainder f(root)."""
+    ctx, coeffs = f.ctx, f.coeffs
+    out = [0] * max(len(coeffs) - 1, 0)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = ctx.add(coeffs[i], ctx.mul(root, carry))
+        out[i - 1] = carry
+    return PolyA(ctx, out)
+
+
+def _digits_by_deflation(place, f):
+    """pi-digits of f by repeated synthetic division by pi = T + lambda."""
+    root, digits = place.theta_root(), []
+    while not f.is_zero():
+        digits.append(f.eval_fq(root))
+        f = _deflate(f, root)
+    return digits
+
+
+def _ord_by_deflation(place, f):
+    root, n = place.theta_root(), 0
+    while f.eval_fq(root) == 0:
+        f = _deflate(f, root)
+        n += 1
+    return n
+
+
+SHIFT_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
+                FqContext(3, 2)]
+
+
+@st.composite
+def shift_cases(draw):
+    """(place, f, k): f nonzero of degree <= 300, times pi^k."""
+    ctx = draw(st.sampled_from(SHIFT_FIELDS))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    deg = draw(st.integers(0, 300))
+    coeffs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=deg,
+                           max_size=deg))
+    f = PolyA(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])
+    k = draw(st.integers(0, 12))
+    return place, f * place.uniformizer() ** k, k
+
+
+@given(shift_cases())
+@settings(max_examples=150, deadline=None)
+def test_taylor_shift_digits_match_deflation(case):
+    place, f, k = case
+    digits = place.poly_digits(f)
+    assert digits == _digits_by_deflation(place, f)
+    assert digits[:k] == [0] * k
+    assert place.ord_poly(f) == _ord_by_deflation(place, f) >= k
+
+
 # -- embeddings ---------------------------------------------------------
 
 def test_embed_poly_exact_padding():
@@ -65,12 +120,12 @@ def test_embed_geometric_inverse():
 def test_embed_inf():
     x = embed_local(parse_ratk(CTX3, "T^3+2*T"), INF3, 6)
     assert x.nu == -3
-    assert valuation_of(x) == -3
+    assert x.valuation() == -3
 
 
 def test_valuation_of_window_zero():
     z = LocalNum.zero_to_precision(V0, 7)
-    assert valuation_of(z) == (">=", 7)
+    assert z.valuation() is None and z.valuation_lower_bound() == 7
 
 
 # -- arithmetic ---------------------------------------------------------
@@ -217,15 +272,6 @@ def test_inv_of_possible_zero_raises():
         LocalNum.zero_to_precision(V0, 4).inv()
 
 
-def test_local_arith_dispatch():
-    x = LocalNum(V0, 0, (1, 1))
-    y = LocalNum(V0, 1, (2,))
-    assert local_arith(x, y, "add") == x + y
-    assert local_arith(x, y, "mul") == x * y
-    assert local_arith(x, None, "inv") == x.inv()
-    assert local_arith(x, None, "qpow") == x.qpow()
-
-
 # -- printing -----------------------------------------------------------
 
 def test_print_and_parse_roundtrip_v():
@@ -243,9 +289,14 @@ def test_print_and_parse_roundtrip_inf():
 
 
 def test_parse_errors_name_the_term():
+    above = "term v^{} at or above the tail O(v^3)"
     for text, named in (("y*v^2 + O(v^5)", "bad term 'y*v^2'"),
                         ("v^x + O(v^5)", "bad term 'v^x'"),
-                        ("1 + O(v^z)", "bad tail 'O(v^z)'")):
+                        ("1 + O(v^z)", "bad tail 'O(v^z)'"),
+                        ("v^5 + O(v^3)", above.format(5)),
+                        ("1 + v^3 + O(v^3)", above.format(3)),
+                        ("v^1 + 2*v^1 + O(v^4)", "repeated power v^1"),
+                        ("1 + 2 + O(v^4)", "repeated power v^0")):
         with pytest.raises(ParseError) as info:
             parse_local(V0, text)
         assert str(info.value) == named

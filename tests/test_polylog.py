@@ -10,9 +10,7 @@ from vcarlitz.algebra import (
     FqContext, PolyA, RatK, monic_enumerate, parse_poly, parse_ratk,
 )
 from vcarlitz.errors import DomainError
-from vcarlitz.local import (
-    LocalNum, PlaceInf, PlaceV, embed_local, embed_poly, valuation_of,
-)
+from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
 from vcarlitz.tseries import TSeries, eval_series, frobenius_twist
 from vcarlitz import polylog as pl
 
@@ -44,8 +42,8 @@ def test_argtuple_rejects_zero():
 def test_L_factorial_values():
     assert pl.L_factorial(CTX3, 0).is_one()
     assert str(pl.L_factorial(CTX3, 1)) == "2*T^3+T"  # theta - theta^3
-    assert valuation_of(embed_poly(pl.L_factorial(CTX3, 2), V0, 8)) == 2
-    assert valuation_of(embed_poly(pl.L_factorial(CTX3, 3), V1, 8)) == 3
+    assert embed_poly(pl.L_factorial(CTX3, 2), V0, 8).valuation() == 2
+    assert embed_poly(pl.L_factorial(CTX3, 3), V1, 8).valuation() == 3
 
 
 def test_L_factorial_recursion():
@@ -334,7 +332,7 @@ def test_pi_tilde_value_and_unit():
     pt = pl.pi_tilde(TH, V0, 9)
     tgt = embed_local(ONE - TH ** 2 - TH ** 8, V0, 9)
     assert pt.congruent(tgt, 9)
-    assert valuation_of(pt) == 0
+    assert pt.valuation() == 0
 
 
 def test_pi_tilde_agrees_with_series_evaluation():

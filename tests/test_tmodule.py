@@ -13,9 +13,9 @@ from vcarlitz.linalg import (
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, L_factorial, cmpl_eval, cmspl_eval
 from vcarlitz.tmodule import (
-    TModuleSpec, candidate_depth2_spec, dump_tmodule_spec, explog_coeffs,
-    extended_cmspl_v, log_at_point, parse_tmodule_spec, residue_annihilator,
-    tensor_carlitz_spec, tm_action, validate_tmodule, with_args,
+    TModuleSpec, dump_tmodule_spec, explog_coeffs, extended_cmspl_v,
+    log_at_point, parse_tmodule_spec, residue_annihilator, tensor_carlitz_spec,
+    tm_action, validate_tmodule, with_args,
 )
 
 CTX3 = FqContext(3)
@@ -235,13 +235,15 @@ def test_extended_requires_defining_domain(specs):
 
 # -- candidates and spec files ------------------------------------------
 
-def test_depth2_candidate_is_gated():
-    cand = candidate_depth2_spec(CTX3, 1, 1, T)
-    assert not cand.validated
+def test_spec_without_test_points_is_gated():
+    spec = tensor_carlitz_spec(2, CTX3)
+    bare = TModuleSpec(CTX3, spec.dim, spec.N0, spec.B1, spec.readout,
+                       spec.index, spec.args, spec.point, test_points=())
+    assert not bare.validated
     with pytest.raises(DomainError):
-        extended_cmspl_v(cand, V0, 10)
+        extended_cmspl_v(bare, V0, 10)
     with pytest.raises(ValueError):
-        validate_tmodule(cand, V0, 10)  # ships without test points
+        validate_tmodule(bare, V0, 10)  # nothing to validate against
 
 
 def test_spec_file_roundtrip():

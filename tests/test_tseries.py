@@ -9,7 +9,7 @@ from vcarlitz.errors import DecayNotCertified
 from vcarlitz.local import LocalNum, PlaceV
 from vcarlitz.polylog import ArgTuple, Index, deformation_build, omega_product
 from vcarlitz.tseries import (
-    GaussNorm, TSeries, eval_series, frobenius_twist, gauss_norm, ts_arith,
+    GaussNorm, TSeries, eval_series, frobenius_twist, gauss_norm,
 )
 
 CTX3 = FqContext(3)
@@ -149,15 +149,6 @@ def test_pow_zero_of_exact_zero_series():
     z = TSeries(V0, [LocalNum.exact_zero(V0)] * 3)
     one = z.pow(0)
     assert one.order == 3 and one.coeff(0) == LocalNum.unit_one(V0, 1)
-
-
-def test_ts_arith_dispatch():
-    f = TSeries.one(V0, 3, W)
-    g = TSeries.from_local_coeffs(V0, [pi()], 3, W)
-    assert (ts_arith(f, g, "add").coeff(0)).congruent(unit() + pi())
-    assert (ts_arith(f, g, "mul").coeff(0)).congruent(pi())
-    with pytest.raises(ValueError):
-        ts_arith(f, g, "sub")
 
 
 @given(series_strategy(), series_strategy())
