@@ -5,8 +5,8 @@ code are the coordinates in the polynomial basis 1, x, ..., x^(e-1) of F_q
 over F_p.  For e = 1 the code is just the residue mod p.  Every field
 operation (add, neg, mul, inv) is a lookup in a table built once per
 context, so arithmetic is uniform in q.  For e = 1 the tables are residue
-arithmetic mod p; for e > 1 they are computed with PolyA over F_p, as sums
-and as products reduced by the irreducible modulus m, so PolyA is the only
+arithmetic mod p; for e > 1 codes add digitwise, and products come from
+PolyA over F_p modulo the irreducible modulus m, so PolyA is the only
 polynomial arithmetic over a finite field in the package.
 
 Polynomials over F_q (type PolyA) are coefficient tuples, ascending in T,
@@ -57,9 +57,9 @@ class FqContext:
         self.q = p ** e
         if self.q > 1024:
             raise ValueError("field size beyond desk scale")
+        r = list(range(p))
         if e == 1:
             self.modulus = (0, 1)  # identity modulus: F_p itself
-            r = list(range(p))
             self._add = [r[a:] + r[:a] for a in r]     # (a + b) % p
             self._mul = [[a * b % p for b in range(p)] for a in range(p)]
         else:
@@ -74,12 +74,21 @@ class FqContext:
             if not irreducible_test(m):
                 raise ValueError("modulus is not irreducible over F_p")
             self.modulus = modulus
-            # F_q = F_p[x]/(m): codes of the sum and of the reduced product
-            vecs = [PolyA(m.ctx, self.to_vector(a)) for a in range(self.q)]
-            self._add = [[self.from_vector((va + vb).coeffs) for vb in vecs]
-                         for va in vecs]
-            self._mul = [[self.from_vector((va * vb % m).coeffs)
-                          for vb in vecs] for va in vecs]
+            # F_q = F_p[x]/(m).  Codes add digitwise mod p, so the add table
+            # grows one digit at a time; b -> va * b is F_p-linear, so the
+            # row of va is spanned by the e products va * x^u mod m
+            self._add = [[0]]
+            for u in range(e):
+                self._add = [[x + p ** u * c for c in r[ah:] + r[:ah]
+                              for x in row] for ah in r for row in self._add]
+            self._mul = []
+            for va in (PolyA(m.ctx, self.to_vector(a)) for a in range(self.q)):
+                row = [0]
+                for u in range(e):
+                    img = self.from_vector((va.shift(u) % m).coeffs)
+                    row = [self._add[x][c] for c in itertools.accumulate(
+                        [img] * (p - 1), self.add, initial=0) for x in row]
+                self._mul.append(row)
         self._neg = [row.index(0) for row in self._add]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 

@@ -13,6 +13,7 @@ by pi^nu.  Exact zero is a separate state with infinite valuation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from array import array
@@ -573,6 +574,22 @@ def parse_local(place, text):
     for k, c in digits.items():
         out[k - nu] = c
     return LocalNum(place, nu, out)
+
+
+def geometric_product(place, exponents, window):
+    """prod_m 1/(1 - pi^m) over the exponents m >= 1, to `window` digits.
+
+    The digit of pi^n counts, mod p, the ways to write n as a sum of the
+    exponents.  A factor is a prefix sum with stride m, and costs nothing
+    when m >= window."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    p = place.ctx.p
+    counts = [1] + [0] * (window - 1)
+    for m in exponents:
+        for r in range(m if m < window else 0):
+            counts[r::m] = [c % p for c in itertools.accumulate(counts[r::m])]
+    return LocalNum(place, 0, counts)
 
 
 def embed_poly(f, place, window):

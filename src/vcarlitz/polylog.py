@@ -14,12 +14,11 @@ its factor rows rather than one product per chain.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
-from .algebra import PolyA, RatK
+from .algebra import RatK
 from .errors import DomainError, ParseError, PrecisionLoss
-from .local import INF, LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
+from .local import LocalNum, PlaceInf, PlaceV, embed_local, geometric_product
 from .tseries import TSeries
 
 
@@ -133,30 +132,24 @@ def domain_check(s, u, tag, place=None):
     raise ValueError(f"unknown domain tag {tag!r}")
 
 
-def L_factorial(ctx, i):
-    """The Carlitz factorial L_i = (theta - theta^q) ... (theta - theta^(q^i))."""
+def inv_ell(place, i, window):
+    """1/ell_i, ell_i = (theta - theta^q) ... (theta - theta^(q^i)), to `window` digits.
+
+    A factor is pi (1 - pi^(q^j - 1)) at v, as lambda^(q^j) = lambda, and
+    -w^(-q^j) (1 - w^(q^j - 1)) at infinity, so 1/ell_i is pi^(-i) G_i at v
+    and (-1)^i w^(q + ... + q^i) G_i at infinity, G_i = prod_(j <= i)
+    1/(1 - pi^(q^j - 1)); its factors with j >= W.bit_length() are 1 mod pi^W.
+    """
     if i < 0:
         raise ValueError("index must be >= 0")
-    cache = _L_CACHE.setdefault(ctx, [PolyA.one(ctx)])
-    while len(cache) <= i:
-        j = len(cache)
-        factor = PolyA.T(ctx) - PolyA.T(ctx).frobenius(j)
-        cache.append(cache[-1] * factor)
-    return cache[i]
-
-
-_L_CACHE = {}
-_LINV_CACHE = {}
-
-
-def _L_inv_local(place, i, window):
-    """Cached local embedding of 1/L_i with relative precision window."""
-    key = (place, i, window)
-    out = _LINV_CACHE.get(key)
-    if out is None:
-        out = embed_poly(L_factorial(place.ctx, i), place, window).inv()
-        _LINV_CACHE[key] = out
-    return out
+    q = place.q
+    G = geometric_product(
+        place, [q ** j - 1 for j in range(1, min(i, window.bit_length()) + 1)],
+        window)
+    if isinstance(place, PlaceV):
+        return G.shift(-i)
+    G = G.shift((q ** (i + 1) - q) // (q - 1))
+    return G.scale_fq(place.ctx.neg(1)) if i % 2 else G
 
 
 def _truncation_index(bound, prec, cap=10000):
@@ -167,22 +160,6 @@ def _truncation_index(bound, prec, cap=10000):
     raise PrecisionLoss("truncation index beyond cap; series may diverge")
 
 
-def _inf_term_floor(place, si, oi):
-    """min over i >= 0 of the infinite-place single-slot valuation bound."""
-    q = place.q
-    best = None
-    prev = None
-    for i in range(0, 10000):
-        g = q ** i * oi + si * (q ** (i + 1) - q) // (q - 1)
-        if best is None or g < best:
-            best = g
-        if prev is not None and g >= prev and g - best > 0 and i > 2:
-            # convex and already climbing: the minimum is behind us
-            break
-        prev = g
-    return best
-
-
 def _chain_plan(s, u, place, prec):
     """Truncation index and working window for a CMPL/CMSPL evaluation."""
     ords = u.ords(place)
@@ -191,13 +168,17 @@ def _chain_plan(s, u, place, prec):
     if isinstance(place, PlaceV):
         d1 = ords[0]
         bound = lambda i: q ** i * d1 - wt * i  # noqa: E731
-        floor = min(bound(i) for i in range(0, 40))
+        # the bound is convex: its first rise ends the descent to the minimum
+        floor = bound(next(i for i in itertools.count()
+                           if bound(i + 1) >= bound(i)))
     else:
-        rest = sum(_inf_term_floor(place, si, oi)
-                   for si, oi in zip(s.s[1:], ords[1:]))
+        # slot l is bounded by g_l(i) = q^i o_l + s_l (q^(i+1) - q)/(q - 1), and
+        # g_l(i+1) - g_l(i) = q^i ((q - 1) o_l + s_l q) > 0 exactly in the domain
+        if any((q - 1) * o + si * q <= 0 for si, o in zip(s, ords)):
+            raise ValueError("arguments outside the infinite-place domain")
+        floor = sum(ords)
         g1 = lambda i: q ** i * ords[0] + s[0] * (q ** (i + 1) - q) // (q - 1)  # noqa: E731
-        bound = lambda i: g1(i) + rest  # noqa: E731
-        floor = _inf_term_floor(place, s[0], ords[0]) + rest
+        bound = lambda i: g1(i) + floor - ords[0]  # noqa: E731
     I = _truncation_index(bound, prec)
     W = prec + max(0, -floor) + 8
     return I, W
@@ -254,8 +235,8 @@ def _clip(total, place, prec):
 
 def _chain_sum(s, u, place, prec, strict):
     I, W = _chain_plan(s, u, place, prec)
-    rows = [[a * _L_inv_local(place, i, W).pow(si)
-             for i, a in enumerate(_tower(x, place, W, I))]
+    inv = [inv_ell(place, i, W) for i in range(I)]
+    rows = [[a * inv[i].pow(si) for i, a in enumerate(_tower(x, place, W, I))]
             for si, x in zip(s, u)]
     return _clip(_nested_sum(rows, strict), place, prec)
 
@@ -320,64 +301,58 @@ def merge_args(u, pattern):
 # infinite-place multiple zeta values
 # ---------------------------------------------------------------------------
 
-_POWER_SUM_CACHE = {}
-
-
 def power_sum_inf(ctx, d, s, prec):
-    """Sum of a^(-s) over monic a of degree d, at the infinite place.
+    """S_d(s), the sum of a^(-s) over monic a of degree d, at the infinite place.
 
-    Writing a = theta^d (1 + x) with x = sum_j c_j w^j (w = 1/theta, the
-    c_j free over F_q), the sum over coefficient vectors kills every
-    monomial of (1+x)^(-s) except those where each of the d digit slots
-    appears with multiplicity a positive multiple of q-1; such a slot sums
-    to -1.  This leaves a short certified expansion with valuation at
-    least d*s + (q-1)*d*(d+1)/2.
+    Carlitz's e_d(x) = prod_(deg b < d) (x - b) is F_q-linear,
+    e_d(x) = sum_(i <= d) alpha_i x^(q^i), with e_d(theta^d) = D_d (the
+    product of the monic a of degree d) and alpha_i = D_d/(D_i ell_(d-i)^(q^i))
+    (Goss, Basic Structures, 3.1).  Here D_i = prod_(j < i) (theta^(q^i) -
+    theta^(q^j)), and the factorial is ell_i = (-1)^i L_i = prod_(j <= i)
+    (theta - theta^(q^j)): the sign of ell_(d-i)^(q^i) against L_(d-i)^(q^i)
+    is (-1)^(d-i) for odd q, and there are no signs for even q.  As
+    e_d' = alpha_0, linearity gives
+
+        sum_(deg b < d) 1/(theta^d + eps - b) = alpha_0 / (D_d + e_d(eps)),
+
+    whose eps^(s-1) coefficient is (-1)^(s-1) S_d(s).  With alpha_0/D_d =
+    1/ell_d and beta_i = alpha_i/D_d = 1/(D_i ell_(d-i)^(q^i)),
+
+        S_d(s) = (-1)^(s-1) ell_d^(-1)
+                 sum_m (-1)^|m| binom(|m|; m) prod_i beta_i^(m_i)
+
+    over the m with sum_i m_i q^i = s - 1, the multinomial taken mod p; for
+    s <= q this is Carlitz's ell_d^(-s).  The sum over m is the eps^(s-1)
+    coefficient c_(s-1) of that expansion, and c_0 = 1,
+    c_n = -sum_(q^i <= n) beta_i c_(n - q^i) computes it in characteristic
+    p without the multinomials.  At infinity ord 1/ell_d = q + ... + q^d =
+    sigma_d and ord beta_i = i q^i + sigma_d - sigma_i >= 0, so S_d(s)
+    vanishes mod w^sigma_d and the c_n are needed mod w^(prec - sigma_d).
+    Returns the value mod w^prec with cutoff prec.
     """
-    key = (ctx, d, s, prec)
-    out = _POWER_SUM_CACHE.get(key)
-    if out is not None:
-        return out
     place = PlaceInf(ctx)
-    if d == 0:
-        out = embed_local(RatK.one(ctx), place, prec)
-        _POWER_SUM_CACHE[key] = out
-        return out
-    q, p = ctx.q, ctx.p
-    rel = prec - d * s  # digits needed beyond the theta^(-ds) prefactor
-    digits = {}
-
-    def recurse(slot, weight, total_m, mult_coeff):
-        # slot runs through the d digit positions 1..d; weight = sum j*m_j
-        if slot > d:
-            c = (mult_coeff * math.comb(s + total_m - 1, total_m)
-                 * (-1) ** total_m * (-1) ** d) % p
-            if c:
-                digits[weight] = (digits.get(weight, 0) + c) % p
-            return
-        # remaining slots j > slot each cost at least j*(q-1)
-        rest_min = (q - 1) * sum(range(slot + 1, d + 1))
-        k = 1
-        while weight + slot * (q - 1) * k + rest_min < rel:
-            m = (q - 1) * k
-            recurse(slot + 1, weight + slot * m, total_m + m,
-                    mult_coeff * math.comb(total_m + m, m))
-            k += 1
-
-    if (q - 1) * d * (d + 1) // 2 < rel:
-        recurse(1, 0, 0, 1)
-    if not digits:
-        out = LocalNum.zero_to_precision(place, prec)
-    else:
-        lo = min(digits)
-        arr = [0] * (rel - lo)
-        for wgt, c in digits.items():
-            arr[wgt - lo] = c
-        out = LocalNum(place, d * s + lo, arr).truncate(prec)
-        pad = prec - out.cutoff
-        if pad > 0 and not out.is_zero_to_precision():
-            out = LocalNum(place, out.nu, out.coeffs + (0,) * int(pad))
-    _POWER_SUM_CACHE[key] = out
-    return out
+    q = ctx.q
+    sigma = lambda i: (q ** (i + 1) - q) // (q - 1)  # noqa: E731
+    R = prec - sigma(d)
+    if R <= 0:
+        return LocalNum.zero_to_precision(place, prec)
+    # beta_i to cutoff R, or None if it is zero there, for the i with
+    # q^i < s; 1/D_i = w^(i q^i) prod_(j < i) 1/(1 - w^(q^i - q^j))
+    betas = []
+    for i in itertools.takewhile(lambda i: q ** i < s, range(d + 1)):
+        o = i * q ** i + sigma(d) - sigma(i)
+        betas.append(None if o >= R else geometric_product(
+            place, [q ** i - q ** j for j in range(i)], R - o).shift(i * q ** i)
+            * inv_ell(place, d - i, R - o).qpow(i))
+    c = [LocalNum.unit_one(place, R)]
+    for n in range(1, s):
+        acc = LocalNum.zero_to_precision(place, R)
+        for i, beta in enumerate(betas):
+            if beta is not None and q ** i <= n:
+                acc = acc + beta * c[n - q ** i]
+        c.append(-acc)
+    out = inv_ell(place, d, R) * c[-1]
+    return _clip(out if s % 2 else -out, place, prec)
 
 
 def mzv_inf(s, ctx, D_max, prec=None):
@@ -391,14 +366,14 @@ def mzv_inf(s, ctx, D_max, prec=None):
     tail = (D_max + 1) * s[0]
     if prec is None or prec > tail:
         prec = tail
+    sums = {si: [power_sum_inf(ctx, d, si, prec) for d in range(D_max + 1)]
+            for si in set(s.s)}
     # every power sum has valuation >= 0, so chains whose top degree has a
-    # power sum that is zero to prec add nothing and their rows are not built
-    top = [power_sum_inf(ctx, d, s[0], prec) for d in range(D_max + 1)]
-    while top and top[-1].is_zero_to_precision():
-        top.pop()
-    rows = [top] + [[power_sum_inf(ctx, d, si, prec)
-                     for d in range(len(top) - ell)]
-                    for ell, si in enumerate(s.s[1:], 1)]
+    # power sum that is zero to prec add nothing
+    n = D_max + 1
+    while n and sums[s[0]][n - 1].is_zero_to_precision():
+        n -= 1
+    rows = [sums[si][:n - ell] for ell, si in enumerate(s.s)]
     return _clip(_nested_sum(rows, strict=True), PlaceInf(ctx), prec)
 
 
@@ -409,10 +384,6 @@ def mzv_inf(s, ctx, D_max, prec=None):
 _OMEGA_TAIL_CACHE = {}
 
 
-def _uniformizer_local(place, window):
-    return embed_poly(place.uniformizer(), place, window)
-
-
 def _omega_tail(place, i, D, N):
     """The twisted product t^(-i) F_i = prod_(j>i) (1 - pi^(q^j) t) mod (t^D, pi^N)."""
     key = (place, i, D, N)
@@ -420,7 +391,7 @@ def _omega_tail(place, i, D, N):
     if out is not None:
         return out
     q = place.q
-    pi = _uniformizer_local(place, N)
+    pi = embed_local(place.uniformizer(), place, N)
     out = TSeries.one(place, D, N)
     j = i + 1
     while q ** j < N:

@@ -26,7 +26,7 @@ from .linalg import (
     fq_min_poly, kmat, kmat_add, kmat_frobenius, kmat_identity, kmat_inv,
     kmat_mul, kmat_neg, kmat_poly_eval, kmat_scale, kmat_sub, kmat_zero,
 )
-from .local import LocalNum, PlaceV, embed_local
+from .local import LocalNum, PlaceV, embed_local, geometric_product
 from .polylog import DEF_V, ArgTuple, Index, cmspl_eval, domain_check
 
 
@@ -296,14 +296,11 @@ def _lmat_n0(spec, A, place, side):
     return kmat(out)
 
 
-def _delta_local(place, i, W):
-    """theta^{q^i} - theta at a deg-1 place: equals pi^{q^i} - pi exactly."""
-    qi = place.q ** i
-    coeffs = [0] * W
-    coeffs[0] = place.ctx.neg(1)
-    if qi - 1 < W:
-        coeffs[qi - 1] = 1
-    return LocalNum(place, 1, coeffs)
+def _delta_inv(place, i, W):
+    """1/delta_i to W digits at a degree-one place, where delta_i =
+    theta^(q^i) - theta = pi^(q^i) - pi: -pi^(-1) / (1 - pi^(q^i - 1))."""
+    out = geometric_product(place, [place.q ** i - 1], W).shift(-1)
+    return out.scale_fq(place.ctx.neg(1))
 
 
 class _LocalLogCoeffs:
@@ -334,7 +331,7 @@ class _LocalLogCoeffs:
                 self._B1tw = kmat([[x.qpow() for x in r]
                                    for r in self._B1tw])
             R = kmat_neg(kmat_mul(self.P[i - 1], self._B1tw))
-            dinv = _delta_local(place, i, W).inv()
+            dinv = _delta_inv(place, i, W)
             P = kmat_scale(R, dinv)
             for _ in range(2 * spec.dim + 1):
                 comm = kmat_sub(_lmat_n0(spec, P, place, "left"),

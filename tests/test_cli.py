@@ -4,7 +4,12 @@ import importlib.resources as resources
 
 import pytest
 
+from vcarlitz import polylog
+from vcarlitz.algebra import FqContext
 from vcarlitz.cli import RunConfig, run_command
+from vcarlitz.local import PlaceInf, parse_local
+
+from oracles import power_sum_enum
 
 
 def run(capsys, *argv):
@@ -59,6 +64,19 @@ def test_eval_mzv_inf(capsys):
                     "--prec", "20")
     assert code == 0
     assert out == "value=1 + w^6 + 2*w^8 + w^12 + 2*w^14 + w^18 + O(w^20)\n"
+
+
+def test_eval_mzv_inf_q2_depth3_matches_enumeration(capsys, monkeypatch):
+    # at q = 2 the multiplicity enumeration of the power sums blew up here
+    code, out = run(capsys, "eval", "mzv-inf", "--q", "2", "--index", "1,1,1",
+                    "--prec", "120")
+    assert code == 0 and out.startswith("value=")
+    place = PlaceInf(FqContext(2))
+    got = parse_local(place, out.strip()[len("value="):])
+    assert got.cutoff == 120
+    monkeypatch.setattr(polylog, "power_sum_inf", power_sum_enum)
+    want = polylog.mzv_inf(polylog.Index((1, 1, 1)), place.ctx, 121, prec=40)
+    assert want.cutoff == 40 and got.truncate(40) == want
 
 
 def test_verify_deformation_and_block_system(capsys):

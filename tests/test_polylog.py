@@ -13,6 +13,9 @@ from vcarlitz.errors import DomainError
 from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
 from vcarlitz.tseries import TSeries, eval_series, frobenius_twist
 from vcarlitz import polylog as pl
+from vcarlitz import tmodule
+
+from oracles import L_factorial, delta_local, power_sum_enum
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -40,17 +43,46 @@ def test_argtuple_rejects_zero():
 # -- L_i ----------------------------------------------------------------
 
 def test_L_factorial_values():
-    assert pl.L_factorial(CTX3, 0).is_one()
-    assert str(pl.L_factorial(CTX3, 1)) == "2*T^3+T"  # theta - theta^3
-    assert embed_poly(pl.L_factorial(CTX3, 2), V0, 8).valuation() == 2
-    assert embed_poly(pl.L_factorial(CTX3, 3), V1, 8).valuation() == 3
+    assert L_factorial(CTX3, 0).is_one()
+    assert str(L_factorial(CTX3, 1)) == "2*T^3+T"  # theta - theta^3
+    assert embed_poly(L_factorial(CTX3, 2), V0, 8).valuation() == 2
+    assert embed_poly(L_factorial(CTX3, 3), V1, 8).valuation() == 3
+    assert pl.inv_ell(V0, 2, 8).valuation() == -2
+    assert pl.inv_ell(V1, 3, 8).valuation() == -3
+    assert pl.inv_ell(INF3, 2, 8).valuation() == 3 + 9
 
 
 def test_L_factorial_recursion():
     q = CTX3.q
     for i in (1, 2, 3):
         factor = PolyA.T(CTX3) - PolyA.T(CTX3) ** (q ** i)
-        assert pl.L_factorial(CTX3, i) == pl.L_factorial(CTX3, i - 1) * factor
+        assert L_factorial(CTX3, i) == L_factorial(CTX3, i - 1) * factor
+
+
+# (p, e) of the fields q in {2, 3, 4, 5, 8, 9}
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def places(draw, finite=False):
+    """Every degree-one place and, unless `finite`, the infinite place."""
+    ctx = FqContext(*draw(st.sampled_from(FIELDS)))
+    lam = draw(st.integers(0 if finite else -1, ctx.q - 1))
+    return PlaceInf(ctx) if lam < 0 else PlaceV(ctx, lam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(places(), st.integers(0, 5), st.sampled_from([1, 2, 5, 20, 60]))
+def test_inv_ell_matches_exact_factorial(place, i, window):
+    exact = embed_poly(L_factorial(place.ctx, i), place, window).inv()
+    assert pl.inv_ell(place, i, window) == exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(places(finite=True), st.integers(1, 6), st.integers(1, 60))
+def test_delta_inverse_matches_dense(place, i, window):
+    assert tmodule._delta_inv(place, i, window) \
+        == delta_local(place, i, window).inv()
 
 
 # -- domains ------------------------------------------------------------
@@ -84,7 +116,7 @@ def test_cmpl_inf_depth1_one():
     li = pl.cmpl_eval(pl.Index((1,)), pl.ArgTuple((ONE,)), INF3, 10)
     acc = embed_local(ONE, INF3, 14)
     for i in range(1, 8):
-        acc = acc + embed_poly(pl.L_factorial(CTX3, i), INF3, 14).inv()
+        acc = acc + embed_poly(L_factorial(CTX3, i), INF3, 14).inv()
     assert li.congruent(acc, 10)
 
 
@@ -265,6 +297,37 @@ def naive_mzv(svec, D_max, prec=30):
 
     rec(0, D_max + 1, None)
     return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 5), st.integers(1, 13),
+       st.integers(1, 60))
+def test_power_sum_matches_enumeration(field, d, s, prec):
+    ctx = FqContext(*field)
+    fast = pl.power_sum_inf(ctx, d, s, prec)
+    slow = power_sum_enum(ctx, d, s, prec)
+    assert fast.cutoff == slow.cutoff == prec
+    assert (fast.nu, fast.coeffs) == (slow.nu, slow.coeffs)
+
+
+# (p, e, d) with q^d <= 16, so the exact sum stays small
+EXACT_SUMS = [(p, e, d) for p, e in [(2, 1), (3, 1), (2, 2), (5, 1)]
+              for d in range(3) if (p ** e) ** d <= 16]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(EXACT_SUMS), st.integers(1, 8), st.integers(1, 40))
+def test_power_sum_matches_exact_sum(ped, s, prec):
+    p, e, d = ped
+    ctx = FqContext(p, e)
+    place = PlaceInf(ctx)
+    exact = RatK.zero(ctx)
+    for a in monic_enumerate(ctx, d):
+        exact = exact + RatK(a).inv() ** s
+    want = embed_local(exact, place, prec + 1).truncate(prec)
+    if want.is_exact_zero():
+        want = LocalNum.zero_to_precision(place, prec)
+    assert pl.power_sum_inf(ctx, d, s, prec) == want
 
 
 def test_mzv_degree_zero_partial():

@@ -11,12 +11,14 @@ from vcarlitz.linalg import (
     kmat_mul, kmat_zero,
 )
 from vcarlitz.local import LocalNum, PlaceV, embed_local
-from vcarlitz.polylog import ArgTuple, Index, L_factorial, cmpl_eval, cmspl_eval
+from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
 from vcarlitz.tmodule import (
     TModuleSpec, dump_tmodule_spec, explog_coeffs, extended_cmspl_v,
     log_at_point, parse_tmodule_spec, residue_annihilator, tensor_carlitz_spec,
     tm_action, validate_tmodule, with_args,
 )
+
+from oracles import L_factorial
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
