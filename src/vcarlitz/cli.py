@@ -362,7 +362,10 @@ def _cmd_certify(ns):
     systems = []
     for _ in range(ns.omega_copies):
         systems.append(build_omega_system(cfg.place_v))
-    for i, a in zip(ns.index or (), ns.args or ()):
+    index, args = ns.index or [], ns.args or []
+    if len(index) != len(args):
+        raise VCarlitzError("each --index needs a matching --args")
+    for i, a in zip(index, args):
         systems.append(build_cmpl_system(Index.parse(i),
                                          _parse_args_tuple(cfg, a),
                                          cfg.place_v))

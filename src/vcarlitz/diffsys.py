@@ -116,20 +116,21 @@ def tp_apply(a, g, place, N):
     zeros, times g.  The windows are those of the sum over m of
     c_m * (t^m g), with t^m g padded by zeros known to pi^N: coefficient n is
     also capped at N, and at N + nu(c_m) for each nonzero c_m, n < m < D.
+    Adding a zero known to pi^cap truncates a coefficient there and turns an
+    exact zero into that zero, so the caps enter as one sum.
     """
     D = g.order
     coeffs = [embed_local(c, place, N) for c in a[:D]]
-    coeffs += [LocalNum.exact_zero(place)] * (D - len(coeffs))
-    prod = TSeries(place, coeffs) * g
-    out = [None] * D
-    cap = N
-    for n in range(D - 1, -1, -1):
-        c = prod.coeffs[n]
-        out[n] = (LocalNum.zero_to_precision(place, cap)
-                  if c.is_exact_zero() else c.truncate(cap))
-        if not coeffs[n].is_exact_zero():
-            cap = min(cap, N + coeffs[n].nu)
-    return TSeries(place, out)
+    cap, caps = N, [(D - max(len(coeffs) - 1, 0), N)]   # from the top down
+    for c in reversed(coeffs[1:]):
+        if not c.is_exact_zero():
+            cap = min(cap, N + c.nu)
+        caps.append((1, cap))
+    prod = TSeries.from_runs(place, [(1, c) for c in coeffs] + [
+        (D - len(coeffs), LocalNum.exact_zero(place))]) * g
+    return prod + TSeries.from_runs(place, [
+        (n, LocalNum.zero_to_precision(place, cap))
+        for n, cap in reversed(caps)])
 
 
 # -- the system ----------------------------------------------------------
@@ -312,16 +313,9 @@ def verify_difference(sys, D, N):
         for j in range(sys.size):
             if sys.phi[i][j]:
                 row = row - tp_apply(sys.phi[i][j], psi_tw[j], place, N)
-        for c in row.coeffs:
-            c = c.truncate(N)
-            if c.is_exact_zero():
-                continue
-            v = c.valuation()
-            if v is None:
-                worst = min(worst, c.nu if c.coeffs else c.cutoff)
-            else:
-                worst = min(worst, v)
-                exact = True
+        low, found = row.residual(N)
+        worst = min(worst, low)
+        exact = exact or found
     return Residual(place, D, N, worst, exact)
 
 
@@ -506,15 +500,7 @@ def vabp_certify(sys, gamma, rho, P, D, N):
     for pj, fj in zip(P, psi):
         if pj:
             acc = acc + tp_apply(pj, fj, place, N)
-    for c in acc.coeffs:
-        c = c.truncate(N)
-        if c.is_exact_zero():
-            continue
-        if c.valuation() is not None:
-            return False
-        if (c.nu if c.coeffs else c.cutoff) < N:
-            return False
-    return True
+    return acc.residual(N)[0] >= N
 
 
 # -- dumps ---------------------------------------------------------------

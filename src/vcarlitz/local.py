@@ -50,22 +50,28 @@ def _slot_size(ctx, terms):
 
 
 def _pack(ctx, pieces, size):
-    """One integer from (position, digits) pieces."""
+    """One integer from (position, digits) pieces.
+
+    The slots start as zero bytes and only the digits' coordinate bytes are
+    written (little-endian, a coordinate < p in its slot's low bytes), so
+    the cost follows the digits, not the zero columns between them.
+    """
     p, e = ctx.p, ctx.e
     E = 2 * e - 1
-    slots = [0] * (max((pos + len(digits) for pos, digits in pieces),
-                       default=0) * E)
+    step = E * size                         # bytes per position
+    nbytes = -(-(p - 1).bit_length() // 8)  # bytes of one coordinate
+    buf = bytearray(max((pos + len(digits) for pos, digits in pieces),
+                        default=0) * step)
     for pos, digits in pieces:
-        if e == 1:
-            slots[pos:pos + len(digits)] = digits
-        else:
-            for u in range(e):
-                slots[pos * E + u:(pos + len(digits)) * E:E] = [
-                    d // p ** u % p for d in digits]
-    arr = array(_TYPECODES[size], slots)
-    if sys.byteorder == "big":
-        arr.byteswap()
-    return int.from_bytes(arr, "little")
+        for u in range(e):
+            pu = p ** u
+            coords = digits if e == 1 else [d // pu % p for d in digits]
+            for k in range(nbytes):
+                lo = (pos * E + u) * size + k
+                buf[lo:lo + len(digits) * step:step] = bytes(
+                    coords if nbytes == 1 else [c >> 8 * k & 255
+                                                for c in coords])
+    return int.from_bytes(buf, "little")
 
 
 def _unpack(ctx, prod, length, size):

@@ -400,7 +400,7 @@ def _omega_tail(place, i, D, N):
             D, N)
         out = out * factor
         j += 1
-    out = TSeries(place, [c.truncate(N) for c in out.coeffs])
+    out = out.clip(N)
     _OMEGA_TAIL_CACHE[key] = out
     return out
 
@@ -421,7 +421,7 @@ def omega_product(alpha, place, D, N):
             place, [LocalNum.unit_one(place, N), -apow.truncate(N)], D, N)
         out = out * factor
         i += 1
-    return TSeries(place, [c.truncate(N) for c in out.coeffs])
+    return out.clip(N)
 
 
 def omega_decay(place, alpha):
@@ -489,7 +489,7 @@ def deformation_build(s, u, place, D, N):
              enumerate(_tower(x, place, N, min(I, -(-D // si)), cutoff=N))]
             for si, x in zip(s, u)]
     acc = _add(TSeries.zero(place, D, N), _nested_sum(rows, strict=True))
-    return TSeries(place, [c.truncate(N) for c in acc.coeffs])
+    return acc.clip(N)
 
 
 def _F_at_inverse_power(place, i, N_twist, prec):

@@ -2,13 +2,18 @@
 
 Each one is the former implementation, kept only to check its successor:
 the exact Carlitz factorial, the multiplicity enumeration of the power sums
-at infinity, and the dense delta_i whose inverse the logarithm divides by.
+at infinity, the dense delta_i whose inverse the logarithm divides by, and
+the TSeries operations on one LocalNum per coefficient.
 """
 
 import math
+import sys
+from array import array
 
 from vcarlitz.algebra import PolyA
-from vcarlitz.local import LocalNum, PlaceInf, embed_local
+from vcarlitz.local import (
+    INF, LocalNum, PlaceInf, _grid_product, _grid_sum, embed_local,
+)
 
 
 def L_factorial(ctx, i):
@@ -77,3 +82,186 @@ def delta_local(place, i, W):
     if qi - 1 < W:
         coeffs[qi - 1] = 1
     return LocalNum(place, 1, coeffs)
+
+
+# -- the coefficient-tuple TSeries operations ----------------------------
+#
+# A series here is a sequence of LocalNum, one per power of t.  These are the
+# operations as they ran before the run-length layout: each walks every
+# coefficient, with the same packed digit arithmetic.
+
+_FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def series_sum(place, a, b, negate=False):
+    """a + b, or a - b, with LocalNum's sum window per coefficient."""
+    D = min(len(a), len(b))
+    a, b = tuple(a[:D]), tuple(b[:D])
+    out = list(a)
+    spans = []                  # (n, base, cutoff) of the packed rows
+    for n, (x, y) in enumerate(zip(a, b)):
+        if y.nu == INF:
+            continue
+        if x.nu == INF and not negate:
+            out[n] = y
+            continue
+        cut = min(x.nu + len(x.coeffs), y.nu + len(y.coeffs))
+        base = min(x.nu, y.nu)
+        if cut <= base:
+            out[n] = LocalNum.zero_to_precision(place, cut)
+        else:
+            spans.append((n, base, cut))
+    if spans:
+        S = max(cut - base for _, base, cut in spans)
+        pa, pb = [], []
+        for r, (n, base, cut) in enumerate(spans):
+            for c, pieces in ((a[n], pa), (b[n], pb)):
+                if c.coeffs and c.nu < cut:
+                    pieces.append((r * S + c.nu - base,
+                                   c.coeffs[:cut - c.nu]))
+        rows = _grid_sum(place.ctx, pa, pb, S,
+                         [cut - base for _, base, cut in spans], negate)
+        for (n, base, _), (lo, digits) in zip(spans, rows):
+            out[n] = LocalNum(place, base + lo, digits)
+    return out
+
+
+def series_mul(place, a, b):
+    """The product mod t^D, one packed Kronecker product."""
+    D = min(len(a), len(b))
+    a, b = tuple(a[:D]), tuple(b[:D])
+    ctx = place.ctx
+    ra = [(i, c) for i, c in enumerate(a) if c.coeffs]
+    rb = [(j, c) for j, c in enumerate(b) if c.coeffs]
+    cuts = window_rule(a, b)
+    first, rows = D, []
+    if ra and rb:
+        ta, tb = ra[0][0], rb[0][0]
+        first = ta + tb
+        oa = min(c.nu for _, c in ra)
+        ob = min(c.nu for _, c in rb)
+        wa = max(c.cutoff for _, c in ra) - oa
+        wb = max(c.cutoff for _, c in rb) - ob
+        C = wa + wb - 1
+        widths = [0 if cut is None else max(0, min(cut - oa - ob, C))
+                  for cut in cuts[first:ra[-1][0] + rb[-1][0] + 1]]
+        if any(widths):
+            rows = _grid_product(
+                ctx, [((i - ta) * C + c.nu - oa, c.coeffs) for i, c in ra],
+                [((j - tb) * C + c.nu - ob, c.coeffs) for j, c in rb],
+                C, widths, min(len(ra), len(rb)) * min(wa, wb))
+    out = []
+    for n, cut in enumerate(cuts):
+        r = n - first
+        if cut is None:
+            out.append(LocalNum.exact_zero(place))
+        elif 0 <= r < len(rows) and rows[r][1]:
+            out.append(LocalNum(place, oa + ob + rows[r][0], rows[r][1]))
+        else:
+            out.append(LocalNum.zero_to_precision(place, cut))
+    return out
+
+
+def series_scale(place, a, x):
+    """Every coefficient times the LocalNum x, one packed product."""
+    live = [n for n, c in enumerate(a) if c.coeffs] if x.coeffs else []
+    rows = []
+    if live:
+        wa = max(len(a[n].coeffs) for n in live)
+        xd = x.coeffs[:wa]
+        S = wa + len(xd) - 1
+        widths = [0] * (live[-1] + 1)
+        for n in live:
+            widths[n] = min(len(a[n].coeffs), len(xd))
+        rows = _grid_product(
+            place.ctx, [(n * S, a[n].coeffs) for n in live], [(0, xd)],
+            S, widths, min(wa, len(xd)))
+    out = []
+    for n, c in enumerate(a):
+        if c.nu == INF or x.nu == INF:
+            out.append(LocalNum.exact_zero(place))
+        elif c.coeffs and x.coeffs:
+            lo, digits = rows[n]
+            out.append(LocalNum(place, c.nu + x.nu + lo, digits))
+        else:
+            out.append(LocalNum.zero_to_precision(
+                place, min(c.nu + x.cutoff, x.nu + c.cutoff)))
+    return out
+
+
+def series_t_shift(place, a, n, window):
+    """Multiply by t^n, n >= 0: zeros known to pi^window come in at the bottom."""
+    zero = LocalNum.zero_to_precision(place, window)
+    n = min(n, len(a))
+    return (zero,) * n + tuple(a[:len(a) - n])
+
+
+def series_twist(a, n=1):
+    """Each coefficient raised to the q^n-th power."""
+    return [c.qpow(n) for c in a]
+
+
+def window_rule(a, b):
+    """Cutoff of each coefficient of a*b, or None where it is an exact zero.
+
+    The minimum, over the pairs i + j = n with no exact-zero factor, of
+    min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)); fields packed in one
+    integer, one pass per run of equal (nu, cutoff) in a.
+    """
+    D = len(a)
+    na, nb = [c.nu for c in a], [c.nu for c in b]
+    ca = [c.nu + len(c.coeffs) for c in a]
+    cb = [c.nu + len(c.coeffs) for c in b]
+    base = min(na + nb, default=INF)
+    if base == INF:
+        return [None] * D
+    R = max(c for c in ca + cb if c != INF) - base
+    none = 2 * R + 1
+    size = next(w for w in (1, 2, 4, 8) if 8 * w > (3 * R + 1).bit_length())
+    k = 8 * size
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * D, "little")
+    guard = ones << (k - 1)
+    full = (1 << D * k) - 1
+    nones = none * ones
+
+    def smin(x, y):
+        g = ((x | guard) - y) & guard
+        return x ^ ((x ^ y) & (g - (g >> (k - 1))))
+
+    def shift(x, s):
+        return ((x << s * k) & full) | (nones & ((1 << s * k) - 1))
+
+    def fields(arr):
+        if sys.byteorder == "big":
+            arr.byteswap()
+        return arr
+
+    code = _FIELD_CODES[size]
+    tables = [[int.from_bytes(fields(array(code, [
+        none if x == INF else x - base for x in xs])), "little")]
+        for xs in (cb, nb)]
+
+    def window(t, L):
+        levels = tables[t]
+        h = L.bit_length() - 1
+        while len(levels) <= h:
+            x = levels[-1]
+            levels.append(smin(x, shift(x, 1 << (len(levels) - 1))))
+        x = levels[h]
+        return x if L == 1 << h else smin(x, shift(x, L - (1 << h)))
+
+    acc = nones
+    i = 0
+    while i < D:
+        start, v, c = i, na[i], ca[i]
+        i += 1
+        while i < D and na[i] == v and ca[i] == c:
+            i += 1
+        if v == INF:
+            continue
+        L = i - start
+        cand = smin(window(0, L) + (v - base) * ones,
+                    window(1, L) + (c - base) * ones)
+        acc = smin(acc, shift(cand, start))
+    return [None if f > 2 * R else f + 2 * base
+            for f in fields(array(code, acc.to_bytes(D * size, "little")))]

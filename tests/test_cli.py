@@ -150,6 +150,23 @@ def test_certify_vabp_pass_and_fail(capsys):
     assert code == 1 and out == "certified=false\n"
 
 
+@pytest.mark.parametrize("pairs", [
+    ["--index", "1"],                                    # an extra --index
+    ["--args", "T"],                                     # an extra --args
+    ["--index", "1", "--args", "T", "--index", "2"],
+    ["--index", "1", "--args", "T", "--args", "T^2"],
+])
+def test_certify_vabp_unmatched_index_or_args_exits_2(capsys, pairs):
+    # on the omega block alone the certificate below holds, so dropping the
+    # unmatched flag used to print certified=true
+    argv = ["certify", "vabp", "--omega-copies", "1", *pairs, "--gamma", "T",
+            "--rho", "0", "--pcoeffs", "0"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: each --index needs a matching --args\n"
+
+
 def test_relations_find(capsys):
     code, out = run(capsys, "relations", "find", "--value", "1|T^3+T^2",
                     "--value", "1|T", "--deg", "1", "--prec", "40",

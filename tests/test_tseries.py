@@ -1,16 +1,21 @@
 """Tests for truncated Tate-algebra series."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import FqContext, RatK, parse_ratk
 from vcarlitz.errors import DecayNotCertified
-from vcarlitz.local import LocalNum, PlaceV
+from vcarlitz.local import INF, LocalNum, PlaceInf, PlaceV
 from vcarlitz.polylog import ArgTuple, Index, deformation_build, omega_product
 from vcarlitz.tseries import (
-    GaussNorm, TSeries, eval_series, frobenius_twist, gauss_norm,
+    GaussNorm, TSeries, _window_rule, eval_series, frobenius_twist,
+    gauss_norm,
 )
+
+import oracles
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -177,6 +182,202 @@ def test_t_shift_keeps_the_order():
         assert g.order == 4
         assert all(c.is_zero_to_precision() and c.cutoff == W
                    for c in g.coeffs)
+
+
+def test_t_shift_refuses_a_negative_shift():
+    f = TSeries.from_local_coeffs(V0, [unit(), pi()], 4, W)
+    with pytest.raises(ValueError):
+        f.t_shift(-2, 4)
+
+
+# -- the run layout against the coefficient-tuple operations -------------
+
+RUN_FIELDS = [FIELDS[q] for q in (2, 3, 4, 5, 9)]
+
+
+@st.composite
+def run_places(draw):
+    ctx = draw(st.sampled_from(RUN_FIELDS))
+    if draw(st.booleans()):
+        return PlaceInf(ctx)
+    return PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+
+
+@st.composite
+def run_series(draw, place, D):
+    """A series of order D drawn run by run.
+
+    A run is a coefficient with digits, repeated up to 4 times with every
+    other copy losing digits (equal nu, unequal cutoffs), zeros known to one
+    pi^c, or exact zeros; neighbouring zero runs may or may not share c.
+    """
+    ctx = place.ctx
+    runs, total = [], 0
+    while total < D:
+        kind = draw(st.sampled_from(("live", "window", "exact")))
+        if kind == "live":
+            c = LocalNum(place, draw(st.integers(-6, 12)), draw(st.lists(
+                st.integers(0, ctx.q - 1), min_size=1, max_size=16)))
+            copies = min(draw(st.integers(1, 4)), D - total)
+            drop = draw(st.integers(0, 3))
+            runs += [(1, c.truncate(c.cutoff - drop) if m % 2 else c)
+                     for m in range(copies)]
+            total += copies
+            continue
+        n = min(draw(st.integers(1, D)), D - total)
+        if kind == "window":
+            c = LocalNum.zero_to_precision(place, draw(st.integers(-6, 24)))
+        else:
+            c = LocalNum.exact_zero(place)
+        runs.append((n, c))
+        total += n
+    return TSeries.from_runs(place, runs)
+
+
+@st.composite
+def run_pairs(draw):
+    place = draw(run_places())
+    D = draw(st.integers(1, 80))
+    E = draw(st.sampled_from([D, draw(st.integers(1, 80))]))
+    return place, draw(run_series(place, D)), draw(run_series(place, E))
+
+
+def _canonical(f):
+    """A coefficient with digits is a run of its own; equal zeros merge."""
+    assert f.order == sum(n for n, _ in f.runs)
+    for (m, x), (n, y) in zip(f.runs, f.runs[1:]):
+        assert not (not x.coeffs and not y.coeffs and x.nu == y.nu)
+    assert all(n == 1 for n, c in f.runs if c.coeffs)
+    assert all(n >= 1 for n, _ in f.runs)
+    return f
+
+
+@given(run_pairs())
+@settings(max_examples=120, deadline=None)
+def test_runs_product_matches_tuple_oracle(case):
+    place, f, g = case
+    assert _states(_canonical(f * g).coeffs) == _states(
+        oracles.series_mul(place, f.coeffs, g.coeffs))
+
+
+@given(run_pairs())
+@settings(max_examples=120, deadline=None)
+def test_runs_sum_and_difference_match_tuple_oracle(case):
+    place, f, g = case
+    for negate, h in ((False, f + g), (True, f - g)):
+        assert _states(_canonical(h).coeffs) == _states(
+            oracles.series_sum(place, f.coeffs, g.coeffs, negate))
+
+
+@given(run_pairs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_runs_scale_matches_tuple_oracle(case, data):
+    place, f, _ = case
+    x = data.draw(_coeff(place))
+    assert _states(_canonical(f.scale(x)).coeffs) == _states(
+        oracles.series_scale(place, f.coeffs, x))
+
+
+@given(run_pairs(), st.integers(0, 2))
+@settings(max_examples=120, deadline=None)
+def test_runs_twist_matches_tuple_oracle(case, n):
+    place, f, _ = case
+    assert _states(_canonical(frobenius_twist(f, n)).coeffs) == _states(
+        oracles.series_twist(f.coeffs, n))
+
+
+@given(run_pairs(), st.integers(0, 90), st.integers(-6, 24))
+@settings(max_examples=120, deadline=None)
+def test_runs_t_shift_matches_tuple_oracle(case, n, window):
+    place, f, _ = case
+    assert _states(_canonical(f.t_shift(n, window)).coeffs) == _states(
+        oracles.series_t_shift(place, f.coeffs, n, window))
+
+
+@given(run_pairs())
+@settings(max_examples=120, deadline=None)
+def test_window_rule_on_runs_matches_tuple_oracle(case):
+    _, f, g = case
+    D = min(f.order, g.order)
+    f, g = f.truncate(D), g.truncate(D)
+    cuts = _window_rule(f.runs, g.runs, D)
+    assert [c for n, c in cuts for _ in range(n)] == oracles.window_rule(
+        f.coeffs, g.coeffs)
+
+
+@given(run_pairs(), st.integers(-6, 24))
+@settings(max_examples=120, deadline=None)
+def test_clip_and_residual_match_coefficientwise(case, N):
+    place, f, _ = case
+    assert _states(_canonical(f.clip(N)).coeffs) == _states(
+        [c.truncate(N) for c in f.coeffs])
+    # the scan that verify_difference and vabp_certify ran per coefficient
+    worst, exact = INF, False
+    for c in f.coeffs:
+        c = c.truncate(N)
+        if c.is_exact_zero():
+            continue
+        if c.valuation() is None:
+            worst = min(worst, c.nu if c.coeffs else c.cutoff)
+        else:
+            worst, exact = min(worst, c.valuation()), True
+    assert f.residual(N) == (worst, exact)
+
+
+def test_from_runs_splits_live_runs_and_merges_zeros():
+    z = LocalNum.zero_to_precision(V0, 5)
+    f = TSeries.from_runs(V0, [(2, pi()), (0, unit()), (1, z), (3, z),
+                               (2, LocalNum.exact_zero(V0))])
+    assert f.runs == ((1, pi()), (1, pi()), (4, z),
+                      (2, LocalNum.exact_zero(V0)))
+    assert f.order == 8 and f.coeffs == (pi(), pi()) + (z,) * 4 + (
+        LocalNum.exact_zero(V0),) * 2
+    assert TSeries(V0, f.coeffs).runs == f.runs
+
+
+def test_runs_cost_per_live_coefficient(monkeypatch):
+    """With 3 live coefficients, a product, sum, scaling, twist and t-shift
+    build as many LocalNums, and allocate about as much memory, at
+    D = 1,000 as at D = 50,000."""
+    place = PlaceV(CTX3, 1)
+
+    def series(D, shift):
+        a = LocalNum(place, shift, (1, 2, 0, 1, 1, 2, 1, 0))
+        return TSeries.from_runs(place, [
+            (1, a), (1, a.scale_fq(2)),
+            (4, LocalNum.zero_to_precision(place, 9)), (1, a.shift(2)),
+            (D - 7, LocalNum.zero_to_precision(place, 12))])
+
+    built = []
+    init = LocalNum.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def costs(D):
+        f, g = series(D, 0), series(D, 1)
+        x = LocalNum(place, 1, (2, 1, 1))
+        out = []
+        for op in (lambda: f * g, lambda: f + g, lambda: f - g,
+                   lambda: f.scale(x), lambda: frobenius_twist(f),
+                   lambda: f.t_shift(3, 10)):
+            built.clear()
+            monkeypatch.setattr(LocalNum, "__init__", counting)
+            tracemalloc.start()
+            try:
+                assert op().order == D
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                monkeypatch.setattr(LocalNum, "__init__", init)
+            out.append((len(built), peak))
+        return out
+
+    small, large = costs(1_000), costs(50_000)
+    assert [n for n, _ in small] == [n for n, _ in large]
+    # one pointer per coefficient would be 400 kB more at D = 50,000
+    assert all(b < a + 50_000 for (_, a), (_, b) in zip(small, large))
 
 
 def test_gauss_norm_values():
