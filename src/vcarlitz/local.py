@@ -372,37 +372,49 @@ class LocalNum:
             raise ValueError("operands live at different places")
 
     def __add__(self, other):
+        return self._sum(other, None)
+
+    def __sub__(self, other):
+        return self._sum(other, self.place.ctx._neg)
+
+    def _sum(self, other, neg):
+        """self + other, or self - other when neg is the F_q negation table.
+
+        The lower operand's digits below the other's start are copied (and
+        negated when they are other's); the overlap is one comprehension
+        over rows of the F_q addition table.
+        """
         self._check_place(other)
-        if self.is_exact_zero():
-            return other
-        if other.is_exact_zero():
+        if other.nu is INF:
             return self
-        cutoff = min(self.cutoff, other.cutoff)
+        if self.nu is INF:
+            return other if neg is None else -other
+        x, y = self.coeffs, other.coeffs
+        cutoff = min(self.nu + len(x), other.nu + len(y))
         base = min(self.nu, other.nu)
-        if cutoff <= base:
+        n = cutoff - base
+        if n <= 0:
             return LocalNum.zero_to_precision(self.place, cutoff)
-        n = int(cutoff - base)
-        ctx = self.place.ctx
-        out = [0] * n
-        for i, c in enumerate(self.coeffs):
-            pos = int(self.nu - base) + i
-            if pos < n:
-                out[pos] = c
-        add = ctx.add
-        for i, c in enumerate(other.coeffs):
-            pos = int(other.nu - base) + i
-            if pos < n:
-                out[pos] = add(out[pos], c)
-        return LocalNum(self.place, base, out)
+        add = self.place.ctx._add
+        if self.nu <= other.nu:
+            k = min(other.nu - base, n)
+            head, x, y = x[:k], x[k:n], y[:n - k]
+        else:
+            k = min(self.nu - base, n)
+            head, x, y = y[:k], x[:n - k], y[k:n]
+            if neg is not None:
+                head = [neg[c] for c in head]
+        if neg is None:
+            body = [add[a][b] for a, b in zip(x, y)]
+        else:
+            body = [add[a][neg[b]] for a, b in zip(x, y)]
+        return LocalNum(self.place, base, [*head, *body])
 
     def __neg__(self):
         if self.is_exact_zero() or not self.coeffs:
             return self
-        neg = self.place.ctx.neg
-        return LocalNum(self.place, self.nu, [neg(c) for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
+        neg = self.place.ctx._neg
+        return LocalNum(self.place, self.nu, [neg[c] for c in self.coeffs])
 
     def __mul__(self, other):
         self._check_place(other)
@@ -424,8 +436,8 @@ class LocalNum:
             raise ValueError("scale by zero loses the valuation; use mul")
         if self.is_exact_zero() or not self.coeffs:
             return self
-        mul = self.place.ctx.mul
-        return LocalNum(self.place, self.nu, [mul(c, x) for x in self.coeffs])
+        row = self.place.ctx._mul[c]
+        return LocalNum(self.place, self.nu, [row[x] for x in self.coeffs])
 
     def shift(self, n):
         """Multiply by pi^n (exact)."""

@@ -11,6 +11,16 @@ The point of the module is extended v-adic evaluation: for arguments that
 are merely v-integral the defining series does not converge, but the
 residue annihilator a(theta) moves the evaluation point into the domain of
 the logarithm, and d[a]^{-1} Log(phi_a(point)) recovers the value.
+
+The exponential coefficients Q_i and the logarithm coefficients P_i both
+solve a twisted Sylvester equation P (delta + N0) - N0 P = R, with
+delta = theta^{q^i} - theta and N0^dim = 0.  Put
+M = (delta + N0)^{-1} = sum_{b<dim} (-N0)^b delta^{-(b+1)}.  Then
+P = sum_{a<dim} N0^a R M^{a+1} solves it, because the sum telescopes:
+P (delta + N0) = sum_{a<dim} N0^a R M^a, N0 P = sum_{1<=a<dim} N0^a R M^a
+(N0^dim = 0), and the difference is the a = 0 term R.  Horner's rule
+evaluates the sum with dim products by M (_sylvester_solve), over k and in
+the completions alike.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ from .errors import (
     SingularStep,
 )
 from .linalg import (
-    fq_min_poly, kmat, kmat_add, kmat_frobenius, kmat_identity, kmat_inv,
-    kmat_mul, kmat_neg, kmat_poly_eval, kmat_scale, kmat_sub, kmat_zero,
+    fq_min_poly, fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_frobenius,
+    kmat_identity, kmat_inv, kmat_mul, kmat_neg, kmat_poly_eval, kmat_scale,
+    kmat_sub, kmat_zero,
 )
 from .local import LocalNum, PlaceV, embed_local, geometric_product
 from .polylog import DEF_V, ArgTuple, Index, cmspl_eval, domain_check
@@ -65,9 +76,11 @@ class TModuleSpec:
         theta = RatK.T(ctx)
         self.B0 = kmat_add(kmat_scale(kmat_identity(ctx, dim), theta), lift)
         self._log = _LogCoeffs(self)
+        # (which, place, W) -> embedded B0 or B1; (place, W) -> _LocalLogCoeffs
+        self._embed_cache = {}
+        self._llog_cache = {}
 
     def _nilpotency_check(self):
-        from .linalg import fqmat_mul
         M = self.N0
         for _ in range(self.dim):
             M = fqmat_mul(self.ctx, M, self.N0)
@@ -111,7 +124,10 @@ def with_args(spec, args, point):
                       spec.readout, spec.index, args, point,
                       spec.test_points, spec.name)
     out.validated = spec.validated
+    # the coefficients depend on N0, B1, the place and W only
     out._log = spec._log
+    out._embed_cache = spec._embed_cache
+    out._llog_cache = spec._llog_cache
     return out
 
 
@@ -143,22 +159,29 @@ def _phi_theta(spec, z):
 
 
 def _embedded_matrix(spec, which, place, W):
-    cache = getattr(spec, "_embed_cache", None)
-    if cache is None:
-        cache = spec._embed_cache = {}
     key = (which, place, W)
-    out = cache.get(key)
+    out = spec._embed_cache.get(key)
     if out is None:
         M = spec.B0 if which == "B0" else spec.B1
         out = kmat([[embed_local(e, place, W) for e in r] for r in M])
-        cache[key] = out
+        spec._embed_cache[key] = out
     return out
 
 
 def _scale_coord(x, c):
+    """x times the nonzero constant c of F_q, x in k or in a completion."""
+    if c == 1:
+        return x
     if isinstance(x, LocalNum):
         return x.scale_fq(c)
     return x * RatK(PolyA.constant(x.ctx, c))
+
+
+def _zero_like(x):
+    """The exact zero of the ring x lives in: k or its completion."""
+    if isinstance(x, LocalNum):
+        return LocalNum.exact_zero(x.place)
+    return RatK.zero(x.ctx)
 
 
 def tm_action(spec, a, z):
@@ -166,9 +189,7 @@ def tm_action(spec, a, z):
     z = tuple(z)
     if len(z) != spec.dim:
         raise ValueError("point has the wrong dimension")
-    zero = (LocalNum.exact_zero(z[0].place) if isinstance(z[0], LocalNum)
-            else RatK.zero(spec.ctx))
-    out = [zero] * spec.dim
+    out = [_zero_like(z[0])] * spec.dim
     cur = z
     for j, c in enumerate(a.coeffs):
         if j:
@@ -208,22 +229,47 @@ class _LogCoeffs:
 def _solve_twisted_sylvester(spec, i, R):
     """Solve Q (theta^{q^i} Id + N0) - (theta Id + N0) Q = R over k.
 
-    Dividing by delta = theta^{q^i} - theta turns this into a fixed point
-    of the nilpotent map Q -> (N0 Q - Q N0)/delta, so plain iteration
-    terminates; the fixed point is checked exactly.
+    This is Q (delta + N0) - N0 Q = R with delta = theta^{q^i} - theta;
+    _sylvester_solve gives Q in closed form, and Q is checked exactly.
     """
     ctx = spec.ctx
     delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
-    dinv = delta.inv()
-    N0 = spec.N0k
-    Q = kmat_zero(ctx, spec.dim, spec.dim)
-    for _ in range(2 * spec.dim + 2):
-        nxt = kmat_scale(
-            kmat_add(R, kmat_sub(kmat_mul(N0, Q), kmat_mul(Q, N0))), dinv)
-        if nxt == Q:
-            return Q
-        Q = nxt
-    raise SingularStep("twisted Sylvester iteration did not stabilize")
+    Q = _sylvester_solve(spec, R, delta.inv())
+    comm = kmat_sub(_lmat_n0(spec, Q, "right"), _lmat_n0(spec, Q))
+    if kmat_add(kmat_scale(Q, delta), comm) != R:
+        raise SingularStep("twisted Sylvester solution failed its check")
+    return Q
+
+
+def _sylvester_solve(spec, R, dinv):
+    """The P with P (delta + N0) - N0 P = R, given dinv = 1/delta.
+
+    Entries lie in k (RatK) or in a completion (LocalNum).  With
+    M = (delta + N0)^{-1} = sum_{b<dim} (-N0)^b dinv^{b+1}, the solution is
+    P = sum_{a<dim} N0^a R M^{a+1} (see the module docstring), evaluated
+    by Horner: X <- R, then dim - 1 times X <- R + N0 X M, and P = X M.
+    """
+    ctx, dim = spec.ctx, spec.dim
+    powers = [dinv]
+    for _ in range(dim - 1):
+        powers.append(powers[-1] * dinv)
+    neg_n0 = tuple(tuple(ctx.neg(c) for c in r) for r in spec.N0)
+    C = fqmat_identity(dim)                           # (-N0)^b over F_q
+    M = [[None] * dim for _ in range(dim)]
+    for b, d in enumerate(powers):
+        if b:
+            C = fqmat_mul(ctx, C, neg_n0)
+        for j in range(dim):
+            for k in range(dim):
+                if C[j][k]:
+                    t = _scale_coord(d, C[j][k])
+                    M[j][k] = t if M[j][k] is None else M[j][k] + t
+    zero = _zero_like(dinv)
+    M = kmat([[zero if e is None else e for e in r] for r in M])
+    X = R
+    for _ in range(dim - 1):
+        X = kmat_add(R, _lmat_n0(spec, kmat_mul(X, M)))
+    return kmat_mul(X, M)
 
 
 def explog_coeffs(spec, I_max):
@@ -278,20 +324,21 @@ def residue_annihilator(spec, place):
 # read off the windows are sound inputs to the stopping rule, and the
 # windows themselves bound the error of every retained digit.
 
-def _lmat_n0(spec, A, place, side):
-    """N0 @ A (side='left') or A @ N0 (side='right'), N0 over F_q."""
+def _lmat_n0(spec, A, side="left"):
+    """N0 @ A (side='left') or A @ N0 (side='right') for N0 over F_q,
+    entries of A in k or in a completion."""
     dim = spec.dim
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = LocalNum.exact_zero(place)
+            acc = None
             for l in range(dim):
                 c = spec.N0[i][l] if side == "left" else spec.N0[l][j]
-                x = A[l][j] if side == "left" else A[i][l]
                 if c:
-                    acc = acc + x.scale_fq(c)
-            row.append(acc)
+                    t = _scale_coord(A[l][j] if side == "left" else A[i][l], c)
+                    acc = t if acc is None else acc + t
+            row.append(_zero_like(A[0][0]) if acc is None else acc)
         out.append(row)
     return kmat(out)
 
@@ -308,9 +355,19 @@ class _LocalLogCoeffs:
 
     Log composed with phi_theta equals d[theta] composed with Log, which
     pins P_i down by the same twisted Sylvester equation as the exponential
-    coefficients but with right-hand side -P_{i-1} B1^(i-1).  Unlike the
-    compositional-inverse route, this recursion never multiplies by twisted
-    matrices of large negative valuation, so the windows stay put.
+    coefficients but with right-hand side R_i = -P_{i-1} B1^(i-1).  Unlike
+    the compositional-inverse route, this recursion never multiplies by
+    twisted matrices of large negative valuation, so the windows stay put.
+    Each P_i is the telescoping sum of the module docstring.
+
+    Valuation bound: ord P_i >= -(2 dim - 1) i at a degree-one place.
+    There ord delta = 1, since delta = pi^{q^i} - pi.  Expanding
+    M^{a+1} = (delta + N0)^{-(a+1)} in powers of N0 gives
+    sum_{b<dim} binom(-(a+1), b) N0^b delta^{-(a+1)-b}, so its entries have
+    ord >= -(a + 1) - (dim - 1).  With a <= dim - 1 and N0 over F_q, every
+    term N0^a R M^{a+1} has ord >= ord R - (2 dim - 1).  B1 has entries in
+    A, which are v-integral, so ord R_i >= ord P_{i-1}; induction from
+    P_0 = Id gives the bound.
     """
 
     def __init__(self, spec, place, W):
@@ -331,24 +388,14 @@ class _LocalLogCoeffs:
                 self._B1tw = kmat([[x.qpow() for x in r]
                                    for r in self._B1tw])
             R = kmat_neg(kmat_mul(self.P[i - 1], self._B1tw))
-            dinv = _delta_inv(place, i, W)
-            P = kmat_scale(R, dinv)
-            for _ in range(2 * spec.dim + 1):
-                comm = kmat_sub(_lmat_n0(spec, P, place, "left"),
-                                _lmat_n0(spec, P, place, "right"))
-                P = kmat_scale(kmat_add(R, comm), dinv)
-            self.P.append(P)
+            self.P.append(_sylvester_solve(spec, R, _delta_inv(place, i, W)))
 
 
 def _local_log_coeffs(spec, place, W):
-    cache = getattr(spec, "_llog_cache", None)
-    if cache is None:
-        cache = spec._llog_cache = {}
     key = (place, W)
-    out = cache.get(key)
+    out = spec._llog_cache.get(key)
     if out is None:
-        out = _LocalLogCoeffs(spec, place, W)
-        cache[key] = out
+        out = spec._llog_cache[key] = _LocalLogCoeffs(spec, place, W)
     return out
 
 

@@ -79,7 +79,7 @@ class TSeries:
     def one(cls, place, D, window):
         unit = LocalNum(place, 0, (1,) + (0,) * (window - 1))
         zero = LocalNum.zero_to_precision(place, window)
-        return cls.from_runs(place, ((1, unit), (D - 1, zero)))
+        return cls.from_runs(place, ((min(D, 1), unit), (D - 1, zero)))
 
     @classmethod
     def zero(cls, place, D, window):

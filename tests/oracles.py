@@ -2,18 +2,25 @@
 
 Each one is the former implementation, kept only to check its successor:
 the exact Carlitz factorial, the multiplicity enumeration of the power sums
-at infinity, the dense delta_i whose inverse the logarithm divides by, and
-the TSeries operations on one LocalNum per coefficient.
+at infinity, the dense delta_i whose inverse the logarithm divides by, the
+TSeries operations on one LocalNum per coefficient, the per-digit LocalNum
+sums and scaling, and the fixed-point iterations for the t-module
+exponential and logarithm coefficients.
 """
 
 import math
 import sys
 from array import array
 
-from vcarlitz.algebra import PolyA
+from vcarlitz.algebra import PolyA, RatK
+from vcarlitz.errors import SingularStep
+from vcarlitz.linalg import (
+    kmat, kmat_add, kmat_mul, kmat_neg, kmat_scale, kmat_sub, kmat_zero,
+)
 from vcarlitz.local import (
     INF, LocalNum, PlaceInf, _grid_product, _grid_sum, embed_local,
 )
+from vcarlitz.tmodule import _delta_inv
 
 
 def L_factorial(ctx, i):
@@ -265,3 +272,109 @@ def window_rule(a, b):
         acc = smin(acc, shift(cand, start))
     return [None if f > 2 * R else f + 2 * base
             for f in fields(array(code, acc.to_bytes(D * size, "little")))]
+
+
+# -- the per-digit LocalNum sums and scaling ------------------------------
+#
+# Each walks the digits with one FqContext call per digit.
+
+def localnum_add(x, y):
+    if x.is_exact_zero():
+        return y
+    if y.is_exact_zero():
+        return x
+    cutoff = min(x.cutoff, y.cutoff)
+    base = min(x.nu, y.nu)
+    if cutoff <= base:
+        return LocalNum.zero_to_precision(x.place, cutoff)
+    n = int(cutoff - base)
+    out = [0] * n
+    for i, c in enumerate(x.coeffs):
+        pos = int(x.nu - base) + i
+        if pos < n:
+            out[pos] = c
+    add = x.place.ctx.add
+    for i, c in enumerate(y.coeffs):
+        pos = int(y.nu - base) + i
+        if pos < n:
+            out[pos] = add(out[pos], c)
+    return LocalNum(x.place, base, out)
+
+
+def localnum_neg(x):
+    if x.is_exact_zero() or not x.coeffs:
+        return x
+    neg = x.place.ctx.neg
+    return LocalNum(x.place, x.nu, [neg(c) for c in x.coeffs])
+
+
+def localnum_sub(x, y):
+    return localnum_add(x, localnum_neg(y))
+
+
+def localnum_scale_fq(x, c):
+    if x.is_exact_zero() or not x.coeffs:
+        return x
+    mul = x.place.ctx.mul
+    return LocalNum(x.place, x.nu, [mul(c, d) for d in x.coeffs])
+
+
+# -- fixed-point iterations for the t-module coefficients -----------------
+#
+# Both equations read P (delta + N0) - N0 P = R; dividing by delta makes P a
+# fixed point of P -> (R + N0 P - P N0)/delta, and ad_N0 is nilpotent.
+
+def solve_twisted_sylvester_fixed_point(spec, i, R):
+    """Q with Q (theta^{q^i} Id + N0) - (theta Id + N0) Q = R over k."""
+    ctx = spec.ctx
+    delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
+    dinv = delta.inv()
+    N0 = spec.N0k
+    Q = kmat_zero(ctx, spec.dim, spec.dim)
+    for _ in range(2 * spec.dim + 2):
+        nxt = kmat_scale(
+            kmat_add(R, kmat_sub(kmat_mul(N0, Q), kmat_mul(Q, N0))), dinv)
+        if nxt == Q:
+            return Q
+        Q = nxt
+    raise SingularStep("twisted Sylvester iteration did not stabilize")
+
+
+def _lmat_n0(spec, A, place, side):
+    """N0 @ A (side='left') or A @ N0 (side='right'), N0 over F_q."""
+    dim = spec.dim
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = LocalNum.exact_zero(place)
+            for l in range(dim):
+                c = spec.N0[i][l] if side == "left" else spec.N0[l][j]
+                x = A[l][j] if side == "left" else A[i][l]
+                if c:
+                    acc = acc + x.scale_fq(c)
+            row.append(acc)
+        out.append(row)
+    return kmat(out)
+
+
+def local_log_fixed_point(spec, place, W, i_max):
+    """The windowed log coefficients P_0, ..., P_i_max by 2 dim + 1 passes
+    of the fixed-point map, each starting from R / delta."""
+    dim = spec.dim
+    P = [kmat([[LocalNum.unit_one(place, W) if i == j
+                else LocalNum.exact_zero(place)
+                for j in range(dim)] for i in range(dim)])]
+    B1tw = kmat([[embed_local(e, place, W) for e in r] for r in spec.B1])
+    for i in range(1, i_max + 1):
+        if i > 1:
+            B1tw = kmat([[x.qpow() for x in r] for r in B1tw])
+        R = kmat_neg(kmat_mul(P[i - 1], B1tw))
+        dinv = _delta_inv(place, i, W)
+        Pi = kmat_scale(R, dinv)
+        for _ in range(2 * dim + 1):
+            comm = kmat_sub(_lmat_n0(spec, Pi, place, "left"),
+                            _lmat_n0(spec, Pi, place, "right"))
+            Pi = kmat_scale(kmat_add(R, comm), dinv)
+        P.append(Pi)
+    return P

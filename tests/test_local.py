@@ -11,6 +11,10 @@ from vcarlitz.local import (
     parse_local,
 )
 
+from oracles import (
+    localnum_add, localnum_neg, localnum_scale_fq, localnum_sub,
+)
+
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
 V1 = PlaceV(CTX3, 1)
@@ -162,6 +166,54 @@ def test_mul_window_soundness():
     z = LocalNum.zero_to_precision(V0, 3)  # O(pi^3)
     p = x * z
     assert p.is_zero_to_precision() and p.cutoff == 3
+
+
+SUM_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
+              FqContext(2, 3), FqContext(3, 2)]
+
+
+def _operand(place, nu):
+    """An exact zero, a window zero, or digits from pi^nu (leading digit
+    possibly zero, so the constructor moves nu)."""
+    q = place.ctx.q
+    return st.one_of(
+        st.just(LocalNum.exact_zero(place)),
+        st.just(LocalNum.zero_to_precision(place, nu)),
+        st.lists(st.integers(0, q - 1), min_size=1, max_size=20).map(
+            lambda d: LocalNum(place, nu, d)))
+
+
+@st.composite
+def sum_cases(draw):
+    """(x, y, c) at v or at infinity; y is drawn independently of x, or
+    lies entirely at or above x's cutoff."""
+    ctx = draw(st.sampled_from(SUM_FIELDS))
+    place = draw(st.one_of(
+        st.just(PlaceInf(ctx)),
+        st.integers(0, ctx.q - 1).map(lambda lam: PlaceV(ctx, lam))))
+    x = draw(st.integers(-8, 8).flatmap(lambda nu: _operand(place, nu)))
+    if x.is_exact_zero() or draw(st.booleans()):
+        nu = draw(st.integers(-8, 8))
+    else:
+        nu = x.cutoff + draw(st.integers(0, 3))
+    y = draw(_operand(place, nu))
+    if draw(st.booleans()):
+        x, y = y, x
+    return x, y, draw(st.integers(1, ctx.q - 1))
+
+
+def _state(x):
+    return x.is_exact_zero(), x.nu, x.coeffs
+
+
+@given(sum_cases())
+@settings(max_examples=400, deadline=None)
+def test_sums_and_scaling_match_digit_loops(case):
+    x, y, c = case
+    assert _state(x + y) == _state(localnum_add(x, y))
+    assert _state(x - y) == _state(localnum_sub(x, y))
+    assert _state(-x) == _state(localnum_neg(x))
+    assert _state(x.scale_fq(c)) == _state(localnum_scale_fq(x, c))
 
 
 def _convolve_schoolbook(ctx, a, b):

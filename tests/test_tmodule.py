@@ -1,24 +1,32 @@
 """Tests for Anderson t-modules and extended-domain v-adic evaluation."""
 
+import importlib.resources as resources
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vcarlitz.algebra import FqContext, PolyA, RatK, carlitz_action, parse_poly
 from vcarlitz.errors import (
     AnnihilationFailure, ConvergenceNotCertified, DomainError, ParseError,
 )
 from vcarlitz.linalg import (
-    fq_kernel, fq_min_poly, kmat_add, kmat_frobenius, kmat_identity, kmat_inv,
-    kmat_mul, kmat_zero,
+    fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat_add,
+    kmat_frobenius, kmat_identity, kmat_inv, kmat_mul, kmat_zero,
 )
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
+from vcarlitz.relations import zeta_v
 from vcarlitz.tmodule import (
-    TModuleSpec, dump_tmodule_spec, explog_coeffs, extended_cmspl_v,
-    log_at_point, parse_tmodule_spec, residue_annihilator, tensor_carlitz_spec,
-    tm_action, validate_tmodule, with_args,
+    TModuleSpec, _LocalLogCoeffs, _solve_twisted_sylvester, dump_tmodule_spec,
+    explog_coeffs, extended_cmspl_v, log_at_point, parse_tmodule_spec,
+    residue_annihilator, tensor_carlitz_spec, tm_action, validate_tmodule,
+    with_args,
 )
 
-from oracles import L_factorial
+from oracles import (
+    L_factorial, local_log_fixed_point, solve_twisted_sylvester_fixed_point,
+)
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -114,6 +122,141 @@ def test_explog_compositional_inverse():
                 acc = kmat_add(acc, kmat_mul(first[i],
                                              kmat_frobenius(second[m - i], i)))
             assert all(e.is_zero() for r in acc for e in r)
+
+
+# -- the twisted Sylvester solver ----------------------------------------
+
+SOLVER_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
+                 FqContext(3, 2)]
+
+
+def _fq_inverse(ctx, S):
+    d = len(S)
+    rows, pivots = fq_rref(ctx, [tuple(r) + e
+                                 for r, e in zip(S, fqmat_identity(d))])
+    if pivots[:d] != list(range(d)):
+        return None
+    return tuple(r[d:] for r in rows)
+
+
+@st.composite
+def random_specs(draw):
+    """A t-module with random nilpotent N0 (strictly upper triangular, or
+    conjugated by an invertible matrix over F_q) and random B1 over A."""
+    ctx = draw(st.sampled_from(SOLVER_FIELDS))
+    dim = draw(st.integers(1, 3))
+    fq = st.integers(0, ctx.q - 1)
+    N0 = tuple(tuple(draw(fq) if j > i else 0 for j in range(dim))
+               for i in range(dim))
+    if draw(st.booleans()):
+        S = tuple(tuple(draw(fq) for _ in range(dim)) for _ in range(dim))
+        S_inv = _fq_inverse(ctx, S)
+        if S_inv is not None:
+            N0 = fqmat_mul(ctx, fqmat_mul(ctx, S, N0), S_inv)
+    B1 = [[PolyA(ctx, draw(st.lists(fq, max_size=2))) for _ in range(dim)]
+          for _ in range(dim)]
+    T_ = RatK.T(ctx)
+    return TModuleSpec(ctx, dim, N0, B1, readout=(dim - 1,),
+                       index=Index([dim]), args=ArgTuple([T_]),
+                       point=(T_,) * dim, name="random")
+
+
+def _agree(a, b):
+    """The digits of a and b agree on their common window."""
+    d = a - b
+    return d.is_exact_zero() or d.is_zero_to_precision()
+
+
+def _local_p(spec, place, W, i_max):
+    coeffs = _LocalLogCoeffs(spec, place, W)
+    coeffs.ensure(i_max)
+    return coeffs.P
+
+
+@given(random_specs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sylvester_solver_matches_fixed_point(spec, data):
+    ctx = spec.ctx
+    I_exact = 2 if ctx.q <= 4 else 1
+    Q, P = explog_coeffs(spec, I_exact)
+    for i in range(1, I_exact + 1):
+        R = kmat_mul(spec.B1, kmat_frobenius(Q[i - 1]))
+        assert _solve_twisted_sylvester(spec, i, R) == \
+            solve_twisted_sylvester_fixed_point(spec, i, R)
+    place = PlaceV(ctx, data.draw(st.integers(0, ctx.q - 1)))
+    W = data.draw(st.integers(1, 120))
+    I = 4
+    got = _local_p(spec, place, W, I)
+    want = local_log_fixed_point(spec, place, W, I)
+    for i in range(I + 1):
+        for r in range(spec.dim):
+            for c in range(spec.dim):
+                assert _agree(got[i][r][c], want[i][r][c])
+                if i <= I_exact:
+                    exact = embed_local(P[i][r][c], place, W + 8 * i)
+                    assert _agree(got[i][r][c], exact)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
+    ctx = FqContext(2, 2) if q == 4 else FqContext(q)
+    for s in (1, 2, 3):
+        spec = tensor_carlitz_spec(s, ctx)
+        for lam in range(q):
+            place = PlaceV(ctx, lam)
+            for W in (20, 62):
+                got = _local_p(spec, place, W, 5)
+                want = local_log_fixed_point(spec, place, W, 5)
+                assert [[[(e.nu, e.coeffs) for e in r] for r in Pi]
+                        for Pi in got] == \
+                    [[[(e.nu, e.coeffs) for e in r] for r in Pi]
+                     for Pi in want]
+
+
+def _check_log_bound(spec, place, W, i_max):
+    c = 2 * spec.dim - 1
+    for i, Pi in enumerate(_local_p(spec, place, W, i_max)):
+        for r in Pi:
+            for e in r:
+                if e.coeffs:
+                    assert e.nu >= -c * i
+
+
+def test_log_coefficient_valuation_bound_shipped_modules():
+    for s in (1, 2, 3):
+        text = resources.files("vcarlitz").joinpath(
+            f"data/tmodules/tensor_q3_s{s}.txt").read_text()
+        spec = parse_tmodule_spec(text)
+        for lam in range(3):
+            _check_log_bound(spec, PlaceV(CTX3, lam), 80, 7)
+
+
+@given(random_specs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_log_coefficient_valuation_bound_random(spec, data):
+    place = PlaceV(spec.ctx, data.draw(st.integers(0, spec.ctx.q - 1)))
+    _check_log_bound(spec, place, data.draw(st.integers(1, 120)), 5)
+
+
+def test_with_args_shares_local_caches(monkeypatch):
+    built = []
+    init = _LocalLogCoeffs.__init__
+
+    def counting(self, *args):
+        built.append(args[1:])
+        init(self, *args)
+
+    monkeypatch.setattr(_LocalLogCoeffs, "__init__", counting)
+    monkeypatch.setattr("vcarlitz.relations._TENSOR_CACHE", {})
+    ctx = FqContext(3)
+    place = PlaceV(ctx, 0)
+    for _ in range(3):
+        zeta_v(ctx, place, 1, 40)
+    assert len(built) == 2
+    spec = tensor_carlitz_spec(1, ctx)
+    run = with_args(spec, ArgTuple([T]), (T,))
+    assert run._llog_cache is spec._llog_cache
+    assert run._embed_cache is spec._embed_cache
 
 
 # -- residue annihilators ------------------------------------------------

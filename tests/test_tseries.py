@@ -156,6 +156,13 @@ def test_pow_zero_of_exact_zero_series():
     assert one.order == 3 and one.coeff(0) == LocalNum.unit_one(V0, 1)
 
 
+def test_one_and_pow_zero_keep_order_zero():
+    assert TSeries.one(V0, 0, 5).order == 0
+    assert TSeries.one(V0, 1, 5).coeffs == (LocalNum.unit_one(V0, 5),)
+    empty = TSeries(V0, [])
+    assert empty.order == 0 and empty.pow(0).order == 0
+
+
 @given(series_strategy(), series_strategy())
 @settings(max_examples=30)
 def test_twist_is_multiplicative(f, g):
