@@ -145,7 +145,6 @@ class DiffSystem:
         self.phi = tuple(tuple(r) for r in phi_twisted)
         self.size = len(self.phi)
         self._psi_build = psi_build
-        self._psi_cache = {}
         self.weight = weight
         self.alpha = alpha
         self.index = index
@@ -155,12 +154,7 @@ class DiffSystem:
         self.kind = kind
 
     def psi(self, D, N):
-        key = (D, N)
-        out = self._psi_cache.get(key)
-        if out is None:
-            out = tuple(self._psi_build(D, N))
-            self._psi_cache[key] = out
-        return out
+        return tuple(self._psi_build(D, N))
 
     def __repr__(self):
         return f"DiffSystem({self.kind}, size={self.size}, w={self.weight})"

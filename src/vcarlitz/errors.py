@@ -17,10 +17,6 @@ class DomainError(VCarlitzError):
     """Argument outside the convergence / defining domain of a series."""
 
 
-class DecayNotCertified(VCarlitzError):
-    """Series evaluation outside the closed unit disk without a decay bound."""
-
-
 class SingularStep(VCarlitzError):
     """A linear solve that must be uniquely solvable was singular."""
 

@@ -126,21 +126,6 @@ def _grid_product(ctx, a, b, stride, widths, terms):
     return _rows(ctx, prod, stride, widths, size)
 
 
-def _grid_sum(ctx, a, b, stride, widths, negate=False):
-    """The sum a + b, or a - b when `negate`, of two digit grids.
-
-    Grids and the rows returned are as for ``_grid_product``.  A difference
-    adds (p - 1) * b, so a coordinate slot holds at most
-    (p - 1) + (p - 1)^2 = p (p - 1) before it is read modulo p; the fold
-    of ``_unpack`` finds nothing above degree e - 1.
-    """
-    p = ctx.p
-    size = _WIDTHS[-(-(p * (p - 1)).bit_length() // 8)]
-    total = _pack(ctx, a, size) + (p - 1 if negate else 1) * _pack(
-        ctx, b, size)
-    return _rows(ctx, total, stride, widths, size)
-
-
 def _rows(ctx, packed, stride, widths, size):
     """Rows (lo, digits) of the first len(widths) rows of a packed grid."""
     raw, view = _unpack(ctx, packed, len(widths) * stride, size)

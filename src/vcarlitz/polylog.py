@@ -424,13 +424,6 @@ def omega_product(alpha, place, D, N):
     return out.clip(N)
 
 
-def omega_decay(place, alpha):
-    """Certified coefficient decay of omega_product: ord of the t^n digit."""
-    q = place.q
-    da = place.ord_ratk(alpha)
-    return lambda n: da * (q ** (n + 1) - q) // (q - 1)
-
-
 def pi_tilde(alpha, place, N):
     """Value of the omega product at t = 1/alpha: prod (1 - alpha^(q^i - 1))."""
     if place.ord_ratk(alpha) < 1:

@@ -76,8 +76,7 @@ class TModuleSpec:
         theta = RatK.T(ctx)
         self.B0 = kmat_add(kmat_scale(kmat_identity(ctx, dim), theta), lift)
         self._log = _LogCoeffs(self)
-        # (which, place, W) -> embedded B0 or B1; (place, W) -> _LocalLogCoeffs
-        self._embed_cache = {}
+        # (place, W) -> _LocalLogCoeffs
         self._llog_cache = {}
 
     def _nilpotency_check(self):
@@ -126,7 +125,6 @@ def with_args(spec, args, point):
     out.validated = spec.validated
     # the coefficients depend on N0, B1, the place and W only
     out._log = spec._log
-    out._embed_cache = spec._embed_cache
     out._llog_cache = spec._llog_cache
     return out
 
@@ -138,8 +136,8 @@ def _phi_theta(spec, z):
         place = z[0].place
         W = max([x.cutoff - x.nu for x in z if not x.is_exact_zero()],
                 default=32)
-        B0 = _embedded_matrix(spec, "B0", place, W)
-        B1 = _embedded_matrix(spec, "B1", place, W)
+        B0 = _embedded_matrix(spec.B0, place, W)
+        B1 = _embedded_matrix(spec.B1, place, W)
         zq = [x.qpow() for x in z]
         out = []
         for i in range(spec.dim):
@@ -158,14 +156,8 @@ def _phi_theta(spec, z):
     return tuple(out)
 
 
-def _embedded_matrix(spec, which, place, W):
-    key = (which, place, W)
-    out = spec._embed_cache.get(key)
-    if out is None:
-        M = spec.B0 if which == "B0" else spec.B1
-        out = kmat([[embed_local(e, place, W) for e in r] for r in M])
-        spec._embed_cache[key] = out
-    return out
+def _embedded_matrix(M, place, W):
+    return kmat([[embed_local(e, place, W) for e in r] for r in M])
 
 
 def _scale_coord(x, c):
@@ -378,7 +370,7 @@ class _LocalLogCoeffs:
                        else LocalNum.exact_zero(place)
                        for j in range(spec.dim)] for i in range(spec.dim)])
         self.P = [ident]
-        self._B1tw = _embedded_matrix(spec, "B1", place, W)  # B1^(i-1)
+        self._B1tw = _embedded_matrix(spec.B1, place, W)  # B1^(i-1)
 
     def ensure(self, i_max):
         spec, place, W = self.spec, self.place, self.W

@@ -18,31 +18,25 @@ because c^Q = c on F_q and the Q-th power is additive in characteristic p
 (``LocalNum.qpow``).  It keeps the coefficient's W digits, the window of
 the product of Q copies of it, so the digits are that product's.
 
-A sum, a difference and a scaling by one LocalNum are each one packed
-big-integer operation over the coefficients with digits
-(``local._grid_sum``, ``local._grid_product``), with LocalNum's sum or
-product window per coefficient.  A product is one big-integer
-multiplication (two-dimensional Kronecker substitution, with a third axis
-for the F_p coordinates when q = p^e, e > 1): each operand's digit grid, t
-by pi, is packed into one integer, and the product rows that a digit pair
-reaches are read back in bulk (``local._grid_product``, which alone knows
-the slot layout).  Its windows are those of the coefficient schoolbook
-sum_(i+j=n) a_i * b_j: coefficient n is known modulo pi^c, c the minimum
-over the pairs with no exact-zero factor of
+A sum, a difference and a scaling by one LocalNum walk the runs: each
+stretch where the operands' runs are constant is one LocalNum sum or
+product, with its window.  The product is the one packed operation: one
+big-integer multiplication (two-dimensional Kronecker substitution, with a
+third axis for the F_p coordinates when q = p^e, e > 1).  Each operand's
+digit grid, t by pi, is packed into one integer, and the product rows that
+a digit pair reaches are read back in bulk (``local._grid_product``, which
+alone knows the slot layout).  Its windows are those of the coefficient
+schoolbook sum_(i+j=n) a_i * b_j: coefficient n is known modulo pi^c, c the
+minimum over the pairs with no exact-zero factor of
 min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an exact zero
 when every pair has an exact-zero factor (``_window_rule``).
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
-from itertools import groupby
+import heapq
 
-from .errors import DecayNotCertified, PrecisionLoss
-from .local import INF, LocalNum, _grid_product, _grid_sum, embed_local
-
-_FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+from .local import INF, LocalNum, _grid_product
 
 
 class TSeries:
@@ -95,12 +89,6 @@ class TSeries:
             place, [(1, c) for c in coeffs]
             + [(D - len(coeffs), LocalNum.zero_to_precision(place, window))])
 
-    @classmethod
-    def from_ratk_poly(cls, place, ratk_coeffs, D, window):
-        """Embed a polynomial in t with coefficients in k."""
-        return cls.from_local_coeffs(
-            place, [embed_local(c, place, window) for c in ratk_coeffs], D, window)
-
     def coeff(self, i):
         if not 0 <= i < self.order:
             raise IndexError("coefficient index out of range")
@@ -142,47 +130,18 @@ class TSeries:
         return self._sum(other, True)
 
     def _sum(self, other, negate):
-        """self + other, or self - other when `negate`: one packed sum.
+        """self + other, or self - other when `negate`, one LocalNum sum per
+        stretch where both run lists are constant.
 
         Coefficient n has LocalNum's sum window: known modulo pi^c,
         c = min(cutoff(a_n), cutoff(b_n)), with digits from
-        min(nu(a_n), nu(b_n)) on.  An exact zero b_n passes a_n through, and
-        an exact zero a_n passes b_n through in a sum.  Only a pair with a
-        digit below c is packed; it is a run of count one.
+        min(nu(a_n), nu(b_n)) on; an exact-zero operand passes the other
+        through (negated in a difference).
         """
         self._check(other)
-        place = self.place
-        out = []
-        spans = []              # (index in out, base, cutoff, a_n, b_n)
-        for n, x, y in _aligned(self.runs, other.runs):
-            if y.nu == INF:
-                out.append((n, x))
-                continue
-            if x.nu == INF and not negate:
-                out.append((n, y))
-                continue
-            cut = min(x.cutoff, y.cutoff)
-            base = min(x.nu, y.nu)
-            if cut > base:
-                spans.append((len(out), base, cut, x, y))
-                out.append(None)
-            else:
-                out.append((n, LocalNum.zero_to_precision(place, cut)))
-        if spans:
-            # row r holds span r, from its base on
-            S = max(cut - base for _, base, cut, _, _ in spans)
-            pa, pb = [], []
-            for r, (_, base, cut, x, y) in enumerate(spans):
-                for c, pieces in ((x, pa), (y, pb)):
-                    if c.coeffs and c.nu < cut:
-                        pieces.append((r * S + c.nu - base,
-                                       c.coeffs[:cut - c.nu]))
-            rows = _grid_sum(place.ctx, pa, pb, S,
-                             [cut - base for _, base, cut, _, _ in spans],
-                             negate)
-            for (k, base, _, _, _), (lo, digits) in zip(spans, rows):
-                out[k] = (1, LocalNum(place, base + lo, digits))
-        return TSeries.from_runs(place, out)
+        return TSeries.from_runs(self.place, [
+            (n, x - y if negate else x + y)
+            for n, x, y in _aligned(self.runs, other.runs)])
 
     def __mul__(self, other):
         self._check(other)
@@ -235,34 +194,14 @@ class TSeries:
         return TSeries.from_runs(place, out)
 
     def scale(self, x):
-        """Multiply every coefficient by the LocalNum x: one packed product.
+        """Multiply every coefficient by the LocalNum x.
 
         Coefficient n gets LocalNum's product window: the min(W(a_n), W(x))
         digits from nu(a_n) + nu(x) on, or an exact zero when a factor is one.
         """
         self._check(x)
-        place = self.place
-        live = [c for _, c in self.runs if c.coeffs] if x.coeffs else []
-        rows = iter(())
-        if live:
-            wa = max(len(c.coeffs) for c in live)
-            xd = x.coeffs[:wa]
-            S = wa + len(xd) - 1                 # a row's full convolution
-            rows = iter(_grid_product(
-                place.ctx, [(r * S, c.coeffs) for r, c in enumerate(live)],
-                [(0, xd)], S, [min(len(c.coeffs), len(xd)) for c in live],
-                min(wa, len(xd))))
-        out = []
-        for n, c in self.runs:
-            if c.nu == INF or x.nu == INF:
-                out.append((n, LocalNum.exact_zero(place)))
-            elif c.coeffs and x.coeffs:
-                lo, digits = next(rows)
-                out.append((1, LocalNum(place, c.nu + x.nu + lo, digits)))
-            else:
-                out.append((n, LocalNum.zero_to_precision(
-                    place, min(c.nu + x.cutoff, x.nu + c.cutoff))))
-        return TSeries.from_runs(place, out)
+        return TSeries.from_runs(self.place,
+                                 [(n, c * x) for n, c in self.runs])
 
     def t_shift(self, n, window):
         """Multiply by t^n, n >= 0: the top n coefficients drop, and zeros
@@ -290,9 +229,6 @@ class TSeries:
             if n:
                 base = base * base
         return out
-
-    def is_zero_to_window(self):
-        return all(not c.coeffs for _, c in self.runs)
 
     def __str__(self):
         parts = []
@@ -342,15 +278,19 @@ def _aligned(a, b):
             n, y = next(b, (0, None))
 
 
-def _live(runs):
-    """(position, coefficient) of the coefficients with digits."""
+def _positions(runs):
+    """(position, count, value) of each run."""
     out = []
     pos = 0
     for n, c in runs:
-        if c.coeffs:
-            out.append((pos, c))
+        out.append((pos, n, c))
         pos += n
     return out
+
+
+def _live(runs):
+    """(position, coefficient) of the coefficients with digits."""
+    return [(i, c) for i, _, c in _positions(runs) if c.coeffs]
 
 
 def _expand(runs, lo, hi):
@@ -376,90 +316,36 @@ def _window_rule(a, b, D):
     the window that LocalNum's product and sum give term by term.  With no
     such pair the coefficient is an exact zero, and its cutoff reads None.
 
-    Let Ba and Bb be the first positions of the last runs.  From
-    n = Ba + Bb on, the pairs (a_i, b_(n-i)) take the same values for every
-    n: (a_i, b_last) for i < Ba, (a_last, b_j) for j < Bb, and
-    (a_last, b_last).  So only the coefficients up to Ba + Bb are computed,
-    and the last one's cutoff holds up to t^(D-1).
-
-    Both (min, +) convolutions run on fields packed into one integer (SWAR),
-    one field per coefficient.  The rule is symmetric, so the passes go over
-    the operand with fewer runs: one pass per stretch of equal (nu, cutoff),
-    in which the minimum of the other operand's fields over the stretch's
-    length comes from a table of power-of-two window minima.
+    A run of a at i with m coefficients and a run of b at j with n
+    coefficients pair up on exactly the coefficients i + j, ...,
+    i + j + m + n - 2, all with the same value.  So the cutoffs are the
+    lower envelope of one interval per pair of runs, swept by start with a
+    heap of (value, end).
     """
-    if not D:
-        return []
-    M = min(D, 2 * D - a[-1][0] - b[-1][0] + 1)     # the fields computed
-    a, b = _cut(a, M), _cut(b, M)
-    if len(b) < len(a):
-        a, b = b, a
-    base = min((c.nu for _, c in a + b), default=INF)   # exact zeros: INF
-    if base == INF:
-        return [(D, None)]
-    R = max(c.cutoff for _, c in a + b if c.nu != INF) - base
-    # a value is at most R, a live pair at most 2R; bigger means no pair
-    none = 2 * R + 1
-    # fields of 1, 2, 4 or 8 bytes, with room for 3R + 1 and a guard bit
-    size = next(w for w in (1, 2, 4, 8) if 8 * w > (3 * R + 1).bit_length())
-    k = 8 * size
-    ones = int.from_bytes((b"\1" + bytes(size - 1)) * M, "little")
-    guard = ones << (k - 1)
-    full = (1 << M * k) - 1
-    nones = none * ones
-
-    def smin(x, y):
-        # fieldwise min: the guard bit of 2^(k-1) + x_f - y_f stays set
-        # iff x_f >= y_f, and no field borrows from the next
-        g = ((x | guard) - y) & guard
-        return x ^ ((x ^ y) & (g - (g >> (k - 1))))
-
-    def shift(x, s):
-        # field j moves to j + s; the s vacated fields read "no pair"
-        return ((x << s * k) & full) | (nones & ((1 << s * k) - 1))
-
-    def fields(arr):
-        # an array of fields <-> the little-endian integer holding them
-        if sys.byteorder == "big":
-            arr.byteswap()
-        return arr
-
-    code = _FIELD_CODES[size]
-
-    def table(value):
-        arr = array(code)
-        for n, c in b:
-            arr += array(code, [none if c.nu == INF else value(c) - base]) * n
-        return [int.from_bytes(fields(arr), "little")]
-
-    tables = [table(lambda c: c.cutoff), table(lambda c: c.nu)]
-
-    def window(t, L):
-        levels = tables[t]          # levels[h]: minima over 2^h fields
-        h = L.bit_length() - 1
-        while len(levels) <= h:
-            x = levels[-1]
-            levels.append(smin(x, shift(x, 1 << (len(levels) - 1))))
-        x = levels[h]
-        return x if L == 1 << h else smin(x, shift(x, L - (1 << h)))
-
-    acc = nones
-    start = i = 0
-    while i < len(a):
-        L, c = a[i]
-        v, cut = c.nu, c.cutoff
-        i += 1
-        while i < len(a) and a[i][1].nu == v and a[i][1].cutoff == cut:
-            L += a[i][0]
-            i += 1
-        if v != INF:
-            cand = smin(window(0, L) + (v - base) * ones,
-                        window(1, L) + (cut - base) * ones)
-            acc = smin(acc, shift(cand, start))
-        start += L
-    out = [(len(list(g)), None if f > 2 * R else f + 2 * base) for f, g in
-           groupby(fields(array(code, acc.to_bytes(M * size, "little"))))]
-    out[-1] = (out[-1][0] + D - M, out[-1][1])
+    spans = sorted(
+        (i + j, min(i + j + m + n - 1, D),
+         min(x.nu + y.cutoff, y.nu + x.cutoff))
+        for i, m, x in _positions(a) if x.nu != INF
+        for j, n, y in _positions(b) if y.nu != INF and i + j < D)
+    out, heap = [], []
+    pos = k = 0
+    while pos < D:
+        while k < len(spans) and spans[k][0] <= pos:
+            _, end, value = spans[k]
+            heapq.heappush(heap, (value, end))
+            k += 1
+        while heap and heap[0][1] <= pos:
+            heapq.heappop(heap)
+        stop = spans[k][0] if k < len(spans) else D
+        value = None
+        if heap:
+            value, end = heap[0]
+            stop = min(stop, end)
+        if out and out[-1][1] == value:
+            out[-1] = (out[-1][0] + stop - pos, value)
+        else:
+            out.append((stop - pos, value))
+        pos = stop
     return out
 
 
@@ -476,81 +362,3 @@ def frobenius_twist(f, n=1):
     if n == 0:
         return f
     return TSeries.from_runs(f.place, [(m, c.qpow(n)) for m, c in f.runs])
-
-
-class GaussNorm:
-    """A q-power ``q^exponent``; exact == False flags a lower bound only."""
-
-    __slots__ = ("exponent", "exact")
-
-    def __init__(self, exponent, exact):
-        self.exponent = exponent
-        self.exact = exact
-
-    def __eq__(self, other):
-        if isinstance(other, GaussNorm):
-            return (self.exponent, self.exact) == (other.exponent, other.exact)
-        return NotImplemented
-
-    def __str__(self):
-        tag = "" if self.exact else ">="
-        if self.exponent is None:
-            return "0 (to window)"
-        return f"{tag}q^{self.exponent}"
-
-    def __repr__(self):
-        return f"GaussNorm({self})"
-
-
-def gauss_norm(f):
-    """Sup of the coefficient norms, as a q-power exponent."""
-    best = None          # largest exponent -nu over exactly-known coefficients
-    bound = None         # largest -nu over window-zero coefficients
-    for _, c in f.runs:
-        if c.is_exact_zero():
-            continue
-        e = -c.nu
-        if c.coeffs:
-            best = e if best is None else max(best, e)
-        else:
-            bound = e if bound is None else max(bound, e)
-    if best is None and bound is None:
-        return GaussNorm(None, True)      # zero to window
-    if bound is not None and (best is None or bound > best):
-        return GaussNorm(best if best is not None else bound,
-                         False)
-    return GaussNorm(best, True)
-
-
-def eval_series(f, x, decay=None, scan=200):
-    """Evaluate sum a_i x^i with a certified tail.
-
-    ``decay`` maps i to a lower bound for ord(a_i), valid for all i and
-    eventually increasing in i after adding i*ord(x).  Without it, the
-    coefficients are assumed to lie in the closed unit ball, which only
-    certifies a tail when ord(x) >= 1.
-    """
-    place = f.place
-    if x.is_exact_zero():
-        return f.coeff(0)
-    ordx = x.valuation()
-    if ordx is None:
-        raise PrecisionLoss("evaluation point with unknown valuation")
-    if decay is None:
-        if ordx < 1:
-            raise DecayNotCertified(
-                "need a decay certificate to evaluate outside the open unit disk")
-        decay = lambda i: 0  # noqa: E731
-    D = f.order
-    tail = min(decay(i) + i * ordx for i in range(D, D + scan))
-    acc = None
-    xp = None
-    for i, c in enumerate(f.coeffs):
-        if i == 0:
-            term = c
-        else:
-            xp = x if xp is None else xp * x
-            term = c * xp
-        acc = term if acc is None else acc + term
-    acc = acc + LocalNum.zero_to_precision(place, tail)
-    return acc

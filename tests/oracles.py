@@ -3,9 +3,10 @@
 Each one is the former implementation, kept only to check its successor:
 the exact Carlitz factorial, the multiplicity enumeration of the power sums
 at infinity, the dense delta_i whose inverse the logarithm divides by, the
-TSeries operations on one LocalNum per coefficient, the per-digit LocalNum
-sums and scaling, and the fixed-point iterations for the t-module
-exponential and logarithm coefficients.
+TSeries operations on one LocalNum per coefficient (with the packed digit
+sum they used and the packed window rule, next to its plain pairwise
+definition), the per-digit LocalNum sums and scaling, and the fixed-point
+iterations for the t-module exponential and logarithm coefficients.
 """
 
 import math
@@ -18,7 +19,8 @@ from vcarlitz.linalg import (
     kmat, kmat_add, kmat_mul, kmat_neg, kmat_scale, kmat_sub, kmat_zero,
 )
 from vcarlitz.local import (
-    INF, LocalNum, PlaceInf, _grid_product, _grid_sum, embed_local,
+    _WIDTHS, INF, LocalNum, PlaceInf, _grid_product, _pack, _rows,
+    embed_local,
 )
 from vcarlitz.tmodule import _delta_inv
 
@@ -98,6 +100,21 @@ def delta_local(place, i, W):
 # coefficient, with the same packed digit arithmetic.
 
 _FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _grid_sum(ctx, a, b, stride, widths, negate=False):
+    """The sum a + b, or a - b when `negate`, of two digit grids.
+
+    Grids and the rows returned are as for ``local._grid_product``.  A
+    difference adds (p - 1) * b, so a coordinate slot holds at most
+    (p - 1) + (p - 1)^2 = p (p - 1) before it is read modulo p; the fold
+    of ``local._unpack`` finds nothing above degree e - 1.
+    """
+    p = ctx.p
+    size = _WIDTHS[-(-(p * (p - 1)).bit_length() // 8)]
+    total = _pack(ctx, a, size) + (p - 1 if negate else 1) * _pack(
+        ctx, b, size)
+    return _rows(ctx, total, stride, widths, size)
 
 
 def series_sum(place, a, b, negate=False):
@@ -272,6 +289,17 @@ def window_rule(a, b):
         acc = smin(acc, shift(cand, start))
     return [None if f > 2 * R else f + 2 * base
             for f in fields(array(code, acc.to_bytes(D * size, "little")))]
+
+
+def window_rule_pairwise(a, b):
+    """The window rule by its definition, with nothing packed: for each n,
+    the minimum over the pairs i + j = n with no exact-zero factor of
+    min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), None without one."""
+    D = min(len(a), len(b))
+    return [min((min(x.nu + y.cutoff, y.nu + x.cutoff)
+                 for x, y in zip(a[:n + 1], reversed(b[:n + 1]))
+                 if x.nu != INF and y.nu != INF), default=None)
+            for n in range(D)]
 
 
 # -- the per-digit LocalNum sums and scaling ------------------------------

@@ -43,7 +43,8 @@ def test_tpoly_arithmetic_and_print():
 
 
 def test_tpoly_apply_matches_scalar_action():
-    g = TSeries.from_ratk_poly(V0, [ONE, T, T * T], 5, 20)
+    g = TSeries.from_local_coeffs(
+        V0, [embed_local(c, V0, 20) for c in (ONE, T, T * T)], 5, 20)
     a = (T, ONE)  # T + t
     out = tp_apply(a, g, V0, 20)
     # coefficient of t^1: T*T + 1*1
@@ -143,8 +144,10 @@ def test_perturbation_detected():
     psi = list(sys.psi(20, 20))
     bad = list(psi[1].coeffs)
     bad[2] = bad[2] + LocalNum(V0, 3, (1,) + (0,) * 17)
-    sys._psi_cache[(20, 20)] = (psi[0], TSeries(V0, bad))
-    res = verify_difference(sys, 20, 20)
+    perturbed = DiffSystem(
+        V0, sys.phi, lambda D, N: (psi[0], TSeries(V0, bad)), sys.weight,
+        sys.alpha, kind=sys.kind)
+    res = verify_difference(perturbed, 20, 20)
     assert not res.is_zero and res.exact and res.ord <= 4
 
 

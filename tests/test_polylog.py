@@ -11,7 +11,7 @@ from vcarlitz.algebra import (
 )
 from vcarlitz.errors import DomainError
 from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
-from vcarlitz.tseries import TSeries, eval_series, frobenius_twist
+from vcarlitz.tseries import TSeries, frobenius_twist
 from vcarlitz import polylog as pl
 from vcarlitz import tmodule
 
@@ -383,7 +383,7 @@ def test_omega_difference_equation():
     fac = TSeries.from_local_coeffs(
         V0, [LocalNum.unit_one(V0, 9), -aq], 6, 9)
     resid = om - fac * frobenius_twist(om)
-    assert resid.is_zero_to_window()
+    assert all(not c.coeffs for _, c in resid.runs)
 
 
 def test_omega_rejects_units():
@@ -399,9 +399,12 @@ def test_pi_tilde_value_and_unit():
 
 
 def test_pi_tilde_agrees_with_series_evaluation():
-    om = pl.omega_product(TH, V0, 12, 12)
-    val = eval_series(om, embed_local(TH.inv(), V0, 14),
-                      decay=pl.omega_decay(V0, TH))
+    # the t^n coefficient of Omega has ord >= (q^(n+1) - q)/(q - 1), so at
+    # t = 1/theta every term from n = 3 on has ord >= 39 - 3 = 36
+    om = pl.omega_product(TH, V0, 3, 12)
+    x = embed_local(TH.inv(), V0, 14)
+    val = om.coeff(0) + om.coeff(1) * x + om.coeff(2) * x * x
+    assert val.cutoff >= 9
     assert val.congruent(pl.pi_tilde(TH, V0, 9), 9)
 
 
@@ -428,7 +431,7 @@ def test_deformation_functional_equation_depth1():
         V0, [LocalNum.unit_one(V0, N), -pi_loc.pow(3)], D, N)
     rhs = frobenius_twist(om).scale(embed_local(TH, V0, N)) * fac \
         + frobenius_twist(L).t_shift(1, N)
-    assert (L - rhs).is_zero_to_window()
+    assert all(not c.coeffs for _, c in (L - rhs).runs)
 
 
 @pytest.mark.parametrize("svec", [(2, 1), (1, 1, 1)])
@@ -451,7 +454,7 @@ def test_deformation_functional_equation_higher_depth(svec):
     rhs = (frobenius_twist(om).pow(sr).scale(embed_local(TH, V0, N)) * fac
            * frobenius_twist(Lsub)).t_shift(head, N) \
         + frobenius_twist(L).t_shift(head + sr, N)
-    assert (L - rhs).is_zero_to_window()
+    assert all(not c.coeffs for _, c in (L - rhs).runs)
 
 
 def test_deformation_constant_term_depth1():
