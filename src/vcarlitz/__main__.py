@@ -1,0 +1,6 @@
+"""``python -m vcarlitz`` runs the ``vcarlitz`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

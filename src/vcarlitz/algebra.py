@@ -497,15 +497,47 @@ class RatK:
     def __hash__(self):
         return hash((self.num, self.den))
 
+    @classmethod
+    def _reduced(cls, num, den):
+        """num/den as it stands: coprime, den monic, den = 1 when num = 0."""
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    def _plus(self, c, d):
+        """self + c/d, c/d reduced, by Henrici's method: for g = gcd(b, d),
+        a/b + c/d = t/((b/g) d) with t = a (d/g) + c (b/g), and only
+        gcd(t, g) can cancel (Knuth, TAOCP vol. 2, 4.5.1)."""
+        a, b = self.num, self.den
+        if c.is_zero():
+            return self
+        if a.is_zero():
+            return RatK._reduced(c, d)
+        if b == d:
+            g, bg, t = b, None, a + c     # bg = b/g, None when it is 1
+        else:
+            g = b.gcd(d)
+            if g.is_one():
+                bg, t = b, a * d + c * b
+            else:
+                bg = b // g
+                t = a * (d // g) + c * bg
+        if t.is_zero():
+            return RatK.zero(t.ctx)
+        if not g.is_one():
+            h = t.gcd(g)
+            if not h.is_one():
+                t, d = t // h, d // h
+        return RatK._reduced(t, d if bg is None else bg * d)
+
     def __add__(self, other):
-        return RatK(self.num * other.den + other.num * self.den,
-                    self.den * other.den)
+        return self._plus(other.num, other.den)
 
     def __neg__(self):
-        return RatK(-self.num, self.den)
+        return RatK._reduced(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(-other.num, other.den)
 
     def __mul__(self, other):
         return RatK(self.num * other.num, self.den * other.den)

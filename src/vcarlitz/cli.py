@@ -5,6 +5,11 @@ Exit status 0 means success (or "verified"), 1 means a verification ran
 and failed, 2 means the request itself was unusable.  Machine output is
 one ``key=value`` record per line in a stable order; human output renders
 the same records as ``key: value``.
+
+A process loads only what its subcommand runs: each subcommand imports the
+modules it calls, and the parser builds only the selected leaf's arguments.
+``polylog`` stays a module-level import because the benchmark's tracer
+requires ``cli.cmspl_eval`` to be a binding of this module.
 """
 
 from __future__ import annotations
@@ -19,10 +24,6 @@ from .errors import (
 )
 from .local import PlaceInf, PlaceV, embed_local
 from .polylog import ArgTuple, Index, cmpl_eval, cmspl_eval, mzv_inf, pi_tilde
-from .relations import (
-    ValueHandle, depth1_decomposition, eval_vmzv, find_k_relations,
-    parse_decomposition, verify_decomposition_inf,
-)
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -76,15 +77,6 @@ def _factor_prime_power(q):
     raise ValueError(f"q = {q} is not a prime power")
 
 
-def _add_common(sub):
-    sub.add_argument("--q", type=int, default=3)
-    sub.add_argument("--lambda", dest="lam", type=int, default=0)
-    sub.add_argument("--prec", type=int, default=40)
-    sub.add_argument("--t-order", type=int, default=40)
-    sub.add_argument("--output", choices=("machine", "human"),
-                     default="machine")
-
-
 def _config(ns):
     p, e = _factor_prime_power(ns.q)
     return RunConfig(p, e, ns.lam, prec=ns.prec,
@@ -101,100 +93,105 @@ def _parse_tpoly(cfg, text):
     return tuple(parse_ratk(cfg.ctx, c) for c in text.split(","))
 
 
-def _build_parser():
+def _arg(flag, **kw):
+    return flag, kw
+
+
+_INDEX = _arg("--index", required=True)
+_ARGS = _arg("--args", required=True)
+_INDICES = _arg("--index", required=True, action="append")
+_ARGS_LIST = _arg("--args", required=True, action="append")
+_COMMON = (
+    _arg("--q", type=int, default=3),
+    _arg("--lambda", dest="lam", type=int, default=0),
+    _arg("--prec", type=int, default=40),
+    _arg("--t-order", type=int, default=40),
+    _arg("--output", choices=("machine", "human"), default="machine"),
+)
+_CHAIN = (_INDEX, _ARGS, _arg("--place", choices=("v", "inf"), default="v"))
+
+# group -> (help, leaf -> the leaf's arguments after _COMMON)
+_COMMANDS = {
+    "eval": ("evaluate a value", {
+        "cmpl": _CHAIN,
+        "cmspl": _CHAIN,
+        "mzv-inf": (_INDEX,),
+        "mzv-v": (
+            _INDEX,
+            _arg("--decomposition", help="decomposition file to transport"),
+            _arg("--tmodule", help="t-module spec file for deeper terms"),
+            _arg("--trust-unvalidated", action="store_true",
+                 help="use a t-module spec that failed or skipped "
+                      "validation (results carry no certification)"),
+            _arg("--cert-prec", type=int, default=40)),
+    }),
+    "verify": ("run a verifier", {
+        "omega": (),
+        "deformation": (_INDICES, _ARGS_LIST),
+        "system": (_INDICES, _ARGS_LIST),
+        "specialize": (_INDEX, _ARGS, _arg("--twist", type=int, default=0)),
+        "decomposition": (_arg("--file", required=True),),
+        "tmodule": (_arg("--file", required=True),),
+    }),
+    "certify": ("check a certificate", {
+        "mpl": (_INDEX, _ARGS,
+                _arg("--ftype", help="f as comma-separated t-coefficients"),
+                _arg("--n-list", default="1,2")),
+        "vabp": (
+            _arg("--index", action="append", default=None),
+            _arg("--args", action="append", default=None),
+            _arg("--omega-copies", type=int, default=0),
+            _arg("--gamma", required=True),
+            _arg("--rho", required=True),
+            _arg("--pcoeffs", required=True,
+                 help="rows of P: t-coefficients comma-separated, "
+                      "entries separated by ';'")),
+    }),
+    "relations": ("search for k-relations", {
+        "find": (_arg("--value", action="append", required=True,
+                      help="star value as 'index|args', repeatable"),
+                 _arg("--deg", type=int, default=1),
+                 _arg("--n-recheck", type=int, default=60)),
+    }),
+    "appendix": ("executable norm lemmas", {
+        "count-ball": (_arg("--n", type=int, required=True),),
+        "sup-norm": (
+            _arg("--coeffs", required=True,
+                 help="comma-separated R_v coefficients of f(t)"),
+            _arg("--radius", type=int, required=True,
+                 help="exponent r with disk |t| <= q^r")),
+        "small-solution": (
+            _arg("--rows", required=True,
+                 help="rows '/'-separated; entries ','-separated; "
+                      "t-coefficients ';'-separated R_v elements"),
+            _arg("--c-exp", type=int, required=True),
+            _arg("--deg-budget", type=int, default=2)),
+    }),
+}
+
+
+def _build_parser(argv):
+    """The parser tree, built only along the path that argv selects.
+
+    No top or group option takes a value, so the first two words of argv
+    not starting with '-' name the group and leaf that parse.  Every group
+    parser exists and the selected group has all its leaves, so names,
+    choices, usage and errors read as with the whole tree."""
+    selected = tuple(a for a in argv if not a.startswith("-"))[:2]
     top = argparse.ArgumentParser(
         prog="vcarlitz",
         description="exact Carlitz polylogarithm and v-adic MZV toolkit")
     cmds = top.add_subparsers(dest="command", required=True)
-
-    ev = cmds.add_parser("eval", help="evaluate a value")
-    evsub = ev.add_subparsers(dest="what", required=True)
-    for what in ("cmpl", "cmspl"):
-        s = evsub.add_parser(what)
-        _add_common(s)
-        s.add_argument("--index", required=True)
-        s.add_argument("--args", required=True)
-        s.add_argument("--place", choices=("v", "inf"), default="v")
-    s = evsub.add_parser("mzv-inf")
-    _add_common(s)
-    s.add_argument("--index", required=True)
-    s = evsub.add_parser("mzv-v")
-    _add_common(s)
-    s.add_argument("--index", required=True)
-    s.add_argument("--decomposition", help="decomposition file to transport")
-    s.add_argument("--tmodule", help="t-module spec file for deeper terms")
-    s.add_argument("--trust-unvalidated", action="store_true",
-                   help="use a t-module spec that failed or skipped "
-                        "validation (results carry no certification)")
-    s.add_argument("--cert-prec", type=int, default=40)
-
-    ver = cmds.add_parser("verify", help="run a verifier")
-    vsub = ver.add_subparsers(dest="what", required=True)
-    s = vsub.add_parser("omega")
-    _add_common(s)
-    for what in ("deformation", "system"):
-        s = vsub.add_parser(what)
-        _add_common(s)
-        s.add_argument("--index", required=True, action="append")
-        s.add_argument("--args", required=True, action="append")
-    s = vsub.add_parser("specialize")
-    _add_common(s)
-    s.add_argument("--index", required=True)
-    s.add_argument("--args", required=True)
-    s.add_argument("--twist", type=int, default=0)
-    s = vsub.add_parser("decomposition")
-    _add_common(s)
-    s.add_argument("--file", required=True)
-    s = vsub.add_parser("tmodule")
-    _add_common(s)
-    s.add_argument("--file", required=True)
-
-    cert = cmds.add_parser("certify", help="check a certificate")
-    csub = cert.add_subparsers(dest="what", required=True)
-    s = csub.add_parser("mpl")
-    _add_common(s)
-    s.add_argument("--index", required=True)
-    s.add_argument("--args", required=True)
-    s.add_argument("--ftype", help="f as comma-separated t-coefficients")
-    s.add_argument("--n-list", default="1,2")
-    s = csub.add_parser("vabp")
-    _add_common(s)
-    s.add_argument("--index", action="append", default=None)
-    s.add_argument("--args", action="append", default=None)
-    s.add_argument("--omega-copies", type=int, default=0)
-    s.add_argument("--gamma", required=True)
-    s.add_argument("--rho", required=True)
-    s.add_argument("--pcoeffs", required=True,
-                   help="rows of P: t-coefficients comma-separated, "
-                        "entries separated by ';'")
-
-    rel = cmds.add_parser("relations", help="search for k-relations")
-    rsub = rel.add_subparsers(dest="what", required=True)
-    s = rsub.add_parser("find")
-    _add_common(s)
-    s.add_argument("--value", action="append", required=True,
-                   help="star value as 'index|args', repeatable")
-    s.add_argument("--deg", type=int, default=1)
-    s.add_argument("--n-recheck", type=int, default=60)
-
-    app = cmds.add_parser("appendix", help="executable norm lemmas")
-    asub = app.add_subparsers(dest="what", required=True)
-    s = asub.add_parser("count-ball")
-    _add_common(s)
-    s.add_argument("--n", type=int, required=True)
-    s = asub.add_parser("sup-norm")
-    _add_common(s)
-    s.add_argument("--coeffs", required=True,
-                   help="comma-separated R_v coefficients of f(t)")
-    s.add_argument("--radius", type=int, required=True,
-                   help="exponent r with disk |t| <= q^r")
-    s = asub.add_parser("small-solution")
-    _add_common(s)
-    s.add_argument("--rows", required=True,
-                   help="rows '/'-separated; entries ','-separated; "
-                        "t-coefficients ';'-separated R_v elements")
-    s.add_argument("--c-exp", type=int, required=True)
-    s.add_argument("--deg-budget", type=int, default=2)
+    for group, (text, leaves) in _COMMANDS.items():
+        sub = cmds.add_parser(group, help=text)
+        if selected[:1] != (group,):
+            continue
+        sub = sub.add_subparsers(dest="what", required=True)
+        for leaf, args in leaves.items():
+            s = sub.add_parser(leaf)
+            if selected == (group, leaf):
+                for flag, kw in _COMMON + args:
+                    s.add_argument(flag, **kw)
     return top
 
 
@@ -217,6 +214,10 @@ def _cmd_eval(ns):
         cfg.emit([("value", val)])
         return EXIT_OK
     # mzv-v: transport a certified decomposition to the finite place
+    from .relations import (
+        depth1_decomposition, eval_vmzv, parse_decomposition,
+        verify_decomposition_inf,
+    )
     if ns.cert_prec < 1:
         raise ValueError(f"cert-prec must be >= 1, got {ns.cert_prec}")
     s = Index.parse(ns.index)
@@ -265,11 +266,34 @@ def _residual_records(res):
 
 
 def _cmd_verify(ns):
+    cfg = _config(ns)
+    if ns.what == "decomposition":
+        from .relations import parse_decomposition, verify_decomposition_inf
+        with open(ns.file) as fh:
+            dec, _ctx = parse_decomposition(fh.read())
+        try:
+            cert = verify_decomposition_inf(dec, cfg.prec)
+        except CertificationFailed as exc:
+            cfg.emit([("certified", "false"),
+                      ("residual_ord", exc.residual_ord)])
+            return EXIT_FAILED
+        cfg.emit([("certified", "true"), ("prec", cert["prec"])])
+        return EXIT_OK
+    if ns.what == "tmodule":
+        from .tmodule import parse_tmodule_spec, validate_tmodule
+        with open(ns.file) as fh:
+            spec = parse_tmodule_spec(fh.read())
+        cert = validate_tmodule(spec, cfg.place_v, min(cfg.prec, 30))
+        records = [("validated", str(cert.ok).lower())]
+        for i, (args, _pt, ok, residual) in enumerate(cert.results):
+            note = "ok" if ok else f"fail residual_ord={residual}"
+            records.append((f"point_{i}", f"args={args} {note}"))
+        cfg.emit(records)
+        return EXIT_OK if cert.ok else EXIT_FAILED
     from .diffsys import (
         block_sum, build_cmpl_system, build_omega_system, specialize_psi,
         verify_difference,
     )
-    cfg = _config(ns)
     if ns.what == "omega":
         res = verify_difference(build_omega_system(cfg.place_v),
                                 ns.t_order, cfg.prec)
@@ -287,45 +311,23 @@ def _cmd_verify(ns):
         records, code = _residual_records(res)
         cfg.emit(records)
         return code
-    if ns.what == "specialize":
-        s = Index.parse(ns.index)
-        u = _parse_args_tuple(cfg, ns.args)
-        place = cfg.place_v
-        sys_ = build_cmpl_system(s, u, place)
-        w, N = sys_.weight, ns.twist
-        vals = specialize_psi(sys_, N, cfg.prec)
-        pt = pi_tilde(sys_.alpha, place, cfg.prec)
-        target = cmpl_eval(s, u, place, cfg.prec) * pt.pow(w)
-        if N == 0:
-            ok = (vals[-1] - target).is_zero_to_precision()
-        else:
-            ok = all(x.is_exact_zero() for x in vals[:-1])
-            lit = vals[-1].shift(N * w * place.q ** N)
-            ok = ok and (lit - target.qpow(N)).is_zero_to_precision()
-        cfg.emit([("twist", N), ("status", "ok" if ok else "fail")])
-        return EXIT_OK if ok else EXIT_FAILED
-    if ns.what == "decomposition":
-        with open(ns.file) as fh:
-            dec, _ctx = parse_decomposition(fh.read())
-        try:
-            cert = verify_decomposition_inf(dec, cfg.prec)
-        except CertificationFailed as exc:
-            cfg.emit([("certified", "false"),
-                      ("residual_ord", exc.residual_ord)])
-            return EXIT_FAILED
-        cfg.emit([("certified", "true"), ("prec", cert["prec"])])
-        return EXIT_OK
-    # tmodule
-    from .tmodule import parse_tmodule_spec, validate_tmodule
-    with open(ns.file) as fh:
-        spec = parse_tmodule_spec(fh.read())
-    cert = validate_tmodule(spec, cfg.place_v, min(cfg.prec, 30))
-    records = [("validated", str(cert.ok).lower())]
-    for i, (args, _pt, ok, residual) in enumerate(cert.results):
-        note = "ok" if ok else f"fail residual_ord={residual}"
-        records.append((f"point_{i}", f"args={args} {note}"))
-    cfg.emit(records)
-    return EXIT_OK if cert.ok else EXIT_FAILED
+    # specialize
+    s = Index.parse(ns.index)
+    u = _parse_args_tuple(cfg, ns.args)
+    place = cfg.place_v
+    sys_ = build_cmpl_system(s, u, place)
+    w, N = sys_.weight, ns.twist
+    vals = specialize_psi(sys_, N, cfg.prec)
+    pt = pi_tilde(sys_.alpha, place, cfg.prec)
+    target = cmpl_eval(s, u, place, cfg.prec) * pt.pow(w)
+    if N == 0:
+        ok = (vals[-1] - target).is_zero_to_precision()
+    else:
+        ok = all(x.is_exact_zero() for x in vals[:-1])
+        lit = vals[-1].shift(N * w * place.q ** N)
+        ok = ok and (lit - target.qpow(N)).is_zero_to_precision()
+    cfg.emit([("twist", N), ("status", "ok" if ok else "fail")])
+    return EXIT_OK if ok else EXIT_FAILED
 
 
 def _cmd_certify(ns):
@@ -381,6 +383,7 @@ def _cmd_certify(ns):
 
 
 def _cmd_relations(ns):
+    from .relations import ValueHandle, find_k_relations
     cfg = _config(ns)
     if ns.deg < 0:
         raise ValueError(f"deg must be >= 0, got {ns.deg}")
@@ -439,7 +442,8 @@ _DISPATCH = {
 
 
 def run_command(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
@@ -456,3 +460,7 @@ def run_command(argv=None):
 
 def main():
     raise SystemExit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -14,12 +14,10 @@ its factor rows rather than one product per chain.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .algebra import RatK
 from .errors import DomainError, ParseError, PrecisionLoss
 from .local import LocalNum, PlaceInf, PlaceV, embed_local, geometric_product
-from .tseries import TSeries
 
 
 class Index:
@@ -115,11 +113,8 @@ def domain_check(s, u, tag, place=None):
         ctx = u[0].ctx
         inf = PlaceInf(ctx)
         q = ctx.q
-        for si, x in zip(s, u):
-            # |u|_inf < q^(s*q/(q-1))  <=>  -ord_inf(u) < s*q/(q-1)
-            if -Fraction(inf.ord_ratk(x)) >= Fraction(si * q, q - 1):
-                return False
-        return True
+        # |u|_inf < q^(s*q/(q-1))  <=>  -ord_inf(u) * (q-1) < s*q, as q > 1
+        return all(-inf.ord_ratk(x) * (q - 1) < si * q for si, x in zip(s, u))
     if not isinstance(place, PlaceV):
         raise ValueError("v-adic domain check needs a finite place")
     ords = u.ords(place)
@@ -390,6 +385,7 @@ def _omega_tail(place, i, D, N):
     out = _OMEGA_TAIL_CACHE.get(key)
     if out is not None:
         return out
+    from .tseries import TSeries
     q = place.q
     pi = embed_local(place.uniformizer(), place, N)
     out = TSeries.one(place, D, N)
@@ -409,6 +405,7 @@ def omega_product(alpha, place, D, N):
     """The product prod_(i>=1) (1 - alpha^(q^i) t), truncated at (t^D, pi^N)."""
     if place.ord_ratk(alpha) < 1:
         raise DomainError("alpha must lie in the open unit disk at v")
+    from .tseries import TSeries
     q = place.q
     a = embed_local(alpha, place, N)
     da = place.ord_ratk(alpha)
@@ -472,6 +469,7 @@ def deformation_build(s, u, place, D, N):
     """
     if not domain_check(s, u, CONV_V, place):
         raise DomainError("arguments outside the v-adic convergence domain")
+    from .tseries import TSeries
     q = place.q
     d1 = u.ords(place)[0]
     I = 0

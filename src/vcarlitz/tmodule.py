@@ -30,12 +30,10 @@ from .algebra import (
 )
 from .errors import (
     AnnihilationFailure, ConvergenceNotCertified, DomainError, ParseError,
-    SingularStep,
 )
 from .linalg import (
-    fq_min_poly, fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_frobenius,
-    kmat_identity, kmat_inv, kmat_mul, kmat_neg, kmat_poly_eval, kmat_scale,
-    kmat_sub, kmat_zero,
+    fq_min_poly, fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity,
+    kmat_inv, kmat_mul, kmat_neg, kmat_poly_eval, kmat_scale,
 )
 from .local import LocalNum, PlaceV, embed_local, geometric_product
 from .polylog import DEF_V, ArgTuple, Index, cmspl_eval, domain_check
@@ -72,10 +70,8 @@ class TModuleSpec:
         # N0 lifted to k, and B0 = theta*Id + N0
         lift = kmat([[RatK(PolyA.constant(ctx, c)) for c in r]
                      for r in self.N0])
-        self.N0k = lift
         theta = RatK.T(ctx)
         self.B0 = kmat_add(kmat_scale(kmat_identity(ctx, dim), theta), lift)
-        self._log = _LogCoeffs(self)
         # (place, W) -> _LocalLogCoeffs
         self._llog_cache = {}
 
@@ -124,7 +120,6 @@ def with_args(spec, args, point):
                       spec.test_points, spec.name)
     out.validated = spec.validated
     # the coefficients depend on N0, B1, the place and W only
-    out._log = spec._log
     out._llog_cache = spec._llog_cache
     return out
 
@@ -191,47 +186,7 @@ def tm_action(spec, a, z):
     return tuple(out)
 
 
-# -- exponential / logarithm coefficients --------------------------------
-
-class _LogCoeffs:
-    """Lazily extended coefficient matrices Q_i (exp) and P_i (log)."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        ident = kmat_identity(spec.ctx, spec.dim)
-        self.Q = [ident]
-        self.P = [ident]
-
-    def ensure(self, i_max):
-        spec = self.spec
-        ctx = spec.ctx
-        while len(self.Q) <= i_max:
-            i = len(self.Q)
-            R = kmat_mul(spec.B1, kmat_frobenius(self.Q[i - 1]))
-            self.Q.append(_solve_twisted_sylvester(spec, i, R))
-            # P_m = -sum_{i<m} P_i Q_{m-i}^(i)
-            m = len(self.P)
-            acc = kmat_zero(ctx, spec.dim, spec.dim)
-            for j in range(m):
-                acc = kmat_add(
-                    acc, kmat_mul(self.P[j], kmat_frobenius(self.Q[m - j], j)))
-            self.P.append(kmat_neg(acc))
-
-
-def _solve_twisted_sylvester(spec, i, R):
-    """Solve Q (theta^{q^i} Id + N0) - (theta Id + N0) Q = R over k.
-
-    This is Q (delta + N0) - N0 Q = R with delta = theta^{q^i} - theta;
-    _sylvester_solve gives Q in closed form, and Q is checked exactly.
-    """
-    ctx = spec.ctx
-    delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
-    Q = _sylvester_solve(spec, R, delta.inv())
-    comm = kmat_sub(_lmat_n0(spec, Q, "right"), _lmat_n0(spec, Q))
-    if kmat_add(kmat_scale(Q, delta), comm) != R:
-        raise SingularStep("twisted Sylvester solution failed its check")
-    return Q
-
+# -- the twisted Sylvester equation -------------------------------------
 
 def _sylvester_solve(spec, R, dinv):
     """The P with P (delta + N0) - N0 P = R, given dinv = 1/delta.
@@ -264,15 +219,14 @@ def _sylvester_solve(spec, R, dinv):
     return kmat_mul(X, M)
 
 
-def explog_coeffs(spec, I_max):
-    """The pair of coefficient lists (Q_0..Q_I, P_0..P_I)."""
-    if I_max < 0:
-        raise ValueError("I_max must be >= 0")
-    spec._log.ensure(I_max)
-    return spec._log.Q[:I_max + 1], spec._log.P[:I_max + 1]
-
-
 # -- residue annihilator -------------------------------------------------
+
+def _require_integral_b1(spec, place):
+    """Refuse a B1 with an entry of negative valuation at v: the residue
+    reduction and the log's valuation bound both rest on B1 being v-integral."""
+    if any(place.ord_ratk(e) < 0 for r in spec.B1 for e in r):
+        raise DomainError("B1 is not v-integral")
+
 
 def residue_annihilator(spec, place):
     """Annihilator of the residue module at a degree-one finite place.
@@ -284,16 +238,14 @@ def residue_annihilator(spec, place):
     """
     if not isinstance(place, PlaceV):
         raise ValueError("residue annihilator needs a finite place")
+    _require_integral_b1(spec, place)
     ctx = spec.ctx
     root = place.theta_root()
     M = []
     for i in range(spec.dim):
         row = []
         for j in range(spec.dim):
-            b1 = spec.B1[i][j].num
-            if place.ord_ratk(spec.B1[i][j]) < 0:
-                raise DomainError("B1 is not v-integral")
-            c = b1.eval_fq(root)
+            c = spec.B1[i][j].num.eval_fq(root)
             if i == j:
                 c = ctx.add(c, root)
             c = ctx.add(c, spec.N0[i][j])
@@ -309,12 +261,12 @@ def residue_annihilator(spec, place):
 
 # -- logarithm evaluation ------------------------------------------------
 #
-# Exact matrices over k are kept only for small indices (explog_coeffs);
-# beyond that the entries involve polynomials of degree ~ q^i and exact
-# rational arithmetic is hopeless.  Evaluation therefore recomputes the
-# same recursions in windowed local arithmetic: valuation *lower bounds*
-# read off the windows are sound inputs to the stopping rule, and the
-# windows themselves bound the error of every retained digit.
+# Exact coefficient matrices over k (the test oracle) involve polynomials
+# of degree ~ q^i, and exact rational arithmetic is hopeless beyond small
+# indices.  Evaluation therefore solves the same recursions in windowed
+# local arithmetic: valuation *lower bounds* read off the windows are sound
+# inputs to the stopping rule, and the windows themselves bound the error
+# of every retained digit.
 
 def _lmat_n0(spec, A, side="left"):
     """N0 @ A (side='left') or A @ N0 (side='right') for N0 over F_q,
@@ -363,6 +315,7 @@ class _LocalLogCoeffs:
     """
 
     def __init__(self, spec, place, W):
+        _require_integral_b1(spec, place)
         self.spec = spec
         self.place = place
         self.W = W

@@ -3,20 +3,25 @@
 Each one is the former implementation, kept only to check its successor:
 the exact Carlitz factorial, the multiplicity enumeration of the power sums
 at infinity, the dense delta_i whose inverse the logarithm divides by, the
+convergence test at infinity in fractions, the
 TSeries operations on one LocalNum per coefficient (with the packed digit
 sum they used and the packed window rule, next to its plain pairwise
-definition), the per-digit LocalNum sums and scaling, and the fixed-point
-iterations for the t-module exponential and logarithm coefficients.
+definition), the per-digit LocalNum sums and scaling, the exact t-module
+exponential and logarithm coefficients over k, and the fixed-point
+iterations for those coefficients.
 """
 
 import math
 import sys
 from array import array
+from fractions import Fraction
 
+from vcarlitz import tmodule
 from vcarlitz.algebra import PolyA, RatK
 from vcarlitz.errors import SingularStep
 from vcarlitz.linalg import (
-    kmat, kmat_add, kmat_mul, kmat_neg, kmat_scale, kmat_sub, kmat_zero,
+    kmat, kmat_add, kmat_frobenius, kmat_identity, kmat_mul, kmat_neg,
+    kmat_scale, kmat_sub, kmat_zero,
 )
 from vcarlitz.local import (
     _WIDTHS, INF, LocalNum, PlaceInf, _grid_product, _pack, _rows,
@@ -81,6 +86,14 @@ def power_sum_enum(ctx, d, s, prec):
     if pad > 0 and not out.is_zero_to_precision():
         out = LocalNum(place, out.nu, out.coeffs + (0,) * int(pad))
     return out
+
+
+def domain_check_inf(s, u):
+    """-ord_inf(u_l) < s_l q/(q - 1) for every slot l, in fractions."""
+    ctx = u[0].ctx
+    inf = PlaceInf(ctx)
+    return all(-Fraction(inf.ord_ratk(x)) < Fraction(si * ctx.q, ctx.q - 1)
+               for si, x in zip(s, u))
 
 
 def delta_local(place, i, W):
@@ -347,6 +360,40 @@ def localnum_scale_fq(x, c):
     return LocalNum(x.place, x.nu, [mul(c, d) for d in x.coeffs])
 
 
+# -- exact t-module coefficients over k ----------------------------------
+
+def solve_twisted_sylvester(spec, i, R):
+    """Solve Q (theta^{q^i} Id + N0) - (theta Id + N0) Q = R over k.
+
+    This is Q (delta + N0) - N0 Q = R with delta = theta^{q^i} - theta;
+    _sylvester_solve gives Q in closed form, and Q is checked exactly.
+    """
+    ctx = spec.ctx
+    delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
+    Q = tmodule._sylvester_solve(spec, R, delta.inv())
+    comm = kmat_sub(tmodule._lmat_n0(spec, Q, "right"),
+                    tmodule._lmat_n0(spec, Q))
+    if kmat_add(kmat_scale(Q, delta), comm) != R:
+        raise SingularStep("twisted Sylvester solution failed its check")
+    return Q
+
+
+def explog_coeffs(spec, I_max):
+    """The exact coefficient lists (Q_0..Q_I_max, P_0..P_I_max) over k of
+    the exponential and the logarithm."""
+    ident = kmat_identity(spec.ctx, spec.dim)
+    Q, P = [ident], [ident]
+    for m in range(1, I_max + 1):
+        R = kmat_mul(spec.B1, kmat_frobenius(Q[m - 1]))
+        Q.append(solve_twisted_sylvester(spec, m, R))
+        # P_m = -sum_{j<m} P_j Q_{m-j}^(j)
+        acc = kmat_zero(spec.ctx, spec.dim, spec.dim)
+        for j in range(m):
+            acc = kmat_add(acc, kmat_mul(P[j], kmat_frobenius(Q[m - j], j)))
+        P.append(kmat_neg(acc))
+    return Q, P
+
+
 # -- fixed-point iterations for the t-module coefficients -----------------
 #
 # Both equations read P (delta + N0) - N0 P = R; dividing by delta makes P a
@@ -357,7 +404,7 @@ def solve_twisted_sylvester_fixed_point(spec, i, R):
     ctx = spec.ctx
     delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
     dinv = delta.inv()
-    N0 = spec.N0k
+    N0 = kmat([[RatK(PolyA.constant(ctx, c)) for c in r] for r in spec.N0])
     Q = kmat_zero(ctx, spec.dim, spec.dim)
     for _ in range(2 * spec.dim + 2):
         nxt = kmat_scale(

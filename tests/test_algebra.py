@@ -228,6 +228,32 @@ def test_ratk_polynomial_fast_exit_is_reduced(f, g, c):
     assert (s.num, s.den) == (f + g, PolyA.one(CTX9))
 
 
+@st.composite
+def ratk_pairs(draw):
+    """Two fractions whose denominators are often equal or share a factor."""
+    ctx = draw(st.sampled_from([FqContext(2), CTX3, CTX4, FqContext(5)]))
+    polys = poly_strategy(ctx, 3)
+    nonzero = polys.filter(lambda f: not f.is_zero())
+    g = draw(nonzero)
+    b = draw(nonzero) * g
+    if draw(st.booleans()):
+        d = b
+    else:
+        d = draw(nonzero) * draw(st.sampled_from([g, PolyA.one(ctx)]))
+    return RatK(draw(polys), b), RatK(draw(polys), d)
+
+
+@given(ratk_pairs())
+@settings(max_examples=300, deadline=None)
+def test_ratk_sum_shortcuts_match_the_plain_sum(pair):
+    x, y = pair
+    den = x.den * y.den
+    for got, want in ((x + y, RatK(x.num * y.den + y.num * x.den, den)),
+                      (x - y, RatK(x.num * y.den - y.num * x.den, den)),
+                      (-y, RatK(-y.num, y.den))):
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_ratk_monic_denominator():
     r = RatK(parse_poly(CTX3, "T"), parse_poly(CTX3, "2*T+1"))
     assert r.den.is_monic()

@@ -1,9 +1,16 @@
 """Golden-output regressions for the command-line surface."""
 
+import contextlib
 import importlib.resources as resources
+import io
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import vcarlitz
 from vcarlitz import polylog
 from vcarlitz.algebra import FqContext
 from vcarlitz.cli import RunConfig, run_command
@@ -295,3 +302,90 @@ def test_runconfig_validation():
         RunConfig(p=3, prec=0)
     with pytest.raises(ValueError):
         RunConfig(p=3, t_order=-1)
+
+
+# -- help, usage and errors, and process start-up -------------------------
+
+with open(os.path.join(os.path.dirname(__file__), "data",
+                       "cli_golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.skipif(tuple(GOLDEN["python"]) != sys.version_info[:2],
+                    reason="argparse wording differs between Python versions")
+@pytest.mark.parametrize("case", GOLDEN["cases"],
+                         ids=lambda c: " ".join(c["argv"]) or "(none)")
+def test_help_usage_and_errors_are_unchanged(case, monkeypatch):
+    # captured from the parser that built every leaf's arguments up front
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(case["argv"])
+    assert (out.getvalue(), err.getvalue(), code) == \
+        (case["stdout"], case["stderr"], case["exit"])
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(vcarlitz.__file__)))
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["vcarlitz", "vcarlitz.cli"])
+def test_python_m_runs_the_command(module):
+    proc = _python("-m", module, "verify", "omega", "--t-order", "8",
+                   "--prec", "8")
+    assert (proc.stdout, proc.returncode) == \
+        ("residual_ord=inf\nstatus=ok\n", 0)
+
+
+_LOADS = """
+import json, sys
+before = set(sys.modules)
+from vcarlitz.cli import run_command
+code = run_command(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+_BASE = {"algebra", "cli", "errors", "local", "polylog"}
+_DIFFSYS = _BASE | {"diffsys", "tseries"}
+_CHEAP = ["--prec", "4", "--t-order", "4"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["eval", "cmpl", "--index", "1", "--args", "T"], _BASE),
+    (["eval", "cmspl", "--index", "1", "--args", "1", "--place", "inf"],
+     _BASE),
+    (["eval", "mzv-inf", "--index", "2,1"], _BASE),
+    (["eval", "mzv-v", "--index", "2"],
+     _BASE | {"relations", "linalg", "tmodule"}),
+    (["verify", "omega"], _DIFFSYS),
+    (["verify", "deformation", "--index", "1", "--args", "T"], _DIFFSYS),
+    (["verify", "system", "--index", "1", "--args", "T"], _DIFFSYS),
+    (["verify", "specialize", "--index", "1", "--args", "T"], _DIFFSYS),
+    (["verify", "decomposition", "--file",
+      data_path("decompositions", "zeta_q3_s1.txt")],
+     _BASE | {"relations", "linalg"}),
+    (["verify", "tmodule", "--file", data_path("tmodules", "tensor_q3_s1.txt")],
+     _BASE | {"tmodule", "linalg"}),
+    (["certify", "mpl", "--index", "1", "--args", "T"], _DIFFSYS),
+    (["certify", "vabp", "--omega-copies", "1", "--gamma", "1/T", "--rho", "1",
+      "--pcoeffs", "1"], _DIFFSYS),
+    (["relations", "find", "--value", "1|T", "--n-recheck", "8"],
+     _BASE | {"relations", "linalg"}),
+    (["appendix", "count-ball", "--n", "1"], _BASE | {"abp", "linalg"}),
+    (["appendix", "sup-norm", "--coeffs", "1", "--radius", "1"],
+     _BASE | {"abp", "linalg"}),
+    (["appendix", "small-solution", "--rows", "1,2", "--c-exp", "2"],
+     _BASE | {"abp", "linalg"}),
+])
+def test_a_process_loads_only_what_its_subcommand_runs(argv, loaded):
+    proc = _python("-c", _LOADS, *argv, *_CHEAP)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (0, 1), proc.stderr
+    assert {m[len("vcarlitz."):] for m in modules
+            if m.startswith("vcarlitz.")} == loaded
+    if argv[1] != "small-solution":     # its norm bound is a fraction
+        assert "fractions" not in modules

@@ -15,7 +15,7 @@ from vcarlitz.tseries import TSeries, frobenius_twist
 from vcarlitz import polylog as pl
 from vcarlitz import tmodule
 
-from oracles import L_factorial, delta_local, power_sum_enum
+from oracles import L_factorial, delta_local, domain_check_inf, power_sum_enum
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -33,6 +33,28 @@ def test_index_basics():
     assert str(s) == "2,1,3"
     with pytest.raises(ValueError):
         pl.Index((0, 1))
+
+
+@st.composite
+def inf_domain_cases(draw):
+    ctx = draw(st.sampled_from([FqContext(2), CTX3, FqContext(2, 2),
+                                FqContext(5)]))
+
+    def nonzero_poly():
+        tail = draw(st.lists(st.integers(0, ctx.q - 1), max_size=7))
+        return PolyA(ctx, tail + [draw(st.integers(1, ctx.q - 1))])
+
+    r = draw(st.integers(1, 3))
+    s = pl.Index(draw(st.lists(st.integers(1, 6), min_size=r, max_size=r)))
+    return s, pl.ArgTuple([RatK(nonzero_poly(), nonzero_poly())
+                           for _ in range(r)])
+
+
+@given(inf_domain_cases())
+@settings(max_examples=300, deadline=None)
+def test_domain_check_at_infinity_matches_fractions(case):
+    s, u = case
+    assert pl.domain_check(s, u, pl.CONV_INF) == domain_check_inf(s, u)
 
 
 def test_argtuple_rejects_zero():

@@ -18,14 +18,14 @@ from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
 from vcarlitz.relations import zeta_v
 from vcarlitz.tmodule import (
-    TModuleSpec, _LocalLogCoeffs, _solve_twisted_sylvester, dump_tmodule_spec,
-    explog_coeffs, extended_cmspl_v, log_at_point, parse_tmodule_spec,
-    residue_annihilator, tensor_carlitz_spec, tm_action, validate_tmodule,
-    with_args,
+    TModuleSpec, _LocalLogCoeffs, dump_tmodule_spec, extended_cmspl_v,
+    log_at_point, parse_tmodule_spec, residue_annihilator,
+    tensor_carlitz_spec, tm_action, validate_tmodule, with_args,
 )
 
 from oracles import (
-    L_factorial, local_log_fixed_point, solve_twisted_sylvester_fixed_point,
+    L_factorial, explog_coeffs, local_log_fixed_point, solve_twisted_sylvester,
+    solve_twisted_sylvester_fixed_point,
 )
 
 CTX3 = FqContext(3)
@@ -181,7 +181,7 @@ def test_sylvester_solver_matches_fixed_point(spec, data):
     Q, P = explog_coeffs(spec, I_exact)
     for i in range(1, I_exact + 1):
         R = kmat_mul(spec.B1, kmat_frobenius(Q[i - 1]))
-        assert _solve_twisted_sylvester(spec, i, R) == \
+        assert solve_twisted_sylvester(spec, i, R) == \
             solve_twisted_sylvester_fixed_point(spec, i, R)
     place = PlaceV(ctx, data.draw(st.integers(0, ctx.q - 1)))
     W = data.draw(st.integers(1, 120))
@@ -333,6 +333,20 @@ def test_log_rejects_units():
     spec = tensor_carlitz_spec(1, CTX3)
     with pytest.raises(ConvergenceNotCertified):
         log_at_point(spec, (embed_local(RatK.one(CTX3), V0, 40),), V0, 20)
+
+
+@pytest.mark.parametrize("lam", [0, 1, 2])
+def test_log_rejects_b1_that_is_not_v_integral(lam):
+    # TModuleSpec admits only B1 over A; a B1 replaced afterwards must not
+    # reach the log, whose valuation bound rests on B1 being v-integral
+    place = PlaceV(CTX3, lam)
+    pi = T + RatK(PolyA.constant(CTX3, lam))
+    spec = tensor_carlitz_spec(2, CTX3)
+    zero = RatK.zero(CTX3)
+    spec.B1 = ((zero, zero), (pi.inv(), zero))
+    z = (embed_local(pi, place, 40),) * 2
+    with pytest.raises(DomainError, match="B1 is not v-integral"):
+        log_at_point(spec, z, place, 20)
 
 
 # -- extended evaluation -------------------------------------------------
