@@ -326,12 +326,11 @@ def small_solution(M, C_exp, deg_budget, place):
         raise ValueError("the system must be strictly underdetermined")
     if deg_budget < 0:
         raise ValueError(f"deg-budget must be >= 0, got {deg_budget}")
-    from fractions import Fraction
     mnorm = max((rvt_norm_exp(e) or 0) for row in M for e in row)
     if mnorm >= C_exp:
         raise ValueError("matrix norm must be below C")
-    bound = Fraction(C_exp * rows, cols - rows)
-    d_x = int(bound) - 1 if bound.denominator == 1 else int(bound)
+    # the largest integer below C r/(s - r) is ceil(C r/(s - r)) - 1
+    d_x = -(-C_exp * rows // (cols - rows)) - 1
     if d_x < 0:
         raise NoSolutionInBudget("the norm ball contains only zero")
     q = place.q
@@ -376,12 +375,11 @@ def small_solution(M, C_exp, deg_budget, place):
             if jj_ == j and sol[col_idx]:
                 coeff_lists[m][jj] = sol[col_idx]
         x.append(tuple(RvElem(place, cl) for cl in coeff_lists))
-    _verify_small_solution(M, x, bound, place)
+    _verify_small_solution(M, x, C_exp, place)
     return tuple(x)
 
 
-def _verify_small_solution(M, x, bound, place):
-    from fractions import Fraction
+def _verify_small_solution(M, x, C_exp, place):
     if all(c.is_zero() for entry in x for c in entry):
         raise AssertionFailure("produced the zero vector")
     for row in M:
@@ -394,5 +392,6 @@ def _verify_small_solution(M, x, bound, place):
         if any(not c.is_zero() for c in acc):
             raise AssertionFailure("claimed solution does not annihilate M")
     nx = max(rvt_norm_exp(entry) or 0 for entry in x)
-    if not Fraction(nx) < bound:
+    rows, cols = len(M), len(x)
+    if not nx * (cols - rows) < C_exp * rows:        # nx < C r/(s - r)
         raise AssertionFailure("solution norm exceeds the lemma bound")

@@ -631,23 +631,3 @@ def irreducible_test(f):
             if (f % g).is_zero():
                 return False
     return True
-
-
-def carlitz_theta(z):
-    """C_T(z) = T z + z^q for z in k."""
-    ctx = z.ctx
-    return RatK.T(ctx) * z + z ** ctx.q
-
-
-def carlitz_action(a, z):
-    """C_a(z) for a in A: the F_q-linear Carlitz module action."""
-    ctx = a.ctx
-    # precompute iterates C_{T^i}(z)
-    iterates = [z]
-    for _ in range(len(a.coeffs) - 1):
-        iterates.append(carlitz_theta(iterates[-1]))
-    out = RatK.zero(ctx)
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out = out + iterates[i] * RatK(PolyA.constant(ctx, c))
-    return out

@@ -12,12 +12,13 @@ in t.
 
 from __future__ import annotations
 
-from .algebra import PolyA, RatK
+from .algebra import RatK
 from .errors import CertificationFailed, DomainError
 from .local import LocalNum, PlaceV, embed_local
 from .polylog import (
-    ArgTuple, Index, cmpl_eval, deformation_build, deformation_specialize,
-    domain_check, omega_at_inverse_power, omega_product, pi_tilde, CONV_V,
+    ArgTuple, Index, _omega_tail, cmpl_eval, deformation_build,
+    deformation_specialize, domain_check, omega_at_inverse_power, pi_tilde,
+    CONV_V,
 )
 from .tseries import TSeries, frobenius_twist
 
@@ -65,13 +66,6 @@ def tp_mul(a, b, ctx):
     return tp_normalize(out)
 
 
-def tp_pow(a, n, ctx):
-    out = tp_one(ctx)
-    for _ in range(n):
-        out = tp_mul(out, a, ctx)
-    return out
-
-
 def tp_scale(a, c, ctx):
     return tp_normalize([x * c for x in a])
 
@@ -88,25 +82,6 @@ def tp_eval_k(a, x):
     for c in reversed(a):
         out = out * x + c
     return out
-
-
-def tp_str(a):
-    if not a:
-        return "0"
-    parts = []
-    for i, c in enumerate(a):
-        if c.is_zero():
-            continue
-        cs = str(c)
-        if ("+" in cs or "/" in cs) and i > 0:
-            cs = f"({cs})"
-        if i == 0:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(f"t^{i}")
-        else:
-            parts.append(f"{cs}*t^{i}")
-    return " + ".join(parts)
 
 
 def tp_apply(a, g, place, N):
@@ -160,21 +135,38 @@ class DiffSystem:
         return f"DiffSystem({self.kind}, size={self.size}, w={self.weight})"
 
 
-def _one_minus_alpha_q_t(place, power=1):
-    """((1 - alpha t)^power) twisted: (1 - alpha^q t)^power over k[t]."""
+def _one_minus_alpha_q_t(place, n):
+    """(1 - alpha t)^k twisted, (1 - alpha^q t)^k over k[t], for k = 0..n."""
     ctx = place.ctx
     aq = RatK(place.uniformizer()).frobenius()
-    return tp_pow((RatK.one(ctx), -aq), power, ctx)
+    out = [tp_one(ctx)]
+    for _ in range(n):
+        out.append(tp_mul(out[-1], (RatK.one(ctx), -aq), ctx))
+    return out
+
+
+def _omega_powers(place, n, D, N):
+    """Omega^k mod (t^D, pi^N) at index k = 1, ..., n, each one product on
+    from the last; index 0 holds None, no factor.
+
+    alpha is the uniformizer, so Omega is the cached omega tail at i = 0,
+    the same series as the F_0 row of every deformation series.
+    """
+    out = [None]
+    if n:
+        out.append(_omega_tail(place, 0, D, N))
+    while len(out) <= n:
+        out.append(out[-1] * out[1])
+    return out
 
 
 def build_omega_system(place):
     """The rank-one system psi = (Omega), Phi = (1 - alpha t)."""
-    ctx = place.ctx
     alpha = RatK(place.uniformizer())
-    phi = ((_one_minus_alpha_q_t(place),),)
+    phi = ((_one_minus_alpha_q_t(place, 1)[1],),)
 
     def build(D, N):
-        return [omega_product(alpha, place, D, N)]
+        return [_omega_tail(place, 0, D, N)]
 
     return DiffSystem(place, phi, build, weight=1, alpha=alpha,
                       structural_det=True, kind="omega")
@@ -201,26 +193,20 @@ def build_cmpl_system(s, u, place):
     ell = r + 1
     zero = tp_zero(ctx)
     phi = [[zero] * ell for _ in range(ell)]
-    phi[0][0] = _one_minus_alpha_q_t(place, w)
-    for l in range(1, r + 1):
-        head = sum(s[i] for i in range(l - 1))      # s_1+..+s_(l-1)
-        tail = sum(s[i] for i in range(l, r))       # s_(l+1)+..+s_r
-        sub = tp_mul(tp_const(u[l - 1]),
-                     _one_minus_alpha_q_t(place, s[l - 1] + tail), ctx)
+    factor = _one_minus_alpha_q_t(place, w)
+    tails = [sum(s[l:]) for l in range(1, r + 1)]   # s_(l+1)+..+s_r
+    phi[0][0] = factor[w]
+    for l, tail in enumerate(tails, 1):
+        head = w - tail - s[l - 1]                  # s_1+..+s_(l-1)
+        sub = tp_mul(tp_const(u[l - 1]), factor[s[l - 1] + tail], ctx)
         phi[l][l - 1] = tp_shift(sub, head, ctx)
-        phi[l][l] = tp_shift(_one_minus_alpha_q_t(place, tail),
-                             head + s[l - 1], ctx)
+        phi[l][l] = tp_shift(factor[tail], head + s[l - 1], ctx)
 
     def build(D, N):
-        omega = omega_product(alpha, place, D, N)
-        out = [omega.pow(w)]
-        for l in range(1, r + 1):
-            pre_s = Index(list(s)[:l])
-            pre_u = ArgTuple(list(u)[:l])
-            dep = deformation_build(pre_s, pre_u, place, D, N)
-            tail = sum(s[i] for i in range(l, r))
-            out.append(dep * omega.pow(tail) if tail else dep)
-        return out
+        omega = _omega_powers(place, w, D, N)
+        deps = deformation_build(s, u, place, D, N)
+        return [omega[w]] + [dep * omega[tail] if tail else dep
+                             for dep, tail in zip(deps, tails)]
 
     return DiffSystem(place, phi, build, weight=w, alpha=alpha,
                       index=s, args=u, structural_det=True, kind="cmpl")
@@ -247,11 +233,10 @@ def block_sum(systems):
     zero = tp_zero(ctx)
     phi = [[zero] * total for _ in range(total)]
     off = 0
-    pads = []
-    for sysj in systems:
-        pad = w1 - sysj.weight
-        pads.append(pad)
-        padpoly = _one_minus_alpha_q_t(place, pad) if pad else tp_one(ctx)
+    pads = [w1 - sysj.weight for sysj in systems]
+    factor = _one_minus_alpha_q_t(place, max(pads))
+    for sysj, pad in zip(systems, pads):
+        padpoly = factor[pad]
         for i in range(sysj.size):
             for j in range(sysj.size):
                 if sysj.phi[i][j]:
@@ -260,14 +245,11 @@ def block_sum(systems):
         off += sysj.size
 
     def build(D, N):
-        omega = omega_product(alpha, place, D, N)
+        omega = _omega_powers(place, max(pads), D, N)
         out = []
         for sysj, pad in zip(systems, pads):
             block = sysj.psi(D, N)
-            if pad:
-                op = omega.pow(pad)
-                block = [p * op for p in block]
-            out.extend(block)
+            out.extend([p * omega[pad] for p in block] if pad else block)
         return out
 
     return DiffSystem(place, phi, build, weight=w1, alpha=alpha,
@@ -433,7 +415,7 @@ def _det_structural(sys):
         a += 1
     body = det[a:]
     b = len(body) - 1
-    base = _one_minus_alpha_q_t(sys.place, b)
+    base = _one_minus_alpha_q_t(sys.place, b)[b]
     c = body[0]  # (1 - alpha^q t)^b has constant term 1
     cand = tp_scale(base, c, ctx)
     return tuple(body) == cand
@@ -495,19 +477,3 @@ def vabp_certify(sys, gamma, rho, P, D, N):
         if pj:
             acc = acc + tp_apply(pj, fj, place, N)
     return acc.residual(N)[0] >= N
-
-
-# -- dumps ---------------------------------------------------------------
-
-def dump_system(sys):
-    lines = [f"kind: {sys.kind}",
-             f"size: {sys.size}",
-             f"weight: {sys.weight}",
-             f"alpha: {sys.alpha}"]
-    for i in range(sys.size):
-        for j in range(sys.size):
-            lines.append(f"phi[{i}][{j}]: {tp_str(sys.phi[i][j])}")
-    psi = sys.psi(4, 12)
-    for i, p in enumerate(psi):
-        lines.append(f"psi[{i}]: {p}")
-    return "\n".join(lines) + "\n"

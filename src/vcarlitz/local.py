@@ -180,13 +180,6 @@ class PlaceV(Place):
         self.lam = lam
         self.q = ctx.q
 
-    @classmethod
-    def from_uniformizer(cls, pi):
-        """Build from a monic irreducible pi in A; refuses degree > 1."""
-        if pi.degree != 1 or not pi.is_monic():
-            raise ValueError("only places of degree one are supported")
-        return cls(pi.ctx, pi.coeffs[0])
-
     def uniformizer(self):
         return PolyA(self.ctx, (self.lam, 1))
 

@@ -7,8 +7,10 @@ valuations of the arguments.
 
 Every nested sum over chains i_1 > ... > i_r (or i_1 >= ... >= i_r) -- the
 CMPL/CMSPL values, the infinite-place MZVs and both deformation sums -- is
-evaluated by one suffix-sum routine, _nested_sum, in O(r * I) products of
-its factor rows rather than one product per chain.
+evaluated by one prefix pass, _nested_sum, in O(r * I) products of its
+factor rows rather than one product per chain.  The pass gives the sum of
+every prefix of the index at once, so deformation_build returns the series
+of every prefix, which is what a difference system's psi holds.
 """
 
 from __future__ import annotations
@@ -180,29 +182,41 @@ def _chain_plan(s, u, place, prec):
 
 
 def _nested_sum(rows, strict):
-    """Sum of f_1(i_1) ... f_r(i_r) over chains i_1 > ... > i_r (>= if not strict).
+    """Sums of f_1(i_1) ... f_l(i_l) over chains i_1 > ... > i_l (>= if not
+    strict), one for each prefix length l = 1, ..., r.
 
     rows[l - 1][i] is f_l(i); entries past the end of a row count as zero.
-    Suffix sums take O(r * I) products: S_r(i) = f_r(i) and
-    S_l(i) = f_l(i) * sum_(j < i) S_(l+1)(j), with j <= i for weak chains.
-    Partial sums start from the empty sum (None, also returned when there
-    is no chain), so each product keeps the window its chains give it and
-    one code serves LocalNum and TSeries rows.
+    One pass from the outer slot inwards takes O(r * I) products:
+    P_1(i) = f_1(i) and P_l(i) = f_l(i) * sum_(j > i) P_(l-1)(j), with
+    j >= i for weak chains, and the prefix-l sum is sum_i P_l(i).  The
+    running sum over P_(l-1) that slot l reads ends on the prefix-(l-1)
+    sum.  Partial sums start from the empty sum (None, also the sum of a
+    prefix with no chain), so each product keeps the window its chains give
+    it and one code serves LocalNum and TSeries rows.
     """
-    below = list(rows[-1])
-    for row in reversed(rows[:-1]):
-        cur, acc = [], None
-        for i, f in enumerate(row):
-            if not strict and i < len(below):
-                acc = _add(acc, below[i])
-            cur.append(None if acc is None else f * acc)
-            if strict and i < len(below):
-                acc = _add(acc, below[i])
-        below = cur
+    totals, above = [], None
+    for row in rows:
+        if above is None:
+            above = list(row)
+            continue
+        acc = None
+        for x in reversed(above[len(row):]):
+            acc = _add(acc, x)
+        cur = [None] * len(row)
+        for i in reversed(range(len(row))):
+            if not strict and i < len(above):
+                acc = _add(acc, above[i])
+            if acc is not None:
+                cur[i] = row[i] * acc
+            if strict and i < len(above):
+                acc = _add(acc, above[i])
+        totals.append(acc)
+        above = cur
     total = None
-    for x in below:
+    for x in above:
         total = _add(total, x)
-    return total
+    totals.append(total)
+    return totals
 
 
 def _add(acc, x):
@@ -233,7 +247,7 @@ def _chain_sum(s, u, place, prec, strict):
     inv = [inv_ell(place, i, W) for i in range(I)]
     rows = [[a * inv[i].pow(si) for i, a in enumerate(_tower(x, place, W, I))]
             for si, x in zip(s, u)]
-    return _clip(_nested_sum(rows, strict), place, prec)
+    return _clip(_nested_sum(rows, strict)[-1], place, prec)
 
 
 def cmpl_eval(s, u, place, prec):
@@ -369,7 +383,7 @@ def mzv_inf(s, ctx, D_max, prec=None):
     while n and sums[s[0]][n - 1].is_zero_to_precision():
         n -= 1
     rows = [sums[si][:n - ell] for ell, si in enumerate(s.s)]
-    return _clip(_nested_sum(rows, strict=True), PlaceInf(ctx), prec)
+    return _clip(_nested_sum(rows, strict=True)[-1], PlaceInf(ctx), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -380,43 +394,33 @@ _OMEGA_TAIL_CACHE = {}
 
 
 def _omega_tail(place, i, D, N):
-    """The twisted product t^(-i) F_i = prod_(j>i) (1 - pi^(q^j) t) mod (t^D, pi^N)."""
+    """The twisted product t^(-i) F_i = prod_(j>i) (1 - pi^(q^j) t) mod
+    (t^D, pi^N): the omega product at pi^(q^i).  Omega itself is i = 0."""
     key = (place, i, D, N)
     out = _OMEGA_TAIL_CACHE.get(key)
-    if out is not None:
-        return out
-    from .tseries import TSeries
-    q = place.q
-    pi = embed_local(place.uniformizer(), place, N)
-    out = TSeries.one(place, D, N)
-    j = i + 1
-    while q ** j < N:
-        factor = TSeries.from_local_coeffs(
-            place, [LocalNum.unit_one(place, N), -pi.pow(q ** j).truncate(N)],
-            D, N)
-        out = out * factor
-        j += 1
-    out = out.clip(N)
-    _OMEGA_TAIL_CACHE[key] = out
+    if out is None:
+        alpha = RatK(place.uniformizer()).frobenius(i)
+        out = _OMEGA_TAIL_CACHE[key] = omega_product(alpha, place, D, N)
     return out
 
 
 def omega_product(alpha, place, D, N):
     """The product prod_(i>=1) (1 - alpha^(q^i) t), truncated at (t^D, pi^N)."""
-    if place.ord_ratk(alpha) < 1:
+    # an embedding keeps the exact valuation, ord_v(alpha)
+    a = embed_local(alpha, place, N)
+    if a.nu < 1:
         raise DomainError("alpha must lie in the open unit disk at v")
     from .tseries import TSeries
     q = place.q
-    a = embed_local(alpha, place, N)
-    da = place.ord_ratk(alpha)
     out = TSeries.one(place, D, N)
     i = 1
     apow = a
-    while q ** i * da < N:
+    while q ** i * a.nu < N:
+        # times 1 - alpha^(q^i) t as a shift, a scaling and a difference;
+        # every coefficient stays known to pi^N at least, so after clip(N)
+        # this is the series that the product by the factor gives
         apow = apow.qpow()
-        factor = TSeries.from_local_coeffs(
-            place, [LocalNum.unit_one(place, N), -apow.truncate(N)], D, N)
-        out = out * factor
+        out = out - out.t_shift(1, N).scale(apow.truncate(N))
         i += 1
     return out.clip(N)
 
@@ -460,12 +464,16 @@ def _F_series(place, i, s_pow, D, N):
 
 
 def deformation_build(s, u, place, D, N):
-    """The deformation series, assembled from its rearranged product form.
+    """The deformation series of every prefix (s_1, ..., s_l; u_1, ..., u_l),
+    l = 1, ..., r, assembled from the rearranged product form; the last is
+    the series of (s; u).
 
     Each summand of the defining sum over strict chains is
     prod_l u_l^(q^(i_l)) * F_(i_l)^(s_l), where F_i carries the t-power and
     the tail of the omega product; chains with q^(i_1)*ord(u_1) >= N
-    contribute 0 mod pi^N and are dropped.
+    contribute 0 mod pi^N and are dropped.  That cut reads only u_1, so
+    slot l has the same row in every prefix, and one prefix pass over one
+    set of rows gives all r series.
     """
     if not domain_check(s, u, CONV_V, place):
         raise DomainError("arguments outside the v-adic convergence domain")
@@ -479,8 +487,9 @@ def deformation_build(s, u, place, D, N):
     rows = [[_F_series(place, i, si, D, N).scale(c) for i, c in
              enumerate(_tower(x, place, N, min(I, -(-D // si)), cutoff=N))]
             for si, x in zip(s, u)]
-    acc = _add(TSeries.zero(place, D, N), _nested_sum(rows, strict=True))
-    return acc.clip(N)
+    zero = TSeries.zero(place, D, N)
+    return [_add(zero, total).clip(N)
+            for total in _nested_sum(rows, strict=True)]
 
 
 def _F_at_inverse_power(place, i, N_twist, prec):
@@ -526,5 +535,5 @@ def deformation_specialize(s, u, place, N_twist, prec, normalized=True):
     rows = [[a * _F_at_inverse_power(place, i, N_twist, W).pow(si)
              for i, a in enumerate(_tower(x, place, W, I)) if i >= N_twist]
             for si, x in zip(s, u)]
-    total = _nested_sum(rows, strict=True)
+    total = _nested_sum(rows, strict=True)[-1]
     return _clip(None if total is None else total.shift(shift), place, prec)

@@ -269,13 +269,6 @@ def eval_vmzv(dec, place, prec, tmodules=None):
     return out.truncate(prec)
 
 
-def zeta_v(ctx, place, s, prec, N_cert=40):
-    """Convenience pipeline: certify the depth-one candidate, then evaluate."""
-    dec = depth1_decomposition(ctx, s)
-    verify_decomposition_inf(dec, N_cert)
-    return eval_vmzv(dec, place, prec)
-
-
 # -- decomposition files -------------------------------------------------
 
 def dump_decomposition(dec, ctx):

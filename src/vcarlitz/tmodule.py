@@ -29,7 +29,8 @@ from .algebra import (
     FqContext, PolyA, RatK, parse_fields, parse_poly, parse_ratk,
 )
 from .errors import (
-    AnnihilationFailure, ConvergenceNotCertified, DomainError, ParseError,
+    AnnihilationFailure, AssertionFailure, ConvergenceNotCertified,
+    DomainError, ParseError,
 )
 from .linalg import (
     fq_min_poly, fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity,
@@ -361,9 +362,11 @@ def log_at_point(spec, w, place, prec, I_cap=64):
     """Log(w) = sum_i P_i w^(i), with a certified stopping rule.
 
     Valuation lower bounds of the P_i entries are tracked; the loop stops
-    once three consecutive term bounds clear prec and the structural tail
-    bound q^j * minord(w) - c*j (c = observed max denominator growth rate,
-    which covers every computed index) stays above prec and is climbing.
+    once three consecutive term bounds clear prec and the tail bound
+    q^j * minord(w) - c*j stays above prec and is climbing.  The rate
+    c = 2 dim - 1 is the one proved in _LocalLogCoeffs, so the bound covers
+    the terms not computed; a computed P_i below -c*i contradicts the proof
+    and raises AssertionFailure.
     """
     w = tuple(w)
     ords = [x.valuation() for x in w if not x.is_exact_zero()]
@@ -379,7 +382,7 @@ def log_at_point(spec, w, place, prec, I_cap=64):
     W = prec + 2 * spec.dim * 8 + 16
     coeffs = _local_log_coeffs(spec, place, W)
     acc = [LocalNum.zero_to_precision(place, prec) for _ in range(spec.dim)]
-    c_rate = 0
+    c = 2 * spec.dim - 1
     term_ords = []
     wq = w
     for i in range(I_cap + 1):
@@ -389,8 +392,10 @@ def log_at_point(spec, w, place, prec, I_cap=64):
         if ordP is None:
             term_ords.append(None)
         else:
-            if i and ordP < 0:
-                c_rate = max(c_rate, (-ordP + i - 1) // i)
+            if ordP < -c * i:
+                raise AssertionFailure(
+                    f"log coefficient P_{i} has ord {ordP}, below the "
+                    f"proved bound -{c}*{i}")
             term_ords.append(ordP + q ** i * m)
             for r in range(spec.dim):
                 row = LocalNum.exact_zero(place)
@@ -401,7 +406,7 @@ def log_at_point(spec, w, place, prec, I_cap=64):
         if i >= 2:
             last3 = term_ords[i - 2:i + 1]
             if all(t is None or t >= prec for t in last3):
-                f = lambda j: q ** j * m - c_rate * j  # noqa: E731
+                f = lambda j: q ** j * m - c * j  # noqa: E731
                 if f(i + 1) >= prec and f(i + 2) >= f(i + 1):
                     return tuple(x.truncate(prec) for x in acc)
         wq = tuple(x.qpow() for x in wq)

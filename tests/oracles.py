@@ -7,8 +7,13 @@ convergence test at infinity in fractions, the
 TSeries operations on one LocalNum per coefficient (with the packed digit
 sum they used and the packed window rule, next to its plain pairwise
 definition), the per-digit LocalNum sums and scaling, the exact t-module
-exponential and logarithm coefficients over k, and the fixed-point
-iterations for those coefficients.
+exponential and logarithm coefficients over k, the fixed-point
+iterations for those coefficients, the suffix nested sum that gave only the
+whole index's sum, the omega product and its tails with one series product
+per factor, and the deformation series built one prefix at a time.
+
+The Carlitz action over k (the one-dimensional oracle of the t-module
+action) and the zeta(s)_v pipeline are here because only tests call them.
 """
 
 import math
@@ -16,9 +21,9 @@ import sys
 from array import array
 from fractions import Fraction
 
-from vcarlitz import tmodule
+from vcarlitz import polylog, relations, tmodule
 from vcarlitz.algebra import PolyA, RatK
-from vcarlitz.errors import SingularStep
+from vcarlitz.errors import DomainError, SingularStep
 from vcarlitz.linalg import (
     kmat, kmat_add, kmat_frobenius, kmat_identity, kmat_mul, kmat_neg,
     kmat_scale, kmat_sub, kmat_zero,
@@ -27,7 +32,9 @@ from vcarlitz.local import (
     _WIDTHS, INF, LocalNum, PlaceInf, _grid_product, _pack, _rows,
     embed_local,
 )
+from vcarlitz.polylog import ArgTuple, Index
 from vcarlitz.tmodule import _delta_inv
+from vcarlitz.tseries import TSeries
 
 
 def L_factorial(ctx, i):
@@ -453,3 +460,119 @@ def local_log_fixed_point(spec, place, W, i_max):
             Pi = kmat_scale(kmat_add(R, comm), dinv)
         P.append(Pi)
     return P
+
+
+# -- the suffix nested sum and the per-prefix deformation series ----------
+
+def nested_sum_suffix(rows, strict):
+    """Sum of f_1(i_1) ... f_r(i_r) over chains i_1 > ... > i_r (>= if not
+    strict), by suffix sums from the inner slot outwards:
+    S_r(i) = f_r(i) and S_l(i) = f_l(i) * sum_(j < i) S_(l+1)(j), with
+    j <= i for weak chains.  Only the whole index's sum comes out."""
+    below = list(rows[-1])
+    for row in reversed(rows[:-1]):
+        cur, acc = [], None
+        for i, f in enumerate(row):
+            if not strict and i < len(below):
+                acc = polylog._add(acc, below[i])
+            cur.append(None if acc is None else f * acc)
+            if strict and i < len(below):
+                acc = polylog._add(acc, below[i])
+        below = cur
+    total = None
+    for x in below:
+        total = polylog._add(total, x)
+    return total
+
+
+def omega_product_loop(alpha, place, D, N):
+    """prod_(i>=1) (1 - alpha^(q^i) t) mod (t^D, pi^N), one series product
+    per factor."""
+    q = place.q
+    a = embed_local(alpha, place, N)
+    da = place.ord_ratk(alpha)
+    out = TSeries.one(place, D, N)
+    i = 1
+    apow = a
+    while q ** i * da < N:
+        apow = apow.qpow()
+        factor = TSeries.from_local_coeffs(
+            place, [LocalNum.unit_one(place, N), -apow.truncate(N)], D, N)
+        out = out * factor
+        i += 1
+    return out.clip(N)
+
+
+def omega_tail_loop(place, i, D, N):
+    """prod_(j>i) (1 - pi^(q^j) t) mod (t^D, pi^N), one series product per
+    factor, each pi^(q^j) a power of the embedded uniformizer."""
+    q = place.q
+    pi = embed_local(place.uniformizer(), place, N)
+    out = TSeries.one(place, D, N)
+    j = i + 1
+    while q ** j < N:
+        factor = TSeries.from_local_coeffs(
+            place, [LocalNum.unit_one(place, N), -pi.pow(q ** j).truncate(N)],
+            D, N)
+        out = out * factor
+        j += 1
+    return out.clip(N)
+
+
+def deformation_build_one(s, u, place, D, N):
+    """The deformation series of (s; u) alone: its own rows, the suffix
+    nested sum, and omega tails from omega_tail_loop."""
+    if not polylog.domain_check(s, u, polylog.CONV_V, place):
+        raise DomainError("arguments outside the v-adic convergence domain")
+    q = place.q
+    d1 = u.ords(place)[0]
+    I = 0
+    while q ** I * d1 < N and I < D:
+        I += 1
+
+    def F(i, si):
+        out = omega_tail_loop(place, i, D, N)
+        out = out.pow(si) if si != 1 else out
+        return out.t_shift(i * si, N) if i else out
+
+    rows = [[F(i, si).scale(c) for i, c in enumerate(
+        polylog._tower(x, place, N, min(I, -(-D // si)), cutoff=N))]
+        for si, x in zip(s, u)]
+    return polylog._add(TSeries.zero(place, D, N),
+                        nested_sum_suffix(rows, strict=True)).clip(N)
+
+
+def deformation_build_per_prefix(s, u, place, D, N):
+    """The series of every prefix of (s; u), each built on its own."""
+    return [deformation_build_one(Index(s.s[:l]), ArgTuple(u.u[:l]), place,
+                                  D, N) for l in range(1, s.depth + 1)]
+
+
+# -- the Carlitz action over k and the zeta pipeline ----------------------
+
+def carlitz_theta(z):
+    """C_T(z) = T z + z^q for z in k."""
+    ctx = z.ctx
+    return RatK.T(ctx) * z + z ** ctx.q
+
+
+def carlitz_action(a, z):
+    """C_a(z) for a in A: the F_q-linear Carlitz module action, the
+    one-dimensional case of tmodule.tm_action."""
+    ctx = a.ctx
+    iterates = [z]                  # C_(T^i)(z)
+    for _ in range(len(a.coeffs) - 1):
+        iterates.append(carlitz_theta(iterates[-1]))
+    out = RatK.zero(ctx)
+    for i, c in enumerate(a.coeffs):
+        if c:
+            out = out + iterates[i] * RatK(PolyA.constant(ctx, c))
+    return out
+
+
+def zeta_v(ctx, place, s, prec, N_cert=40):
+    """zeta(s)_v: certify the depth-one decomposition at infinity, then
+    evaluate it at the place."""
+    dec = relations.depth1_decomposition(ctx, s)
+    relations.verify_decomposition_inf(dec, N_cert)
+    return relations.eval_vmzv(dec, place, prec)

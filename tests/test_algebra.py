@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import (
-    FqContext, PolyA, RatK, carlitz_action, carlitz_theta, irreducible_test,
-    monic_enumerate, parse_poly, parse_ratk,
+    FqContext, PolyA, RatK, irreducible_test, monic_enumerate, parse_poly,
+    parse_ratk,
 )
 from vcarlitz.errors import DivisionByZero, ParseError
+
+from oracles import carlitz_action, carlitz_theta
 
 CTX3 = FqContext(3)
 CTX4 = FqContext(2, 2)

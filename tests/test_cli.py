@@ -387,5 +387,4 @@ def test_a_process_loads_only_what_its_subcommand_runs(argv, loaded):
     assert code in (0, 1), proc.stderr
     assert {m[len("vcarlitz."):] for m in modules
             if m.startswith("vcarlitz.")} == loaded
-    if argv[1] != "small-solution":     # its norm bound is a fraction
-        assert "fractions" not in modules
+    assert "fractions" not in modules

@@ -10,14 +10,18 @@ from vcarlitz.algebra import FqContext, PolyA, RatK
 from vcarlitz.cli import _residual_records
 from vcarlitz.errors import CertificationFailed, DomainError
 from vcarlitz.local import LocalNum, PlaceV, embed_local
-from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, pi_tilde
+from vcarlitz.polylog import (
+    ArgTuple, Index, cmpl_eval, omega_product, pi_tilde,
+)
 from vcarlitz.diffsys import (
     DiffSystem, Residual, _tp_det, block_sum, build_cmpl_system,
-    build_omega_system, dump_system, mpl_certificate, specialize_psi, tp_add,
-    tp_apply, tp_eval_k, tp_mul, tp_normalize, tp_one, tp_pow, tp_scale,
-    tp_str, vabp_certify, verify_difference,
+    build_omega_system, mpl_certificate, specialize_psi, tp_add, tp_apply,
+    tp_eval_k, tp_mul, tp_normalize, tp_one, tp_scale, vabp_certify,
+    verify_difference,
 )
 from vcarlitz.tseries import TSeries
+
+from oracles import deformation_build_per_prefix
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -37,8 +41,6 @@ def test_tpoly_arithmetic_and_print():
     ab = tp_mul(a, b, CTX3)
     assert tp_eval_k(ab, T) == tp_eval_k(a, T) * tp_eval_k(b, T)
     assert tp_add(a, tp_scale(a, -ONE, CTX3), CTX3) == ()
-    assert tp_str((ONE, T)) == "1 + T*t^1"
-    assert tp_str(()) == "0"
     assert tp_normalize([T, RatK.zero(CTX3)]) == (T,)
 
 
@@ -172,6 +174,47 @@ def test_block_sum_padded_weights_still_verifies():
     bs = block_sum([s1, s2])
     assert bs.weight == 2
     assert verify_difference(bs, 30, 30).is_zero
+
+
+_BLOCKS = [None, ((1,), (T,)), ((2,), (T * T,)), ((2, 1), (T, T + ONE)),
+           ((1, 1), (T * T, ONE))]
+
+
+def _block(entry):
+    if entry is None:
+        return build_omega_system(V0)
+    return build_cmpl_system(Index(entry[0]), ArgTuple(entry[1]), V0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_BLOCKS), st.integers(1, 16), st.integers(1, 24))
+def test_psi_matches_per_prefix_builds(entry, D, N):
+    # psi = (Omega^w, L_(s_1) Omega^(s_2+..+s_r), ..., L_s), each series
+    # built on its own and Omega's powers by repeated squaring
+    sys = _block(entry)
+    omega = omega_product(sys.alpha, V0, D, N)
+    want = [omega.pow(sys.weight)]
+    if entry is not None:
+        s = Index(entry[0])
+        for l, dep in enumerate(deformation_build_per_prefix(
+                s, ArgTuple(entry[1]), V0, D, N), 1):
+            tail = sum(s[l:])
+            want.append(dep * omega.pow(tail) if tail else dep)
+    assert [p.runs for p in sys.psi(D, N)] == [p.runs for p in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(_BLOCKS), min_size=1, max_size=3),
+       st.integers(1, 16), st.integers(1, 24))
+def test_block_sum_psi_is_blocks_times_omega_pad(entries, D, N):
+    systems = [_block(e) for e in entries]
+    bs = block_sum(systems)
+    omega = omega_product(bs.alpha, V0, D, N)
+    want = []
+    for sysj in systems:
+        pad = bs.weight - sysj.weight
+        want += [p * omega.pow(pad) if pad else p for p in sysj.psi(D, N)]
+    assert [p.runs for p in bs.psi(D, N)] == [p.runs for p in want]
 
 
 def test_block_sum_refuses_mixed_places():
@@ -335,13 +378,6 @@ def test_tp_det_of_built_systems():
 
 
 # -- dumps ---------------------------------------------------------------
-
-def test_dump_contains_entries_and_psi():
-    sys = build_cmpl_system(Index([1]), ArgTuple([T]), V0)
-    text = dump_system(sys)
-    assert "phi[1][0]: T + 2*T^4*t^1" in text
-    assert "psi[0]:" in text and "O(t^4)" in text
-
 
 def test_residual_dump_format():
     res = verify_difference(build_omega_system(V0), 10, 10)

@@ -39,13 +39,6 @@ def test_place_orders():
     assert V0.ord_ratk(parse_ratk(CTX3, "T/(T+1)")) == 1
 
 
-def test_from_uniformizer_refuses_higher_degree():
-    with pytest.raises(ValueError):
-        PlaceV.from_uniformizer(parse_poly(CTX3, "T^2+1"))
-    p = PlaceV.from_uniformizer(parse_poly(CTX3, "T+1"))
-    assert p.lam == 1
-
-
 def test_poly_digits_shifted_place():
     # theta = pi - 1 at lambda = 1, so theta^2 = 1 - 2 pi + pi^2
     digits = V1.poly_digits(parse_poly(CTX3, "T^2"))

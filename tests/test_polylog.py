@@ -15,7 +15,10 @@ from vcarlitz.tseries import TSeries, frobenius_twist
 from vcarlitz import polylog as pl
 from vcarlitz import tmodule
 
-from oracles import L_factorial, delta_local, domain_check_inf, power_sum_enum
+from oracles import (
+    L_factorial, deformation_build_per_prefix, delta_local, domain_check_inf,
+    omega_product_loop, omega_tail_loop, power_sum_enum,
+)
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -212,7 +215,7 @@ def test_depth1_stuffle(place):
     assert lhs.congruent(rhs, 14)
 
 
-# -- the suffix-sum engine against the chain loop ------------------------
+# -- the prefix pass against the chain loop -----------------------------
 
 def chain_loop(rows, strict):
     """Brute-force oracle: one product per chain, entries past a row's end zero."""
@@ -257,17 +260,20 @@ def local_rows(draw, uniform):
 @settings(max_examples=150, deadline=None)
 @given(local_rows(uniform=True), st.booleans())
 def test_nested_sum_matches_chain_loop(rows, strict):
-    # one relative window, as in every chain sum: same digits, same cutoff
-    assert pl._nested_sum(rows, strict) == chain_loop(rows, strict)
+    # one relative window, as in every chain sum: same digits, same cutoff,
+    # for the sum of every prefix of the rows
+    assert pl._nested_sum(rows, strict) == [
+        chain_loop(rows[:l], strict) for l in range(1, len(rows) + 1)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(local_rows(uniform=False), st.booleans())
 def test_nested_sum_window_never_narrower(rows, strict):
-    fast, slow = pl._nested_sum(rows, strict), chain_loop(rows, strict)
-    assert (fast is None) == (slow is None)
-    if slow is not None:
-        assert fast.cutoff >= slow.cutoff and fast.congruent(slow)
+    for l, fast in enumerate(pl._nested_sum(rows, strict), 1):
+        slow = chain_loop(rows[:l], strict)
+        assert (fast is None) == (slow is None)
+        if slow is not None:
+            assert fast.cutoff >= slow.cutoff and fast.congruent(slow)
 
 
 @st.composite
@@ -291,13 +297,14 @@ def tseries_rows(draw):
 @given(tseries_rows(), st.booleans())
 def test_nested_sum_matches_chain_loop_on_series(rows_N, strict):
     rows, N = rows_N
-    fast, slow = pl._nested_sum(rows, strict), chain_loop(rows, strict)
-    assert (fast is None) == (slow is None)
-    if slow is not None:
-        # every digit below pi^N is known on both sides and agrees
-        assert all(c.cutoff >= N for c in fast.coeffs + slow.coeffs)
-        assert [c.truncate(N) for c in fast.coeffs] \
-            == [c.truncate(N) for c in slow.coeffs]
+    for l, fast in enumerate(pl._nested_sum(rows, strict), 1):
+        slow = chain_loop(rows[:l], strict)
+        assert (fast is None) == (slow is None)
+        if slow is not None:
+            # every digit below pi^N is known on both sides and agrees
+            assert all(c.cutoff >= N for c in fast.coeffs + slow.coeffs)
+            assert [c.truncate(N) for c in fast.coeffs] \
+                == [c.truncate(N) for c in slow.coeffs]
 
 
 # -- infinite-place zeta values ----------------------------------------
@@ -446,7 +453,7 @@ def _uniformizer_ratk(place):
 def test_deformation_functional_equation_depth1():
     D, N = 8, 20
     s, u = pl.Index((1,)), pl.ArgTuple((TH,))
-    L = pl.deformation_build(s, u, V0, D, N)
+    L = pl.deformation_build(s, u, V0, D, N)[-1]
     om = pl.omega_product(_uniformizer_ratk(V0), V0, D, N)
     pi_loc = embed_poly(V0.uniformizer(), V0, N)
     fac = TSeries.from_local_coeffs(
@@ -465,8 +472,8 @@ def test_deformation_functional_equation_higher_depth(svec):
     u = pl.ArgTuple((TH,) * len(svec))
     sub_s = pl.Index(svec[:-1])
     sub_u = pl.ArgTuple((TH,) * (len(svec) - 1))
-    L = pl.deformation_build(s, u, V0, D, N)
-    Lsub = pl.deformation_build(sub_s, sub_u, V0, D, N)
+    L = pl.deformation_build(s, u, V0, D, N)[-1]
+    Lsub = pl.deformation_build(sub_s, sub_u, V0, D, N)[-1]
     om = pl.omega_product(_uniformizer_ratk(V0), V0, D, N)
     pi_loc = embed_poly(V0.uniformizer(), V0, N)
     sr = svec[-1]
@@ -481,10 +488,64 @@ def test_deformation_functional_equation_higher_depth(svec):
 
 def test_deformation_constant_term_depth1():
     D, N = 4, 12
-    L = pl.deformation_build(pl.Index((1,)), pl.ArgTuple((TH,)), V0, D, N)
+    L, = pl.deformation_build(pl.Index((1,)), pl.ArgTuple((TH,)), V0, D, N)
     c0 = L.coeff(0)
     # only the chain (0) reaches t^0: u_1 times the omega-tail constant 1
     assert c0.valuation() == 1 and c0.digit(1) == 1
+
+
+@st.composite
+def deformation_cases(draw):
+    """(s, u, place, D, N) in the convergence domain: u_1 = pi^a f_1 with
+    a >= 1, the other u_l polynomials, so v-integral."""
+    ctx = draw(st.sampled_from([FqContext(2), CTX3, FqContext(5)]))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+
+    def poly():
+        tail = draw(st.lists(st.integers(0, ctx.q - 1), max_size=2))
+        return RatK(PolyA(ctx, tail + [draw(st.integers(1, ctx.q - 1))]))
+
+    r = draw(st.integers(1, 3))
+    s = pl.Index(draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+    u1 = RatK(place.uniformizer()) ** draw(st.integers(1, 2)) * poly()
+    u = pl.ArgTuple([u1] + [poly() for _ in range(r - 1)])
+    return s, u, place, draw(st.integers(1, 12)), draw(st.integers(1, 24))
+
+
+@settings(max_examples=40, deadline=None)
+@given(deformation_cases())
+def test_deformation_prefixes_match_per_prefix_builds(case):
+    got = pl.deformation_build(*case)
+    want = deformation_build_per_prefix(*case)
+    assert [f.runs for f in got] == [f.runs for f in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FqContext(2), CTX3, FqContext(2, 2), FqContext(5)]),
+       st.data(), st.integers(1, 20), st.integers(1, 40))
+def test_omega_product_matches_product_loop(ctx, data, D, N):
+    # alpha = pi^a f / (pi g + c) with f, g polynomials and c in F_q^*
+    place = PlaceV(ctx, data.draw(st.integers(0, ctx.q - 1)))
+    pi = place.uniformizer()
+
+    def poly():
+        tail = data.draw(st.lists(st.integers(0, ctx.q - 1), max_size=2))
+        return PolyA(ctx, tail + [data.draw(st.integers(1, ctx.q - 1))])
+
+    c = PolyA.constant(ctx, data.draw(st.integers(1, ctx.q - 1)))
+    alpha = RatK(pi ** data.draw(st.integers(1, 3)) * poly(), pi * poly() + c)
+    assert pl.omega_product(alpha, place, D, N).runs \
+        == omega_product_loop(alpha, place, D, N).runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([FqContext(2), CTX3, FqContext(2, 2), FqContext(5)]),
+       st.integers(0, 4), st.integers(0, 4), st.integers(1, 20),
+       st.integers(1, 40))
+def test_omega_tail_matches_power_loop(ctx, lam, i, D, N):
+    place = PlaceV(ctx, lam % ctx.q)
+    assert pl._omega_tail(place, i, D, N).runs \
+        == omega_tail_loop(place, i, D, N).runs
 
 
 @pytest.mark.parametrize("svec,uvec", [

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext, PolyA, RatK, carlitz_action, parse_poly
+from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly
 from vcarlitz.errors import (
-    AnnihilationFailure, ConvergenceNotCertified, DomainError, ParseError,
+    AnnihilationFailure, AssertionFailure, ConvergenceNotCertified,
+    DomainError, ParseError,
 )
 from vcarlitz.linalg import (
-    fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat_add,
+    kmat, fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat_add,
     kmat_frobenius, kmat_identity, kmat_inv, kmat_mul, kmat_zero,
 )
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
-from vcarlitz.relations import zeta_v
 from vcarlitz.tmodule import (
     TModuleSpec, _LocalLogCoeffs, dump_tmodule_spec, extended_cmspl_v,
     log_at_point, parse_tmodule_spec, residue_annihilator,
@@ -24,8 +24,8 @@ from vcarlitz.tmodule import (
 )
 
 from oracles import (
-    L_factorial, explog_coeffs, local_log_fixed_point, solve_twisted_sylvester,
-    solve_twisted_sylvester_fixed_point,
+    L_factorial, carlitz_action, explog_coeffs, local_log_fixed_point,
+    solve_twisted_sylvester, solve_twisted_sylvester_fixed_point, zeta_v,
 )
 
 CTX3 = FqContext(3)
@@ -333,6 +333,59 @@ def test_log_rejects_units():
     spec = tensor_carlitz_spec(1, CTX3)
     with pytest.raises(ConvergenceNotCertified):
         log_at_point(spec, (embed_local(RatK.one(CTX3), V0, 40),), V0, 20)
+
+
+class _StubLogCoeffs:
+    """P_0 = Id, then the given P_1 and exact zeros; records the last index
+    the log asked for."""
+
+    def __init__(self, place, dim, W, P1=None):
+        def entry(i, j, one):
+            if i == j and one:
+                return LocalNum.unit_one(place, W)
+            return LocalNum.exact_zero(place)
+
+        self.P = [kmat([[entry(i, j, True) for j in range(dim)]
+                        for i in range(dim)])]
+        self.later = [P1] if P1 is not None else []
+        self.zero = kmat([[entry(i, j, False) for j in range(dim)]
+                          for i in range(dim)])
+        self.asked = 0
+
+    def ensure(self, i_max):
+        self.asked = max(self.asked, i_max)
+        while len(self.P) <= i_max:
+            i = len(self.P)
+            self.P.append(self.later[i - 1] if i <= len(self.later)
+                          else self.zero)
+
+
+def test_log_tail_bound_uses_the_proved_rate(monkeypatch):
+    # With P_i = 0 for i >= 1 the observed rate is 0.  The term of P_0 has
+    # ord m = 1, so the three last terms clear prec = 75 from i = 3 on, and
+    # then the tail bound at j = 4 (q = 3) decides: 81 - 0 * 4 >= 75 would
+    # stop at i = 3, but the proved rate c = 3 of a 2-dim module gives
+    # 81 - 12 < 75, and 243 - 15 >= 75 stops at i = 4.
+    spec = tensor_carlitz_spec(2, CTX3)
+    stub = _StubLogCoeffs(V0, 2, 200)
+    monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
+                        lambda *args: stub)
+    z = (embed_local(T, V0, 100),) * 2
+    out = log_at_point(spec, z, V0, 75)
+    assert stub.asked == 4
+    assert all(x.congruent(y, 75) for x, y in zip(out, z))
+
+
+def test_log_refuses_a_rate_beyond_the_proof(monkeypatch):
+    # ord P_1 = -4 < -(2 dim - 1) = -3 contradicts the proved bound
+    spec = tensor_carlitz_spec(2, CTX3)
+    low = LocalNum(V0, -4, (1,) + (0,) * 99)
+    zero = LocalNum.exact_zero(V0)
+    stub = _StubLogCoeffs(V0, 2, 100, P1=kmat([[low, zero], [zero, zero]]))
+    monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
+                        lambda *args: stub)
+    with pytest.raises(AssertionFailure, match="proved bound"):
+        log_at_point(spec, (embed_local(T, V0, 40),) * 2, V0, 25)
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2])

@@ -140,7 +140,8 @@ def test_product_matches_schoolbook_on_built_series(q):
     D = N = 24
     om = omega_product(pi, place, D, N)
     dep = deformation_build(Index((2, 1)),
-                            ArgTuple((pi, parse_ratk(ctx, "T"))), place, D, N)
+                            ArgTuple((pi, parse_ratk(ctx, "T"))), place, D,
+                            N)[-1]
     tw = frobenius_twist(om)
     for f, g in ((om, om), (om, dep), (dep, tw), (dep, dep), (tw, om)):
         assert _states((f * g).coeffs) == _states(_schoolbook(f, g))
