@@ -12,13 +12,15 @@ in t.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import RatK
 from .errors import CertificationFailed, DomainError
 from .local import LocalNum, PlaceV, embed_local
 from .polylog import (
-    ArgTuple, Index, _omega_tail, cmpl_eval, deformation_build,
-    deformation_specialize, domain_check, omega_at_inverse_power, pi_tilde,
-    CONV_V,
+    _omega_tail, cmpl_eval, deformation_build,
+    deformation_specialize_prefixes, domain_check, omega_at_inverse_power,
+    pi_tilde, CONV_V,
 )
 from .tseries import TSeries, frobenius_twist
 
@@ -42,11 +44,9 @@ def tp_one(ctx):
     return (RatK.one(ctx),)
 
 
-def tp_const(c):
-    return tp_normalize([c])
-
-
 def tp_add(a, b, ctx):
+    if not a or not b:
+        return tp_normalize(a or b)
     n = max(len(a), len(b))
     zero = RatK.zero(ctx)
     return tp_normalize([(a[i] if i < len(a) else zero)
@@ -67,6 +67,8 @@ def tp_mul(a, b, ctx):
 
 
 def tp_scale(a, c, ctx):
+    if c == RatK.one(ctx):
+        return tp_normalize(a)
     return tp_normalize([x * c for x in a])
 
 
@@ -78,8 +80,10 @@ def tp_shift(a, n, ctx):
 
 def tp_eval_k(a, x):
     """Evaluate at x in k (Horner)."""
-    out = RatK.zero(x.ctx)
-    for c in reversed(a):
+    if not a:
+        return RatK.zero(x.ctx)
+    out = a[-1]
+    for c in reversed(a[:-1]):
         out = out * x + c
     return out
 
@@ -135,13 +139,31 @@ class DiffSystem:
         return f"DiffSystem({self.kind}, size={self.size}, w={self.weight})"
 
 
-def _one_minus_alpha_q_t(place, n):
-    """(1 - alpha t)^k twisted, (1 - alpha^q t)^k over k[t], for k = 0..n."""
+def _one_minus_alpha_q_t(place, ks):
+    """(1 - alpha t)^k twisted, (1 - alpha^q t)^k over k[t], for each k in ks.
+
+    Coefficient j is binom(k, j) (-alpha^q)^j, with the binomial read in
+    F_p, whose constant m < p has element code m.  One list of powers of
+    -alpha^q, up to the largest k asked for, serves every k; a binomial
+    scales a coefficient's numerator by a field constant.  Returns a dict
+    from k to the t-polynomial.
+    """
     ctx = place.ctx
-    aq = RatK(place.uniformizer()).frobenius()
-    out = [tp_one(ctx)]
-    for _ in range(n):
-        out.append(tp_mul(out[-1], (RatK.one(ctx), -aq), ctx))
+    ks = set(ks)
+    x = -RatK(place.uniformizer()).frobenius()
+    powers = [RatK.one(ctx)]
+    for _ in range(max(ks, default=0)):
+        powers.append(powers[-1] * x)
+    zero = RatK.zero(ctx)
+    out = {}
+    for k in ks:
+        coeffs = []
+        for j in range(k + 1):
+            m = math.comb(k, j) % ctx.p
+            c = powers[j]
+            coeffs.append(c if m == 1 else zero if m == 0
+                          else RatK(c.num.scale(m), c.den))
+        out[k] = tp_normalize(coeffs)
     return out
 
 
@@ -163,7 +185,7 @@ def _omega_powers(place, n, D, N):
 def build_omega_system(place):
     """The rank-one system psi = (Omega), Phi = (1 - alpha t)."""
     alpha = RatK(place.uniformizer())
-    phi = ((_one_minus_alpha_q_t(place, 1)[1],),)
+    phi = ((_one_minus_alpha_q_t(place, [1])[1],),)
 
     def build(D, N):
         return [_omega_tail(place, 0, D, N)]
@@ -193,12 +215,13 @@ def build_cmpl_system(s, u, place):
     ell = r + 1
     zero = tp_zero(ctx)
     phi = [[zero] * ell for _ in range(ell)]
-    factor = _one_minus_alpha_q_t(place, w)
     tails = [sum(s[l:]) for l in range(1, r + 1)]   # s_(l+1)+..+s_r
+    factor = _one_minus_alpha_q_t(
+        place, [w] + tails + [s[l] + t for l, t in enumerate(tails)])
     phi[0][0] = factor[w]
     for l, tail in enumerate(tails, 1):
         head = w - tail - s[l - 1]                  # s_1+..+s_(l-1)
-        sub = tp_mul(tp_const(u[l - 1]), factor[s[l - 1] + tail], ctx)
+        sub = tp_scale(factor[s[l - 1] + tail], u[l - 1], ctx)
         phi[l][l - 1] = tp_shift(sub, head, ctx)
         phi[l][l] = tp_shift(factor[tail], head + s[l - 1], ctx)
 
@@ -234,14 +257,14 @@ def block_sum(systems):
     phi = [[zero] * total for _ in range(total)]
     off = 0
     pads = [w1 - sysj.weight for sysj in systems]
-    factor = _one_minus_alpha_q_t(place, max(pads))
+    factor = _one_minus_alpha_q_t(place, pads)
     for sysj, pad in zip(systems, pads):
-        padpoly = factor[pad]
         for i in range(sysj.size):
             for j in range(sysj.size):
-                if sysj.phi[i][j]:
-                    phi[off + i][off + j] = tp_mul(padpoly, sysj.phi[i][j],
-                                                  ctx)
+                entry = sysj.phi[i][j]
+                if entry:
+                    phi[off + i][off + j] = (
+                        tp_mul(factor[pad], entry, ctx) if pad else entry)
         off += sysj.size
 
     def build(D, N):
@@ -299,28 +322,30 @@ def verify_difference(sys, D, N):
 
 def specialize_psi(sys, N_twist, prec):
     """The literal value vector psi(alpha^(-q^N)) for a CMPL system."""
+    om = omega_at_inverse_power(sys.alpha, sys.place, N_twist, prec)
+    return _specialize(sys, N_twist, prec, om)
+
+
+def _specialize(sys, N_twist, prec, om):
+    """specialize_psi given om = Omega(alpha^(-q^N)): pi_tilde to prec at
+    N = 0, an exact zero above.  Every prefix series comes from one pass."""
     if sys.kind not in ("cmpl", "omega"):
         raise CertificationFailed("specialization needs a constructed system")
-    place, alpha = sys.place, sys.alpha
-    om = omega_at_inverse_power(alpha, place, N_twist, prec)
     if sys.kind == "omega":
         return (om,)
-    s, u = sys.index, sys.args
-    r = s.depth
+    s = sys.index
     out = [om.pow(sys.weight) if not om.is_exact_zero() else om]
-    for l in range(1, r + 1):
-        tail = sum(s[i] for i in range(l, r))
-        pre_s = Index(list(s)[:l])
-        pre_u = ArgTuple(list(u)[:l])
-        if N_twist >= 1 and tail > 0:
+    deps = deformation_specialize_prefixes(s, sys.args, sys.place, N_twist,
+                                           prec)
+    for l, dep in enumerate(deps, 1):
+        tail = sum(s[l:])
+        if not tail:
+            out.append(dep)
+        elif N_twist >= 1:
             # an exactly vanishing omega factor kills the entry
-            out.append(LocalNum.exact_zero(place))
-            continue
-        dep = deformation_specialize(pre_s, pre_u, place, N_twist, prec,
-                                     normalized=False)
-        if tail:
-            dep = dep * om.pow(tail)
-        out.append(dep.truncate(prec) if not dep.is_exact_zero() else dep)
+            out.append(LocalNum.exact_zero(sys.place))
+        else:
+            out.append((dep * om.pow(tail)).truncate(prec))
     return tuple(out)
 
 
@@ -372,10 +397,11 @@ def mpl_certificate(sys, w, ftype, N_list, prec=30):
     cert.conditions[2] = col_ok
     # (3) psi(alpha^{-1}) = (pitilde^w, ..., c Z pitilde^w)
     pt = pi_tilde(sys.alpha, place, prec)
-    vals = specialize_psi(sys, 0, prec)
-    first_ok = (vals[0] - pt.pow(w)).is_zero_to_precision()
+    vals = _specialize(sys, 0, prec, pt)
+    ptw = vals[0] if w == sys.weight else pt.pow(w)
+    first_ok = (vals[0] - ptw).is_zero_to_precision()
     Z = cmpl_eval(sys.index, sys.args, place, prec)
-    target = embed_local(sys.c, place, prec) * Z * pt.pow(w)
+    target = embed_local(sys.c, place, prec) * Z * ptw
     last_ok = (vals[-1] - target).is_zero_to_precision()
     cert.conditions[3] = first_ok and last_ok
     # (4) psi(alpha^{-q^N}) = (0,...,0,(c Z pitilde^w)^{q^N})
@@ -383,7 +409,7 @@ def mpl_certificate(sys, w, ftype, N_list, prec=30):
     for N in N_list:
         if N < 1:
             raise ValueError("condition (4) indices must be positive")
-        vals = specialize_psi(sys, N, prec)
+        vals = _specialize(sys, N, prec, LocalNum.exact_zero(place))
         if not all(x.is_exact_zero() for x in vals[:-1]):
             ok4 = False
             continue
@@ -405,20 +431,36 @@ def _det_structural(sys):
 
     Such determinants vanish only at t = 0 and t = alpha^(-q), so they are
     nonzero along the twisted orbit alpha^(-q^(-i)), i >= 1.
+
+    The test runs on the diagonal blocks.  k is a block boundary when no row
+    above k has a nonzero entry in column k or to its right; Phi is then
+    block lower triangular, and det Phi is the product of the determinants
+    of its diagonal blocks.  k[t] is a UFD whose units are k^x, and t and
+    1 - alpha^q t are non-associate primes, so by unique factorization a
+    product has the form c t^a (1 - alpha^q t)^b, c in k^x, exactly when
+    every factor has it.  A dense Phi is one block; a built Phi, lower
+    triangular, is n blocks of size 1.
     """
-    ctx = sys.place.ctx
-    det = _tp_det(sys.phi, ctx)
-    if not det:
-        return False
-    a = 0
-    while det[a].is_zero():
-        a += 1
-    body = det[a:]
-    b = len(body) - 1
-    base = _one_minus_alpha_q_t(sys.place, b)[b]
-    c = body[0]  # (1 - alpha^q t)^b has constant term 1
-    cand = tp_scale(base, c, ctx)
-    return tuple(body) == cand
+    phi, ctx = sys.phi, sys.place.ctx
+    cuts, reach = [], 0   # reach: 1 + the last nonzero column of rows above
+    for k, row in enumerate(phi):
+        if reach <= k:
+            cuts.append(k)
+        reach = max([reach] + [j + 1 for j, e in enumerate(row) if e])
+    cuts.append(sys.size)
+    bodies = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        det = _tp_det(tuple(row[lo:hi] for row in phi[lo:hi]), ctx)
+        if not det:
+            return False
+        a = 0
+        while det[a].is_zero():
+            a += 1
+        bodies.append(det[a:])
+    base = _one_minus_alpha_q_t(sys.place, [len(b) - 1 for b in bodies])
+    # (1 - alpha^q t)^b has constant term 1, so c is the body's first term
+    return all(tuple(body) == tp_scale(base[len(body) - 1], body[0], ctx)
+               for body in bodies)
 
 
 def _tp_det(phi, ctx):

@@ -427,16 +427,16 @@ def omega_product(alpha, place, D, N):
 
 def pi_tilde(alpha, place, N):
     """Value of the omega product at t = 1/alpha: prod (1 - alpha^(q^i - 1))."""
-    if place.ord_ratk(alpha) < 1:
+    # an embedding keeps the exact valuation, ord_v(alpha)
+    a = embed_local(alpha, place, N)
+    if a.nu < 1:
         raise DomainError("alpha must lie in the open unit disk at v")
     q = place.q
-    da = place.ord_ratk(alpha)
-    a = embed_local(alpha, place, N)
     ainv = a.inv()
     out = LocalNum.unit_one(place, N)
     i = 1
     apow = a
-    while (q ** i - 1) * da < N:
+    while (q ** i - 1) * a.nu < N:
         apow = apow.qpow()
         out = out * (LocalNum.unit_one(place, N) - (apow * ainv).truncate(N))
         i += 1
@@ -449,7 +449,7 @@ def omega_at_inverse_power(alpha, place, N_power, prec):
         raise ValueError("power index must be >= 0")
     if N_power == 0:
         return pi_tilde(alpha, place, prec)
-    if place.ord_ratk(alpha) < 1:
+    if embed_local(alpha, place, 1).nu < 1:
         raise DomainError("alpha must lie in the open unit disk at v")
     return LocalNum.exact_zero(place)
 
@@ -508,32 +508,57 @@ def _F_at_inverse_power(place, i, N_twist, prec):
     return out.shift(-i * qN)
 
 
-def deformation_specialize(s, u, place, N_twist, prec, normalized=True):
-    """The deformation series at t = pi^(-q^N), by per-summand exact evaluation.
+def _specialize_sums(s, u, place, N_twist, prec, shift):
+    """Every prefix sum of the deformation series of (s; u) at t = pi^(-q^N),
+    before the shift by pi^shift, at the plan for the whole index shifted.
 
-    Summands with any chain entry below N_twist vanish exactly, so the sum
-    runs over chains i_1 > ... > i_r >= N_twist.  The raw value of the
-    series at pi^(-q^N) is pi^(-N*wt*q^N) times the q^N-th power of
-    pi_tilde^weight times the v-adic CMPL value, because the power of t
-    attached to a chain does not commute with twisting.  By default the
-    result is normalized by that power of the uniformizer, so that it
-    equals (pi_tilde^wt * Li)^(q^N) on the nose; pass normalized=False for
-    the literal series value.
+    Summands with any chain entry below N_twist vanish exactly, so the sums
+    run over chains i_1 > ... > i_r >= N_twist.
     """
-    if not domain_check(s, u, CONV_V, place):
-        raise DomainError("arguments outside the v-adic convergence domain")
     q = place.q
-    r = s.depth
     wt = s.weight
     d1 = u.ords(place)[0]
     qN = q ** N_twist
-    shift = N_twist * wt * qN if normalized else 0
     bound = lambda i: q ** i * d1 - qN * wt * i + shift  # noqa: E731
-    I = max(_truncation_index(bound, prec), N_twist + r)
+    I = max(_truncation_index(bound, prec), N_twist + s.depth)
     floor = min(bound(i) for i in range(I + 1))
     W = prec + max(0, -floor) + 8
     rows = [[a * _F_at_inverse_power(place, i, N_twist, W).pow(si)
              for i, a in enumerate(_tower(x, place, W, I)) if i >= N_twist]
             for si, x in zip(s, u)]
-    total = _nested_sum(rows, strict=True)[-1]
+    return _nested_sum(rows, strict=True)
+
+
+def deformation_specialize(s, u, place, N_twist, prec, normalized=True):
+    """The deformation series at t = pi^(-q^N), by per-summand exact evaluation.
+
+    The raw value of the series at pi^(-q^N) is pi^(-N*wt*q^N) times the
+    q^N-th power of pi_tilde^weight times the v-adic CMPL value, because the
+    power of t attached to a chain does not commute with twisting.  By
+    default the result is normalized by that power of the uniformizer, so
+    that it equals (pi_tilde^wt * Li)^(q^N) on the nose; pass
+    normalized=False for the literal series value.
+    """
+    if not domain_check(s, u, CONV_V, place):
+        raise DomainError("arguments outside the v-adic convergence domain")
+    shift = N_twist * s.weight * place.q ** N_twist if normalized else 0
+    total = _specialize_sums(s, u, place, N_twist, prec, shift)[-1]
     return _clip(None if total is None else total.shift(shift), place, prec)
+
+
+def deformation_specialize_prefixes(s, u, place, N_twist, prec):
+    """The literal values (normalized=False) of deformation_specialize at
+    every prefix (s_1, ..., s_l; u_1, ..., u_l), l = 1, ..., r, from one
+    prefix pass at the plan of the whole index.
+
+    That plan covers every prefix.  A chain with top entry i contributes
+    ord >= q^i ord(u_1) - q^N wt_l i to prefix l, and wt_l <= wt, so each
+    prefix's bound is at least the whole index's, with a rise at least as
+    steep: the prefix's own truncation index is no larger, the terms past
+    it lie at or above prec, and its own window is no wider.  Clipped at
+    prec, each value is the one the prefix's own plan gives.
+    """
+    if not domain_check(s, u, CONV_V, place):
+        raise DomainError("arguments outside the v-adic convergence domain")
+    return [_clip(total, place, prec)
+            for total in _specialize_sums(s, u, place, N_twist, prec, 0)]

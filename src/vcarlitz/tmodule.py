@@ -30,7 +30,7 @@ from .algebra import (
 )
 from .errors import (
     AnnihilationFailure, AssertionFailure, ConvergenceNotCertified,
-    DomainError, ParseError,
+    DomainError, ParseError, PrecisionLoss,
 )
 from .linalg import (
     fq_min_poly, fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity,
@@ -367,6 +367,28 @@ def log_at_point(spec, w, place, prec, I_cap=64):
     c = 2 dim - 1 is the one proved in _LocalLogCoeffs, so the bound covers
     the terms not computed; a computed P_i below -c*i contradicts the proof
     and raises AssertionFailure.
+
+    The coefficients are computed with the window
+    W = prec + max_(0 <= i <= L) (L i - q^i), L = dim^2, for which
+    cutoff(P_i) >= W - L i.  Write e(Y) and v(Y) for the least cutoff and
+    the least nu of the entries of Y; a product entry is known to
+    min(nu_a + cutoff_b, nu_b + cutoff_a), a sum to its least cutoff, and
+    F_q multiples lose nothing.  1/delta_i has nu -1 and cutoff W - 1, so
+    M = (delta_i + N0)^(-1) has v >= -dim and e >= W - dim, and
+    e(Y M) >= min(v(Y) + W - dim, e(Y) - dim), v(Y M) >= v(Y) - dim.  The
+    dim products by M of _sylvester_solve then give
+    e(P_i) >= min(e(R), v(R) + W) - dim^2 and v(P_i) >= v(R) - dim^2, and
+    B1^(i-1) (v >= 0, e >= W) gives e(R) >= min(e(P_(i-1)), v(P_(i-1)) + W)
+    and v(R) >= v(P_(i-1)) for R = -P_(i-1) B1^(i-1).  From P_0 = Id
+    (e = W, v = 0), induction gives e(P_i) >= W - dim^2 i.  The rate c
+    bounds the valuations but not the cutoffs: with N0 dense, as in a
+    conjugate of a Jordan block, the loss is dim^2 per step.  With
+    m = min ord w >= 1, the term P_i w^(i) is known to
+    q^i m + W - L i >= prec, because L i - q^i is concave in i and falls
+    from i = L on, where q^i (q - 1) > L, so the maximum over i <= L
+    covers every term.  W depends on (prec, dim, q) only, so each prec has
+    one set of coefficients.  A returned coordinate known below prec
+    raises PrecisionLoss.
     """
     w = tuple(w)
     ords = [x.valuation() for x in w if not x.is_exact_zero()]
@@ -379,10 +401,11 @@ def log_at_point(spec, w, place, prec, I_cap=64):
         raise ConvergenceNotCertified(
             "point is not inside the domain of the logarithm")
     q = place.q
-    W = prec + 2 * spec.dim * 8 + 16
+    c = 2 * spec.dim - 1
+    L = spec.dim ** 2
+    W = max(1, prec + max(L * i - q ** i for i in range(L + 1)))
     coeffs = _local_log_coeffs(spec, place, W)
     acc = [LocalNum.zero_to_precision(place, prec) for _ in range(spec.dim)]
-    c = 2 * spec.dim - 1
     term_ords = []
     wq = w
     for i in range(I_cap + 1):
@@ -408,7 +431,12 @@ def log_at_point(spec, w, place, prec, I_cap=64):
             if all(t is None or t >= prec for t in last3):
                 f = lambda j: q ** j * m - c * j  # noqa: E731
                 if f(i + 1) >= prec and f(i + 2) >= f(i + 1):
-                    return tuple(x.truncate(prec) for x in acc)
+                    out = tuple(x.truncate(prec) for x in acc)
+                    if any(x.cutoff < prec for x in out):
+                        raise PrecisionLoss(
+                            "logarithm window fell short of the requested "
+                            "precision")
+                    return out
         wq = tuple(x.qpow() for x in wq)
     raise ConvergenceNotCertified(
         "logarithm stopping rule not achieved within the term cap")
@@ -420,6 +448,12 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
     Pipeline: w = phi_a(point) for the residue annihilator a (every
     coordinate must gain positive valuation), then the designated
     coordinate of d[a]^{-1} Log(w), d[a] = a(theta Id + N0).
+
+    With e = max(0, -ord d[a]^{-1}), the log is taken to prec + e, so each
+    product d_j Log(w)_j is known to ord d_j + prec + e >= prec from the
+    log's side; d_j is embedded with prec - ord d_j - ord Log(w)_j digits,
+    which closes the other side at prec.  A value still known below prec
+    raises PrecisionLoss.
     """
     if not spec.validated:
         raise DomainError(
@@ -434,20 +468,21 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
         if not x.is_zero() and place.ord_ratk(x) < 1:
             raise AnnihilationFailure(
                 "annihilator left a v-unit coordinate: " + str(x))
-    W = prec + 16
-    w_loc = tuple(embed_local(x, place, W) for x in w)
-    logw = log_at_point(spec, w_loc, place, prec)
     da = kmat_poly_eval(a, spec.B0, spec.ctx)
-    dainv = kmat_inv(da)
-    dainv_ord = min(place.ord_ratk(e) for r in dainv for e in r
-                    if not e.is_zero())
-    Wd = prec + max(0, -dainv_ord) + 8
-    dal = kmat([[embed_local(e, place, Wd) for e in r] for r in dainv])
-    i0 = spec.readout[0]
+    row = kmat_inv(da)[spec.readout[0]]
+    ords = [None if e.is_zero() else place.ord_ratk(e) for e in row]
+    lprec = prec + max(0, -min(o for o in ords if o is not None))
+    w_loc = tuple(embed_local(x, place, lprec + 16) for x in w)
+    logw = log_at_point(spec, w_loc, place, lprec)
     out = LocalNum.exact_zero(place)
-    for j in range(spec.dim):
-        out = out + dal[i0][j] * logw[j]
-    return out.truncate(prec)
+    for e, o, x in zip(row, ords, logw):
+        if o is not None and not x.is_exact_zero():
+            out = out + embed_local(e, place, max(1, prec - o - x.nu)) * x
+    out = out.truncate(prec)
+    if out.cutoff < prec:
+        raise PrecisionLoss(
+            "extended value is known below the requested precision")
+    return out
 
 
 # -- validation ----------------------------------------------------------

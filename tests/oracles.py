@@ -10,7 +10,9 @@ definition), the per-digit LocalNum sums and scaling, the exact t-module
 exponential and logarithm coefficients over k, the fixed-point
 iterations for those coefficients, the suffix nested sum that gave only the
 whole index's sum, the omega product and its tails with one series product
-per factor, and the deformation series built one prefix at a time.
+per factor, the deformation series built one prefix at a time, the powers
+of (1 - alpha^q t) by repeated t-polynomial products, and the determinant
+test on the whole twisted matrix.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
 action) and the zeta(s)_v pipeline are here because only tests call them.
@@ -21,7 +23,7 @@ import sys
 from array import array
 from fractions import Fraction
 
-from vcarlitz import polylog, relations, tmodule
+from vcarlitz import diffsys, polylog, relations, tmodule
 from vcarlitz.algebra import PolyA, RatK
 from vcarlitz.errors import DomainError, SingularStep
 from vcarlitz.linalg import (
@@ -546,6 +548,35 @@ def deformation_build_per_prefix(s, u, place, D, N):
     """The series of every prefix of (s; u), each built on its own."""
     return [deformation_build_one(Index(s.s[:l]), ArgTuple(u.u[:l]), place,
                                   D, N) for l in range(1, s.depth + 1)]
+
+
+# -- the powers of (1 - alpha^q t) and the whole-matrix determinant test ---
+
+def one_minus_alpha_q_t_loop(place, n):
+    """(1 - alpha^q t)^k over k[t] for k = 0..n, one t-polynomial product on
+    from the last."""
+    ctx = place.ctx
+    aq = RatK(place.uniformizer()).frobenius()
+    out = [diffsys.tp_one(ctx)]
+    for _ in range(n):
+        out.append(diffsys.tp_mul(out[-1], (RatK.one(ctx), -aq), ctx))
+    return out
+
+
+def det_structural_whole(sys):
+    """True when det of the whole twisted matrix, multiplied out, is
+    c * t^a * (1 - alpha^q t)^b."""
+    ctx = sys.place.ctx
+    det = diffsys._tp_det(sys.phi, ctx)
+    if not det:
+        return False
+    a = 0
+    while det[a].is_zero():
+        a += 1
+    body = det[a:]
+    b = len(body) - 1
+    base = one_minus_alpha_q_t_loop(sys.place, b)[b]
+    return tuple(body) == diffsys.tp_scale(base, body[0], ctx)
 
 
 # -- the Carlitz action over k and the zeta pipeline ----------------------

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import FqContext, PolyA, RatK
@@ -14,14 +14,17 @@ from vcarlitz.polylog import (
     ArgTuple, Index, cmpl_eval, omega_product, pi_tilde,
 )
 from vcarlitz.diffsys import (
-    DiffSystem, Residual, _tp_det, block_sum, build_cmpl_system,
-    build_omega_system, mpl_certificate, specialize_psi, tp_add, tp_apply,
-    tp_eval_k, tp_mul, tp_normalize, tp_one, tp_scale, vabp_certify,
-    verify_difference,
+    DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t, _tp_det,
+    block_sum, build_cmpl_system, build_omega_system, mpl_certificate,
+    specialize_psi, tp_add, tp_apply, tp_eval_k, tp_mul, tp_normalize,
+    tp_one, tp_scale, vabp_certify, verify_difference,
 )
 from vcarlitz.tseries import TSeries
 
-from oracles import deformation_build_per_prefix
+from oracles import (
+    deformation_build_per_prefix, det_structural_whole,
+    one_minus_alpha_q_t_loop,
+)
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -375,6 +378,161 @@ def test_tp_det_of_built_systems():
         diag = tp_mul(diag, sys.phi[i][i], CTX3)
     assert _tp_det(sys.phi, CTX3) == diag
     assert _tp_det(sys.phi, CTX3) == _det_by_permutations(sys.phi, CTX3)
+
+
+# -- the powers of (1 - alpha^q t) ---------------------------------------
+
+_POWER_FIELDS = {2: FqContext(2), 3: CTX3, 4: FqContext(2, 2),
+                 5: FqContext(5), 9: FqContext(3, 2)}
+_POWER_LOOPS = {}
+
+
+def _power_loop(place):
+    """The oracle's powers k = 0..30, built once per place."""
+    if place not in _POWER_LOOPS:
+        _POWER_LOOPS[place] = one_minus_alpha_q_t_loop(place, 30)
+    return _POWER_LOOPS[place]
+
+
+@pytest.mark.parametrize("q", sorted(_POWER_FIELDS))
+@given(st.lists(st.integers(0, 30), max_size=6))
+@example(list(range(31)))
+@settings(max_examples=20, deadline=None)
+def test_closed_form_powers_match_products(q, ks):
+    ctx = _POWER_FIELDS[q]
+    for lam in range(q):
+        place = PlaceV(ctx, lam)
+        got = _one_minus_alpha_q_t(place, ks)
+        assert sorted(got) == sorted(set(ks))   # only the powers asked for
+        loop = _power_loop(place)
+        assert all(got[k] == loop[k] for k in got)
+
+
+# -- the blockwise determinant test --------------------------------------
+
+_F = _one_minus_alpha_q_t(V0, [1])[1]          # 1 - alpha^q t
+_TV = (RatK.zero(CTX3), ONE)                    # t
+_ONE_PLUS_T = (ONE, ONE)
+_UNITS = [ONE, -ONE, T, T.inv() + ONE]
+
+
+def _tp_matmul(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ()
+            for k in range(n):
+                acc = tp_add(acc, tp_mul(a[i][k], b[k][j], CTX3), CTX3)
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def _system(phi):
+    return DiffSystem(V0, phi, lambda D, N: [TSeries.zero(V0, D, N)] * len(phi),
+                      1, RatK(V0.uniformizer()))
+
+
+@st.composite
+def _structured_entries(draw):
+    """c t^a (1 - alpha^q t)^b, c a unit of k."""
+    out = tp_scale(tp_one(CTX3), draw(st.sampled_from(_UNITS)), CTX3)
+    for _ in range(draw(st.integers(0, 2))):
+        out = tp_mul(out, _TV, CTX3)
+    for _ in range(draw(st.integers(0, 2))):
+        out = tp_mul(out, _F, CTX3)
+    return out
+
+
+@st.composite
+def _diagonal_blocks(draw):
+    """A diagonal block of size 1, 2 or 3: L U with L lower unitriangular
+    and U upper triangular with structured diagonal entries (one of them
+    times 1 + t when `broken`), or one with random entries."""
+    n = draw(st.integers(1, 3))
+    if draw(st.integers(0, 3)) == 0:
+        return [[draw(_ENTRY) for _ in range(n)] for _ in range(n)]
+    U = [[draw(_structured_entries()) if i == j else
+          draw(_ENTRY) if j > i else () for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        U[k][k] = tp_mul(U[k][k], _ONE_PLUS_T, CTX3)
+    L = [[tp_one(CTX3) if i == j else draw(_ENTRY) if j < i else ()
+          for j in range(n)] for i in range(n)]
+    return _tp_matmul(L, U)
+
+
+@st.composite
+def _block_lower_triangular(draw):
+    blocks = draw(st.lists(_diagonal_blocks(), min_size=1, max_size=3))
+    n = sum(len(b) for b in blocks)
+    phi = [[()] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            phi[off + i][:off] = [draw(_ENTRY) for _ in range(off)]
+            phi[off + i][off:off + len(b)] = row
+        off += len(b)
+    return tuple(tuple(r) for r in phi)
+
+
+@given(_block_lower_triangular())
+@settings(max_examples=60, deadline=None)
+def test_blockwise_det_test_matches_whole_matrix(phi):
+    sys = _system(phi)
+    assert _det_structural(sys) == det_structural_whole(sys)
+
+
+def _cmpl_with_phi(phi):
+    base = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
+    return DiffSystem(V0, phi, base._psi_build, base.weight, base.alpha,
+                      index=base.index, args=base.args, kind=base.kind)
+
+
+def test_built_phi_with_a_stray_factor_is_refused():
+    base = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
+    assert _det_structural(base)
+    phi = [list(r) for r in base.phi]
+    phi[1][1] = tp_mul(phi[1][1], _ONE_PLUS_T, CTX3)
+    sys = _cmpl_with_phi(phi)
+    assert not _det_structural(sys)
+    gamma = RatK(V0.uniformizer()).inv()
+    zeros = (RatK.zero(CTX3),) * sys.size
+    with pytest.raises(CertificationFailed):
+        vabp_certify(sys, gamma, zeros, ((),) * sys.size, 10, 10)
+    assert 1 in mpl_certificate(sys, 3, t_power(3), [1], prec=20).failed()
+
+
+def _with_coupled_block(block):
+    """A built omega block, then the 2 x 2 block, coupled below to it."""
+    one, f = tp_one(CTX3), _F
+    return ((f, (), ()),
+            (one, block[0][0], block[0][1]),
+            (_TV, block[1][0], block[1][1]))
+
+
+def test_coupled_block_with_unstructured_det_is_refused():
+    # det [[1, t], [t, 1]] = (1 - t)(1 + t)
+    sys = _system(_with_coupled_block(((tp_one(CTX3), _TV),
+                                       (_TV, tp_one(CTX3)))))
+    assert not _det_structural(sys) and not det_structural_whole(sys)
+    gamma = RatK(V0.uniformizer()).inv()
+    with pytest.raises(CertificationFailed):
+        vabp_certify(sys, gamma, (RatK.zero(CTX3),) * 3, ((),) * 3, 10, 10)
+
+
+def test_coupled_block_with_structured_det_passes():
+    # L U with L = [[1, 0], [1 + t, 1]] and U = [[t, 1 + t], [0, 1 - a^q t]]:
+    # no entry has the form, the determinant t (1 - alpha^q t) has it
+    L = [[tp_one(CTX3), ()], [_ONE_PLUS_T, tp_one(CTX3)]]
+    U = [[_TV, _ONE_PLUS_T], [(), _F]]
+    block = _tp_matmul(L, U)
+    sys = _system(_with_coupled_block(block))
+    assert _det_structural(sys) and det_structural_whole(sys)
+    gamma = RatK(V0.uniformizer()).inv()
+    assert vabp_certify(sys, gamma, (RatK.zero(CTX3),) * 3, ((),) * 3, 10, 10)
 
 
 # -- dumps ---------------------------------------------------------------

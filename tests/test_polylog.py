@@ -575,6 +575,32 @@ def test_specialize_raw_value_carries_uniformizer_power():
     assert raw.congruent(norm.shift(-3), 12)
 
 
+@st.composite
+def _specialize_cases(draw):
+    ctx = draw(st.sampled_from([FqContext(2), CTX3, FqContext(5)]))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    pi = place.uniformizer()
+    r = draw(st.integers(1, 3))
+    s = pl.Index(draw(st.lists(st.integers(1, 2), min_size=r, max_size=r)))
+    # u_1 in the open unit disk at v, the others v-integral
+    inner = [PolyA.one(ctx), PolyA.T(ctx), pi, PolyA(ctx, (1, 1))]
+    u = [pi ** draw(st.integers(1, 2)) * draw(st.sampled_from(inner[:2]))]
+    u += [draw(st.sampled_from(inner)) for _ in range(r - 1)]
+    return (s, pl.ArgTuple([RatK(x) for x in u]), place,
+            draw(st.integers(0, 2)), draw(st.integers(1, 30)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specialize_cases())
+def test_specialize_prefixes_match_each_prefix(case):
+    s, u, place, N, prec = case
+    got = pl.deformation_specialize_prefixes(s, u, place, N, prec)
+    want = [pl.deformation_specialize(pl.Index(s.s[:l]), pl.ArgTuple(u.u[:l]),
+                                      place, N, prec, normalized=False)
+            for l in range(1, s.depth + 1)]
+    assert [(x.nu, x.coeffs) for x in got] == [(x.nu, x.coeffs) for x in want]
+
+
 def test_specialize_drops_low_chains():
     # with N_twist = 2 every chain entry below 2 vanishes; depth 1 check
     # against the double qpow

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly
 from vcarlitz.errors import (
     AnnihilationFailure, AssertionFailure, ConvergenceNotCertified,
-    DomainError, ParseError,
+    DomainError, ParseError, PrecisionLoss,
 )
 from vcarlitz.linalg import (
     kmat, fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat_add,
@@ -214,12 +214,16 @@ def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
 
 
 def _check_log_bound(spec, place, W, i_max):
+    # ord P_i >= -c i, and P_i is known to W - dim^2 i, which the log's
+    # window rests on
     c = 2 * spec.dim - 1
     for i, Pi in enumerate(_local_p(spec, place, W, i_max)):
         for r in Pi:
             for e in r:
                 if e.coeffs:
                     assert e.nu >= -c * i
+                if not e.is_exact_zero():
+                    assert e.cutoff >= W - spec.dim ** 2 * i
 
 
 def test_log_coefficient_valuation_bound_shipped_modules():
@@ -388,6 +392,17 @@ def test_log_refuses_a_rate_beyond_the_proof(monkeypatch):
         log_at_point(spec, (embed_local(T, V0, 40),) * 2, V0, 25)
 
 
+def test_log_refuses_a_window_short_of_prec(monkeypatch):
+    # P_0 known to pi^10 only: the log must raise, not return Log(z) to
+    # pi^11 when pi^25 was asked for
+    spec = tensor_carlitz_spec(2, CTX3)
+    stub = _StubLogCoeffs(V0, 2, 10)
+    monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
+                        lambda *args: stub)
+    with pytest.raises(PrecisionLoss):
+        log_at_point(spec, (embed_local(T, V0, 100),) * 2, V0, 25)
+
+
 @pytest.mark.parametrize("lam", [0, 1, 2])
 def test_log_rejects_b1_that_is_not_v_integral(lam):
     # TModuleSpec admits only B1 over A; a B1 replaced afterwards must not
@@ -435,6 +450,22 @@ def test_annihilator_invariance(specs):
     v2 = extended_cmspl_v(spec, V0, 30, annihilator=a * a)
     d = v1 - v2
     assert d.is_zero_to_precision() and d.cutoff >= 30
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_extended_keeps_prec_when_d_a_inverse_has_poles(k):
+    # with the annihilator a pi^k, d[a]^(-1) has negative valuation, and
+    # the value must still come out to pi^40, equal to the one from a
+    text = resources.files("vcarlitz").joinpath(
+        "data/tmodules/tensor_q3_s2.txt").read_text()
+    spec = parse_tmodule_spec(text)
+    assert validate_tmodule(spec, V0, 30).ok
+    a, _ = residue_annihilator(spec, V0)
+    want = extended_cmspl_v(spec, V0, 40, annihilator=a)
+    got = extended_cmspl_v(spec, V0, 40,
+                           annihilator=a * V0.uniformizer() ** k)
+    assert want.cutoff == got.cutoff == 40
+    assert (got.nu, got.coeffs) == (want.nu, want.coeffs)
 
 
 def test_extended_requires_defining_domain(specs):
