@@ -115,7 +115,13 @@ def tp_apply(a, g, place, N):
 # -- the system ----------------------------------------------------------
 
 class DiffSystem:
-    """A (Phi, psi) pair in twisted form, with lazy psi construction."""
+    """A (Phi, psi) pair in twisted form, with lazy psi construction.
+
+    psi_build(D, N, rows) returns psi mod (t^D, pi^N) as a sequence of
+    length size: a series at every index in rows, or at every index when
+    rows is None.  An entry outside rows may be None, so a builder asked
+    for some rows builds only what those rows need.
+    """
 
     def __init__(self, place, phi_twisted, psi_build, weight, alpha,
                  index=None, args=None, c=None, structural_det=False,
@@ -132,8 +138,8 @@ class DiffSystem:
         self.structural_det = structural_det
         self.kind = kind
 
-    def psi(self, D, N):
-        return tuple(self._psi_build(D, N))
+    def psi(self, D, N, rows=None):
+        return tuple(self._psi_build(D, N, rows))
 
     def __repr__(self):
         return f"DiffSystem({self.kind}, size={self.size}, w={self.weight})"
@@ -187,8 +193,9 @@ def build_omega_system(place):
     alpha = RatK(place.uniformizer())
     phi = ((_one_minus_alpha_q_t(place, [1])[1],),)
 
-    def build(D, N):
-        return [_omega_tail(place, 0, D, N)]
+    def build(D, N, rows):
+        return [_omega_tail(place, 0, D, N)
+                if rows is None or 0 in rows else None]
 
     return DiffSystem(place, phi, build, weight=1, alpha=alpha,
                       structural_det=True, kind="omega")
@@ -225,11 +232,21 @@ def build_cmpl_system(s, u, place):
         phi[l][l - 1] = tp_shift(sub, head, ctx)
         phi[l][l] = tp_shift(factor[tail], head + s[l - 1], ctx)
 
-    def build(D, N):
-        omega = _omega_powers(place, w, D, N)
-        deps = deformation_build(s, u, place, D, N)
-        return [omega[w]] + [dep * omega[tail] if tail else dep
-                             for dep, tail in zip(deps, tails)]
+    exps = [w] + tails          # psi_l carries Omega^exps[l]
+
+    def build(D, N, rows):
+        rows = range(ell) if rows is None else rows
+        omega = _omega_powers(place, max((exps[l] for l in rows), default=0),
+                              D, N)
+        # one prefix pass builds every deformation row (l > 0); row 0,
+        # Omega^w, needs none
+        deps = [None] + (deformation_build(s, u, place, D, N)
+                         if any(rows) else [None] * r)
+        out = [None] * ell
+        for l in rows:
+            out[l] = (omega[w] if l == 0 else
+                      deps[l] * omega[exps[l]] if exps[l] else deps[l])
+        return out
 
     return DiffSystem(place, phi, build, weight=w, alpha=alpha,
                       index=s, args=u, structural_det=True, kind="cmpl")
@@ -252,27 +269,35 @@ def block_sum(systems):
             raise ValueError("blocks live at different places or parameters")
     ctx = place.ctx
     w1 = max(sysj.weight for sysj in systems)
-    total = sum(sysj.size for sysj in systems)
+    offsets = [0]
+    for sysj in systems:
+        offsets.append(offsets[-1] + sysj.size)
+    total = offsets[-1]
     zero = tp_zero(ctx)
     phi = [[zero] * total for _ in range(total)]
-    off = 0
     pads = [w1 - sysj.weight for sysj in systems]
     factor = _one_minus_alpha_q_t(place, pads)
-    for sysj, pad in zip(systems, pads):
+    for sysj, pad, off in zip(systems, pads, offsets):
         for i in range(sysj.size):
             for j in range(sysj.size):
                 entry = sysj.phi[i][j]
                 if entry:
                     phi[off + i][off + j] = (
                         tp_mul(factor[pad], entry, ctx) if pad else entry)
-        off += sysj.size
 
-    def build(D, N):
-        omega = _omega_powers(place, max(pads), D, N)
+    def build(D, N, rows):
+        # each block's own rows; a block with none is not built
+        asks = [None if rows is None else
+                {j - lo for j in rows if lo <= j < hi}
+                for lo, hi in zip(offsets, offsets[1:])]
+        read = [ask is None or bool(ask) for ask in asks]
+        omega = _omega_powers(place, max(
+            (pad for pad, r in zip(pads, read) if r), default=0), D, N)
         out = []
-        for sysj, pad in zip(systems, pads):
-            block = sysj.psi(D, N)
-            out.extend([p * omega[pad] for p in block] if pad else block)
+        for sysj, pad, ask, r in zip(systems, pads, asks, read):
+            block = sysj.psi(D, N, ask) if r else (None,) * sysj.size
+            out.extend([p * omega[pad] if pad and p is not None else p
+                        for p in block])
         return out
 
     return DiffSystem(place, phi, build, weight=w1, alpha=alpha,
@@ -468,11 +493,12 @@ def _tp_det(phi, ctx):
 
     Laplace expansion along successive rows: the minor left after the first
     rows depends only on the columns still free, so it is memoized on that
-    tuple, and a zero entry prunes its whole subtree.  A triangular matrix
-    costs O(n^2) steps, any pattern at most n * 2^n products.
+    tuple, and a zero entry prunes its whole subtree.  An entry of the last
+    row is its own minor, taken as is rather than multiplied by 1, so a
+    1 x 1 block costs no arithmetic.  A triangular matrix costs O(n^2)
+    steps, any pattern at most n * 2^n products.
     """
     n = len(phi)
-    minus_one = -RatK.one(ctx)
     memo = {(): tp_one(ctx)}
 
     def minor(cols):
@@ -483,9 +509,10 @@ def _tp_det(phi, ctx):
             for k, j in enumerate(cols):
                 if not row[j]:
                     continue
-                term = tp_mul(row[j], minor(cols[:k] + cols[k + 1:]), ctx)
+                rest = cols[:k] + cols[k + 1:]
+                term = tp_mul(row[j], minor(rest), ctx) if rest else row[j]
                 if k % 2:
-                    term = tp_scale(term, minus_one, ctx)
+                    term = tp_scale(term, -RatK.one(ctx), ctx)
                 out = tp_add(out, term, ctx)
             memo[cols] = out
         return out
@@ -501,7 +528,10 @@ def vabp_certify(sys, gamma, rho, P, D, N):
     True iff P(gamma) = rho entrywise and P . psi vanishes mod (t^D, pi^N).
     det Phi is computed for every system first; unless it equals
     c t^a (1 - alpha^q t)^b the check refuses (CertificationFailed) rather
-    than guesses.
+    than guesses.  An entry with P_j = 0 adds nothing to P . psi, so psi
+    is built only on the support {j : P_j != 0}: a block no P_j reads is
+    not built, and one read only at row 0 is Omega^w, with no deformation
+    series.
     """
     if len(P) != sys.size or len(rho) != sys.size:
         raise ValueError("certificate vectors must match the system size")
@@ -513,9 +543,9 @@ def vabp_certify(sys, gamma, rho, P, D, N):
         if tp_eval_k(pj, gamma) != rj:
             return False
     place = sys.place
-    psi = [p.truncate(D) for p in sys.psi(D, N)]
+    rows = [j for j, pj in enumerate(P) if pj]
+    psi = sys.psi(D, N, set(rows))
     acc = TSeries.zero(place, D, N)
-    for pj, fj in zip(P, psi):
-        if pj:
-            acc = acc + tp_apply(pj, fj, place, N)
+    for j in rows:
+        acc = acc + tp_apply(P[j], psi[j].truncate(D), place, N)
     return acc.residual(N)[0] >= N

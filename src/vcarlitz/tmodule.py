@@ -442,6 +442,33 @@ def log_at_point(spec, w, place, prec, I_cap=64):
         "logarithm stopping rule not achieved within the term cap")
 
 
+def _point_window(spec, q, prec):
+    """The window C (good digits, as embed_local counts them) to which
+    log_at_point's point is embedded, so that Log is known to prec from
+    the point's side.
+
+    Term i of the log is P_i z^(i).  A coordinate z_j = pi^(n_j) (unit)
+    with C good digits is known to n_j + C, and qpow keeps the C digits, so
+    z_j^(q^i) is known to q^i n_j + C and its product with an entry of P_i
+    to nu(P_i) + q^i n_j + C >= C - c i + q^i, by the proved
+    nu(P_i) >= -c i, c = 2 dim - 1 (see _LocalLogCoeffs), and n_j >= 1,
+    below which the log refuses the point.  (Frobenius alone would keep
+    q^i times the absolute precision; qpow keeps the relative window of
+    the product of q^i copies.)  So every term is known to prec when
+    C >= prec + max_(i >= 0) g(i), g(i) = c i - q^i.  g is concave with
+    g(i + 1) - g(i) = c - q^i (q - 1), so the loop below climbs to its
+    maximum and stops there.  At least one digit keeps each valuation
+    exact.  The log's window covers the other side of each product, and a
+    result still known below prec raises PrecisionLoss in log_at_point.
+    """
+    c = 2 * spec.dim - 1
+    g, i = -1, 0
+    while c > q ** i * (q - 1):
+        i += 1
+        g = c * i - q ** i
+    return max(1, prec + g)
+
+
 def extended_cmspl_v(spec, place, prec, annihilator=None):
     """Extended-domain v-adic CMSPL value carried by a validated t-module.
 
@@ -452,8 +479,9 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
     With e = max(0, -ord d[a]^{-1}), the log is taken to prec + e, so each
     product d_j Log(w)_j is known to ord d_j + prec + e >= prec from the
     log's side; d_j is embedded with prec - ord d_j - ord Log(w)_j digits,
-    which closes the other side at prec.  A value still known below prec
-    raises PrecisionLoss.
+    which closes the other side at prec.  w itself is embedded to the
+    window _point_window derives for the log at prec + e.  A value still
+    known below prec raises PrecisionLoss.
     """
     if not spec.validated:
         raise DomainError(
@@ -472,7 +500,8 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
     row = kmat_inv(da)[spec.readout[0]]
     ords = [None if e.is_zero() else place.ord_ratk(e) for e in row]
     lprec = prec + max(0, -min(o for o in ords if o is not None))
-    w_loc = tuple(embed_local(x, place, lprec + 16) for x in w)
+    C = _point_window(spec, place.q, lprec)
+    w_loc = tuple(embed_local(x, place, C) for x in w)
     logw = log_at_point(spec, w_loc, place, lprec)
     out = LocalNum.exact_zero(place)
     for e, o, x in zip(row, ords, logw):
@@ -506,16 +535,18 @@ def validate_tmodule(spec, place, prec=30):
 
     Requires at least three test points strictly inside the convergence
     domain; a failed check marks the spec unusable for extended evaluation.
+    Each test point is embedded to the window _point_window derives for the
+    log at prec.
     """
     from .polylog import CONV_V
     if len(spec.test_points) < 3:
         raise ValueError("validation needs at least three test points")
     results = []
+    C = _point_window(spec, place.q, prec)
     for tp_args, tp_point in spec.test_points:
         if not domain_check(spec.index, tp_args, CONV_V, place):
             raise ValueError("test point outside the convergence domain")
-        W = prec + 16
-        z = tuple(embed_local(x, place, W) for x in tp_point)
+        z = tuple(embed_local(x, place, C) for x in tp_point)
         try:
             logz = log_at_point(spec, z, place, prec)
             got = logz[spec.readout[0]]

@@ -11,8 +11,9 @@ exponential and logarithm coefficients over k, the fixed-point
 iterations for those coefficients, the suffix nested sum that gave only the
 whole index's sum, the omega product and its tails with one series product
 per factor, the deformation series built one prefix at a time, the powers
-of (1 - alpha^q t) by repeated t-polynomial products, and the determinant
-test on the whole twisted matrix.
+of (1 - alpha^q t) by repeated t-polynomial products, the determinant
+test on the whole twisted matrix, and the vABP check on the whole psi
+vector.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
 action) and the zeta(s)_v pipeline are here because only tests call them.
@@ -577,6 +578,25 @@ def det_structural_whole(sys):
     b = len(body) - 1
     base = one_minus_alpha_q_t_loop(sys.place, b)[b]
     return tuple(body) == diffsys.tp_scale(base, body[0], ctx)
+
+
+def vabp_certify_full(sys, gamma, rho, P, D, N):
+    """vabp_certify on the whole psi vector, every block's deformation
+    series built, with the entries where P_j = 0 skipped afterwards."""
+    if len(P) != sys.size or len(rho) != sys.size:
+        raise ValueError("certificate vectors must match the system size")
+    if not diffsys._det_structural(sys):
+        raise diffsys.CertificationFailed("determinant not structural")
+    for pj, rj in zip(P, rho):
+        if diffsys.tp_eval_k(pj, gamma) != rj:
+            return False
+    place = sys.place
+    psi = [p.truncate(D) for p in sys.psi(D, N)]
+    acc = TSeries.zero(place, D, N)
+    for pj, fj in zip(P, psi):
+        if pj:
+            acc = acc + diffsys.tp_apply(pj, fj, place, N)
+    return acc.residual(N)[0] >= N
 
 
 # -- the Carlitz action over k and the zeta pipeline ----------------------

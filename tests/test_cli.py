@@ -157,6 +157,22 @@ def test_certify_vabp_pass_and_fail(capsys):
     assert code == 1 and out == "certified=false\n"
 
 
+@pytest.mark.parametrize("k,code_want,word", [(28, 1, "false"),
+                                               (29, 0, "true")])
+def test_certify_vabp_at_the_last_claimed_digit(capsys, k, code_want, word):
+    # two copies of the CMPL system of (1; T): rows 1 and 3 are the same
+    # deformation series, of ord 1, so (1 + T^k) psi_1 - psi_3 has ord
+    # k + 1; at --prec 30, k = 28 reaches the last claimed digit and must
+    # be refused, k = 29 lies past it.  rho = P(1/T), so only the series
+    # check decides
+    P = f"0;T^{k}+1;0;2"
+    code, out = run(capsys, "certify", "vabp", *["--index", "1", "--args",
+                                                 "T"] * 2,
+                    "--gamma", "1/T", "--rho", P.replace(";", ","),
+                    "--pcoeffs", P, "--t-order", "30", "--prec", "30")
+    assert (code, out) == (code_want, f"certified={word}\n")
+
+
 @pytest.mark.parametrize("pairs", [
     ["--index", "1"],                                    # an extra --index
     ["--args", "T"],                                     # an extra --args

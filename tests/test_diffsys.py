@@ -23,7 +23,7 @@ from vcarlitz.tseries import TSeries
 
 from oracles import (
     deformation_build_per_prefix, det_structural_whole,
-    one_minus_alpha_q_t_loop,
+    one_minus_alpha_q_t_loop, vabp_certify_full,
 )
 
 CTX3 = FqContext(3)
@@ -150,8 +150,8 @@ def test_perturbation_detected():
     bad = list(psi[1].coeffs)
     bad[2] = bad[2] + LocalNum(V0, 3, (1,) + (0,) * 17)
     perturbed = DiffSystem(
-        V0, sys.phi, lambda D, N: (psi[0], TSeries(V0, bad)), sys.weight,
-        sys.alpha, kind=sys.kind)
+        V0, sys.phi, lambda D, N, rows: (psi[0], TSeries(V0, bad)),
+        sys.weight, sys.alpha, kind=sys.kind)
     res = verify_difference(perturbed, 20, 20)
     assert not res.is_zero and res.exact and res.ord <= 4
 
@@ -218,6 +218,17 @@ def test_block_sum_psi_is_blocks_times_omega_pad(entries, D, N):
         pad = bs.weight - sysj.weight
         want += [p * omega.pow(pad) if pad else p for p in sysj.psi(D, N)]
     assert [p.runs for p in bs.psi(D, N)] == [p.runs for p in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(_BLOCKS), min_size=1, max_size=3),
+       st.integers(1, 16), st.integers(1, 24), st.data())
+def test_psi_on_rows_matches_the_full_vector(entries, D, N, data):
+    bs = block_sum([_block(e) for e in entries])
+    rows = data.draw(st.sets(st.integers(0, bs.size - 1)))
+    full, got = bs.psi(D, N), bs.psi(D, N, rows)
+    assert [j for j, p in enumerate(got) if p is not None] == sorted(rows)
+    assert all(got[j].runs == full[j].runs for j in rows)
 
 
 def test_block_sum_refuses_mixed_places():
@@ -307,11 +318,116 @@ def test_vabp_checks_evaluation_at_gamma():
 
 def test_vabp_refuses_unstructured_determinant():
     sys = build_omega_system(V0)
-    broken = DiffSystem(V0, (((),),), lambda D, N: [TSeries.zero(V0, D, N)],
+    broken = DiffSystem(V0, (((),),),
+                        lambda D, N, rows: [TSeries.zero(V0, D, N)],
                         1, sys.alpha)
     gamma = RatK(V0.uniformizer()).inv()
     with pytest.raises(CertificationFailed):
         vabp_certify(broken, gamma, (RatK.zero(CTX3),), ((),), 10, 10)
+
+
+def _spy_deformation_build(monkeypatch):
+    import vcarlitz.diffsys as diffsys
+    calls, real = [], diffsys.deformation_build
+
+    def spy(s, u, place, D, N):
+        calls.append(s.s)
+        return real(s, u, place, D, N)
+
+    monkeypatch.setattr(diffsys, "deformation_build", spy)
+    return calls
+
+
+def test_psi_rows_build_only_the_blocks_read(monkeypatch):
+    calls = _spy_deformation_build(monkeypatch)
+    # rows 0-1, 2-4 and 5-7; row 0 of each block is Omega^w padded
+    bs = block_sum([_block(e) for e in _BLOCKS[1:2] + _BLOCKS[3:]])
+    full = bs.psi(12, 12)
+    assert calls == [(1,), (2, 1), (1, 1)]
+    calls.clear()
+    got = bs.psi(12, 12, {3})
+    assert calls == [(2, 1)]
+    assert [j for j, p in enumerate(got) if p is not None] == [3]
+    assert got[3].runs == full[3].runs
+    calls.clear()
+    got = bs.psi(12, 12, {0, 2, 5})
+    assert calls == []
+    assert [j for j, p in enumerate(got) if p is not None] == [0, 2, 5]
+    assert all(got[j].runs == full[j].runs for j in (0, 2, 5))
+    assert bs.psi(12, 12, set()) == (None,) * bs.size
+
+
+def test_vabp_on_first_entries_builds_no_deformation_series(monkeypatch):
+    calls = _spy_deformation_build(monkeypatch)
+    bs = block_sum([_block(e) for e in _BLOCKS[2:4]])
+    gamma = RatK(V0.uniformizer()).inv()
+    one = tp_one(CTX3)
+    P = (one, (), tp_scale(one, -ONE, CTX3), (), ())
+    rho = tuple(tp_eval_k(pj, gamma) for pj in P)
+    assert vabp_certify(bs, gamma, rho, P, 20, 20)
+    assert calls == []
+
+
+_PI = RatK(V0.uniformizer())
+
+
+@pytest.mark.parametrize("certify", [True, False])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_vabp_on_the_support_matches_the_full_psi_check(certify, data):
+    # f (e_a - e_b) on the first entries of two blocks is a relation;
+    # extra entries with P_j = pi^N c or t^D c vanish mod (t^D, pi^N), and
+    # a unit constant on a deformation row (ord <= 6 < N) never does
+    entries = data.draw(st.lists(st.sampled_from(_BLOCKS), min_size=2,
+                                 max_size=3))
+    D, N = data.draw(st.integers(4, 16)), data.draw(st.integers(8, 20))
+    systems = [_block(e) for e in entries]
+    bs = block_sum(systems)
+    offs = [sum(sj.size for sj in systems[:i]) for i in range(len(systems))]
+    deform = [o + l for o, sj in zip(offs, systems) for l in range(1, sj.size)]
+    a, b = sorted(data.draw(st.permutations(range(len(systems))))[:2])
+    f = data.draw(st.sampled_from([(ONE,), (T,), (T + ONE, ONE)]))
+    P = [() for _ in range(bs.size)]
+    P[offs[a]], P[offs[b]] = f, tp_scale(f, -ONE, CTX3)
+    vanish = [(_PI ** N,), t_power(D)]
+    for j in data.draw(st.lists(st.sampled_from(range(bs.size)),
+                                max_size=3, unique=True)):
+        if j not in (offs[a], offs[b]):
+            P[j] = tp_scale(data.draw(st.sampled_from(vanish)),
+                            data.draw(st.sampled_from([ONE, T])), CTX3)
+    if not certify and deform:
+        P[data.draw(st.sampled_from(deform))] = (
+            data.draw(st.sampled_from([ONE, -ONE, T + ONE])),)
+    gamma = _PI.inv()
+    rho = tuple(tp_eval_k(pj, gamma) for pj in P)
+    got = vabp_certify(bs, gamma, rho, tuple(P), D, N)
+    assert got == vabp_certify_full(bs, gamma, rho, tuple(P), D, N)
+    assert got == (certify or not deform)
+
+
+def _last_digit_certificate(D, N, k):
+    """Two copies of the CMPL system of (1; T): psi_1 - psi_3 = 0 on their
+    deformation rows, perturbed by pi^k psi_1, whose lowest digit is at
+    ord k + 1.  rho is P(gamma), so only the series check can fail."""
+    bs = block_sum([_block(_BLOCKS[1]), _block(_BLOCKS[1])])
+    low = min(c.valuation() for c in bs.psi(D, N)[1].coeffs
+              if c.valuation() is not None)
+    assert low == 1
+    P = ((), (ONE + _PI ** k,), (), (-ONE,))
+    gamma = _PI.inv()
+    return bs, gamma, tuple(tp_eval_k(pj, gamma) for pj in P), P
+
+
+def test_vabp_refuses_a_term_at_the_last_claimed_digit():
+    # P . psi gains a term of valuation exactly N - 1: refused; times pi,
+    # of valuation N, it vanishes mod pi^N: certified
+    D, N = 30, 30
+    cert = _last_digit_certificate(D, N, N - 2)
+    assert not vabp_certify(*cert, D, N)
+    assert not vabp_certify_full(*cert, D, N)
+    cert = _last_digit_certificate(D, N, N - 1)
+    assert vabp_certify(*cert, D, N)
+    assert vabp_certify_full(*cert, D, N)
 
 
 # -- determinants --------------------------------------------------------
@@ -431,7 +547,8 @@ def _tp_matmul(a, b):
 
 
 def _system(phi):
-    return DiffSystem(V0, phi, lambda D, N: [TSeries.zero(V0, D, N)] * len(phi),
+    return DiffSystem(V0, phi,
+                      lambda D, N, rows: [TSeries.zero(V0, D, N)] * len(phi),
                       1, RatK(V0.uniformizer()))
 
 

@@ -18,8 +18,8 @@ from vcarlitz.linalg import (
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
 from vcarlitz.tmodule import (
-    TModuleSpec, _LocalLogCoeffs, dump_tmodule_spec, extended_cmspl_v,
-    log_at_point, parse_tmodule_spec, residue_annihilator,
+    TModuleSpec, _LocalLogCoeffs, _point_window, dump_tmodule_spec,
+    extended_cmspl_v, log_at_point, parse_tmodule_spec, residue_annihilator,
     tensor_carlitz_spec, tm_action, validate_tmodule, with_args,
 )
 
@@ -197,7 +197,7 @@ def test_sylvester_solver_matches_fixed_point(spec, data):
                     assert _agree(got[i][r][c], exact)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
     ctx = FqContext(2, 2) if q == 4 else FqContext(q)
     for s in (1, 2, 3):
@@ -401,6 +401,34 @@ def test_log_refuses_a_window_short_of_prec(monkeypatch):
                         lambda *args: stub)
     with pytest.raises(PrecisionLoss):
         log_at_point(spec, (embed_local(T, V0, 100),) * 2, V0, 25)
+
+
+def test_point_window_is_tight_at_the_proved_rate(monkeypatch):
+    # ord P_1 = -3 = -(2 dim - 1), the proved extreme: a point of ord 1 at
+    # q = 3 needs prec good digits, and one fewer leaves term 1 short
+    spec = tensor_carlitz_spec(2, CTX3)
+    low = LocalNum(V0, -3, (1,) + (0,) * 99)
+    zero = LocalNum.exact_zero(V0)
+    stub = _StubLogCoeffs(V0, 2, 100, P1=kmat([[low, zero], [zero, zero]]))
+    monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
+                        lambda *args: stub)
+    C = _point_window(spec, 3, 25)
+    assert C == 25
+    out = log_at_point(spec, (embed_local(T, V0, C),) * 2, V0, 25)
+    assert all(x.cutoff == 25 for x in out)
+    with pytest.raises(PrecisionLoss):
+        log_at_point(spec, (embed_local(T, V0, C - 1),) * 2, V0, 25)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_point_window_covers_every_term(dim, q):
+    # C - c i + q^i >= prec for every i, checked far past the loop's stop,
+    # and one digit fewer falls short at some i
+    spec = tensor_carlitz_spec(dim, FqContext(q))
+    C, c = _point_window(spec, q, 30), 2 * dim - 1
+    assert all(C - c * i + q ** i >= 30 for i in range(40))
+    assert any(C - 1 - c * i + q ** i < 30 for i in range(40))
 
 
 @pytest.mark.parametrize("lam", [0, 1, 2])
