@@ -197,7 +197,7 @@ def test_sylvester_solver_matches_fixed_point(spec, data):
                     assert _agree(got[i][r][c], exact)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
     ctx = FqContext(2, 2) if q == 4 else FqContext(q)
     for s in (1, 2, 3):
