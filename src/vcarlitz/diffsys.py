@@ -18,7 +18,7 @@ from .algebra import RatK
 from .errors import CertificationFailed, DomainError
 from .local import LocalNum, PlaceV, embed_local
 from .polylog import (
-    _omega_tail, cmpl_eval, deformation_build,
+    _omega_power, cmpl_eval, deformation_build,
     deformation_specialize_prefixes, domain_check, omega_at_inverse_power,
     pi_tilde, CONV_V,
 )
@@ -173,28 +173,13 @@ def _one_minus_alpha_q_t(place, ks):
     return out
 
 
-def _omega_powers(place, n, D, N):
-    """Omega^k mod (t^D, pi^N) at index k = 1, ..., n, each one product on
-    from the last; index 0 holds None, no factor.
-
-    alpha is the uniformizer, so Omega is the cached omega tail at i = 0,
-    the same series as the F_0 row of every deformation series.
-    """
-    out = [None]
-    if n:
-        out.append(_omega_tail(place, 0, D, N))
-    while len(out) <= n:
-        out.append(out[-1] * out[1])
-    return out
-
-
 def build_omega_system(place):
     """The rank-one system psi = (Omega), Phi = (1 - alpha t)."""
     alpha = RatK(place.uniformizer())
     phi = ((_one_minus_alpha_q_t(place, [1])[1],),)
 
     def build(D, N, rows):
-        return [_omega_tail(place, 0, D, N)
+        return [_omega_power(place, 1, D, N)
                 if rows is None or 0 in rows else None]
 
     return DiffSystem(place, phi, build, weight=1, alpha=alpha,
@@ -236,16 +221,18 @@ def build_cmpl_system(s, u, place):
 
     def build(D, N, rows):
         rows = range(ell) if rows is None else rows
-        omega = _omega_powers(place, max((exps[l] for l in rows), default=0),
-                              D, N)
+        # the powers of Omega the rows carry; deformation_build reads its
+        # Omega^(s_l) from the same list
+        omega = {l: _omega_power(place, exps[l], D, N)
+                 for l in rows if exps[l]}
         # one prefix pass builds every deformation row (l > 0); row 0,
         # Omega^w, needs none
         deps = [None] + (deformation_build(s, u, place, D, N)
                          if any(rows) else [None] * r)
         out = [None] * ell
         for l in rows:
-            out[l] = (omega[w] if l == 0 else
-                      deps[l] * omega[exps[l]] if exps[l] else deps[l])
+            out[l] = (omega[0] if l == 0 else
+                      deps[l] * omega[l] if exps[l] else deps[l])
         return out
 
     return DiffSystem(place, phi, build, weight=w, alpha=alpha,
@@ -290,14 +277,16 @@ def block_sum(systems):
         asks = [None if rows is None else
                 {j - lo for j in rows if lo <= j < hi}
                 for lo, hi in zip(offsets, offsets[1:])]
-        read = [ask is None or bool(ask) for ask in asks]
-        omega = _omega_powers(place, max(
-            (pad for pad, r in zip(pads, read) if r), default=0), D, N)
         out = []
-        for sysj, pad, ask, r in zip(systems, pads, asks, read):
-            block = sysj.psi(D, N, ask) if r else (None,) * sysj.size
-            out.extend([p * omega[pad] if pad and p is not None else p
-                        for p in block])
+        for sysj, pad, ask in zip(systems, pads, asks):
+            if ask is not None and not ask:
+                out.extend((None,) * sysj.size)
+                continue
+            block = sysj.psi(D, N, ask)
+            if pad:
+                block = [None if p is None else
+                         p * _omega_power(place, pad, D, N) for p in block]
+            out.extend(block)
         return out
 
     return DiffSystem(place, phi, build, weight=w1, alpha=alpha,

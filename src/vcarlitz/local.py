@@ -188,16 +188,10 @@ class PlaceV(Place):
         return self.ctx.neg(self.lam)
 
     def ord_poly(self, f):
+        """ord_v f: the index of the first nonzero digit of poly_digits."""
         if f.is_zero():
             return INF
-        pi = self.uniformizer()
-        n = 0
-        while True:
-            quo, rem = f.divmod(pi)
-            if not rem.is_zero():
-                return n
-            f = quo
-            n += 1
+        return next(n for n, c in enumerate(self.poly_digits(f)) if c)
 
     def poly_digits(self, f):
         """Exact digits of f in powers of the uniformizer pi = theta + lambda.
@@ -256,7 +250,7 @@ class PlaceInf(Place):
 def _taylor_shift(f, r):
     """f(T + r) for r in F_q; see PlaceV.poly_digits."""
     n = len(f.coeffs)
-    if n < 2:
+    if n < 2 or r == 0:
         return f
     ctx = f.ctx
     m = 1
@@ -401,10 +395,19 @@ class LocalNum:
         cutoff = min(self.nu + other.cutoff, other.nu + self.cutoff)
         if not self.coeffs or not other.coeffs:
             return LocalNum.zero_to_precision(self.place, cutoff)
-        ctx = self.place.ctx
-        # leading digits are nonzero, so the product keeps min(W_a, W_b)
-        digits = _convolve(ctx, self.coeffs, other.coeffs,
-                           min(len(self.coeffs), len(other.coeffs)))
+        a, b = self.coeffs, other.coeffs
+        # leading digits are nonzero, so the product keeps n = min(W_a, W_b);
+        # its first n digits read only the first n of each operand, so an
+        # operand c pi^nu there scales the other's digits by c
+        n = min(len(a), len(b))
+        if not any(a[1:n]):
+            row = self.place.ctx._mul[a[0]]
+            digits = [row[x] for x in b[:n]]
+        elif not any(b[1:n]):
+            row = self.place.ctx._mul[b[0]]
+            digits = [row[x] for x in a[:n]]
+        else:
+            digits = _convolve(self.place.ctx, a, b, n)
         out = LocalNum(self.place, self.nu + other.nu, digits)
         return out.truncate(cutoff)
 

@@ -11,6 +11,11 @@ evaluated by one prefix pass, _nested_sum, in O(r * I) products of its
 factor rows rather than one product per chain.  The pass gives the sum of
 every prefix of the index at once, so deformation_build returns the series
 of every prefix, which is what a difference system's psi holds.
+
+A deformation row is a twist orbit: the twist of the coefficients is a ring
+map sending prod_(j>i) (1 - pi^(q^j) t) to the product over j > i + 1, so
+row l of the nested sum is t^(i s_l) times the i-th twist of the one series
+Omega^(s_l) u_l, and each row costs one product and its twists.
 """
 
 from __future__ import annotations
@@ -225,12 +230,11 @@ def _add(acc, x):
     return x if acc is None else acc + x
 
 
-def _tower(x, place, window, I, cutoff=None):
-    """x, x^q, ..., x^(q^(I-1)) embedded with the window, each cut at cutoff."""
+def _tower(x, place, window, I):
+    """x, x^q, ..., x^(q^(I-1)) embedded with the window."""
     out = [embed_local(x, place, window)]
     while len(out) < I:
-        nxt = out[-1].qpow()
-        out.append(nxt if cutoff is None else nxt.truncate(cutoff))
+        out.append(out[-1].qpow())
     return out[:I]
 
 
@@ -393,15 +397,21 @@ def mzv_inf(s, ctx, D_max, prec=None):
 _OMEGA_TAIL_CACHE = {}
 
 
-def _omega_tail(place, i, D, N):
-    """The twisted product t^(-i) F_i = prod_(j>i) (1 - pi^(q^j) t) mod
-    (t^D, pi^N): the omega product at pi^(q^i).  Omega itself is i = 0."""
-    key = (place, i, D, N)
-    out = _OMEGA_TAIL_CACHE.get(key)
-    if out is None:
-        alpha = RatK(place.uniformizer()).frobenius(i)
-        out = _OMEGA_TAIL_CACHE[key] = omega_product(alpha, place, D, N)
-    return out
+def _omega_power(place, k, D, N):
+    """Omega^k mod (t^D, pi^N), k >= 1, Omega = prod_(j>=1) (1 - pi^(q^j) t).
+
+    One list [Omega, Omega^2, ...] per (place, D, N), extended on demand,
+    Omega^k one series product Omega^(k-1) * Omega on from the last; every
+    psi builder and every deformation row reads it.
+    """
+    key = (place, D, N)
+    powers = _OMEGA_TAIL_CACHE.get(key)
+    if powers is None:
+        powers = _OMEGA_TAIL_CACHE[key] = [
+            omega_product(RatK(place.uniformizer()), place, D, N)]
+    while len(powers) < k:
+        powers.append(powers[-1] * powers[0])
+    return powers[k - 1]
 
 
 def omega_product(alpha, place, D, N):
@@ -454,39 +464,50 @@ def omega_at_inverse_power(alpha, place, N_power, prec):
     return LocalNum.exact_zero(place)
 
 
-def _F_series(place, i, s_pow, D, N):
-    """F_i^s with F_i = t^i * prod_(j>i)(1 - pi^(q^j) t), mod (t^D, pi^N)."""
-    base = _omega_tail(place, i, D, N)
-    out = base.pow(s_pow) if s_pow != 1 else base
-    if i:
-        out = out.t_shift(i * s_pow, N) if s_pow != 1 else out.t_shift(i, N)
-    return out
-
-
 def deformation_build(s, u, place, D, N):
     """The deformation series of every prefix (s_1, ..., s_l; u_1, ..., u_l),
     l = 1, ..., r, assembled from the rearranged product form; the last is
     the series of (s; u).
 
     Each summand of the defining sum over strict chains is
-    prod_l u_l^(q^(i_l)) * F_(i_l)^(s_l), where F_i carries the t-power and
-    the tail of the omega product; chains with q^(i_1)*ord(u_1) >= N
-    contribute 0 mod pi^N and are dropped.  That cut reads only u_1, so
-    slot l has the same row in every prefix, and one prefix pass over one
-    set of rows gives all r series.
+    prod_l u_l^(q^(i_l)) * F_(i_l)^(s_l), F_i = t^i prod_(j>i) (1 - pi^(q^j) t);
+    chains with q^(i_1)*ord(u_1) >= N contribute 0 mod pi^N and are dropped.
+    That cut reads only u_1, so slot l has the same row in every prefix,
+    and one prefix pass over one set of rows gives all r series.
+
+    The twist x -> x^q of the coefficients is a ring map, and it sends
+    pi^(q^j) to pi^(q^(j+1)), so prod_(j>i) (1 - pi^(q^j) t) is
+    twist^i(Omega), and entry i of row l is t^(i s_l) twist^i(Omega^(s_l)
+    u_l): one product E_0 = Omega^(s_l) u_l per row, then E_i =
+    twist(E_(i-1)) clipped at pi^N, shifted by t^(i s_l).
+
+    Every window before the final clip is at least N, so the clipped
+    series is the same series whichever route made it: Omega's
+    coefficients and the embedded u_l have valuation >= 0 and cutoff >= N,
+    and a product keeps both, its cutoff being min(nu_a + c_b, nu_b + c_a).
+    A twist sends a coefficient pi^nu (W digits) to pi^(Q nu) with the same
+    W digits, and a zero known to pi^c to one known to pi^(Q c), so no
+    cutoff falls; clip(N) and t_shift(., N) leave cutoffs >= N, and the
+    nested sum's products and sums keep valuation >= 0 and cutoff >= N.
+    Then zero + total, clipped, holds exactly the proved digits below pi^N.
     """
     if not domain_check(s, u, CONV_V, place):
         raise DomainError("arguments outside the v-adic convergence domain")
-    from .tseries import TSeries
+    from .tseries import TSeries, frobenius_twist
     q = place.q
     d1 = u.ords(place)[0]
     I = 0
     while q ** I * d1 < N and I < D:
         I += 1
-    # slot l at index i carries t^(i*s_l): its row stops where that is >= D
-    rows = [[_F_series(place, i, si, D, N).scale(c) for i, c in
-             enumerate(_tower(x, place, N, min(I, -(-D // si)), cutoff=N))]
-            for si, x in zip(s, u)]
+    rows = []
+    for si, x in zip(s, u):
+        # slot l at index i carries t^(i*s_l): its row stops where that is >= D
+        E = _omega_power(place, si, D, N).scale(embed_local(x, place, N))
+        row = [E]
+        for i in range(1, min(I, -(-D // si))):
+            E = frobenius_twist(E).clip(N)
+            row.append(E.t_shift(i * si, N))
+        rows.append(row[:I])
     zero = TSeries.zero(place, D, N)
     return [_add(zero, total).clip(N)
             for total in _nested_sum(rows, strict=True)]

@@ -10,7 +10,8 @@ definition), the per-digit LocalNum sums and scaling, the exact t-module
 exponential and logarithm coefficients over k, the fixed-point
 iterations for those coefficients, the suffix nested sum that gave only the
 whole index's sum, the omega product and its tails with one series product
-per factor, the deformation series built one prefix at a time, the powers
+per factor, the deformation series built one prefix at a time, ord_v by
+repeated division by the uniformizer, the powers
 of (1 - alpha^q t) by repeated t-polynomial products, the determinant
 test on the whole twisted matrix, and the vABP check on the whole psi
 vector.
@@ -488,6 +489,20 @@ def nested_sum_suffix(rows, strict):
     return total
 
 
+def ord_poly_divmod(place, f):
+    """ord_v f at a finite place by repeated division by the uniformizer."""
+    if f.is_zero():
+        return INF
+    pi = place.uniformizer()
+    n = 0
+    while True:
+        quo, rem = f.divmod(pi)
+        if not rem.is_zero():
+            return n
+        f = quo
+        n += 1
+
+
 def omega_product_loop(alpha, place, D, N):
     """prod_(i>=1) (1 - alpha^(q^i) t) mod (t^D, pi^N), one series product
     per factor."""
@@ -538,9 +553,15 @@ def deformation_build_one(s, u, place, D, N):
         out = out.pow(si) if si != 1 else out
         return out.t_shift(i * si, N) if i else out
 
-    rows = [[F(i, si).scale(c) for i, c in enumerate(
-        polylog._tower(x, place, N, min(I, -(-D // si)), cutoff=N))]
-        for si, x in zip(s, u)]
+    def tower(x, n):
+        out = [embed_local(x, place, N)]
+        while len(out) < n:
+            out.append(out[-1].qpow().truncate(N))
+        return out[:n]
+
+    rows = [[F(i, si).scale(c) for i, c in
+             enumerate(tower(x, min(I, -(-D // si))))]
+            for si, x in zip(s, u)]
     return polylog._add(TSeries.zero(place, D, N),
                         nested_sum_suffix(rows, strict=True)).clip(N)
 

@@ -156,6 +156,35 @@ def test_perturbation_detected():
     assert not res.is_zero and res.exact and res.ord <= 4
 
 
+def _perturbed_cmpl(D, N, nu):
+    """The CMPL system of (2, 1; T, T + 1), its last deformation row (built
+    from Omega u_2 and its twists) changed by pi^nu at t^(D - 2)."""
+    sys = build_cmpl_system(Index((2, 1)), ArgTuple((T, T + ONE)), V0)
+
+    def build(D_, N_, rows):
+        psi = list(sys.psi(D_, N_, rows))
+        bad = list(psi[-1].coeffs)
+        bad[D - 2] = bad[D - 2] + LocalNum(V0, nu, (2,))
+        psi[-1] = TSeries(V0, bad)
+        return psi
+
+    return DiffSystem(V0, sys.phi, build, sys.weight, sys.alpha,
+                      index=sys.index, args=sys.args, kind=sys.kind)
+
+
+def test_verify_difference_fails_at_the_last_claimed_digit():
+    # a digit at pi^(N-1) is the last one the residual check claims: fail
+    # with ord N - 1; the same digit at pi^N is beyond it: ok.  The twisted
+    # copy of the change, at pi^(q (N-1)), lies past pi^N.
+    D, N = 12, 16
+    res = verify_difference(_perturbed_cmpl(D, N, N - 1), D, N)
+    assert _residual_records(res) == (
+        [("residual_ord", str(N - 1)), ("status", "fail")], 1)
+    res = verify_difference(_perturbed_cmpl(D, N, N), D, N)
+    assert _residual_records(res) == (
+        [("residual_ord", "inf"), ("status", "ok")], 0)
+
+
 # -- block sums ----------------------------------------------------------
 
 def test_block_sum_single_is_identity_shape():
@@ -229,6 +258,31 @@ def test_psi_on_rows_matches_the_full_vector(entries, D, N, data):
     full, got = bs.psi(D, N), bs.psi(D, N, rows)
     assert [j for j, p in enumerate(got) if p is not None] == sorted(rows)
     assert all(got[j].runs == full[j].runs for j in rows)
+
+
+def test_block_sum_builds_each_omega_power_once(monkeypatch):
+    # the 8-entry vABP system: two (1,1,1) blocks of weight 3 read Omega^3
+    # (row 0), Omega^2 and Omega; each power is one product, made once
+    import vcarlitz.polylog as polylog
+    D, N = 16, 20
+    omega = omega_product(RatK(V0.uniformizer()), V0, D, N)
+    square = omega * omega
+    cube = square * omega
+    monkeypatch.setattr(polylog, "_OMEGA_TAIL_CACHE", {})
+    products, real = [], TSeries.__mul__
+
+    def spy(a, b):
+        out = real(a, b)
+        products.append(out.runs)
+        return out
+
+    monkeypatch.setattr(TSeries, "__mul__", spy)
+    bs = block_sum([build_cmpl_system(Index((1, 1, 1)), ArgTuple(u), V0)
+                    for u in ((T, ONE, ONE), (T * T, T, ONE))])
+    assert bs.size == 8
+    bs.psi(D, N)
+    assert products.count(square.runs) == 1
+    assert products.count(cube.runs) == 1
 
 
 def test_block_sum_refuses_mixed_places():

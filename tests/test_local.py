@@ -13,6 +13,7 @@ from vcarlitz.local import (
 
 from oracles import (
     localnum_add, localnum_neg, localnum_scale_fq, localnum_sub,
+    ord_poly_divmod,
 )
 
 CTX3 = FqContext(3)
@@ -88,6 +89,27 @@ def shift_cases(draw):
     f = PolyA(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])
     k = draw(st.integers(0, 12))
     return place, f * place.uniformizer() ** k, k
+
+
+@st.composite
+def ord_cases(draw):
+    """(place, f, k): every lambda of q in {2, 3, 4, 5, 9}, f nonzero of
+    degree <= 300, times pi^k."""
+    ctx = draw(st.sampled_from(SHIFT_FIELDS))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    deg = draw(st.integers(0, 300))
+    coeffs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=deg,
+                           max_size=deg))
+    f = PolyA(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])
+    k = draw(st.integers(0, 40))
+    return place, f * place.uniformizer() ** k, k
+
+
+@given(ord_cases())
+@settings(max_examples=150, deadline=None)
+def test_ord_poly_matches_division_loop(case):
+    place, f, k = case
+    assert place.ord_poly(f) == ord_poly_divmod(place, f) >= k
 
 
 @given(shift_cases())
@@ -234,6 +256,39 @@ def test_convolve_matches_schoolbook(case):
         want = _convolve_schoolbook(ctx, x, b)
         assert _convolve(ctx, x, b, n) == want
         assert _convolve(ctx, x, b, len(b)) == want[:len(b)]
+
+
+@st.composite
+def monomial_products(draw):
+    """(x, y): x is c pi^nu on its first k digits (W up to 80, sometimes
+    with further digits after them), y any window of 1 to 80 digits."""
+    ctx = draw(st.sampled_from(SHIFT_FIELDS))
+    place = draw(st.sampled_from([PlaceV(ctx, draw(st.integers(0, ctx.q - 1))),
+                                  PlaceInf(ctx)]))
+    digit = st.integers(0, ctx.q - 1)
+    k = draw(st.integers(0, 79))
+    tail = draw(st.lists(digit, max_size=80 - 1 - k))
+    x = LocalNum(place, draw(st.integers(-5, 5)),
+                 [draw(st.integers(1, ctx.q - 1))] + [0] * k + tail)
+    y = LocalNum(place, draw(st.integers(-5, 5)),
+                 [draw(st.integers(1, ctx.q - 1))]
+                 + draw(st.lists(digit, max_size=79)))
+    return x, y
+
+
+@given(monomial_products())
+@settings(max_examples=300, deadline=None)
+def test_monomial_operand_product_matches_convolve(case):
+    # an operand that is c pi^nu on the first min(W_a, W_b) digits skips
+    # the convolution; the digits must be _convolve's, in either order
+    x, y = case
+    ctx = x.place.ctx
+    n = min(x.window, y.window)
+    want = LocalNum(x.place, x.nu + y.nu,
+                    _convolve(ctx, x.coeffs, y.coeffs, n)).truncate(
+        min(x.nu + y.cutoff, y.nu + x.cutoff))
+    assert _state(x * y) == _state(want)
+    assert _state(y * x) == _state(want)
 
 
 def test_convolve_slots_never_overflow():
