@@ -118,7 +118,14 @@ def fqmat_identity(d):
 
 
 def fq_rref(ctx, rows):
-    """Reduced row echelon form over F_q; returns (rows, pivot columns)."""
+    """Reduced row echelon form over F_q; returns (rows, pivot columns).
+
+    Each row operation is one comprehension over rows of the field tables:
+    the pivot row is scaled through the multiplication row of its inverse,
+    and a row with entry f in the pivot column adds the pivot row scaled
+    through the row of -f.
+    """
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
     rows = [list(r) for r in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -128,13 +135,12 @@ def fq_rref(ctx, rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y))
-                           for x, y in zip(rows[i], rows[r])]
+        scale = mul[ctx._inv[rows[r][c]]]
+        rk = rows[r] = [scale[x] for x in rows[r]]
+        for i, ri in enumerate(rows):
+            if i != r and ri[c]:
+                mrow = mul[neg[ri[c]]]
+                rows[i] = [add[x][mrow[y]] for x, y in zip(ri, rk)]
         pivots.append(c)
         r += 1
         if r == len(rows):

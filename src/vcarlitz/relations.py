@@ -85,16 +85,16 @@ def find_k_relations(values, d, N, N_recheck):
                 f"value {v.label} known only to O({place.symbol}^"
                 f"{v.value.cutoff}); need {N_recheck}")
     ctx = place.ctx
-    theta = RatK.T(ctx)
+    W = N_recheck + 4 * (d + 1)
+    powers = [embed_local(RatK.one(ctx), place, W)]   # theta^j, j <= d
+    th = embed_local(RatK.T(ctx), place, W)
+    for _ in range(d):
+        powers.append(powers[-1] * th)
     columns = []       # (value index, theta power) per unknown
     digitized = []
     m_min = 0
     for i, v in enumerate(values):
-        tp = embed_local(RatK.one(ctx), place, N_recheck + 4 * (d + 1))
-        th = embed_local(theta, place, N_recheck + 4 * (d + 1))
-        for j in range(d + 1):
-            if j:
-                tp = tp * th
+        for j, tp in enumerate(powers):
             y = tp * v.value
             columns.append((i, j))
             digitized.append(y)
@@ -124,8 +124,7 @@ def find_k_relations(values, d, N, N_recheck):
         residual = LocalNum.exact_zero(place)
         for c, v in zip(coeffs, values):
             if not c.is_zero():
-                residual = residual + embed_local(
-                    RatK(c), place, N_recheck + 4 * (d + 1)) * v.value
+                residual = residual + embed_local(RatK(c), place, W) * v.value
         if residual.is_exact_zero():
             bound = INF
         else:

@@ -14,13 +14,18 @@ the logarithm, and d[a]^{-1} Log(phi_a(point)) recovers the value.
 
 The exponential coefficients Q_i and the logarithm coefficients P_i both
 solve a twisted Sylvester equation P (delta + N0) - N0 P = R, with
-delta = theta^{q^i} - theta and N0^dim = 0.  Put
-M = (delta + N0)^{-1} = sum_{b<dim} (-N0)^b delta^{-(b+1)}.  Then
-P = sum_{a<dim} N0^a R M^{a+1} solves it, because the sum telescopes:
-P (delta + N0) = sum_{a<dim} N0^a R M^a, N0 P = sum_{1<=a<dim} N0^a R M^a
-(N0^dim = 0), and the difference is the a = 0 term R.  Horner's rule
-evaluates the sum with dim products by M (_sylvester_solve), over k and in
-the completions alike.
+delta = theta^{q^i} - theta.  N0 is nilpotent over F_q, so F_q^dim has a
+basis B adapted to the flag ker N0 < ker N0^2 < ... < F_q^dim; N0 maps each
+step of the flag into the one before, so U = S N0 B (S = B^{-1}) is
+strictly upper triangular.  With P = B P' S and R' = S R B the equation
+reads delta P' + P' U - U P' = R', whose entry (r, c) is
+delta P'[r][c] = R'[r][c] + sum_{l>r} U[r][l] P'[l][c]
+                 - sum_{l<c} P'[r][l] U[l][c].
+The right side reads only entries below (r, c) in its column and left of
+it in its row, so back-substitution from the last row and the first
+column gives the unique solution with one division by delta per entry
+(_sylvester_solve), over k and in the completions alike; the changes of
+basis are F_q combinations.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ from .errors import (
     DomainError, ParseError, PrecisionLoss,
 )
 from .linalg import (
-    fq_min_poly, fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity,
-    kmat_inv, kmat_mul, kmat_neg, kmat_poly_eval, kmat_scale,
+    fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat,
+    kmat_add, kmat_identity, kmat_inv, kmat_mul, kmat_neg, kmat_poly_eval,
+    kmat_scale,
 )
 from .local import LocalNum, PlaceV, embed_local, geometric_product
 from .polylog import DEF_V, ArgTuple, Index, cmspl_eval, domain_check
@@ -45,7 +51,8 @@ class TModuleSpec:
 
     def __init__(self, ctx, dim, N0, B1, readout, index, args, point,
                  test_points=(), name="anonymous"):
-        if len(N0) != dim or any(len(r) != dim for r in N0):
+        if len(N0) != dim or any(len(r) != dim or not all(
+                0 <= int(x) < ctx.q for x in r) for r in N0):
             raise ValueError("N0 must be a dim x dim matrix over F_q")
         if len(B1) != dim or any(len(r) != dim for r in B1):
             raise ValueError("B1 must be a dim x dim matrix over A")
@@ -67,7 +74,20 @@ class TModuleSpec:
             for tp_args, tp_point in test_points)
         self.name = name
         self.validated = False
-        self._nilpotency_check()
+        # B: columns adapted to the flag of kernels of the powers of N0,
+        # which reaches F_q^dim exactly when N0 is nilpotent
+        basis, power = [], self.N0
+        for _ in range(dim):
+            for v in fq_kernel(ctx, power, dim):
+                if len(fq_rref(ctx, basis + [v])[1]) > len(basis):
+                    basis.append(v)
+            power = fqmat_mul(ctx, power, self.N0)
+        if len(basis) < dim:
+            raise ValueError("N0 is not nilpotent")
+        B = tuple(zip(*basis))
+        rref, _ = fq_rref(ctx, [r + e for r, e in zip(B, fqmat_identity(dim))])
+        S = tuple(r[dim:] for r in rref)
+        self._flag = (B, S, fqmat_mul(ctx, fqmat_mul(ctx, S, self.N0), B))
         # N0 lifted to k, and B0 = theta*Id + N0
         lift = kmat([[RatK(PolyA.constant(ctx, c)) for c in r]
                      for r in self.N0])
@@ -75,13 +95,6 @@ class TModuleSpec:
         self.B0 = kmat_add(kmat_scale(kmat_identity(ctx, dim), theta), lift)
         # (place, W) -> _LocalLogCoeffs
         self._llog_cache = {}
-
-    def _nilpotency_check(self):
-        M = self.N0
-        for _ in range(self.dim):
-            M = fqmat_mul(self.ctx, M, self.N0)
-        if any(x for r in M for x in r):
-            raise ValueError("N0 is not nilpotent")
 
     def __repr__(self):
         return (f"TModuleSpec({self.name}, dim={self.dim}, "
@@ -189,35 +202,46 @@ def tm_action(spec, a, z):
 
 # -- the twisted Sylvester equation -------------------------------------
 
+def _fq_combo(coeffs, xs):
+    """sum of c x over the nonzero c of F_q, x in k or in a completion."""
+    acc = None
+    for c, x in zip(coeffs, xs):
+        if c:
+            t = _scale_coord(x, c)
+            acc = t if acc is None else acc + t
+    return _zero_like(xs[0]) if acc is None else acc
+
+
+def _fq_conj(L, X, R):
+    """L X R for L, R over F_q and X over k or a completion, by F_q
+    combinations only.  A pass with F maps Y to (F Y)^T, so the passes with
+    L and R^T give (R^T (L X)^T)^T = L X R."""
+    for F in (L, tuple(zip(*R))):
+        X = [[_fq_combo(row, col) for row in F] for col in zip(*X)]
+    return kmat(X)
+
+
 def _sylvester_solve(spec, R, dinv):
     """The P with P (delta + N0) - N0 P = R, given dinv = 1/delta.
 
-    Entries lie in k (RatK) or in a completion (LocalNum).  With
-    M = (delta + N0)^{-1} = sum_{b<dim} (-N0)^b dinv^{b+1}, the solution is
-    P = sum_{a<dim} N0^a R M^{a+1} (see the module docstring), evaluated
-    by Horner: X <- R, then dim - 1 times X <- R + N0 X M, and P = X M.
+    Entries lie in k (RatK) or in a completion (LocalNum).  In the flag
+    basis B of the spec (S = B^{-1}, U = S N0 B strictly upper triangular),
+    P'[r][c] = dinv (R'[r][c] + sum_{l>r} U[r][l] P'[l][c]
+    - sum_{l<c} P'[r][l] U[l][c]) with R' = S R B, for r from the last row
+    up and c from the first column on (see the module docstring); then
+    P = B P' S.
     """
     ctx, dim = spec.ctx, spec.dim
-    powers = [dinv]
-    for _ in range(dim - 1):
-        powers.append(powers[-1] * dinv)
-    neg_n0 = tuple(tuple(ctx.neg(c) for c in r) for r in spec.N0)
-    C = fqmat_identity(dim)                           # (-N0)^b over F_q
-    M = [[None] * dim for _ in range(dim)]
-    for b, d in enumerate(powers):
-        if b:
-            C = fqmat_mul(ctx, C, neg_n0)
-        for j in range(dim):
-            for k in range(dim):
-                if C[j][k]:
-                    t = _scale_coord(d, C[j][k])
-                    M[j][k] = t if M[j][k] is None else M[j][k] + t
-    zero = _zero_like(dinv)
-    M = kmat([[zero if e is None else e for e in r] for r in M])
-    X = R
-    for _ in range(dim - 1):
-        X = kmat_add(R, _lmat_n0(spec, kmat_mul(X, M)))
-    return kmat_mul(X, M)
+    B, S, U = spec._flag
+    Rp = _fq_conj(S, R, B)
+    P = [[None] * dim for _ in range(dim)]
+    for r in reversed(range(dim)):
+        for c in range(dim):
+            coeffs = (1, *U[r][r + 1:], *(ctx.neg(U[l][c]) for l in range(c)))
+            terms = (Rp[r][c], *(P[l][c] for l in range(r + 1, dim)),
+                     *P[r][:c])
+            P[r][c] = _fq_combo(coeffs, terms) * dinv
+    return _fq_conj(B, P, S)
 
 
 # -- residue annihilator -------------------------------------------------
@@ -269,25 +293,6 @@ def residue_annihilator(spec, place):
 # inputs to the stopping rule, and the windows themselves bound the error
 # of every retained digit.
 
-def _lmat_n0(spec, A, side="left"):
-    """N0 @ A (side='left') or A @ N0 (side='right') for N0 over F_q,
-    entries of A in k or in a completion."""
-    dim = spec.dim
-    out = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            acc = None
-            for l in range(dim):
-                c = spec.N0[i][l] if side == "left" else spec.N0[l][j]
-                if c:
-                    t = _scale_coord(A[l][j] if side == "left" else A[i][l], c)
-                    acc = t if acc is None else acc + t
-            row.append(_zero_like(A[0][0]) if acc is None else acc)
-        out.append(row)
-    return kmat(out)
-
-
 def _delta_inv(place, i, W):
     """1/delta_i to W digits at a degree-one place, where delta_i =
     theta^(q^i) - theta = pi^(q^i) - pi: -pi^(-1) / (1 - pi^(q^i - 1))."""
@@ -303,16 +308,24 @@ class _LocalLogCoeffs:
     coefficients but with right-hand side R_i = -P_{i-1} B1^(i-1).  Unlike
     the compositional-inverse route, this recursion never multiplies by
     twisted matrices of large negative valuation, so the windows stay put.
-    Each P_i is the telescoping sum of the module docstring.
+    Each P_i is solved by _sylvester_solve.
 
-    Valuation bound: ord P_i >= -(2 dim - 1) i at a degree-one place.
-    There ord delta = 1, since delta = pi^{q^i} - pi.  Expanding
-    M^{a+1} = (delta + N0)^{-(a+1)} in powers of N0 gives
-    sum_{b<dim} binom(-(a+1), b) N0^b delta^{-(a+1)-b}, so its entries have
-    ord >= -(a + 1) - (dim - 1).  With a <= dim - 1 and N0 over F_q, every
-    term N0^a R M^{a+1} has ord >= ord R - (2 dim - 1).  B1 has entries in
-    A, which are v-integral, so ord R_i >= ord P_{i-1}; induction from
-    P_0 = Id gives the bound.
+    Bounds, at a degree-one place with c = 2 dim - 1: ord P_i >= -c i and
+    cutoff(P_i) >= W - c i, for every nilpotent N0.  Write v(Y) and e(Y)
+    for the least nu and the least cutoff of the entries of Y.  A sum keeps
+    v and e at least the least of its terms', F_q multiples lose nothing,
+    and a product entry is known to min(nu_a + cutoff_b, nu_b + cutoff_a).
+    B1^(i-1) has v >= 0 and e >= W (A is v-integral, and qpow keeps the
+    window), so R = -P_(i-1) B1^(i-1) has v(R) >= v(P_(i-1)) and
+    e(R) >= min(e(P_(i-1)), v(P_(i-1)) + W); R' = S R B and P = B P' S
+    are F_q combinations.  1/delta_i = -pi^(-1) / (1 - pi^(q^i - 1)) has
+    nu -1 and cutoff W - 1, so a product by it takes (v, e) to at least
+    (v - 1, min(v + W, e) - 1).  Entry (r, col) of P' is that product of
+    R'[r][col] plus F_q multiples of entries below it or left of it, so it
+    ends a chain of at most k = (dim - r) + col <= c such products, and
+    induction along the chains gives v(P') >= v(R) - c and
+    e(P') >= min(e(R), v(R) + W) - c.  From P_0 = Id (v = 0, e = W),
+    induction on i gives both bounds.
     """
 
     def __init__(self, spec, place, W):
@@ -368,27 +381,10 @@ def log_at_point(spec, w, place, prec, I_cap=64):
     the terms not computed; a computed P_i below -c*i contradicts the proof
     and raises AssertionFailure.
 
-    The coefficients are computed with the window
-    W = prec + max_(0 <= i <= L) (L i - q^i), L = dim^2, for which
-    cutoff(P_i) >= W - L i.  Write e(Y) and v(Y) for the least cutoff and
-    the least nu of the entries of Y; a product entry is known to
-    min(nu_a + cutoff_b, nu_b + cutoff_a), a sum to its least cutoff, and
-    F_q multiples lose nothing.  1/delta_i has nu -1 and cutoff W - 1, so
-    M = (delta_i + N0)^(-1) has v >= -dim and e >= W - dim, and
-    e(Y M) >= min(v(Y) + W - dim, e(Y) - dim), v(Y M) >= v(Y) - dim.  The
-    dim products by M of _sylvester_solve then give
-    e(P_i) >= min(e(R), v(R) + W) - dim^2 and v(P_i) >= v(R) - dim^2, and
-    B1^(i-1) (v >= 0, e >= W) gives e(R) >= min(e(P_(i-1)), v(P_(i-1)) + W)
-    and v(R) >= v(P_(i-1)) for R = -P_(i-1) B1^(i-1).  From P_0 = Id
-    (e = W, v = 0), induction gives e(P_i) >= W - dim^2 i.  The rate c
-    bounds the valuations but not the cutoffs: with N0 dense, as in a
-    conjugate of a Jordan block, the loss is dim^2 per step.  With
-    m = min ord w >= 1, the term P_i w^(i) is known to
-    q^i m + W - L i >= prec, because L i - q^i is concave in i and falls
-    from i = L on, where q^i (q - 1) > L, so the maximum over i <= L
-    covers every term.  W depends on (prec, dim, q) only, so each prec has
-    one set of coefficients.  A returned coordinate known below prec
-    raises PrecisionLoss.
+    The coefficients are computed with the window _log_window derives,
+    which makes every computed term known to prec.  It depends on
+    (prec, dim, q) only, so each prec has one set of coefficients.  A
+    returned coordinate known below prec raises PrecisionLoss.
     """
     w = tuple(w)
     ords = [x.valuation() for x in w if not x.is_exact_zero()]
@@ -402,9 +398,7 @@ def log_at_point(spec, w, place, prec, I_cap=64):
             "point is not inside the domain of the logarithm")
     q = place.q
     c = 2 * spec.dim - 1
-    L = spec.dim ** 2
-    W = max(1, prec + max(L * i - q ** i for i in range(L + 1)))
-    coeffs = _local_log_coeffs(spec, place, W)
+    coeffs = _local_log_coeffs(spec, place, _log_window(spec, q, prec))
     acc = [LocalNum.zero_to_precision(place, prec) for _ in range(spec.dim)]
     term_ords = []
     wq = w
@@ -442,24 +436,26 @@ def log_at_point(spec, w, place, prec, I_cap=64):
         "logarithm stopping rule not achieved within the term cap")
 
 
-def _point_window(spec, q, prec):
-    """The window C (good digits, as embed_local counts them) to which
-    log_at_point's point is embedded, so that Log is known to prec from
-    the point's side.
+def _log_window(spec, q, prec):
+    """The window that makes each term P_i z^(i) of log_at_point known to
+    prec from both sides of the product, for a point z of ord m >= 1 (the
+    log refuses any other): the digits W of the coefficients P_i, and the
+    good digits C (as embed_local counts them) of the point.
 
-    Term i of the log is P_i z^(i).  A coordinate z_j = pi^(n_j) (unit)
-    with C good digits is known to n_j + C, and qpow keeps the C digits, so
-    z_j^(q^i) is known to q^i n_j + C and its product with an entry of P_i
-    to nu(P_i) + q^i n_j + C >= C - c i + q^i, by the proved
-    nu(P_i) >= -c i, c = 2 dim - 1 (see _LocalLogCoeffs), and n_j >= 1,
-    below which the log refuses the point.  (Frobenius alone would keep
+    With c = 2 dim - 1, _LocalLogCoeffs proves nu(P_i) >= -c i and
+    cutoff(P_i) >= W - c i.  From the coefficients' side, z^(i) has
+    nu >= q^i m >= q^i, so the term is known to W - c i + q^i.  From the
+    point's side, a coordinate z_j = pi^(n_j) (unit) with C good digits is
+    known to n_j + C, and qpow keeps the C digits, so z_j^(q^i) is known
+    to q^i n_j + C and its product with an entry of P_i to
+    nu(P_i) + q^i n_j + C >= C - c i + q^i.  (Frobenius alone would keep
     q^i times the absolute precision; qpow keeps the relative window of
-    the product of q^i copies.)  So every term is known to prec when
-    C >= prec + max_(i >= 0) g(i), g(i) = c i - q^i.  g is concave with
+    the product of q^i copies.)  Both sides ask for the same
+    prec + max_(i >= 0) g(i), g(i) = c i - q^i.  g is concave with
     g(i + 1) - g(i) = c - q^i (q - 1), so the loop below climbs to its
     maximum and stops there.  At least one digit keeps each valuation
-    exact.  The log's window covers the other side of each product, and a
-    result still known below prec raises PrecisionLoss in log_at_point.
+    exact.  A result still known below prec raises PrecisionLoss in
+    log_at_point.
     """
     c = 2 * spec.dim - 1
     g, i = -1, 0
@@ -480,7 +476,7 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
     product d_j Log(w)_j is known to ord d_j + prec + e >= prec from the
     log's side; d_j is embedded with prec - ord d_j - ord Log(w)_j digits,
     which closes the other side at prec.  w itself is embedded to the
-    window _point_window derives for the log at prec + e.  A value still
+    window _log_window derives for the log at prec + e.  A value still
     known below prec raises PrecisionLoss.
     """
     if not spec.validated:
@@ -500,7 +496,7 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
     row = kmat_inv(da)[spec.readout[0]]
     ords = [None if e.is_zero() else place.ord_ratk(e) for e in row]
     lprec = prec + max(0, -min(o for o in ords if o is not None))
-    C = _point_window(spec, place.q, lprec)
+    C = _log_window(spec, place.q, lprec)
     w_loc = tuple(embed_local(x, place, C) for x in w)
     logw = log_at_point(spec, w_loc, place, lprec)
     out = LocalNum.exact_zero(place)
@@ -535,14 +531,14 @@ def validate_tmodule(spec, place, prec=30):
 
     Requires at least three test points strictly inside the convergence
     domain; a failed check marks the spec unusable for extended evaluation.
-    Each test point is embedded to the window _point_window derives for the
+    Each test point is embedded to the window _log_window derives for the
     log at prec.
     """
     from .polylog import CONV_V
     if len(spec.test_points) < 3:
         raise ValueError("validation needs at least three test points")
     results = []
-    C = _point_window(spec, place.q, prec)
+    C = _log_window(spec, place.q, prec)
     for tp_args, tp_point in spec.test_points:
         if not domain_check(spec.index, tp_args, CONV_V, place):
             raise ValueError("test point outside the convergence domain")

@@ -13,8 +13,9 @@ whole index's sum, the omega product and its tails with one series product
 per factor, the deformation series built one prefix at a time, ord_v by
 repeated division by the uniformizer, the powers
 of (1 - alpha^q t) by repeated t-polynomial products, the determinant
-test on the whole twisted matrix, and the vABP check on the whole psi
-vector.
+test on the whole twisted matrix, the vABP check on the whole psi
+vector, the telescoping Horner solve of the twisted Sylvester equation,
+and F_q row reduction one element at a time.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
 action) and the zeta(s)_v pipeline are here because only tests call them.
@@ -29,8 +30,8 @@ from vcarlitz import diffsys, polylog, relations, tmodule
 from vcarlitz.algebra import PolyA, RatK
 from vcarlitz.errors import DomainError, SingularStep
 from vcarlitz.linalg import (
-    kmat, kmat_add, kmat_frobenius, kmat_identity, kmat_mul, kmat_neg,
-    kmat_scale, kmat_sub, kmat_zero,
+    fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_frobenius, kmat_identity,
+    kmat_mul, kmat_neg, kmat_scale, kmat_sub, kmat_zero,
 )
 from vcarlitz.local import (
     _WIDTHS, INF, LocalNum, PlaceInf, _grid_product, _pack, _rows,
@@ -371,22 +372,83 @@ def localnum_scale_fq(x, c):
     return LocalNum(x.place, x.nu, [mul(c, d) for d in x.coeffs])
 
 
+# -- F_q row reduction one element at a time ------------------------------
+
+def fq_rref_loop(ctx, rows):
+    """Reduced row echelon form over F_q through the field's methods, one
+    element at a time; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ctx.inv(rows[r][c])
+        rows[r] = [ctx.mul(inv, x) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [ctx.sub(x, ctx.mul(f, y))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows], pivots
+
+
 # -- exact t-module coefficients over k ----------------------------------
 
 def solve_twisted_sylvester(spec, i, R):
     """Solve Q (theta^{q^i} Id + N0) - (theta Id + N0) Q = R over k.
 
     This is Q (delta + N0) - N0 Q = R with delta = theta^{q^i} - theta;
-    _sylvester_solve gives Q in closed form, and Q is checked exactly.
+    _sylvester_solve gives Q by back-substitution, and Q is checked exactly.
     """
     ctx = spec.ctx
     delta = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx))
     Q = tmodule._sylvester_solve(spec, R, delta.inv())
-    comm = kmat_sub(tmodule._lmat_n0(spec, Q, "right"),
-                    tmodule._lmat_n0(spec, Q))
+    comm = kmat_sub(_lmat_n0(spec, Q, "right"), _lmat_n0(spec, Q))
     if kmat_add(kmat_scale(Q, delta), comm) != R:
         raise SingularStep("twisted Sylvester solution failed its check")
     return Q
+
+
+def sylvester_solve_horner(spec, R, dinv):
+    """The P with P (delta + N0) - N0 P = R, given dinv = 1/delta, by the
+    telescoping sum that _sylvester_solve's back-substitution replaced.
+
+    With M = (delta + N0)^{-1} = sum_{b<dim} (-N0)^b dinv^{b+1}, the
+    solution is P = sum_{a<dim} N0^a R M^{a+1}: P (delta + N0) =
+    sum_{a<dim} N0^a R M^a, N0 P = sum_{1<=a<dim} N0^a R M^a (N0^dim = 0),
+    and the difference is the a = 0 term R.  Horner's rule evaluates it:
+    X <- R, then dim - 1 times X <- R + N0 X M, and P = X M.  Entries lie
+    in k or in a completion.
+    """
+    ctx, dim = spec.ctx, spec.dim
+    powers = [dinv]
+    for _ in range(dim - 1):
+        powers.append(powers[-1] * dinv)
+    neg_n0 = tuple(tuple(ctx.neg(c) for c in r) for r in spec.N0)
+    C = fqmat_identity(dim)                           # (-N0)^b over F_q
+    M = [[None] * dim for _ in range(dim)]
+    for b, d in enumerate(powers):
+        if b:
+            C = fqmat_mul(ctx, C, neg_n0)
+        for j in range(dim):
+            for k in range(dim):
+                if C[j][k]:
+                    t = tmodule._scale_coord(d, C[j][k])
+                    M[j][k] = t if M[j][k] is None else M[j][k] + t
+    zero = tmodule._zero_like(dinv)
+    M = kmat([[zero if e is None else e for e in r] for r in M])
+    X = R
+    for _ in range(dim - 1):
+        X = kmat_add(R, _lmat_n0(spec, kmat_mul(X, M)))
+    return kmat_mul(X, M)
 
 
 def explog_coeffs(spec, I_max):
@@ -426,20 +488,22 @@ def solve_twisted_sylvester_fixed_point(spec, i, R):
     raise SingularStep("twisted Sylvester iteration did not stabilize")
 
 
-def _lmat_n0(spec, A, place, side):
-    """N0 @ A (side='left') or A @ N0 (side='right'), N0 over F_q."""
+def _lmat_n0(spec, A, side="left"):
+    """N0 @ A (side='left') or A @ N0 (side='right') for N0 over F_q,
+    entries of A in k or in a completion."""
     dim = spec.dim
     out = []
     for i in range(dim):
         row = []
         for j in range(dim):
-            acc = LocalNum.exact_zero(place)
+            acc = None
             for l in range(dim):
                 c = spec.N0[i][l] if side == "left" else spec.N0[l][j]
-                x = A[l][j] if side == "left" else A[i][l]
                 if c:
-                    acc = acc + x.scale_fq(c)
-            row.append(acc)
+                    x = A[l][j] if side == "left" else A[i][l]
+                    t = tmodule._scale_coord(x, c)
+                    acc = t if acc is None else acc + t
+            row.append(tmodule._zero_like(A[0][0]) if acc is None else acc)
         out.append(row)
     return kmat(out)
 
@@ -459,8 +523,7 @@ def local_log_fixed_point(spec, place, W, i_max):
         dinv = _delta_inv(place, i, W)
         Pi = kmat_scale(R, dinv)
         for _ in range(2 * dim + 1):
-            comm = kmat_sub(_lmat_n0(spec, Pi, place, "left"),
-                            _lmat_n0(spec, Pi, place, "right"))
+            comm = kmat_sub(_lmat_n0(spec, Pi), _lmat_n0(spec, Pi, "right"))
             Pi = kmat_scale(kmat_add(R, comm), dinv)
         P.append(Pi)
     return P

@@ -14,7 +14,7 @@ import vcarlitz
 from vcarlitz import polylog
 from vcarlitz.algebra import FqContext
 from vcarlitz.cli import RunConfig, run_command
-from vcarlitz.local import PlaceInf, parse_local
+from vcarlitz.local import LocalNum, PlaceInf, parse_local
 
 from oracles import power_sum_enum
 
@@ -117,6 +117,39 @@ def test_verify_tmodule_file(capsys):
     assert code == 0
     assert out.splitlines()[0] == "validated=true"
     assert len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("n, code_want, word", [(29, 1, "false"),
+                                                (30, 0, "true")])
+def test_verify_tmodule_sees_the_last_checked_digit(capsys, monkeypatch, c,
+                                                    n, code_want, word):
+    # the direct series is compared at prec 30: c v^29 added to it must
+    # fail the validation, and c v^30, beyond the checked digits, must not
+    precs = set()
+
+    def moved(index, args, place, prec):
+        precs.add(prec)
+        return (polylog.cmspl_eval(index, args, place, prec)
+                + LocalNum(place, n, (c,)))
+
+    monkeypatch.setattr("vcarlitz.tmodule.cmspl_eval", moved)
+    path = data_path("tmodules", "tensor_q3_s2.txt")
+    code, out = run(capsys, "verify", "tmodule", "--file", path)
+    assert precs == {30}
+    assert code == code_want
+    assert out.splitlines()[0] == f"validated={word}"
+
+
+def test_verify_tmodule_refuses_n0_that_is_not_nilpotent(capsys, tmp_path):
+    with open(data_path("tmodules", "tensor_q3_s3.txt")) as fh:
+        text = fh.read()
+    path = tmp_path / "not_nilpotent.txt"
+    path.write_text(text.replace("n0-row: 0 1 0", "n0-row: 1 1 0", 1))
+    code = run_command(["verify", "tmodule", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: N0 is not nilpotent\n"
 
 
 def test_eval_mzv_v_from_shipped_decomposition(capsys):

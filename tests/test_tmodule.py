@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcarlitz import tmodule
 from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly
 from vcarlitz.errors import (
     AnnihilationFailure, AssertionFailure, ConvergenceNotCertified,
@@ -18,19 +19,22 @@ from vcarlitz.linalg import (
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
 from vcarlitz.tmodule import (
-    TModuleSpec, _LocalLogCoeffs, _point_window, dump_tmodule_spec,
+    TModuleSpec, _LocalLogCoeffs, _log_window, dump_tmodule_spec,
     extended_cmspl_v, log_at_point, parse_tmodule_spec, residue_annihilator,
     tensor_carlitz_spec, tm_action, validate_tmodule, with_args,
 )
 
 from oracles import (
-    L_factorial, carlitz_action, explog_coeffs, local_log_fixed_point,
-    solve_twisted_sylvester, solve_twisted_sylvester_fixed_point, zeta_v,
+    L_factorial, carlitz_action, explog_coeffs, fq_rref_loop,
+    local_log_fixed_point, solve_twisted_sylvester,
+    solve_twisted_sylvester_fixed_point, sylvester_solve_horner, zeta_v,
 )
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
 T = RatK.T(CTX3)
+SOLVER_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
+                 FqContext(3, 2)]
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +64,18 @@ def test_fq_kernel_recovers_dependence():
             for a, b in zip(row, v):
                 s = CTX3.add(s, CTX3.mul(a, b))
             assert s == 0
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_fq_rref_matches_the_element_loop(data):
+    # q in {2, 3, 4, 5, 9}; wide, square and tall shapes, with zero rows
+    ctx = data.draw(st.sampled_from(SOLVER_FIELDS))
+    ncols = data.draw(st.integers(1, 7))
+    fq = st.integers(0, ctx.q - 1)
+    row = st.one_of(st.just((0,) * ncols), st.tuples(*[fq] * ncols))
+    rows = data.draw(st.lists(row, max_size=7))
+    assert fq_rref(ctx, rows) == fq_rref_loop(ctx, rows)
 
 
 def test_fq_min_poly_involution():
@@ -126,10 +142,6 @@ def test_explog_compositional_inverse():
 
 # -- the twisted Sylvester solver ----------------------------------------
 
-SOLVER_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
-                 FqContext(3, 2)]
-
-
 def _fq_inverse(ctx, S):
     d = len(S)
     rows, pivots = fq_rref(ctx, [tuple(r) + e
@@ -140,11 +152,11 @@ def _fq_inverse(ctx, S):
 
 
 @st.composite
-def random_specs(draw):
+def random_specs(draw, max_dim=3):
     """A t-module with random nilpotent N0 (strictly upper triangular, or
     conjugated by an invertible matrix over F_q) and random B1 over A."""
     ctx = draw(st.sampled_from(SOLVER_FIELDS))
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, max_dim))
     fq = st.integers(0, ctx.q - 1)
     N0 = tuple(tuple(draw(fq) if j > i else 0 for j in range(dim))
                for i in range(dim))
@@ -159,6 +171,31 @@ def random_specs(draw):
     return TModuleSpec(ctx, dim, N0, B1, readout=(dim - 1,),
                        index=Index([dim]), args=ArgTuple([T_]),
                        point=(T_,) * dim, name="random")
+
+
+@given(random_specs(max_dim=4))
+@settings(max_examples=60, deadline=None)
+def test_flag_basis_triangularises_n0(spec):
+    ctx = spec.ctx
+    B, S, U = spec._flag
+    assert fqmat_mul(ctx, S, B) == fqmat_identity(spec.dim)
+    assert U == fqmat_mul(ctx, fqmat_mul(ctx, S, spec.N0), B)
+    assert all(U[r][c] == 0 for r in range(spec.dim) for c in range(r + 1))
+
+
+@pytest.mark.parametrize("N0, why", [
+    (((1, 0), (0, 0)), "N0 is not nilpotent"),
+    (((0, 1), (1, 0)), "N0 is not nilpotent"),
+    (((1, 1, 0), (0, 0, 1), (0, 0, 0)), "N0 is not nilpotent"),
+    (((0, 3), (0, 0)), "over F_q"),
+    (((0, -1), (0, 0)), "over F_q"),
+])
+def test_spec_refuses_n0_out_of_range_or_not_nilpotent(N0, why):
+    dim = len(N0)
+    zero = PolyA.zero(CTX3)
+    with pytest.raises(ValueError, match=why):
+        TModuleSpec(CTX3, dim, N0, [[zero] * dim] * dim, readout=(0,),
+                    index=Index([dim]), args=ArgTuple([T]), point=(T,) * dim)
 
 
 def _agree(a, b):
@@ -181,17 +218,23 @@ def test_sylvester_solver_matches_fixed_point(spec, data):
     Q, P = explog_coeffs(spec, I_exact)
     for i in range(1, I_exact + 1):
         R = kmat_mul(spec.B1, kmat_frobenius(Q[i - 1]))
-        assert solve_twisted_sylvester(spec, i, R) == \
-            solve_twisted_sylvester_fixed_point(spec, i, R)
+        got = solve_twisted_sylvester(spec, i, R)
+        assert got == solve_twisted_sylvester_fixed_point(spec, i, R)
+        dinv = RatK(PolyA.T(ctx).frobenius(i) - PolyA.T(ctx)).inv()
+        assert got == sylvester_solve_horner(spec, R, dinv)
     place = PlaceV(ctx, data.draw(st.integers(0, ctx.q - 1)))
     W = data.draw(st.integers(1, 120))
     I = 4
     got = _local_p(spec, place, W, I)
     want = local_log_fixed_point(spec, place, W, I)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tmodule, "_sylvester_solve", sylvester_solve_horner)
+        horner = _local_p(spec, place, W, I)
     for i in range(I + 1):
         for r in range(spec.dim):
             for c in range(spec.dim):
                 assert _agree(got[i][r][c], want[i][r][c])
+                assert _agree(got[i][r][c], horner[i][r][c])
                 if i <= I_exact:
                     exact = embed_local(P[i][r][c], place, W + 8 * i)
                     assert _agree(got[i][r][c], exact)
@@ -214,8 +257,8 @@ def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
 
 
 def _check_log_bound(spec, place, W, i_max):
-    # ord P_i >= -c i, and P_i is known to W - dim^2 i, which the log's
-    # window rests on
+    # ord P_i >= -c i, and P_i is known to W - c i, which the log's window
+    # rests on
     c = 2 * spec.dim - 1
     for i, Pi in enumerate(_local_p(spec, place, W, i_max)):
         for r in Pi:
@@ -223,7 +266,7 @@ def _check_log_bound(spec, place, W, i_max):
                 if e.coeffs:
                     assert e.nu >= -c * i
                 if not e.is_exact_zero():
-                    assert e.cutoff >= W - spec.dim ** 2 * i
+                    assert e.cutoff >= W - c * i
 
 
 def test_log_coefficient_valuation_bound_shipped_modules():
@@ -235,7 +278,7 @@ def test_log_coefficient_valuation_bound_shipped_modules():
             _check_log_bound(spec, PlaceV(CTX3, lam), 80, 7)
 
 
-@given(random_specs(), st.data())
+@given(random_specs(max_dim=4), st.data())
 @settings(max_examples=40, deadline=None)
 def test_log_coefficient_valuation_bound_random(spec, data):
     place = PlaceV(spec.ctx, data.draw(st.integers(0, spec.ctx.q - 1)))
@@ -412,7 +455,7 @@ def test_point_window_is_tight_at_the_proved_rate(monkeypatch):
     stub = _StubLogCoeffs(V0, 2, 100, P1=kmat([[low, zero], [zero, zero]]))
     monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
                         lambda *args: stub)
-    C = _point_window(spec, 3, 25)
+    C = _log_window(spec, 3, 25)
     assert C == 25
     out = log_at_point(spec, (embed_local(T, V0, C),) * 2, V0, 25)
     assert all(x.cutoff == 25 for x in out)
@@ -424,9 +467,10 @@ def test_point_window_is_tight_at_the_proved_rate(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_point_window_covers_every_term(dim, q):
     # C - c i + q^i >= prec for every i, checked far past the loop's stop,
-    # and one digit fewer falls short at some i
+    # and one digit fewer falls short at some i; the same bound serves the
+    # coefficients' window, whose P_i are known to C - c i
     spec = tensor_carlitz_spec(dim, FqContext(q))
-    C, c = _point_window(spec, q, 30), 2 * dim - 1
+    C, c = _log_window(spec, q, 30), 2 * dim - 1
     assert all(C - c * i + q ** i >= 30 for i in range(40))
     assert any(C - 1 - c * i + q ** i < 30 for i in range(40))
 
