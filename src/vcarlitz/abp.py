@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import PolyA, RatK, _parse_int
+from .algebra import PolyA, RatK, _parse_int, schoolbook_mul
 from .errors import (
     AssertionFailure, NoSolutionInBudget, ParseError, RootCheckFailed,
     TooLarge,
@@ -295,17 +295,6 @@ def norm_ball_count(place, n, budget=200000):
 
 # -- Lemma: small solutions of underdetermined systems -------------------
 
-def _rvt_mul(a, b, place):
-    """Product of two polynomials in t with RvElem coefficients."""
-    if not a or not b:
-        return ()
-    out = [RvElem.zero(place)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] = out[i + j] + ai * bj
-    return tuple(out)
-
-
 def rvt_norm_exp(entry):
     """Norm of an R_v[t] polynomial: max over coefficients."""
     exps = [c.norm_exp() for c in entry if not c.is_zero()]
@@ -382,11 +371,11 @@ def small_solution(M, C_exp, deg_budget, place):
 def _verify_small_solution(M, x, C_exp, place):
     if all(c.is_zero() for entry in x for c in entry):
         raise AssertionFailure("produced the zero vector")
+    zero = RvElem.zero(place)
     for row in M:
-        n = max(len(_rvt_mul(e, xi, place) or ()) for e, xi in zip(row, x))
-        acc = [RvElem.zero(place)] * max(n, 1)
-        for e, xi in zip(row, x):
-            prod = _rvt_mul(e, xi, place)
+        prods = [schoolbook_mul(e, xi, zero) for e, xi in zip(row, x)]
+        acc = [zero] * max([len(prod) for prod in prods] + [1])
+        for prod in prods:
             for i, c in enumerate(prod):
                 acc[i] = acc[i] + c
         if any(not c.is_zero() for c in acc):

@@ -139,9 +139,6 @@ class FqContext:
             n >>= 1
         return out
 
-    def elements(self):
-        return range(self.q)
-
     def __eq__(self, other):
         return (isinstance(other, FqContext)
                 and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus))
@@ -196,9 +193,6 @@ class PolyA:
 
     def is_one(self):
         return self.coeffs == (1,)
-
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         return (isinstance(other, PolyA) and self.ctx == other.ctx
@@ -603,6 +597,24 @@ def parse_fields(text, repeated=()):
         else:
             fields[key] = val
     return fields
+
+
+def schoolbook_mul(a, b, zero):
+    """The product of two coefficient sequences over a ring, ascending in the
+    variable: coefficient n is sum_(i+j=n) a_i * b_j, built from `zero`.
+
+    A zero a_i is skipped.  Empty when either factor is; trailing zeros are
+    kept.  Serves the t-polynomials over k and over R_v alike.
+    """
+    if not a or not b:
+        return []
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai.is_zero():
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
+    return out
 
 
 def monic_enumerate(ctx, d):

@@ -2,7 +2,7 @@
 
 Matrices are tuples of tuples.  The kmat_* helpers serve any entry ring
 with + - * (RatK over k, LocalNum over a completion); kmat_identity,
-kmat_zero, kmat_frobenius, kmat_inv and kmat_poly_eval are exact, over k.
+kmat_zero, kmat_inv and kmat_poly_eval are exact, over k.
 The fq* helpers serve F_q.  Everything is Gaussian elimination at desk
 scale; no pivoting heuristics beyond "first nonzero".
 """
@@ -33,10 +33,6 @@ def kmat_add(A, B):
     return kmat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
 
-def kmat_sub(A, B):
-    return kmat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
 def kmat_neg(A):
     return kmat([[-a for a in r] for r in A])
 
@@ -58,10 +54,6 @@ def kmat_mul(A, B):
             row.append(acc)
         out.append(row)
     return kmat(out)
-
-
-def kmat_frobenius(A, n=1):
-    return kmat([[a.frobenius(n) for a in r] for r in A])
 
 
 def kmat_inv(A):

@@ -18,8 +18,8 @@ import math
 import sys
 from array import array
 
-from .algebra import FqContext, PolyA, RatK, _parse_fq_coeff, _parse_int
-from .errors import DivisionByZero, ParseError, PrecisionLoss
+from .algebra import FqContext, PolyA, RatK
+from .errors import DivisionByZero, PrecisionLoss
 
 INF = math.inf
 
@@ -521,58 +521,6 @@ class LocalNum:
 
     def __repr__(self):
         return f"LocalNum({self})"
-
-
-def parse_local(place, text):
-    """Parse the canonical LocalNum print form."""
-    text = text.strip()
-    if text == "0":
-        return LocalNum.exact_zero(place)
-    sym = place.symbol
-    ctx = place.ctx
-    cutoff = None
-    digits = {}
-    for part in text.split("+"):
-        part = part.strip()
-        if not part:
-            continue
-        if part.startswith("O("):
-            if not part.endswith(")"):
-                raise ParseError(f"bad tail {part!r}")
-            inner = part[2:-1]
-            if not inner.startswith(f"{sym}^"):
-                raise ParseError(f"bad tail {part!r}")
-            cutoff = _parse_int(inner[len(sym) + 1:], part, "tail")
-            continue
-        if sym in part:
-            head, _, tail = part.partition(sym)
-            head = head.rstrip("*")
-            if not tail.startswith("^"):
-                raise ParseError(f"bad term {part!r}")
-            k = _parse_int(tail[1:], part, "term")
-        else:
-            head, k = part, 0
-        if head == "":
-            c = 1
-        elif head.startswith("["):
-            c = _parse_fq_coeff(ctx, head)
-        else:
-            c = _parse_int(head, part, "term") % ctx.p
-        if k in digits:
-            raise ParseError(f"repeated power {sym}^{k}")
-        digits[k] = c
-    if cutoff is None:
-        raise ParseError("missing O(...) tail")
-    if digits and max(digits) >= cutoff:
-        raise ParseError(f"term {sym}^{max(digits)} at or above the tail "
-                         f"O({sym}^{cutoff})")
-    if not digits:
-        return LocalNum.zero_to_precision(place, cutoff)
-    nu = min(digits)
-    out = [0] * (cutoff - nu)
-    for k, c in digits.items():
-        out[k - nu] = c
-    return LocalNum(place, nu, out)
 
 
 def geometric_product(place, exponents, window):

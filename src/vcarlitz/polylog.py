@@ -550,27 +550,28 @@ def _specialize_sums(s, u, place, N_twist, prec, shift):
     return _nested_sum(rows, strict=True)
 
 
-def deformation_specialize(s, u, place, N_twist, prec, normalized=True):
-    """The deformation series at t = pi^(-q^N), by per-summand exact evaluation.
+def deformation_specialize(s, u, place, N_twist, prec):
+    """The deformation series at t = pi^(-q^N), by per-summand exact
+    evaluation, normalized by pi^(N*wt*q^N).
 
     The raw value of the series at pi^(-q^N) is pi^(-N*wt*q^N) times the
     q^N-th power of pi_tilde^weight times the v-adic CMPL value, because the
-    power of t attached to a chain does not commute with twisting.  By
-    default the result is normalized by that power of the uniformizer, so
-    that it equals (pi_tilde^wt * Li)^(q^N) on the nose; pass
-    normalized=False for the literal series value.
+    power of t attached to a chain does not commute with twisting.  So the
+    normalized value equals (pi_tilde^wt * Li)^(q^N) on the nose; the
+    literal values are deformation_specialize_prefixes'.
     """
     if not domain_check(s, u, CONV_V, place):
         raise DomainError("arguments outside the v-adic convergence domain")
-    shift = N_twist * s.weight * place.q ** N_twist if normalized else 0
+    shift = N_twist * s.weight * place.q ** N_twist
     total = _specialize_sums(s, u, place, N_twist, prec, shift)[-1]
     return _clip(None if total is None else total.shift(shift), place, prec)
 
 
 def deformation_specialize_prefixes(s, u, place, N_twist, prec):
-    """The literal values (normalized=False) of deformation_specialize at
-    every prefix (s_1, ..., s_l; u_1, ..., u_l), l = 1, ..., r, from one
-    prefix pass at the plan of the whole index.
+    """The literal values at t = pi^(-q^N), before deformation_specialize's
+    normalization, of the deformation series of every prefix
+    (s_1, ..., s_l; u_1, ..., u_l), l = 1, ..., r, from one prefix pass at
+    the plan of the whole index.
 
     That plan covers every prefix.  A chain with top entry i contributes
     ord >= q^i ord(u_1) - q^N wt_l i to prefix l, and wt_l <= wt, so each

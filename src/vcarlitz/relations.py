@@ -27,15 +27,14 @@ INF = float("inf")
 
 
 class ValueHandle:
-    """A computed value tagged with its weight and provenance."""
+    """A computed value tagged with a label and its weight."""
 
-    __slots__ = ("label", "weight", "value", "provenance")
+    __slots__ = ("label", "weight", "value")
 
-    def __init__(self, label, weight, value, provenance=""):
+    def __init__(self, label, weight, value):
         self.label = label
         self.weight = weight
         self.value = value
-        self.provenance = provenance
 
     def __repr__(self):
         return f"ValueHandle({self.label}, w={self.weight})"
@@ -44,12 +43,9 @@ class ValueHandle:
 class RelationReport:
     """A candidate relation sum_i a_i(theta) x_i = 0, certified to precision."""
 
-    def __init__(self, coeffs, residual_ord, N, N_recheck, labels=()):
+    def __init__(self, coeffs, residual_ord):
         self.coeffs = tuple(coeffs)
         self.residual_ord = residual_ord
-        self.N = N
-        self.N_recheck = N_recheck
-        self.labels = tuple(labels)
 
     def support(self):
         return tuple(i for i, c in enumerate(self.coeffs) if not c.is_zero())
@@ -130,9 +126,7 @@ def find_k_relations(values, d, N, N_recheck):
         else:
             bound = residual.valuation_lower_bound()
         if bound >= N_recheck:
-            reports.append(RelationReport(
-                coeffs, bound, N, N_recheck,
-                labels=tuple(v.label for v in values)))
+            reports.append(RelationReport(coeffs, bound))
     return reports
 
 
@@ -269,16 +263,6 @@ def eval_vmzv(dec, place, prec, tmodules=None):
 
 
 # -- decomposition files -------------------------------------------------
-
-def dump_decomposition(dec, ctx):
-    lines = [f"p: {ctx.p}", f"e: {ctx.e}", f"target: {dec.target}"]
-    for b, s_l, u_l in dec.terms:
-        lines.append(f"term: {b} | {s_l} | {u_l}")
-    if dec.certified:
-        lines.append("certified: true")
-        lines.append(f"prec: {dec.certification.get('prec')}")
-    return "\n".join(lines) + "\n"
-
 
 def parse_decomposition(text):
     fields = parse_fields(text, repeated=("term",))

@@ -141,20 +141,6 @@ def with_args(spec, args, point):
 # -- the module action ---------------------------------------------------
 
 def _phi_theta(spec, z):
-    if isinstance(z[0], LocalNum):
-        place = z[0].place
-        W = max([x.cutoff - x.nu for x in z if not x.is_exact_zero()],
-                default=32)
-        B0 = _embedded_matrix(spec.B0, place, W)
-        B1 = _embedded_matrix(spec.B1, place, W)
-        zq = [x.qpow() for x in z]
-        out = []
-        for i in range(spec.dim):
-            acc = LocalNum.exact_zero(place)
-            for j in range(spec.dim):
-                acc = acc + B0[i][j] * z[j] + B1[i][j] * zq[j]
-            out.append(acc)
-        return tuple(out)
     zq = [x.frobenius() for x in z]
     out = []
     for i in range(spec.dim):
@@ -186,7 +172,7 @@ def _zero_like(x):
 
 
 def tm_action(spec, a, z):
-    """phi_a(z) for a in A, acting on a vector over k or over a completion."""
+    """phi_a(z) for a in A, acting on a vector over k."""
     z = tuple(z)
     if len(z) != spec.dim:
         raise ValueError("point has the wrong dimension")
@@ -515,15 +501,12 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
 class ValidationCertificate:
     """Outcome of checking a t-module against the direct series."""
 
-    def __init__(self, spec, place, prec, results):
-        self.spec_name = spec.name
-        self.place = place
-        self.prec = prec
+    def __init__(self, results):
         self.results = tuple(results)  # (args, point, ok, residual_ord)
         self.ok = all(r[2] for r in results)
 
     def __repr__(self):
-        return f"ValidationCertificate({self.spec_name}, ok={self.ok})"
+        return f"ValidationCertificate(ok={self.ok})"
 
 
 def validate_tmodule(spec, place, prec=30):
@@ -553,35 +536,15 @@ def validate_tmodule(spec, place, prec=30):
         except ConvergenceNotCertified:
             ok, residual = False, None
         results.append((tp_args, tp_point, ok, residual))
-    cert = ValidationCertificate(spec, place, prec, results)
+    cert = ValidationCertificate(results)
     spec.validated = cert.ok
     return cert
 
 
 # -- spec files ----------------------------------------------------------
 
-def dump_tmodule_spec(spec):
-    """Serialize a spec to the documented structured-text schema."""
-    lines = [f"name: {spec.name}",
-             f"p: {spec.ctx.p}",
-             f"e: {spec.ctx.e}",
-             f"dim: {spec.dim}"]
-    for r in spec.N0:
-        lines.append("n0-row: " + " ".join(str(x) for x in r))
-    for r in spec.B1:
-        lines.append("b1-row: " + ", ".join(str(e.num) for e in r))
-    lines.append("readout: " + " ".join(str(i + 1) for i in spec.readout))
-    lines.append(f"index: {spec.index}")
-    lines.append(f"args: {spec.args}")
-    lines.append("point: " + ", ".join(str(x) for x in spec.point))
-    for tp_args, tp_point in spec.test_points:
-        lines.append("test-point: " + str(tp_args) + " | "
-                     + ", ".join(str(x) for x in tp_point))
-    return "\n".join(lines) + "\n"
-
-
 def parse_tmodule_spec(text):
-    """Parse the structured-text schema produced by dump_tmodule_spec."""
+    """Parse a t-module spec file, the schema of the shipped data/tmodules."""
     fields = parse_fields(text, repeated=("n0-row", "b1-row", "test-point"))
     try:
         ctx = FqContext(int(fields["p"]), int(fields.get("e", "1")))

@@ -80,23 +80,6 @@ class TSeries:
         return cls.from_runs(
             place, ((D, LocalNum.zero_to_precision(place, window)),))
 
-    @classmethod
-    def from_local_coeffs(cls, place, coeffs, D, window):
-        """Pad a finite coefficient list up to order D with zeros known to
-        pi^window (not exact zeros)."""
-        coeffs = coeffs[:D]
-        return cls.from_runs(
-            place, [(1, c) for c in coeffs]
-            + [(D - len(coeffs), LocalNum.zero_to_precision(place, window))])
-
-    def coeff(self, i):
-        if not 0 <= i < self.order:
-            raise IndexError("coefficient index out of range")
-        for n, c in self.runs:
-            if i < n:
-                return c
-            i -= n
-
     def truncate(self, D):
         """The series mod t^D."""
         if D >= self.order:
@@ -109,15 +92,11 @@ class TSeries:
             self.place, [(n, c.truncate(N)) for n, c in self.runs])
 
     def residual(self, N):
-        """(ord, exact) of the series read modulo pi^N.
-
-        ord is the least of min(nu, N) over the coefficients that are not
-        exact zeros, INF when there are none; exact is True when one of them
-        has a digit below pi^N, so that ord is its valuation.
-        """
+        """The order of the series read modulo pi^N: the least of min(nu, N)
+        over the coefficients that are not exact zeros, INF when there are
+        none."""
         low = min((c.nu for _, c in self.runs), default=INF)
-        exact = any(c.coeffs and c.nu < N for _, c in self.runs)
-        return (low if low == INF else min(low, N)), exact
+        return low if low == INF else min(low, N)
 
     def _check(self, other):
         if not (self.place is other.place or self.place == other.place):
@@ -212,23 +191,6 @@ class TSeries:
         n = min(n, self.order)
         return TSeries.from_runs(
             self.place, ((n, zero),) + _cut(self.runs, self.order - n))
-
-    def pow(self, n):
-        if n < 0:
-            raise ValueError("negative powers of a TSeries")
-        if n == 0:
-            w = min((c.cutoff for _, c in self.runs), default=0)
-            return TSeries.one(self.place, self.order,
-                               int(w) if w != INF else 1)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
     def __str__(self):
         parts = []

@@ -10,15 +10,19 @@ definition), the per-digit LocalNum sums and scaling, the exact t-module
 exponential and logarithm coefficients over k, the fixed-point
 iterations for those coefficients, the suffix nested sum that gave only the
 whole index's sum, the omega product and its tails with one series product
-per factor, the deformation series built one prefix at a time, ord_v by
-repeated division by the uniformizer, the powers
-of (1 - alpha^q t) by repeated t-polynomial products, the determinant
-test on the whole twisted matrix, the vABP check on the whole psi
-vector, the telescoping Horner solve of the twisted Sylvester equation,
-and F_q row reduction one element at a time.
+per factor and their powers by repeated squaring, the deformation series
+built one prefix at a time, ord_v by repeated division by the uniformizer,
+the powers of (1 - alpha^q t) by repeated t-polynomial products, the
+determinant test on the whole twisted matrix, the vABP check on the whole
+psi vector, the telescoping Horner solve of the twisted Sylvester
+equation, and F_q row reduction one element at a time.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
-action) and the zeta(s)_v pipeline are here because only tests call them.
+action), the zeta(s)_v pipeline, the padding of a coefficient list to a
+series, the reader of the printed LocalNum form, the matrix difference and
+Frobenius twist over k, and the writers of the decomposition and t-module
+spec files (whose readers are in the package) are here because only tests
+call them.
 """
 
 import math
@@ -27,11 +31,11 @@ from array import array
 from fractions import Fraction
 
 from vcarlitz import diffsys, polylog, relations, tmodule
-from vcarlitz.algebra import PolyA, RatK
-from vcarlitz.errors import DomainError, SingularStep
+from vcarlitz.algebra import PolyA, RatK, _parse_fq_coeff, _parse_int
+from vcarlitz.errors import DomainError, ParseError, SingularStep
 from vcarlitz.linalg import (
-    fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_frobenius, kmat_identity,
-    kmat_mul, kmat_neg, kmat_scale, kmat_sub, kmat_zero,
+    fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity, kmat_mul,
+    kmat_neg, kmat_scale, kmat_zero,
 )
 from vcarlitz.local import (
     _WIDTHS, INF, LocalNum, PlaceInf, _grid_product, _pack, _rows,
@@ -577,11 +581,23 @@ def omega_product_loop(alpha, place, D, N):
     apow = a
     while q ** i * da < N:
         apow = apow.qpow()
-        factor = TSeries.from_local_coeffs(
+        factor = from_local_coeffs(
             place, [LocalNum.unit_one(place, N), -apow.truncate(N)], D, N)
         out = out * factor
         i += 1
     return out.clip(N)
+
+
+def series_pow(f, n):
+    """The series f^n, n >= 1, by repeated squaring."""
+    out, base = None, f
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def omega_tail_loop(place, i, D, N):
@@ -592,7 +608,7 @@ def omega_tail_loop(place, i, D, N):
     out = TSeries.one(place, D, N)
     j = i + 1
     while q ** j < N:
-        factor = TSeries.from_local_coeffs(
+        factor = from_local_coeffs(
             place, [LocalNum.unit_one(place, N), -pi.pow(q ** j).truncate(N)],
             D, N)
         out = out * factor
@@ -612,8 +628,7 @@ def deformation_build_one(s, u, place, D, N):
         I += 1
 
     def F(i, si):
-        out = omega_tail_loop(place, i, D, N)
-        out = out.pow(si) if si != 1 else out
+        out = series_pow(omega_tail_loop(place, i, D, N), si)
         return out.t_shift(i * si, N) if i else out
 
     def tower(x, n):
@@ -680,7 +695,7 @@ def vabp_certify_full(sys, gamma, rho, P, D, N):
     for pj, fj in zip(P, psi):
         if pj:
             acc = acc + diffsys.tp_apply(pj, fj, place, N)
-    return acc.residual(N)[0] >= N
+    return acc.residual(N) >= N
 
 
 # -- the Carlitz action over k and the zeta pipeline ----------------------
@@ -711,3 +726,106 @@ def zeta_v(ctx, place, s, prec, N_cert=40):
     dec = relations.depth1_decomposition(ctx, s)
     relations.verify_decomposition_inf(dec, N_cert)
     return relations.eval_vmzv(dec, place, prec)
+
+
+# -- series padding, LocalNum reading and file writing --------------------
+
+def from_local_coeffs(place, coeffs, D, window):
+    """The series of a finite coefficient list, padded up to order D with
+    zeros known to pi^window (not exact zeros)."""
+    coeffs = coeffs[:D]
+    return TSeries.from_runs(
+        place, [(1, c) for c in coeffs]
+        + [(D - len(coeffs), LocalNum.zero_to_precision(place, window))])
+
+
+def parse_local(place, text):
+    """Parse the canonical LocalNum print form."""
+    text = text.strip()
+    if text == "0":
+        return LocalNum.exact_zero(place)
+    sym = place.symbol
+    ctx = place.ctx
+    cutoff = None
+    digits = {}
+    for part in text.split("+"):
+        part = part.strip()
+        if not part:
+            continue
+        if part.startswith("O("):
+            if not part.endswith(")"):
+                raise ParseError(f"bad tail {part!r}")
+            inner = part[2:-1]
+            if not inner.startswith(f"{sym}^"):
+                raise ParseError(f"bad tail {part!r}")
+            cutoff = _parse_int(inner[len(sym) + 1:], part, "tail")
+            continue
+        if sym in part:
+            head, _, tail = part.partition(sym)
+            head = head.rstrip("*")
+            if not tail.startswith("^"):
+                raise ParseError(f"bad term {part!r}")
+            k = _parse_int(tail[1:], part, "term")
+        else:
+            head, k = part, 0
+        if head == "":
+            c = 1
+        elif head.startswith("["):
+            c = _parse_fq_coeff(ctx, head)
+        else:
+            c = _parse_int(head, part, "term") % ctx.p
+        if k in digits:
+            raise ParseError(f"repeated power {sym}^{k}")
+        digits[k] = c
+    if cutoff is None:
+        raise ParseError("missing O(...) tail")
+    if digits and max(digits) >= cutoff:
+        raise ParseError(f"term {sym}^{max(digits)} at or above the tail "
+                         f"O({sym}^{cutoff})")
+    if not digits:
+        return LocalNum.zero_to_precision(place, cutoff)
+    nu = min(digits)
+    out = [0] * (cutoff - nu)
+    for k, c in digits.items():
+        out[k - nu] = c
+    return LocalNum(place, nu, out)
+
+
+def kmat_sub(A, B):
+    return kmat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+
+
+def kmat_frobenius(A, n=1):
+    return kmat([[a.frobenius(n) for a in r] for r in A])
+
+
+def dump_decomposition(dec, ctx):
+    """Write a decomposition in the file format relations.parse_decomposition
+    reads."""
+    lines = [f"p: {ctx.p}", f"e: {ctx.e}", f"target: {dec.target}"]
+    for b, s_l, u_l in dec.terms:
+        lines.append(f"term: {b} | {s_l} | {u_l}")
+    if dec.certified:
+        lines.append("certified: true")
+        lines.append(f"prec: {dec.certification.get('prec')}")
+    return "\n".join(lines) + "\n"
+
+
+def dump_tmodule_spec(spec):
+    """Write a spec in the file format tmodule.parse_tmodule_spec reads."""
+    lines = [f"name: {spec.name}",
+             f"p: {spec.ctx.p}",
+             f"e: {spec.ctx.e}",
+             f"dim: {spec.dim}"]
+    for r in spec.N0:
+        lines.append("n0-row: " + " ".join(str(x) for x in r))
+    for r in spec.B1:
+        lines.append("b1-row: " + ", ".join(str(e.num) for e in r))
+    lines.append("readout: " + " ".join(str(i + 1) for i in spec.readout))
+    lines.append(f"index: {spec.index}")
+    lines.append(f"args: {spec.args}")
+    lines.append("point: " + ", ".join(str(x) for x in spec.point))
+    for tp_args, tp_point in spec.test_points:
+        lines.append("test-point: " + str(tp_args) + " | "
+                     + ", ".join(str(x) for x in tp_point))
+    return "\n".join(lines) + "\n"

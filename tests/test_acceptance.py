@@ -14,8 +14,8 @@ from vcarlitz.algebra import FqContext, PolyA, RatK, parse_ratk
 from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local
 from vcarlitz import polylog as pl
 from vcarlitz.diffsys import (
-    block_sum, build_cmpl_system, build_omega_system, mpl_certificate,
-    specialize_psi, tp_one, tp_scale, vabp_certify, verify_difference,
+    _specialize, block_sum, build_cmpl_system, build_omega_system,
+    mpl_certificate, tp_one, tp_scale, vabp_certify, verify_difference,
 )
 from vcarlitz.abp import (
     RvElem, liouville_check, norm_ball_count, parse_rv, small_solution,
@@ -104,7 +104,8 @@ def test_criterion_04_exact_zeros():
         v0.qpow(2), 10)
     sys_ = build_cmpl_system(pl.Index((2, 1)),
                              pl.ArgTuple((T, T + ONE)), V0)
-    vals = specialize_psi(sys_, 1, 20)
+    vals = _specialize(sys_, 1, 20,
+                       pl.omega_at_inverse_power(sys_.alpha, V0, 1, 20))
     assert all(x.is_exact_zero() for x in vals[:-1])
     _report(4, "omega(alpha^(-q^N)) and low-chain summands vanish exactly")
 

@@ -42,8 +42,8 @@ def test_f4_tables():
 
 
 def test_f9_frobenius_is_field_automorphism():
-    for a in CTX9.elements():
-        for b in CTX9.elements():
+    for a in range(CTX9.q):
+        for b in range(CTX9.q):
             lhs = CTX9.pow(CTX9.add(a, b), 3)
             rhs = CTX9.add(CTX9.pow(a, 3), CTX9.pow(b, 3))
             assert lhs == rhs
@@ -186,7 +186,7 @@ def test_monic_enumerate_lexicographic():
     assert str(ms[0]) == "T^2"
     assert str(ms[1]) == "T^2+1"
     assert str(ms[-1]) == "T^2+2*T+2"
-    assert all(m.is_monic() and m.degree == 2 for m in ms)
+    assert all(m.lead == 1 and m.degree == 2 for m in ms)
 
 
 def test_irreducibility():
@@ -258,7 +258,7 @@ def test_ratk_sum_shortcuts_match_the_plain_sum(pair):
 
 def test_ratk_monic_denominator():
     r = RatK(parse_poly(CTX3, "T"), parse_poly(CTX3, "2*T+1"))
-    assert r.den.is_monic()
+    assert r.den.lead == 1
 
 
 # -- Carlitz action -----------------------------------------------------

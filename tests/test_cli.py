@@ -11,12 +11,12 @@ import sys
 import pytest
 
 import vcarlitz
-from vcarlitz import polylog
+from vcarlitz import diffsys, polylog
 from vcarlitz.algebra import FqContext
 from vcarlitz.cli import RunConfig, run_command
-from vcarlitz.local import LocalNum, PlaceInf, parse_local
+from vcarlitz.local import LocalNum, PlaceInf
 
-from oracles import power_sum_enum
+from oracles import parse_local, power_sum_enum
 
 
 def run(capsys, *argv):
@@ -103,6 +103,56 @@ def test_verify_specialize(capsys):
         assert code == 0 and "status=ok" in out
 
 
+def _last_compared(prec, nu, q, N, w):
+    """The last position of the target at which the specialization check
+    reads a digit.
+
+    The target is known to pi^prec from its valuation nu on.  At N = 0 it
+    is compared as it is, so up to pi^(prec - 1).  At N >= 1 it is compared
+    as target^(q^N), which keeps its prec - nu digits spread q^N apart from
+    q^N nu on, with the literal value, known to pi^prec before its shift by
+    pi^(N w q^N).  A digit of the target at pi^n lands at pi^(q^N n), so it
+    is read while q^N n lies below both cutoffs.
+    """
+    if N == 0:
+        return prec - 1
+    Q = q ** N
+    return (min(Q * nu + prec - nu, prec + N * w * Q) - 1) // Q
+
+
+def _digit_at(place, n, c, prec):
+    """c pi^n, known to pi^(prec + 1) at least, so adding it keeps a
+    window of prec."""
+    return LocalNum(place, n, (c,) + (0,) * max(0, prec - n))
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("twist", [0, 1])
+@pytest.mark.parametrize("beyond, code_want, word", [(0, 1, "fail"),
+                                                     (1, 0, "ok")])
+def test_verify_specialize_sees_the_last_compared_digit(
+        capsys, monkeypatch, c, twist, beyond, code_want, word):
+    # the target is Li_2(T) pitilde^2, pitilde a unit: c pi^n added to
+    # Li_2(T) must fail the check at the last position it reads, and pass
+    # one position beyond
+    prec = 30
+    nus = []
+
+    def moved(index, args, place, p):
+        val = polylog.cmpl_eval(index, args, place, p)
+        nus.append(val.nu)
+        n = _last_compared(p, val.nu, place.q, twist, index.weight) + beyond
+        return val + _digit_at(place, n, c, p)
+
+    monkeypatch.setattr("vcarlitz.cli.cmpl_eval", moved)
+    code, out = run(capsys, "verify", "specialize", "--index", "2",
+                    "--args", "T", "--twist", str(twist),
+                    "--prec", str(prec))
+    assert nus == [1]
+    assert code == code_want
+    assert out == f"twist={twist}\nstatus={word}\n"
+
+
 def test_verify_decomposition_file(capsys):
     path = data_path("decompositions", "zeta_q3_s2.txt")
     code, out = run(capsys, "verify", "decomposition", "--file", path,
@@ -166,6 +216,55 @@ def test_certify_mpl(capsys):
     assert code == 0
     assert out == ("ok=true\nweight=1\ncondition_1=pass\ncondition_2=pass\n"
                    "condition_3=pass\ncondition_4=pass\n")
+
+
+def _mpl(capsys, n_list):
+    code, out = run(capsys, "certify", "mpl", "--index", "1", "--args", "T",
+                    "--n-list", n_list, "--prec", "30")
+    return code, dict(line.split("=") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("beyond, code_want, word", [(0, 1, "fail"),
+                                                     (1, 0, "pass")])
+def test_certify_mpl_condition3_sees_the_last_compared_digit(
+        capsys, monkeypatch, c, beyond, code_want, word):
+    # condition (3) compares psi(alpha^(-1)) with c Z pitilde^w at prec 30
+    def moved(index, args, place, p):
+        val = polylog.cmpl_eval(index, args, place, p)
+        n = _last_compared(p, val.nu, place.q, 0, index.weight) + beyond
+        return val + _digit_at(place, n, c, p)
+
+    monkeypatch.setattr("vcarlitz.diffsys.cmpl_eval", moved)
+    code, rec = _mpl(capsys, "1,2")
+    assert code == code_want
+    assert rec["condition_3"] == word and rec["condition_4"] == "pass"
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("beyond, code_want, word", [(0, 1, "fail"),
+                                                     (1, 0, "pass")])
+def test_certify_mpl_condition4_sees_the_last_compared_digit(
+        capsys, monkeypatch, c, N, beyond, code_want, word):
+    # condition (4) compares the q^N-th power of the target of (3); only
+    # that comparison sees the moved target
+    real = diffsys._specialization_holds
+    seen = []
+
+    def moved(sys_, k, prec, pt, target):
+        if k:
+            seen.append(k)
+            n = _last_compared(prec, target.nu, sys_.place.q, k,
+                               sys_.weight) + beyond
+            target = target + _digit_at(sys_.place, n, c, prec)
+        return real(sys_, k, prec, pt, target)
+
+    monkeypatch.setattr("vcarlitz.diffsys._specialization_holds", moved)
+    code, rec = _mpl(capsys, str(N))
+    assert seen == [N]
+    assert code == code_want
+    assert rec["condition_3"] == "pass" and rec["condition_4"] == word
 
 
 def test_certify_vabp_pass_and_fail(capsys):

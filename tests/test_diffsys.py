@@ -14,16 +14,16 @@ from vcarlitz.polylog import (
     ArgTuple, Index, cmpl_eval, omega_product, pi_tilde,
 )
 from vcarlitz.diffsys import (
-    DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t, _tp_det,
-    block_sum, build_cmpl_system, build_omega_system, mpl_certificate,
-    specialize_psi, tp_add, tp_apply, tp_eval_k, tp_mul, tp_normalize,
+    DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t, _specialize,
+    _tp_det, block_sum, build_cmpl_system, build_omega_system,
+    mpl_certificate, tp_add, tp_apply, tp_eval_k, tp_mul, tp_normalize,
     tp_one, tp_scale, vabp_certify, verify_difference,
 )
 from vcarlitz.tseries import TSeries
 
 from oracles import (
-    deformation_build_per_prefix, det_structural_whole,
-    one_minus_alpha_q_t_loop, vabp_certify_full,
+    deformation_build_per_prefix, det_structural_whole, from_local_coeffs,
+    one_minus_alpha_q_t_loop, series_pow, vabp_certify_full,
 )
 
 CTX3 = FqContext(3)
@@ -48,13 +48,13 @@ def test_tpoly_arithmetic_and_print():
 
 
 def test_tpoly_apply_matches_scalar_action():
-    g = TSeries.from_local_coeffs(
+    g = from_local_coeffs(
         V0, [embed_local(c, V0, 20) for c in (ONE, T, T * T)], 5, 20)
     a = (T, ONE)  # T + t
     out = tp_apply(a, g, V0, 20)
     # coefficient of t^1: T*T + 1*1
     want = T * T + ONE
-    assert (out.coeff(1) - embed_local(want, V0, 20)).is_zero_to_precision()
+    assert (out.coeffs[1] - embed_local(want, V0, 20)).is_zero_to_precision()
 
 
 def _tp_apply_by_terms(a, g, place, N):
@@ -153,7 +153,7 @@ def test_perturbation_detected():
         V0, sys.phi, lambda D, N, rows: (psi[0], TSeries(V0, bad)),
         sys.weight, sys.alpha, kind=sys.kind)
     res = verify_difference(perturbed, 20, 20)
-    assert not res.is_zero and res.exact and res.ord <= 4
+    assert not res.is_zero and res.ord <= 4
 
 
 def _perturbed_cmpl(D, N, nu):
@@ -225,13 +225,13 @@ def test_psi_matches_per_prefix_builds(entry, D, N):
     # built on its own and Omega's powers by repeated squaring
     sys = _block(entry)
     omega = omega_product(sys.alpha, V0, D, N)
-    want = [omega.pow(sys.weight)]
+    want = [series_pow(omega, sys.weight)]
     if entry is not None:
         s = Index(entry[0])
         for l, dep in enumerate(deformation_build_per_prefix(
                 s, ArgTuple(entry[1]), V0, D, N), 1):
             tail = sum(s[l:])
-            want.append(dep * omega.pow(tail) if tail else dep)
+            want.append(dep * series_pow(omega, tail) if tail else dep)
     assert [p.runs for p in sys.psi(D, N)] == [p.runs for p in want]
 
 
@@ -245,7 +245,8 @@ def test_block_sum_psi_is_blocks_times_omega_pad(entries, D, N):
     want = []
     for sysj in systems:
         pad = bs.weight - sysj.weight
-        want += [p * omega.pow(pad) if pad else p for p in sysj.psi(D, N)]
+        want += [p * series_pow(omega, pad) if pad else p
+                 for p in sysj.psi(D, N)]
     assert [p.runs for p in bs.psi(D, N)] == [p.runs for p in want]
 
 
@@ -297,8 +298,8 @@ def test_specialization_at_inverse_uniformizer():
     s = Index([2])
     u = ArgTuple([T])
     sys = build_cmpl_system(s, u, V0)
-    vals = specialize_psi(sys, 0, 30)
     pt = pi_tilde(sys.alpha, V0, 30)
+    vals = _specialize(sys, 0, 30, pt)
     assert (vals[0] - pt.pow(2)).is_zero_to_precision()
     li = cmpl_eval(s, u, V0, 30)
     assert (vals[-1] - pt.pow(2) * li).is_zero_to_precision()
@@ -306,7 +307,7 @@ def test_specialization_at_inverse_uniformizer():
 
 def test_specialization_at_higher_twist_kills_all_but_last():
     sys = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
-    vals = specialize_psi(sys, 1, 30)
+    vals = _specialize(sys, 1, 30, LocalNum.exact_zero(V0))
     assert all(v.is_exact_zero() for v in vals[:-1])
     assert not vals[-1].is_zero_to_precision()
 
@@ -330,7 +331,6 @@ def test_mpl_certificate_depth2_weight3():
     sys = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
     cert = mpl_certificate(sys, 3, t_power(3), [1], prec=30)
     assert cert.ok
-    assert any("N in [1]" in n for n in cert.notes)
 
 
 def test_mpl_certificate_wrong_ftype_fails_condition2():

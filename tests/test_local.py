@@ -8,12 +8,11 @@ from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly, parse_ratk
 from vcarlitz.errors import DivisionByZero, ParseError, PrecisionLoss
 from vcarlitz.local import (
     INF, LocalNum, PlaceInf, PlaceV, _convolve, embed_local, embed_poly,
-    parse_local,
 )
 
 from oracles import (
     localnum_add, localnum_neg, localnum_scale_fq, localnum_sub,
-    ord_poly_divmod,
+    ord_poly_divmod, parse_local,
 )
 
 CTX3 = FqContext(3)

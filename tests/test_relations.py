@@ -10,12 +10,11 @@ from vcarlitz.errors import (
 from vcarlitz.local import PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmspl_eval, pi_tilde
 from vcarlitz.relations import (
-    Decomposition, ValueHandle, depth1_decomposition, dump_decomposition,
-    eval_vmzv, find_k_relations, parse_decomposition,
-    verify_decomposition_inf,
+    Decomposition, ValueHandle, depth1_decomposition, eval_vmzv,
+    find_k_relations, parse_decomposition, verify_decomposition_inf,
 )
 
-from oracles import zeta_v
+from oracles import dump_decomposition, zeta_v
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
