@@ -18,11 +18,11 @@ from .algebra import RatK, schoolbook_mul
 from .errors import CertificationFailed, DomainError
 from .local import LocalNum, PlaceV, embed_local
 from .polylog import (
-    _omega_power, cmpl_eval, deformation_build,
+    _omega_power, cmpl_eval, deformation_build, deformation_specialize,
     deformation_specialize_prefixes, domain_check, omega_at_inverse_power,
     pi_tilde, CONV_V,
 )
-from .tseries import TSeries, frobenius_twist
+from .tseries import TSeries, _aligned, frobenius_twist
 
 INF = float("inf")
 
@@ -83,7 +83,8 @@ def tp_apply(a, g, place, N):
     c_m * (t^m g), with t^m g padded by zeros known to pi^N: coefficient n is
     also capped at N, and at N + nu(c_m) for each nonzero c_m, n < m < D.
     Adding a zero known to pi^cap truncates a coefficient there and turns an
-    exact zero into that zero, so the caps enter as one sum.
+    exact zero into that zero, so the caps are one walk over the product's
+    runs.
     """
     D = g.order
     coeffs = [embed_local(c, place, N) for c in a[:D]]
@@ -94,9 +95,10 @@ def tp_apply(a, g, place, N):
         caps.append((1, cap))
     prod = TSeries.from_runs(place, [(1, c) for c in coeffs] + [
         (D - len(coeffs), LocalNum.exact_zero(place))]) * g
-    return prod + TSeries.from_runs(place, [
-        (n, LocalNum.zero_to_precision(place, cap))
-        for n, cap in reversed(caps)])
+    return TSeries.from_runs(place, [
+        (n, LocalNum.zero_to_precision(place, cap) if x.is_exact_zero()
+         else x.truncate(cap))
+        for n, x, cap in _aligned(prod.runs, reversed(caps))])
 
 
 # -- the system ----------------------------------------------------------
@@ -313,12 +315,16 @@ def verify_difference(sys, D, N):
 
 # -- specialization ------------------------------------------------------
 
+def _check_constructed(sys):
+    if sys.kind not in ("cmpl", "omega"):
+        raise CertificationFailed("specialization needs a constructed system")
+
+
 def _specialize(sys, N_twist, prec, om):
     """The literal value vector psi(alpha^(-q^N)) of an omega or CMPL system,
     given om = Omega(alpha^(-q^N)): pi_tilde to prec at N = 0, an exact zero
     above.  Every prefix series comes from one pass."""
-    if sys.kind not in ("cmpl", "omega"):
-        raise CertificationFailed("specialization needs a constructed system")
+    _check_constructed(sys)
     if sys.kind == "omega":
         return (om,)
     s = sys.index
@@ -341,17 +347,23 @@ def _specialization_holds(sys, N, prec, pt, target):
     """Whether psi(alpha^(-q^N)) ends in target (its q^N-th power at N >= 1).
 
     pt is pi_tilde = Omega(alpha^(-1)) to prec.  At N = 0 the last entry of
-    psi(alpha^(-1)) is compared with target.  At N >= 1 Omega(alpha^(-q^N))
-    vanishes, so every entry but the last must be an exact zero; the last is
-    the literal series value, which carries pi^(-N w q^N) (w the system's
-    weight) because the power of t attached to a chain does not commute with
-    twisting, so it is compared times pi^(N w q^N) with target^(q^N).
+    psi(alpha^(-1)) is compared with target.  It is built alone: pt for an
+    omega system, and for a CMPL system the deformation series of the whole
+    index at t = alpha^(-1), whose Omega factor has exponent 0 (at N = 0
+    deformation_specialize normalizes by pi^0, so it is the literal value).
+    At N >= 1 Omega(alpha^(-q^N)) vanishes, so every entry but the last must
+    be an exact zero; the last is the literal series value, which carries
+    pi^(-N w q^N) (w the system's weight) because the power of t attached to
+    a chain does not commute with twisting, so it is compared times
+    pi^(N w q^N) with target^(q^N).
     """
-    om = (pt if N == 0 else
-          omega_at_inverse_power(sys.alpha, sys.place, N, prec))
-    vals = _specialize(sys, N, prec, om)
     if N == 0:
-        return (vals[-1] - target).is_zero_to_precision()
+        _check_constructed(sys)
+        last = (pt if sys.kind == "omega" else deformation_specialize(
+            sys.index, sys.args, sys.place, 0, prec))
+        return (last - target).is_zero_to_precision()
+    vals = _specialize(sys, N, prec,
+                       omega_at_inverse_power(sys.alpha, sys.place, N, prec))
     if not all(x.is_exact_zero() for x in vals[:-1]):
         return False
     lit = vals[-1].shift(N * sys.weight * sys.place.q ** N)

@@ -119,11 +119,55 @@ def _grid_product(ctx, a, b, stride, widths, terms):
     starting at position row * stride + column.  `terms` bounds the number of
     digit products that meet in one position of the product.  Returns, for
     each product row r, (lo, digits): its digits at columns lo, ..., w - 1,
-    w = widths[r] <= stride, where the columns below lo hold zero digits.
+    w = widths[r] <= stride, where the columns below lo hold zero digits
+    and lo is the first column that a pair of nonzero digits reaches (w when
+    none does).
+
+    Two routes give the same rows.  The packed route pays per position: it
+    unpacks and reads all len(widths) * stride positions of the product.
+    The sparse route pays per pair of nonzero digits, one table step each.
+    So the sparse route is taken when the pairs are at most the positions:
+    then it does no more steps than the packed route reads positions.  The
+    q^i-th powers in Omega and the twisted deformation rows spread digits
+    q^i apart, so most products of built series take it.
     """
+    pairs = (sum(len(d) - d.count(0) for _, d in a)
+             * sum(len(d) - d.count(0) for _, d in b))
+    if pairs <= len(widths) * stride:
+        return _sparse_product(ctx, a, b, stride, widths)
+    return _packed_product(ctx, a, b, stride, widths, terms)
+
+
+def _packed_product(ctx, a, b, stride, widths, terms):
+    """_grid_product by one big-integer product of the packed grids."""
     size = _slot_size(ctx, terms)
     prod = _pack(ctx, a, size) * _pack(ctx, b, size)
     return _rows(ctx, prod, stride, widths, size)
+
+
+def _sparse_product(ctx, a, b, stride, widths):
+    """_grid_product by adding the product of each pair of nonzero digits
+    into its position through the rows of the F_q tables."""
+    add, mul = ctx._add, ctx._mul
+    xs = [(pos + k, d) for pos, digits in a for k, d in enumerate(digits) if d]
+    ys = [(pos + k, d) for pos, digits in b for k, d in enumerate(digits) if d]
+    n = len(widths) * stride
+    acc = [0] * n
+    hit = bytearray(n)      # positions that a pair of nonzero digits reaches
+    for i, x in xs:
+        row = mul[x]
+        for j, y in ys:
+            k = i + j
+            if k < n:
+                acc[k] = add[acc[k]][row[y]]
+                hit[k] = 1
+    out = []
+    for r, width in enumerate(widths):
+        lo, hi = r * stride, r * stride + width
+        first = hit.find(1, lo, hi)
+        lo = hi if first < 0 else first
+        out.append((lo - r * stride, acc[lo:hi]))
+    return out
 
 
 def _rows(ctx, packed, stride, widths, size):
@@ -203,7 +247,8 @@ class PlaceV(Place):
 
             f(T + r) = f_lo(T + r) + (T^m + r^m) f_hi(T + r),
 
-        and the shift recurses on f_lo and f_hi.
+        and the shift recurses on f_lo and f_hi down to pieces of at most p
+        coefficients, each shifted by one Horner pass.
         """
         return list(_taylor_shift(f, self.theta_root()).coeffs)
 
@@ -248,11 +293,22 @@ class PlaceInf(Place):
 
 
 def _taylor_shift(f, r):
-    """f(T + r) for r in F_q; see PlaceV.poly_digits."""
+    """f(T + r) for r in F_q; see PlaceV.poly_digits.
+
+    At most p coefficients split one at a time (m = 1), so there the shift
+    is one Horner pass, g <- g (T + r) + c from the top coefficient down,
+    over the rows of the F_q tables.
+    """
     n = len(f.coeffs)
     if n < 2 or r == 0:
         return f
     ctx = f.ctx
+    if n <= ctx.p:
+        add, mul_r = ctx._add, ctx._mul[r]
+        g = []
+        for c in reversed(f.coeffs):
+            g = [add[x][mul_r[y]] for x, y in zip([c, *g], [*g, 0])]
+        return PolyA(ctx, g)
     m = 1
     while m * ctx.p < n:
         m *= ctx.p

@@ -20,14 +20,16 @@ the product of Q copies of it, so the digits are that product's.
 
 A sum, a difference and a scaling by one LocalNum walk the runs: each
 stretch where the operands' runs are constant is one LocalNum sum or
-product, with its window.  The product is the one packed operation: one
-big-integer multiplication (two-dimensional Kronecker substitution, with a
-third axis for the F_p coordinates when q = p^e, e > 1).  Each operand's
-digit grid, t by pi, is packed into one integer, and the product rows that
-a digit pair reaches are read back in bulk (``local._grid_product``, which
-alone knows the slot layout).  Its windows are those of the coefficient
-schoolbook sum_(i+j=n) a_i * b_j: coefficient n is known modulo pi^c, c the
-minimum over the pairs with no exact-zero factor of
+product, with its window.  The product multiplies the operands' digit
+grids, t by pi, in one call (``local._grid_product``).  Their digits are
+mostly zero (a q^i-th power spreads digits q^i apart), so it adds the
+product of each pair of nonzero digits into the product rows; when the
+pairs outnumber the product's positions it makes one big-integer
+multiplication of the packed grids instead (two-dimensional Kronecker
+substitution, with a third axis for the F_p coordinates when q = p^e,
+e > 1).  Either way its windows are those of the coefficient schoolbook
+sum_(i+j=n) a_i * b_j: coefficient n is known modulo pi^c, c the minimum
+over the pairs with no exact-zero factor of
 min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an exact zero
 when every pair has an exact-zero factor (``_window_rule``).
 """
@@ -130,7 +132,7 @@ class TSeries:
         ctx = place.ctx
         # The coefficients with digits form a grid per operand: coefficient i
         # is t row i - ta (ta the first with digits), its pi^nu digit column
-        # nu - oa.  One packed product convolves both grids; row r of the
+        # nu - oa.  One grid product convolves both grids; row r of the
         # product holds coefficient ta + tb + r from pi^(oa + ob) on.
         ra, rb = _live(a), _live(b)
         cuts = _window_rule(a, b, D)

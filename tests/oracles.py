@@ -38,7 +38,7 @@ from vcarlitz.linalg import (
     kmat_neg, kmat_scale, kmat_zero,
 )
 from vcarlitz.local import (
-    _WIDTHS, INF, LocalNum, PlaceInf, _grid_product, _pack, _rows,
+    _WIDTHS, INF, LocalNum, PlaceInf, _pack, _packed_product, _rows,
     embed_local,
 )
 from vcarlitz.polylog import ArgTuple, Index
@@ -126,7 +126,8 @@ def delta_local(place, i, W):
 #
 # A series here is a sequence of LocalNum, one per power of t.  These are the
 # operations as they ran before the run-length layout: each walks every
-# coefficient, with the same packed digit arithmetic.
+# coefficient, with the packed digit arithmetic (``local._packed_product``,
+# never the sparse route).
 
 _FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
 
@@ -199,7 +200,7 @@ def series_mul(place, a, b):
         widths = [0 if cut is None else max(0, min(cut - oa - ob, C))
                   for cut in cuts[first:ra[-1][0] + rb[-1][0] + 1]]
         if any(widths):
-            rows = _grid_product(
+            rows = _packed_product(
                 ctx, [((i - ta) * C + c.nu - oa, c.coeffs) for i, c in ra],
                 [((j - tb) * C + c.nu - ob, c.coeffs) for j, c in rb],
                 C, widths, min(len(ra), len(rb)) * min(wa, wb))
@@ -226,7 +227,7 @@ def series_scale(place, a, x):
         widths = [0] * (live[-1] + 1)
         for n in live:
             widths[n] = min(len(a[n].coeffs), len(xd))
-        rows = _grid_product(
+        rows = _packed_product(
             place.ctx, [(n * S, a[n].coeffs) for n in live], [(0, xd)],
             S, widths, min(wa, len(xd)))
     out = []

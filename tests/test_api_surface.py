@@ -25,7 +25,6 @@ KEPT = {
     "local.LocalNum.congruent": BENCH,
     "polylog.star_expand": BENCH,
     "polylog.merge_args": BENCH,
-    "polylog.deformation_specialize": BENCH,
     "relations.RelationReport.support": BENCH,
 }
 

@@ -15,7 +15,7 @@ from vcarlitz.polylog import (
 )
 from vcarlitz.diffsys import (
     DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t, _specialize,
-    _tp_det, block_sum, build_cmpl_system, build_omega_system,
+    _specialization_holds, _tp_det, block_sum, build_cmpl_system, build_omega_system,
     mpl_certificate, tp_add, tp_apply, tp_eval_k, tp_mul, tp_normalize,
     tp_one, tp_scale, vabp_certify, verify_difference,
 )
@@ -310,6 +310,24 @@ def test_specialization_at_higher_twist_kills_all_but_last():
     vals = _specialize(sys, 1, 30, LocalNum.exact_zero(V0))
     assert all(v.is_exact_zero() for v in vals[:-1])
     assert not vals[-1].is_zero_to_precision()
+
+
+@pytest.mark.parametrize("kind", ["omega", "cmpl"])
+def test_specialization_at_zero_twist_reads_the_last_entry(kind):
+    """At N = 0 the check builds only the last entry of psi(alpha^(-1)): it
+    passes that entry of the whole vector and fails it off in its last
+    digit; a system that is not constructed is refused."""
+    sys = build_omega_system(V0) if kind == "omega" else build_cmpl_system(
+        Index([2, 1]), ArgTuple([T, T + ONE]), V0)
+    pt = pi_tilde(sys.alpha, V0, 30)
+    last = _specialize(sys, 0, 30, pt)[-1]
+    assert last.cutoff == 30
+    assert _specialization_holds(sys, 0, 30, pt, last)
+    assert not _specialization_holds(sys, 0, 30, pt,
+                                     last + LocalNum(V0, 29, (1,)))
+    generic = DiffSystem(V0, sys.phi, sys.psi, sys.weight, sys.alpha)
+    with pytest.raises(CertificationFailed):
+        _specialization_holds(generic, 0, 30, pt, last)
 
 
 # -- MPL certificates ----------------------------------------------------

@@ -121,6 +121,29 @@ def test_taylor_shift_digits_match_deflation(case):
     assert place.ord_poly(f) == _ord_by_deflation(place, f) >= k
 
 
+@st.composite
+def short_shift_cases(draw):
+    """(place, f, k): lambda != 0 of q in {2, 3, 4, 5, 9}, f nonzero of
+    degree <= 2p, times pi^k with k <= 4: the shift's Horner pass on at
+    most p coefficients, alone and under one or two splits."""
+    ctx = draw(st.sampled_from(SHIFT_FIELDS))
+    place = PlaceV(ctx, draw(st.integers(1, ctx.q - 1)))
+    deg = draw(st.integers(0, 2 * ctx.p))
+    coeffs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=deg,
+                           max_size=deg))
+    f = PolyA(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])
+    k = draw(st.integers(0, 4))
+    return place, f * place.uniformizer() ** k, k
+
+
+@given(short_shift_cases())
+@settings(max_examples=200, deadline=None)
+def test_short_taylor_shift_matches_division_loop(case):
+    place, f, k = case
+    assert place.ord_poly(f) == ord_poly_divmod(place, f) >= k
+    assert place.poly_digits(f) == _digits_by_deflation(place, f)
+
+
 # -- embeddings ---------------------------------------------------------
 
 def test_embed_poly_exact_padding():

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vcarlitz.algebra import FqContext, RatK, parse_ratk
-from vcarlitz.local import INF, LocalNum, PlaceInf, PlaceV
+from vcarlitz.local import (
+    INF, LocalNum, PlaceInf, PlaceV, _packed_product, _sparse_product,
+)
 from vcarlitz.polylog import ArgTuple, Index, deformation_build, omega_product
 from vcarlitz.tseries import TSeries, _window_rule, frobenius_twist
 
@@ -202,20 +204,32 @@ def run_places(draw):
 
 
 @st.composite
-def run_series(draw, place, D):
+def run_series(draw, place, D, sparse=False):
     """A series of order D drawn run by run.
 
     A run is a coefficient with digits, repeated up to 4 times with every
     other copy losing digits (equal nu, unequal cutoffs), zeros known to one
     pi^c, or exact zeros; neighbouring zero runs may or may not share c.
+    When `sparse`, a coefficient with digits is a q^n-th power (n = 1, 2)
+    of a window of up to 48 digits with at most 4 nonzero, shifted: most of
+    its digits are zero, and the others lie q^n apart, as in Omega and the
+    twisted deformation rows.
     """
     ctx = place.ctx
     runs, total = [], 0
     while total < D:
         kind = draw(st.sampled_from(("live", "window", "exact")))
         if kind == "live":
-            c = LocalNum(place, draw(st.integers(-6, 12)), draw(st.lists(
-                st.integers(0, ctx.q - 1), min_size=1, max_size=16)))
+            nu = draw(st.integers(-6, 12))
+            if sparse:
+                W = draw(st.integers(1, 48))
+                head = [draw(st.integers(1, ctx.q - 1))] + draw(st.lists(
+                    st.integers(0, ctx.q - 1), max_size=3))
+                c = LocalNum(place, 0, (head + [0] * W)[:W]).qpow(
+                    draw(st.integers(1, 2))).shift(nu)
+            else:
+                c = LocalNum(place, nu, draw(st.lists(
+                    st.integers(0, ctx.q - 1), min_size=1, max_size=16)))
             copies = min(draw(st.integers(1, 4)), D - total)
             drop = draw(st.integers(0, 3))
             runs += [(1, c.truncate(c.cutoff - drop) if m % 2 else c)
@@ -233,11 +247,12 @@ def run_series(draw, place, D):
 
 
 @st.composite
-def run_pairs(draw):
+def run_pairs(draw, sparse=False):
     place = draw(run_places())
     D = draw(st.integers(1, 80))
     E = draw(st.sampled_from([D, draw(st.integers(1, 80))]))
-    return place, draw(run_series(place, D)), draw(run_series(place, E))
+    return (place, draw(run_series(place, D, sparse)),
+            draw(run_series(place, E, sparse)))
 
 
 def _canonical(f):
@@ -250,8 +265,8 @@ def _canonical(f):
     return f
 
 
-@given(run_pairs())
-@settings(max_examples=120, deadline=None)
+@given(st.one_of(run_pairs(), run_pairs(sparse=True)))
+@settings(max_examples=200, deadline=None)
 def test_runs_product_matches_tuple_oracle(case):
     place, f, g = case
     assert _states(_canonical(f * g).coeffs) == _states(
@@ -320,6 +335,71 @@ def test_clip_and_residual_match_coefficientwise(case, N):
         else:
             worst = min(worst, c.valuation())
     assert f.residual(N) == worst
+
+
+# -- the two routes of the grid product ----------------------------------
+
+ROUTE_FIELDS = [FIELDS[q] for q in sorted(FIELDS)] + [FqContext(1021)]
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two digit grids laid out as TSeries.__mul__ lays them out, with
+    widths that may clamp any product row.
+
+    Digits are mostly 0, 1 and -1 and pieces start in the first columns,
+    so product positions, the first of a row too, often cancel; half the
+    cases make a whole product row cancel.
+    """
+    ctx = draw(st.sampled_from(ROUTE_FIELDS))
+    digit = st.one_of(st.sampled_from([0, 1, ctx._neg[1]]),
+                      st.integers(0, ctx.q - 1))
+    wa, wb = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    stride = wa + wb - 1
+
+    def grid(w):
+        pieces = []
+        for row in range(draw(st.integers(1, 6))):
+            col = draw(st.integers(0, min(w - 1, draw(st.sampled_from(
+                [1, w])))))
+            digits = draw(st.lists(digit, max_size=w - col))
+            if digits:
+                pieces.append((row * stride + col, tuple(digits)))
+        return pieces
+
+    a, b = grid(wa), grid(wb)
+    if a and draw(st.booleans()):
+        # a piece on rows 0 and 1 times d - d t: product row 1 cancels
+        col, digits = a[0][0] % stride, a[0][1]
+        d = draw(st.integers(1, ctx.q - 1))
+        a = [(col, digits), (stride + col, digits)]
+        b = [(0, (d,)), (stride, (ctx._neg[d],))]
+    rows = max(len(a) + len(b) - 1, 1)
+    widths = draw(st.lists(st.integers(0, stride), min_size=rows,
+                           max_size=rows))
+    terms = min(sum(len(d) for _, d in a), sum(len(d) for _, d in b))
+    return ctx, a, b, stride, widths, terms
+
+
+@given(grid_pairs())
+@settings(max_examples=300, deadline=None)
+def test_grid_product_routes_give_the_same_rows(case):
+    ctx, a, b, stride, widths, terms = case
+    assert _sparse_product(ctx, a, b, stride, widths) == _packed_product(
+        ctx, a, b, stride, widths, terms)
+
+
+@pytest.mark.parametrize("ctx", ROUTE_FIELDS, ids=lambda c: f"q{c.q}")
+def test_grid_product_routes_keep_cancelled_rows(ctx):
+    """(1 + t)(1 - t) = 1 - t^2: row 1 is reached by two digit pairs that
+    cancel, so it reads (0, [0]), not an untouched row (width, [])."""
+    one, neg = 1, ctx._neg[1]
+    a, b = [(0, (one,)), (1, (one,))], [(0, (one,)), (1, (neg,))]
+    # a row clamped to width 0 keeps nothing
+    for widths, row in (([1, 1, 1], (0, [0])), ([1, 0, 1], (0, []))):
+        want = [(0, [one]), row, (0, [neg])]
+        assert _sparse_product(ctx, a, b, 1, widths) == want
+        assert _packed_product(ctx, a, b, 1, widths, 2) == want
 
 
 def test_from_runs_splits_live_runs_and_merges_zeros():
