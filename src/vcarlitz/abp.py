@@ -42,10 +42,6 @@ class RvElem:
     def zero(cls, place):
         return cls(place, ())
 
-    @classmethod
-    def one(cls, place):
-        return cls(place, (1,))
-
     def is_zero(self):
         return not self.coeffs
 
@@ -84,9 +80,6 @@ class RvElem:
 
     def __mul__(self, other):
         return RvElem(self.place, (self._poly() * other._poly()).coeffs)
-
-    def scale_fq(self, c):
-        return RvElem(self.place, self._poly().scale(c).coeffs)
 
     def to_ratk(self):
         """The element of k: sum c_j / pi^j."""

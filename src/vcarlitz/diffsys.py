@@ -22,7 +22,7 @@ from .polylog import (
     deformation_specialize_prefixes, domain_check, omega_at_inverse_power,
     pi_tilde, CONV_V,
 )
-from .tseries import TSeries, _aligned, frobenius_twist
+from .tseries import frobenius_twist, residual_order
 
 INF = float("inf")
 
@@ -76,29 +76,14 @@ def tp_eval_k(a, x):
 
 
 def tp_apply(a, g, place, N):
-    """The t-polynomial a acting on a TSeries g, truncated to g's order.
+    """The term a * g of a residual, for ``tseries.residual_order``.
 
-    One series product: the embedded coefficients of a, padded with exact
-    zeros, times g.  The windows are those of the sum over m of
-    c_m * (t^m g), with t^m g padded by zeros known to pi^N: coefficient n is
-    also capped at N, and at N + nu(c_m) for each nonzero c_m, n < m < D.
-    Adding a zero known to pi^cap truncates a coefficient there and turns an
-    exact zero into that zero, so the caps are one walk over the product's
-    runs.
+    The t-polynomial a acts on the TSeries g truncated to g's order, so its
+    coefficients c_0, ..., c_(D-1), D = g's order, are embedded to pi^N.
+    ``residual_order`` gives the product the windows of the sum over m of
+    c_m * (t^m g), t^m g padded by zeros known to pi^N.
     """
-    D = g.order
-    coeffs = [embed_local(c, place, N) for c in a[:D]]
-    cap, caps = N, [(D - max(len(coeffs) - 1, 0), N)]   # from the top down
-    for c in reversed(coeffs[1:]):
-        if not c.is_exact_zero():
-            cap = min(cap, N + c.nu)
-        caps.append((1, cap))
-    prod = TSeries.from_runs(place, [(1, c) for c in coeffs] + [
-        (D - len(coeffs), LocalNum.exact_zero(place))]) * g
-    return TSeries.from_runs(place, [
-        (n, LocalNum.zero_to_precision(place, cap) if x.is_exact_zero()
-         else x.truncate(cap))
-        for n, x, cap in _aligned(prod.runs, reversed(caps))])
+    return [embed_local(c, place, N) for c in a[:g.order]], g
 
 
 # -- the system ----------------------------------------------------------
@@ -305,11 +290,9 @@ def verify_difference(sys, D, N):
     psi_tw = [frobenius_twist(p) for p in psi]
     worst = INF
     for i in range(sys.size):
-        row = psi[i]
-        for j in range(sys.size):
-            if sys.phi[i][j]:
-                row = row - tp_apply(sys.phi[i][j], psi_tw[j], place, N)
-        worst = min(worst, row.residual(N))
+        terms = [tp_apply(a, g, place, N)
+                 for a, g in zip(sys.phi[i], psi_tw) if a]
+        worst = min(worst, residual_order(place, psi[i], terms, N))
     return Residual(N, worst)
 
 
@@ -524,7 +507,5 @@ def vabp_certify(sys, gamma, rho, P, D, N):
     place = sys.place
     rows = [j for j, pj in enumerate(P) if pj]
     psi = sys.psi(D, N, set(rows))
-    acc = TSeries.zero(place, D, N)
-    for j in rows:
-        acc = acc + tp_apply(P[j], psi[j].truncate(D), place, N)
-    return acc.residual(N) >= N
+    terms = [tp_apply(P[j], psi[j].truncate(D), place, N) for j in rows]
+    return residual_order(place, None, terms, N) >= N

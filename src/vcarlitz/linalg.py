@@ -33,10 +33,6 @@ def kmat_add(A, B):
     return kmat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
 
 
-def kmat_neg(A):
-    return kmat([[-a for a in r] for r in A])
-
-
 def kmat_scale(A, c):
     return kmat([[a * c for a in r] for r in A])
 

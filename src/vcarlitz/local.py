@@ -248,9 +248,10 @@ class PlaceV(Place):
             f(T + r) = f_lo(T + r) + (T^m + r^m) f_hi(T + r),
 
         and the shift recurses on f_lo and f_hi down to pieces of at most p
-        coefficients, each shifted by one Horner pass.
+        coefficients, each shifted by the Horner scheme, all on lists of
+        coefficients.
         """
-        return list(_taylor_shift(f, self.theta_root()).coeffs)
+        return _taylor_shift(self.ctx, list(f.coeffs), self.theta_root())
 
     def __eq__(self, other):
         return (isinstance(other, PlaceV) and self.ctx == other.ctx
@@ -292,29 +293,37 @@ class PlaceInf(Place):
         return f"PlaceInf(q={self.ctx.q})"
 
 
-def _taylor_shift(f, r):
-    """f(T + r) for r in F_q; see PlaceV.poly_digits.
+def _taylor_shift(ctx, cs, r):
+    """The coefficients of f(T + r), r in F_q, f given by its coefficients
+    cs; see PlaceV.poly_digits.  The shift keeps the degree and the leading
+    coefficient, so the list has len(cs) entries and no trailing zero.
 
     At most p coefficients split one at a time (m = 1), so there the shift
-    is one Horner pass, g <- g (T + r) + c from the top coefficient down,
-    over the rows of the F_q tables.
+    is the Horner scheme in place: n - 1 passes of synthetic division by
+    T - r, a_j <- a_j + r a_(j+1) from the top down.  Above p,
+    f_lo(T + r) + (T^m + r^m) f_hi(T + r) is added up in one list.  Every
+    step is over the rows of the F_q tables.
     """
-    n = len(f.coeffs)
+    n = len(cs)
     if n < 2 or r == 0:
-        return f
-    ctx = f.ctx
+        return cs
+    add = ctx._add
     if n <= ctx.p:
-        add, mul_r = ctx._add, ctx._mul[r]
-        g = []
-        for c in reversed(f.coeffs):
-            g = [add[x][mul_r[y]] for x, y in zip([c, *g], [*g, 0])]
-        return PolyA(ctx, g)
+        mul_r = ctx._mul[r]
+        a = list(cs)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                a[j] = add[a[j]][mul_r[a[j + 1]]]
+        return a
     m = 1
     while m * ctx.p < n:
         m *= ctx.p
-    lo = _taylor_shift(PolyA(ctx, f.coeffs[:m]), r)
-    hi = _taylor_shift(PolyA(ctx, f.coeffs[m:]), r)
-    return lo + hi.shift(m) + hi.scale(ctx.pow(r, m))
+    hi = _taylor_shift(ctx, cs[m:], r)
+    out = _taylor_shift(ctx, cs[:m], r) + [0] * (n - m)
+    mul_rm = ctx._mul[ctx.pow(r, m)]
+    out[:len(hi)] = [add[x][mul_rm[y]] for x, y in zip(out, hi)]
+    out[m:] = [add[x][y] for x, y in zip(out[m:], hi)]
+    return out
 
 
 class LocalNum:

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .linalg import (
     fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat,
-    kmat_add, kmat_identity, kmat_inv, kmat_mul, kmat_neg, kmat_poly_eval,
+    kmat_add, kmat_identity, kmat_inv, kmat_poly_eval,
     kmat_scale,
 )
 from .local import LocalNum, PlaceV, embed_local, geometric_product
@@ -327,12 +327,20 @@ class _LocalLogCoeffs:
 
     def ensure(self, i_max):
         spec, place, W = self.spec, self.place, self.W
+        zero = LocalNum.exact_zero(place)
         while len(self.P) <= i_max:
             i = len(self.P)
             if i > 1:
                 self._B1tw = kmat([[x.qpow() for x in r]
                                    for r in self._B1tw])
-            R = kmat_neg(kmat_mul(self.P[i - 1], self._B1tw))
+            # R = -P_(i-1) B1^(i-1) from the entries of B1^(i-1) that are
+            # not exact zeros, each negated once: a product with an
+            # exact-zero factor is an exact zero, a sum passes one through,
+            # and negation is additive (B1 of the shipped modules has one)
+            cols = [[(l, -row[c]) for l, row in enumerate(self._B1tw)
+                     if not row[c].is_exact_zero()] for c in range(spec.dim)]
+            R = kmat([[sum((x[l] * b for l, b in col), zero) for col in cols]
+                      for x in self.P[i - 1]])
             self.P.append(_sylvester_solve(spec, R, _delta_inv(place, i, W)))
 
 

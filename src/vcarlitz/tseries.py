@@ -32,11 +32,19 @@ sum_(i+j=n) a_i * b_j: coefficient n is known modulo pi^c, c the minimum
 over the pairs with no exact-zero factor of
 min(nu(a_i) + cutoff(b_j), nu(b_j) + cutoff(a_i)), and is an exact zero
 when every pair has an exact-zero factor (``_window_rule``).
+
+A difference-equation residual is one number, so it is read without
+building a series: ``residual_order`` takes a base and terms a * g (a
+t-polynomial's embedded coefficients acting on a series) and finds the
+order of base - sum a * g modulo pi^N from the least window and one
+accumulation of the digit products that land below it.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 
 from .local import INF, LocalNum, _grid_product
 
@@ -242,19 +250,27 @@ def _aligned(a, b):
             n, y = next(b, (0, None))
 
 
-def _positions(runs):
-    """(position, count, value) of each run."""
+def _live(runs):
+    """(position, coefficient) of the coefficients with digits."""
     out = []
     pos = 0
     for n, c in runs:
-        out.append((pos, n, c))
+        if c.coeffs:
+            out.append((pos, c))
         pos += n
     return out
 
 
-def _live(runs):
-    """(position, coefficient) of the coefficients with digits."""
-    return [(i, c) for i, _, c in _positions(runs) if c.coeffs]
+def _known(runs):
+    """(position, count, nu, cutoff) of each run that is not an exact zero,
+    read once."""
+    out = []
+    pos = 0
+    for n, c in runs:
+        if c.nu != INF:
+            out.append((pos, n, c.nu, c.nu + len(c.coeffs)))
+        pos += n
+    return out
 
 
 def _expand(runs, lo, hi):
@@ -283,14 +299,20 @@ def _window_rule(a, b, D):
     A run of a at i with m coefficients and a run of b at j with n
     coefficients pair up on exactly the coefficients i + j, ...,
     i + j + m + n - 2, all with the same value.  So the cutoffs are the
-    lower envelope of one interval per pair of runs, swept by start with a
-    heap of (value, end).
+    lower envelope of one span per pair of runs, swept by start with a heap
+    of (value, end).  Each run's position, count, nu and cutoff are read
+    once, before the pairs.
     """
-    spans = sorted(
-        (i + j, min(i + j + m + n - 1, D),
-         min(x.nu + y.cutoff, y.nu + x.cutoff))
-        for i, m, x in _positions(a) if x.nu != INF
-        for j, n, y in _positions(b) if y.nu != INF and i + j < D)
+    ys = _known(b)
+    spans = []
+    for i, m, u, c in _known(a):
+        for j, n, v, d in ys:
+            start = i + j
+            if start >= D:
+                break
+            end, x, y = start + m + n - 1, u + d, v + c
+            spans.append((start, end if end < D else D, x if x < y else y))
+    spans.sort()
     out, heap = [], []
     pos = k = 0
     while pos < D:
@@ -311,6 +333,105 @@ def _window_rule(a, b, D):
             out.append((stop - pos, value))
         pos = stop
     return out
+
+
+def residual_order(place, base, terms, N):
+    """The order modulo pi^N of base - sum_k a_k * g_k, without building it.
+
+    base is a TSeries, or None for zero; a term is (coeffs, g), the
+    embedded coefficients c_0, c_1, ... of a t-polynomial a (at most g's
+    order of them) and a TSeries g.  The order is the one of the series
+    route: each a * g built as the product of the coefficients, padded with
+    exact zeros, by g, its coefficient n capped at N and at N + nu(c_m) for
+    each c_m, n < m, that is not an exact zero (an exact zero becoming a
+    zero known to pi^cap); the products subtracted from base as TSeries,
+    over D = min(order of base, orders of the g) coefficients; and the
+    result read by ``TSeries.residual(N)``.
+
+    Why the same number comes out.  Truncation commutes with addition: a
+    LocalNum sum is known modulo its operands' least cutoff, with the
+    digits of the exact sum below it, and an exact-zero operand passes the
+    other through.  A capped product is never an exact zero.  So row n of
+    the result is an exact zero only when base_n is one and there are no
+    terms; otherwise it is known modulo pi^C_n, the least of cutoff(base_n),
+    the product windows min(nu(c_m) + cutoff(g_j), nu(g_j) + cutoff(c_m))
+    over m + j = n, and the caps, with the digits of
+    base_n - sum c_m g_(n-m) below it.  ``residual`` reads min(nu, N) per
+    row, so the order is min(L, p): L the least min(C_n, N), and p the
+    least position of a nonzero digit of a row n below min(C_n, N).  A
+    digit at or above L cannot lower that, and every row is known below L,
+    so L is all that is needed of the windows, and only the digit products
+    that land below pi^L are added, next to base's digits there.  The digit
+    of pi^p in row n sits at key p * D + n, so the least key holding a
+    nonzero digit gives p.
+    """
+    D = min(([] if base is None else [base.order])
+            + [g.order for _, g in terms], default=0)
+    low = N if terms else INF
+    if base is not None:
+        low = min([low] + [c for i, _, _, c in _known(base.runs) if i < D])
+    for coeffs, g in terms:
+        # the pairs of c_m with the runs of g at j < D - m: the least
+        # nu(c_m) + cutoff(g_j) and nu(g_j) + cutoff(c_m) are c_m's nu and
+        # cutoff plus the least cutoff and nu over those runs, kept as
+        # prefix minima over the runs in the order of t
+        known = _known(g.runs)
+        starts = [j for j, _, _, _ in known]
+        nus = list(itertools.accumulate((v for _, _, v, _ in known), min))
+        cuts = list(itertools.accumulate((d for _, _, _, d in known), min))
+        for m, c in enumerate(coeffs):
+            if c.nu == INF:
+                continue
+            if m and N + c.nu < low:
+                low = N + c.nu
+            k = bisect.bisect_left(starts, D - m)
+            if k:
+                low = min(low, c.nu + cuts[k - 1],
+                          nus[k - 1] + c.nu + len(c.coeffs))
+    if D == 0 or low == INF:
+        return INF
+    low = min(low, N)
+    ctx = place.ctx
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
+    lim = low * D
+    acc = {}
+    if base is not None:
+        for n, c in _live(_cut(base.runs, D)):
+            for k, d in enumerate(c.coeffs, c.nu):
+                if k >= low:
+                    break
+                if d:
+                    acc[k * D + n] = d
+    get = acc.get
+    for coeffs, g in terms:
+        live_c = [(m, c) for m, c in enumerate(coeffs[:D]) if c.coeffs]
+        live_g = _live(_cut(g.runs, D))
+        if not live_c or not live_g:
+            continue
+        # a digit of c_m at u meets those of g at w >= the least nu of g, and
+        # reaches below pi^low only when u + w < low; the same for g's
+        top_c = low - min(y.nu for _, y in live_g)
+        top_g = low - min(c.nu for _, c in live_c)
+        # digits as (key offset, value): p * D + j for g_j; p * D + m and
+        # the row of the F_q product table for c_m, negated, so that the
+        # products are subtracted
+        gk = [(j, [(k * D + j, d) for k, d in enumerate(
+            y.coeffs[:max(top_g - y.nu, 0)], y.nu) if d])
+              for j, y in live_g]
+        for m, c in live_c:
+            ck = [(k * D + m, mul[neg[d]]) for k, d in enumerate(
+                c.coeffs[:max(top_c - c.nu, 0)], c.nu) if d]
+            for j, ds in gk:
+                if m + j >= D:
+                    break
+                for ka, row in ck:
+                    for kb, d in ds:
+                        key = ka + kb
+                        if key >= lim:
+                            break
+                        acc[key] = add[get(key, 0)][row[d]]
+    first = min((key for key, d in acc.items() if d), default=lim)
+    return min(low, first // D)
 
 
 def frobenius_twist(f, n=1):

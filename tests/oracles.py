@@ -14,15 +14,18 @@ per factor and their powers by repeated squaring, the deformation series
 built one prefix at a time, ord_v by repeated division by the uniformizer,
 the powers of (1 - alpha^q t) by repeated t-polynomial products, the
 determinant test on the whole twisted matrix, the vABP check on the whole
-psi vector, the telescoping Horner solve of the twisted Sylvester
-equation, and F_q row reduction one element at a time.
+psi vector, a t-polynomial acting on a series as one product series and
+the residuals read from the built differences, the telescoping Horner
+solve of the twisted Sylvester equation, the log coefficients with each
+right-hand side a dense matrix product, and F_q row reduction one element
+at a time.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
 action), the zeta(s)_v pipeline, the padding of a coefficient list to a
-series, the reader of the printed LocalNum form, the matrix difference and
-Frobenius twist over k, and the writers of the decomposition and t-module
-spec files (whose readers are in the package) are here because only tests
-call them.
+series, the reader of the printed LocalNum form, the matrix negation,
+difference and Frobenius twist over k, and the writers of the
+decomposition and t-module spec files (whose readers are in the package)
+are here because only tests call them.
 """
 
 import math
@@ -35,7 +38,7 @@ from vcarlitz.algebra import PolyA, RatK, _parse_fq_coeff, _parse_int
 from vcarlitz.errors import DomainError, ParseError, SingularStep
 from vcarlitz.linalg import (
     fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity, kmat_mul,
-    kmat_neg, kmat_scale, kmat_zero,
+    kmat_scale, kmat_zero,
 )
 from vcarlitz.local import (
     _WIDTHS, INF, LocalNum, PlaceInf, _pack, _packed_product, _rows,
@@ -43,7 +46,7 @@ from vcarlitz.local import (
 )
 from vcarlitz.polylog import ArgTuple, Index
 from vcarlitz.tmodule import _delta_inv
-from vcarlitz.tseries import TSeries
+from vcarlitz.tseries import TSeries, _aligned
 
 
 def L_factorial(ctx, i):
@@ -513,6 +516,27 @@ def _lmat_n0(spec, A, side="left"):
     return kmat(out)
 
 
+def kmat_neg(A):
+    return kmat([[-a for a in r] for r in A])
+
+
+def local_log_dense(spec, place, W, i_max):
+    """The windowed log coefficients P_0, ..., P_i_max with each right-hand
+    side R = -P_(i-1) B1^(i-1) formed by the dense matrix product over every
+    entry, then negated."""
+    dim = spec.dim
+    P = [kmat([[LocalNum.unit_one(place, W) if i == j
+                else LocalNum.exact_zero(place)
+                for j in range(dim)] for i in range(dim)])]
+    B1tw = kmat([[embed_local(e, place, W) for e in r] for r in spec.B1])
+    for i in range(1, i_max + 1):
+        if i > 1:
+            B1tw = kmat([[x.qpow() for x in r] for r in B1tw])
+        R = kmat_neg(kmat_mul(P[i - 1], B1tw))
+        P.append(tmodule._sylvester_solve(spec, R, _delta_inv(place, i, W)))
+    return P
+
+
 def local_log_fixed_point(spec, place, W, i_max):
     """The windowed log coefficients P_0, ..., P_i_max by 2 dim + 1 passes
     of the fixed-point map, each starting from R / delta."""
@@ -690,13 +714,53 @@ def vabp_certify_full(sys, gamma, rho, P, D, N):
     for pj, rj in zip(P, rho):
         if diffsys.tp_eval_k(pj, gamma) != rj:
             return False
-    place = sys.place
     psi = [p.truncate(D) for p in sys.psi(D, N)]
-    acc = TSeries.zero(place, D, N)
-    for pj, fj in zip(P, psi):
-        if pj:
-            acc = acc + diffsys.tp_apply(pj, fj, place, N)
-    return acc.residual(N) >= N
+    return residual_by_series(
+        sys.place, None, [(pj, fj) for pj, fj in zip(P, psi) if pj],
+        N) >= N
+
+
+def tp_apply(a, g, place, N):
+    """The t-polynomial a acting on a TSeries g, truncated to g's order.
+
+    One series product: the embedded coefficients of a, padded with exact
+    zeros, times g.  The windows are those of the sum over m of
+    c_m * (t^m g), with t^m g padded by zeros known to pi^N: coefficient n is
+    also capped at N, and at N + nu(c_m) for each nonzero c_m, n < m < D.
+    Adding a zero known to pi^cap truncates a coefficient there and turns an
+    exact zero into that zero, so the caps are one walk over the product's
+    runs.
+    """
+    D = g.order
+    coeffs = [embed_local(c, place, N) for c in a[:D]]
+    cap, caps = N, [(D - max(len(coeffs) - 1, 0), N)]   # from the top down
+    for c in reversed(coeffs[1:]):
+        if not c.is_exact_zero():
+            cap = min(cap, N + c.nu)
+        caps.append((1, cap))
+    prod = TSeries.from_runs(place, [(1, c) for c in coeffs] + [
+        (D - len(coeffs), LocalNum.exact_zero(place))]) * g
+    return TSeries.from_runs(place, [
+        (n, LocalNum.zero_to_precision(place, cap) if x.is_exact_zero()
+         else x.truncate(cap))
+        for n, x, cap in _aligned(prod.runs, reversed(caps))])
+
+
+def residual_by_series(place, base, terms, N):
+    """The residual order of base - sum a * g from built series: each a * g
+    a TSeries from tp_apply, subtracted row by row, read by
+    TSeries.residual.  A base of None is the zero known to pi^N, to which
+    the terms are added, as the vABP check did."""
+    if base is None:
+        row = TSeries.zero(place, min((g.order for _, g in terms),
+                                      default=0), N)
+        for a, g in terms:
+            row = row + tp_apply(a, g, place, N)
+    else:
+        row = base
+        for a, g in terms:
+            row = row - tp_apply(a, g, place, N)
+    return row.residual(N)
 
 
 # -- the Carlitz action over k and the zeta pipeline ----------------------

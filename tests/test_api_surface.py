@@ -5,9 +5,12 @@ public method must be referenced from code in the package (a name or an
 attribute; docstrings and comments do not count), or stand on KEPT with
 its reason.  A helper that only tests call belongs in tests/oracles.py.
 
-A method is matched by its name alone, so it counts as referenced when a
-method of another class with the same name is (TSeries and LocalNum both
-had a pow).
+A method is matched by its name alone, so a method of one class counts as
+referenced when a method of another class with the same name is (TSeries
+and LocalNum both had a pow; RvElem.one and RvElem.scale_fq passed on
+RatK.one and LocalNum.scale_fq).  So every public method name defined on
+more than one class stands on SHARED, with a reader in the package for each
+class, and the scan fails when that set changes.
 """
 
 import ast
@@ -26,6 +29,74 @@ KEPT = {
     "polylog.star_expand": BENCH,
     "polylog.merge_args": BENCH,
     "relations.RelationReport.support": BENCH,
+}
+
+# bare name -> {method: a reader of it in the package}
+SHARED = {
+    "T": {
+        "algebra.PolyA.T": "RatK.T",
+        "algebra.RatK.T": "tmodule.tensor_carlitz_spec",
+    },
+    "degree": {
+        "abp.RvElem.degree": "RvElem.norm_exp",
+        "algebra.PolyA.degree": "local.embed_poly",
+    },
+    "depth": {
+        "polylog.Index.depth": "diffsys.build_cmpl_system",
+        "polylog.ArgTuple.depth": "polylog.domain_check",
+    },
+    "frobenius": {
+        "algebra.PolyA.frobenius": "RatK.frobenius",
+        "algebra.RatK.frobenius": "diffsys._one_minus_alpha_q_t",
+    },
+    "inv": {
+        "algebra.FqContext.inv": "LocalNum.inv",
+        "algebra.RatK.inv": "linalg.kmat_inv",
+        "local.LocalNum.inv": "local.embed_local",
+    },
+    "is_zero": {
+        "abp.RvElem.is_zero": "RvElem.norm_exp",
+        "algebra.PolyA.is_zero": "local.embed_poly",
+        "algebra.RatK.is_zero": "diffsys.tp_normalize",
+        "diffsys.Residual.is_zero": "cli._residual_records",
+    },
+    "one": {
+        "algebra.PolyA.one": "RatK.__init__",
+        "algebra.RatK.one": "diffsys.tp_one",
+        "tseries.TSeries.one": "polylog.omega_product",
+    },
+    "ord_poly": {
+        "local.Place.ord_poly": "the interface Place.ord_ratk calls",
+        "local.PlaceV.ord_poly": "Place.ord_ratk at a finite place",
+        "local.PlaceInf.ord_poly": "Place.ord_ratk at infinity",
+    },
+    "poly_digits": {
+        "local.Place.poly_digits": "the interface embed_poly calls",
+        "local.PlaceV.poly_digits": "local.embed_poly at a finite place",
+        "local.PlaceInf.poly_digits": "local.embed_poly at infinity",
+    },
+    "pow": {
+        "algebra.FqContext.pow": "local._taylor_shift",
+        "local.LocalNum.pow": "diffsys._specialize",
+    },
+    "scale": {
+        "algebra.PolyA.scale": "PolyA.monic",
+        "tseries.TSeries.scale": "polylog.omega_product",
+    },
+    "shift": {
+        "algebra.PolyA.shift": "FqContext.__init__",
+        "local.LocalNum.shift": "diffsys._specialization_holds",
+    },
+    "truncate": {
+        "local.LocalNum.truncate": "LocalNum.__mul__",
+        "tseries.TSeries.truncate": "diffsys.verify_difference",
+    },
+    "zero": {
+        "abp.RvElem.zero": "abp.parse_rv",
+        "algebra.PolyA.zero": "algebra.parse_poly",
+        "algebra.RatK.zero": "linalg.kmat_identity",
+        "tseries.TSeries.zero": "polylog.deformation_build",
+    },
 }
 
 
@@ -64,3 +135,14 @@ def test_kept_names_exist_and_are_still_unread():
     for name in KEPT:
         assert name in public, name
         assert public[name] not in refs, f"{name} is read now; unlist it"
+
+
+def test_shared_method_names_stand_on_the_table():
+    public, _ = _scan()
+    methods = {}
+    for q, n in public.items():
+        if q.count(".") == 2:
+            methods.setdefault(n, set()).add(q)
+    shared = {n: qs for n, qs in methods.items() if len(qs) > 1}
+    assert shared == {n: set(readers) for n, readers in SHARED.items()}
+    assert all(why for readers in SHARED.values() for why in readers.values())

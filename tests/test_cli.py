@@ -380,6 +380,22 @@ def test_verification_failure_exits_1(capsys, tmp_path):
     assert code == 1 and "certified=false" in out
 
 
+@pytest.mark.parametrize("k, code_want, out_want", [
+    (29, 1, "certified=false\nresidual_ord=29\n"),
+    (30, 0, "certified=true\nprec=30\n"),
+])
+def test_verify_decomposition_sees_the_last_claimed_digit(
+        capsys, tmp_path, k, code_want, out_want):
+    # the shipped zeta(2) = Li*_2(1) with its coefficient moved by
+    # theta^-k: at --prec 30 the digit theta^-29 is the last one checked
+    moved = tmp_path / "moved.txt"
+    moved.write_text(
+        f"p: 3\ne: 1\ntarget: 2\nterm: (T^{k}+1)/T^{k} | 2 | 1\n")
+    code, out = run(capsys, "verify", "decomposition", "--file", str(moved),
+                    "--prec", "30")
+    assert (code, out) == (code_want, out_want)
+
+
 # zeta(1) = T * Li*_1(1) is false, whatever the file claims
 FORGED = "p: 3\ne: 1\ntarget: 1\nterm: T | 1 | 1\ncertified: true\nprec: 60\n"
 

@@ -16,14 +16,16 @@ from vcarlitz.polylog import (
 from vcarlitz.diffsys import (
     DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t, _specialize,
     _specialization_holds, _tp_det, block_sum, build_cmpl_system, build_omega_system,
-    mpl_certificate, tp_add, tp_apply, tp_eval_k, tp_mul, tp_normalize,
+    mpl_certificate, tp_add, tp_eval_k, tp_mul, tp_normalize,
     tp_one, tp_scale, vabp_certify, verify_difference,
 )
-from vcarlitz.tseries import TSeries
+from vcarlitz.diffsys import tp_apply as tp_apply_term
+from vcarlitz.tseries import TSeries, residual_order
 
 from oracles import (
     deformation_build_per_prefix, det_structural_whole, from_local_coeffs,
-    one_minus_alpha_q_t_loop, series_pow, vabp_certify_full,
+    one_minus_alpha_q_t_loop, residual_by_series, series_pow, tp_apply,
+    vabp_certify_full,
 )
 
 CTX3 = FqContext(3)
@@ -105,6 +107,74 @@ def test_tp_apply_matches_shifted_sum(case):
     want = _tp_apply_by_terms(a, g, place, N)
     assert [(c.is_exact_zero(), c.nu, c.coeffs) for c in got] == [
         (c.is_exact_zero(), c.nu, c.coeffs) for c in want]
+
+
+@st.composite
+def _residual_cases(draw):
+    """(place, base, terms, N): terms (a, g) with a a t-polynomial over k
+    (exact-zero coefficients, poles at v), g a series with exact-zero runs,
+    zero runs and digits; base None (with terms), random, or the sum of the
+    terms with one digit changed at or just past its last claimed
+    position."""
+    ctx = draw(st.sampled_from(_TP_FIELDS))
+    place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+    N = draw(st.integers(1, 16))
+    D = draw(st.integers(1, 8))
+    poly = st.lists(st.integers(0, ctx.q - 1), max_size=3).map(
+        lambda c: PolyA(ctx, c))
+    ratk = st.tuples(poly, st.integers(0, 2), poly).map(
+        lambda t: RatK(t[0], place.uniformizer() ** t[1]
+                       * (t[2] if not t[2].is_zero() else PolyA.one(ctx))))
+    coeff = st.one_of(
+        st.just(LocalNum.exact_zero(place)),
+        st.integers(-4, 16).map(
+            lambda c: LocalNum.zero_to_precision(place, c)),
+        st.tuples(st.integers(-4, 8),
+                  st.lists(st.integers(0, ctx.q - 1), min_size=1,
+                           max_size=16)).map(lambda t: LocalNum(place, *t)))
+
+    def series(n):
+        return st.lists(coeff, min_size=n, max_size=n).map(
+            lambda cs: TSeries(place, cs))
+
+    terms = draw(st.lists(
+        st.tuples(st.lists(ratk, min_size=1, max_size=5).map(tuple),
+                  st.integers(0, 1).flatmap(lambda k: series(D + k))),
+        max_size=3))
+    kind = draw(st.sampled_from(["none", "random", "sum", "last", "past"]))
+    if not terms:
+        kind = "random"
+    if kind == "none":
+        return place, None, terms, N
+    if kind == "random":
+        return place, draw(series(D + draw(st.integers(0, 1)))), terms, N
+    base = TSeries.zero(place, D, N)
+    for a, g in terms:
+        base = base + tp_apply(a, g, place, N)
+    coeffs = list(base.coeffs)
+    n = draw(st.integers(0, D - 1))
+    c = coeffs[n]
+    if not c.is_exact_zero():
+        digit = draw(st.integers(1, ctx.q - 1))
+        coeffs[n] = c + LocalNum(place, c.cutoff - (kind == "last"), (digit,))
+    return place, TSeries(place, coeffs), terms, N
+
+
+# a pole: the product pi^-1 (1 + pi + ...) is known only to
+# nu(g_0) + cutoff(c_0) = 3, below the cap N = 4, and base agrees with it
+# through pi^7
+_POLE = (V0, TSeries(V0, [LocalNum(V0, -1, (1,) * 9)]),
+         [((ONE / T,), TSeries(V0, [LocalNum(V0, 0, (1,) * 8)]))], 4)
+
+
+@given(_residual_cases())
+@example(_POLE)
+@settings(max_examples=300, deadline=None)
+def test_residual_order_matches_series_route(case):
+    place, base, terms, N = case
+    got = residual_order(place, base, [tp_apply_term(a, g, place, N)
+                                       for a, g in terms], N)
+    assert got == residual_by_series(place, base, terms, N)
 
 
 # -- construction and residuals -----------------------------------------

@@ -124,11 +124,11 @@ def test_taylor_shift_digits_match_deflation(case):
 @st.composite
 def short_shift_cases(draw):
     """(place, f, k): lambda != 0 of q in {2, 3, 4, 5, 9}, f nonzero of
-    degree <= 2p, times pi^k with k <= 4: the shift's Horner pass on at
-    most p coefficients, alone and under one or two splits."""
+    degree <= p^2 + p, times pi^k with k <= 4: the shift's Horner pass on at
+    most p coefficients, alone and under one, two or three splits."""
     ctx = draw(st.sampled_from(SHIFT_FIELDS))
     place = PlaceV(ctx, draw(st.integers(1, ctx.q - 1)))
-    deg = draw(st.integers(0, 2 * ctx.p))
+    deg = draw(st.integers(0, ctx.p * ctx.p + ctx.p))
     coeffs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=deg,
                            max_size=deg))
     f = PolyA(ctx, coeffs + [draw(st.integers(1, ctx.q - 1))])

@@ -151,6 +151,25 @@ def test_certification_rejects_false_decomposition():
     assert exc.value.residual_ord is not None
 
 
+@pytest.mark.parametrize("s", [1, 2])
+def test_certification_fails_at_the_last_claimed_digit(s):
+    # zeta_A(s) = Li*_s(1) has valuation 0 at infinity, so a coefficient
+    # 1 + theta^-(N-1) leaves a residual of order N - 1, the last digit the
+    # certificate claims; 1 + theta^-N leaves one beyond it
+    N = 30
+    for k, fails in ((N - 1, True), (N, False)):
+        b = ONE + ONE / T ** k
+        dec = Decomposition(Index([s]), [(b, Index([s]), ArgTuple([ONE]))])
+        if fails:
+            with pytest.raises(CertificationFailed) as exc:
+                verify_decomposition_inf(dec, N)
+            assert exc.value.residual_ord == N - 1
+            assert not dec.certified
+        else:
+            assert verify_decomposition_inf(dec, N) == {
+                "certified": True, "prec": N}
+
+
 def test_empty_decomposition_is_an_error():
     empty = Decomposition(Index([1]), [], {"certified": True, "prec": 40})
     with pytest.raises(ValueError):

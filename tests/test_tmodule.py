@@ -26,7 +26,7 @@ from vcarlitz.tmodule import (
 
 from oracles import (
     L_factorial, carlitz_action, dump_tmodule_spec, explog_coeffs,
-    fq_rref_loop, kmat_frobenius, local_log_fixed_point,
+    fq_rref_loop, kmat_frobenius, local_log_dense, local_log_fixed_point,
     solve_twisted_sylvester, solve_twisted_sylvester_fixed_point,
     sylvester_solve_horner, zeta_v,
 )
@@ -240,6 +240,34 @@ def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
             for W in (20, 62):
                 got = _local_p(spec, place, W, 5)
                 want = local_log_fixed_point(spec, place, W, 5)
+                assert [[[(e.nu, e.coeffs) for e in r] for r in Pi]
+                        for Pi in got] == \
+                    [[[(e.nu, e.coeffs) for e in r] for r in Pi]
+                     for Pi in want]
+
+
+def _dense_b1_spec(ctx):
+    """A dim-3 module whose B1 has no zero entry: every term of
+    -P_(i-1) B1^(i-1) is a product of two nonzero factors."""
+    T_ = PolyA.T(ctx)
+    one = PolyA.one(ctx)
+    B1 = [[one + T_, T_, one], [one, T_ * T_, one + T_], [T_, one, one]]
+    N0 = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+    return TModuleSpec(ctx, 3, N0, B1, readout=(2,), index=Index([3]),
+                       args=ArgTuple([RatK.T(ctx)]),
+                       point=(RatK.T(ctx),) * 3, name="dense-b1")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_log_step_from_b1_entries_matches_the_dense_product(q):
+    ctx = FqContext(2, 2) if q == 4 else FqContext(q)
+    specs = [tensor_carlitz_spec(s, ctx) for s in (1, 2, 3)]
+    for spec in specs + [_dense_b1_spec(ctx)]:
+        for lam in range(q):
+            place = PlaceV(ctx, lam)
+            for W in (12, 40):
+                got = _local_p(spec, place, W, 5)
+                want = local_log_dense(spec, place, W, 5)
                 assert [[[(e.nu, e.coeffs) for e in r] for r in Pi]
                         for Pi in got] == \
                     [[[(e.nu, e.coeffs) for e in r] for r in Pi]
