@@ -37,7 +37,8 @@ A difference-equation residual is one number, so it is read without
 building a series: ``residual_order`` takes a base and terms a * g (a
 t-polynomial's embedded coefficients acting on a series) and finds the
 order of base - sum a * g modulo pi^N from the least window and one
-accumulation of the digit products that land below it.
+accumulation of the digit products that land below it, pair by pair, or
+by one grid product for a term with dense digits, as in the product.
 """
 
 from __future__ import annotations
@@ -100,13 +101,6 @@ class TSeries:
         """Every coefficient truncated at pi^N (exact zeros stay exact)."""
         return TSeries.from_runs(
             self.place, [(n, c.truncate(N)) for n, c in self.runs])
-
-    def residual(self, N):
-        """The order of the series read modulo pi^N: the least of min(nu, N)
-        over the coefficients that are not exact zeros, INF when there are
-        none."""
-        low = min((c.nu for _, c in self.runs), default=INF)
-        return low if low == INF else min(low, N)
 
     def _check(self, other):
         if not (self.place is other.place or self.place == other.place):
@@ -346,7 +340,8 @@ def residual_order(place, base, terms, N):
     each c_m, n < m, that is not an exact zero (an exact zero becoming a
     zero known to pi^cap); the products subtracted from base as TSeries,
     over D = min(order of base, orders of the g) coefficients; and the
-    result read by ``TSeries.residual(N)``.
+    result read modulo pi^N, as the least min(nu, N) over its coefficients
+    that are not exact zeros (INF when there are none).
 
     Why the same number comes out.  Truncation commutes with addition: a
     LocalNum sum is known modulo its operands' least cutoff, with the
@@ -356,7 +351,7 @@ def residual_order(place, base, terms, N):
     terms; otherwise it is known modulo pi^C_n, the least of cutoff(base_n),
     the product windows min(nu(c_m) + cutoff(g_j), nu(g_j) + cutoff(c_m))
     over m + j = n, and the caps, with the digits of
-    base_n - sum c_m g_(n-m) below it.  ``residual`` reads min(nu, N) per
+    base_n - sum c_m g_(n-m) below it.  The reading takes min(nu, N) per
     row, so the order is min(L, p): L the least min(C_n, N), and p the
     least position of a nonzero digit of a row n below min(C_n, N).  A
     digit at or above L cannot lower that, and every row is known below L,
@@ -364,6 +359,12 @@ def residual_order(place, base, terms, N):
     that land below pi^L are added, next to base's digits there.  The digit
     of pi^p in row n sits at key p * D + n, so the least key holding a
     nonzero digit gives p.
+
+    A term's digit products are added pair by pair of nonzero digits, or,
+    when those pairs outnumber the positions of the term's product grid
+    below pi^L, read from one ``_grid_product`` of the two grids, which
+    then takes its packed route.  The built series took the same rule, so
+    dense operands cost one big-integer product here too.
     """
     D = min(([] if base is None else [base.order])
             + [g.order for _, g in terms], default=0)
@@ -408,19 +409,41 @@ def residual_order(place, base, terms, N):
         live_g = _live(_cut(g.runs, D))
         if not live_c or not live_g:
             continue
-        # a digit of c_m at u meets those of g at w >= the least nu of g, and
-        # reaches below pi^low only when u + w < low; the same for g's
-        top_c = low - min(y.nu for _, y in live_g)
-        top_g = low - min(c.nu for _, c in live_c)
+        # a digit of c_m at u meets those of g at w >= ob, the least nu of g,
+        # and reaches below pi^low only when u + w < low; the same for g's
+        oa = min(c.nu for _, c in live_c)
+        ob = min(y.nu for _, y in live_g)
+        xs = [(m, c.nu, c.coeffs[:max(low - ob - c.nu, 0)]) for m, c in live_c]
+        ys = [(j, y.nu, y.coeffs[:max(low - oa - y.nu, 0)]) for j, y in live_g]
+        # the rule of local._grid_product: when the pairs of nonzero digits
+        # outnumber the positions of the product grid (the rows from
+        # t^(ta + tb) to the last that a pair reaches below t^D, and
+        # C = low - oa - ob columns at stride 2C - 1, so no row spills into
+        # the next), one packed product of the grids is cheaper
+        ta, tb, C = xs[0][0], ys[0][0], low - oa - ob
+        rows = min(D, xs[-1][0] + ys[-1][0] + 1) - ta - tb
+        stride = 2 * C - 1
+        pairs = (sum(len(ds) - ds.count(0) for _, _, ds in xs)
+                 * sum(len(ds) - ds.count(0) for _, _, ds in ys))
+        if 0 < rows * stride < pairs:
+            grid = _grid_product(
+                ctx, [((m - ta) * stride + u - oa, ds) for m, u, ds in xs],
+                [((j - tb) * stride + w - ob, ds) for j, w, ds in ys],
+                stride, [C] * rows, min(len(xs), len(ys)) * C)
+            for n, (lo, ds) in enumerate(grid, ta + tb):
+                for k, d in enumerate(ds, oa + ob + lo):
+                    if d:
+                        key = k * D + n
+                        acc[key] = add[get(key, 0)][neg[d]]
+            continue
         # digits as (key offset, value): p * D + j for g_j; p * D + m and
         # the row of the F_q product table for c_m, negated, so that the
         # products are subtracted
-        gk = [(j, [(k * D + j, d) for k, d in enumerate(
-            y.coeffs[:max(top_g - y.nu, 0)], y.nu) if d])
-              for j, y in live_g]
-        for m, c in live_c:
-            ck = [(k * D + m, mul[neg[d]]) for k, d in enumerate(
-                c.coeffs[:max(top_c - c.nu, 0)], c.nu) if d]
+        gk = [(j, [(k * D + j, d) for k, d in enumerate(ds, w) if d])
+              for j, w, ds in ys]
+        for m, u, ds_c in xs:
+            ck = [(k * D + m, mul[neg[d]])
+                  for k, d in enumerate(ds_c, u) if d]
             for j, ds in gk:
                 if m + j >= D:
                     break

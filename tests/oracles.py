@@ -746,10 +746,18 @@ def tp_apply(a, g, place, N):
         for n, x, cap in _aligned(prod.runs, reversed(caps))])
 
 
+def series_residual(f, N):
+    """The order of the TSeries f read modulo pi^N: the least of min(nu, N)
+    over the coefficients that are not exact zeros, INF when there are
+    none."""
+    low = min((c.nu for _, c in f.runs), default=INF)
+    return low if low == INF else min(low, N)
+
+
 def residual_by_series(place, base, terms, N):
     """The residual order of base - sum a * g from built series: each a * g
     a TSeries from tp_apply, subtracted row by row, read by
-    TSeries.residual.  A base of None is the zero known to pi^N, to which
+    series_residual.  A base of None is the zero known to pi^N, to which
     the terms are added, as the vABP check did."""
     if base is None:
         row = TSeries.zero(place, min((g.order for _, g in terms),
@@ -760,7 +768,7 @@ def residual_by_series(place, base, terms, N):
         row = base
         for a, g in terms:
             row = row - tp_apply(a, g, place, N)
-    return row.residual(N)
+    return series_residual(row, N)
 
 
 # -- the Carlitz action over k and the zeta pipeline ----------------------

@@ -1,16 +1,18 @@
 """The package keeps no public function that only tests read.
 
 An AST scan of the package: every public top-level function and every
-public method must be referenced from code in the package (a name or an
-attribute; docstrings and comments do not count), or stand on KEPT with
-its reason.  A helper that only tests call belongs in tests/oracles.py.
+public method must be read by code in the package (a name or an attribute
+in Load context; assignments, docstrings and comments do not count), or
+stand on KEPT with its reason.  A helper that only tests call belongs in
+tests/oracles.py.
 
 A method is matched by its name alone, so a method of one class counts as
-referenced when a method of another class with the same name is (TSeries
-and LocalNum both had a pow; RvElem.one and RvElem.scale_fq passed on
-RatK.one and LocalNum.scale_fq).  So every public method name defined on
-more than one class stands on SHARED, with a reader in the package for each
-class, and the scan fails when that set changes.
+read when a method of another class with the same name is (TSeries and
+LocalNum both had a pow; RvElem.one and RvElem.scale_fq passed on RatK.one
+and LocalNum.scale_fq).  So every public method name defined on more than
+one class stands on SHARED, with a reader for each class: a function or
+method of the package, by qualified name, that reads the name.  The scan
+fails when that set of names changes or a reader no longer reads it.
 """
 
 import ast
@@ -31,14 +33,14 @@ KEPT = {
     "relations.RelationReport.support": BENCH,
 }
 
-# bare name -> {method: a reader of it in the package}
+# bare name -> {method: the package function or method that reads it}
 SHARED = {
     "T": {
-        "algebra.PolyA.T": "RatK.T",
+        "algebra.PolyA.T": "algebra.RatK.T",
         "algebra.RatK.T": "tmodule.tensor_carlitz_spec",
     },
     "degree": {
-        "abp.RvElem.degree": "RvElem.norm_exp",
+        "abp.RvElem.degree": "abp.RvElem.norm_exp",
         "algebra.PolyA.degree": "local.embed_poly",
     },
     "depth": {
@@ -46,49 +48,49 @@ SHARED = {
         "polylog.ArgTuple.depth": "polylog.domain_check",
     },
     "frobenius": {
-        "algebra.PolyA.frobenius": "RatK.frobenius",
+        "algebra.PolyA.frobenius": "algebra.RatK.frobenius",
         "algebra.RatK.frobenius": "diffsys._one_minus_alpha_q_t",
     },
     "inv": {
-        "algebra.FqContext.inv": "LocalNum.inv",
+        "algebra.FqContext.inv": "local.LocalNum.inv",
         "algebra.RatK.inv": "linalg.kmat_inv",
         "local.LocalNum.inv": "local.embed_local",
     },
     "is_zero": {
-        "abp.RvElem.is_zero": "RvElem.norm_exp",
+        "abp.RvElem.is_zero": "abp.RvElem.norm_exp",
         "algebra.PolyA.is_zero": "local.embed_poly",
         "algebra.RatK.is_zero": "diffsys.tp_normalize",
         "diffsys.Residual.is_zero": "cli._residual_records",
     },
     "one": {
-        "algebra.PolyA.one": "RatK.__init__",
+        "algebra.PolyA.one": "algebra.RatK.__init__",
         "algebra.RatK.one": "diffsys.tp_one",
         "tseries.TSeries.one": "polylog.omega_product",
     },
     "ord_poly": {
-        "local.Place.ord_poly": "the interface Place.ord_ratk calls",
-        "local.PlaceV.ord_poly": "Place.ord_ratk at a finite place",
-        "local.PlaceInf.ord_poly": "Place.ord_ratk at infinity",
+        "local.Place.ord_poly": "local.Place.ord_ratk",
+        "local.PlaceV.ord_poly": "local.Place.ord_ratk",
+        "local.PlaceInf.ord_poly": "local.Place.ord_ratk",
     },
     "poly_digits": {
-        "local.Place.poly_digits": "the interface embed_poly calls",
-        "local.PlaceV.poly_digits": "local.embed_poly at a finite place",
-        "local.PlaceInf.poly_digits": "local.embed_poly at infinity",
+        "local.Place.poly_digits": "local.embed_poly",
+        "local.PlaceV.poly_digits": "local.embed_poly",
+        "local.PlaceInf.poly_digits": "local.embed_poly",
     },
     "pow": {
         "algebra.FqContext.pow": "local._taylor_shift",
         "local.LocalNum.pow": "diffsys._specialize",
     },
     "scale": {
-        "algebra.PolyA.scale": "PolyA.monic",
+        "algebra.PolyA.scale": "algebra.PolyA.monic",
         "tseries.TSeries.scale": "polylog.omega_product",
     },
     "shift": {
-        "algebra.PolyA.shift": "FqContext.__init__",
+        "algebra.PolyA.shift": "algebra.FqContext.__init__",
         "local.LocalNum.shift": "diffsys._specialization_holds",
     },
     "truncate": {
-        "local.LocalNum.truncate": "LocalNum.__mul__",
+        "local.LocalNum.truncate": "local.LocalNum.__mul__",
         "tseries.TSeries.truncate": "diffsys.verify_difference",
     },
     "zero": {
@@ -100,49 +102,71 @@ SHARED = {
 }
 
 
+def _loads(node):
+    """The names and the attribute names that code under node reads, in
+    Load context: an assignment to a local of the same name is no reader."""
+    names, attrs = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            attrs.add(sub.attr)
+    return names, attrs
+
+
 def _scan():
     """(qualified name -> bare name) of the public functions and methods,
-    and the set of names that package code references."""
-    defs, refs = {}, set()
+    the qualified names that package code reads, and (qualified name ->
+    attribute names it reads) of every function and method.
+
+    A top-level function is read by a name or an attribute (module.f); a
+    method only by an attribute, so a local variable that shares its name
+    does not count."""
+    defs, names, attrs, reads = {}, set(), set(), {}
     for path in sorted(pathlib.Path(vcarlitz.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 defs[f"{path.stem}.{node.name}"] = node.name
+                reads[f"{path.stem}.{node.name}"] = _loads(node)[1]
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        defs[f"{path.stem}.{node.name}.{item.name}"] = \
-                            item.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                refs.add(node.attr)
+                        q = f"{path.stem}.{node.name}.{item.name}"
+                        defs[q] = item.name
+                        reads[q] = _loads(item)[1]
+        n, a = _loads(tree)
+        names |= n
+        attrs |= a
     public = {q: n for q, n in defs.items() if not n.startswith("_")}
-    return public, refs
+    read = {q for q, n in public.items()
+            if n in attrs or (q.count(".") == 1 and n in names)}
+    return public, read, reads
 
 
 def test_every_public_function_has_a_reader_in_the_package():
-    public, refs = _scan()
-    unread = sorted(q for q, n in public.items()
-                    if n not in refs and q not in KEPT)
+    public, read, _ = _scan()
+    unread = sorted(q for q in public if q not in read and q not in KEPT)
     assert unread == []
 
 
 def test_kept_names_exist_and_are_still_unread():
-    public, refs = _scan()
+    public, read, _ = _scan()
     for name in KEPT:
         assert name in public, name
-        assert public[name] not in refs, f"{name} is read now; unlist it"
+        assert name not in read, f"{name} is read now; unlist it"
 
 
 def test_shared_method_names_stand_on_the_table():
-    public, _ = _scan()
+    public, _, reads = _scan()
     methods = {}
     for q, n in public.items():
         if q.count(".") == 2:
             methods.setdefault(n, set()).add(q)
     shared = {n: qs for n, qs in methods.items() if len(qs) > 1}
     assert shared == {n: set(readers) for n, readers in SHARED.items()}
-    assert all(why for readers in SHARED.values() for why in readers.values())
+    # each listed reader is a function or method of the package that reads
+    # the name as an attribute
+    for n, readers in SHARED.items():
+        for method, reader in readers.items():
+            assert n in reads.get(reader, ()), (method, reader)

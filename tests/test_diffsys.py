@@ -110,15 +110,16 @@ def test_tp_apply_matches_shifted_sum(case):
 
 
 @st.composite
-def _residual_cases(draw):
+def _residual_cases(draw, dense=False):
     """(place, base, terms, N): terms (a, g) with a a t-polynomial over k
     (exact-zero coefficients, poles at v), g a series with exact-zero runs,
     zero runs and digits; base None (with terms), random, or the sum of the
     terms with one digit changed at or just past its last claimed
-    position."""
+    position.  With `dense`, every coefficient of g has nonzero digits past
+    pi^N, so most terms have more digit pairs than grid positions."""
     ctx = draw(st.sampled_from(_TP_FIELDS))
     place = PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
-    N = draw(st.integers(1, 16))
+    N = draw(st.integers(8 if dense else 1, 16))
     D = draw(st.integers(1, 8))
     poly = st.lists(st.integers(0, ctx.q - 1), max_size=3).map(
         lambda c: PolyA(ctx, c))
@@ -132,6 +133,10 @@ def _residual_cases(draw):
         st.tuples(st.integers(-4, 8),
                   st.lists(st.integers(0, ctx.q - 1), min_size=1,
                            max_size=16)).map(lambda t: LocalNum(place, *t)))
+    if dense:
+        coeff = st.tuples(st.integers(0, 2), st.lists(
+            st.integers(1, ctx.q - 1), min_size=N + 4, max_size=N + 4)).map(
+                lambda t: LocalNum(place, *t))
 
     def series(n):
         return st.lists(coeff, min_size=n, max_size=n).map(
@@ -171,6 +176,15 @@ _POLE = (V0, TSeries(V0, [LocalNum(V0, -1, (1,) * 9)]),
 @example(_POLE)
 @settings(max_examples=300, deadline=None)
 def test_residual_order_matches_series_route(case):
+    place, base, terms, N = case
+    got = residual_order(place, base, [tp_apply_term(a, g, place, N)
+                                       for a, g in terms], N)
+    assert got == residual_by_series(place, base, terms, N)
+
+
+@given(_residual_cases(dense=True))
+@settings(max_examples=100, deadline=None)
+def test_residual_order_of_dense_terms_matches_series_route(case):
     place, base, terms, N = case
     got = residual_order(place, base, [tp_apply_term(a, g, place, N)
                                        for a, g in terms], N)
