@@ -9,6 +9,13 @@ arithmetic mod p; for e > 1 codes add digitwise, and products come from
 PolyA over F_p modulo the irreducible modulus m, so PolyA is the only
 polynomial arithmetic over a finite field in the package.
 
+Every product of two runs of F_q codes -- PolyA coefficients and LocalNum
+digits -- is one call of fq_convolve, and the digit grids of a series
+product go through _grid_product.  Both add pair by pair of nonzero
+entries through the table rows when those pairs are no more than the
+product's positions, and otherwise make one big-integer product of the
+packed runs (Kronecker substitution).
+
 Polynomials over F_q (type PolyA) are coefficient tuples, ascending in T,
 with trailing zeros stripped.  Rational functions (type RatK) are reduced
 fractions with monic denominator, which makes equality structural.
@@ -17,6 +24,8 @@ fractions with monic denominator, which makes equality structural.
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 
 from .errors import DivisionByZero, ParseError
 
@@ -91,6 +100,7 @@ class FqContext:
                 self._mul.append(row)
         self._neg = [row.index(0) for row in self._add]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        self._residue = bytes(i % p for i in range(256))   # a byte mod p
 
     # -- element codec -------------------------------------------------
 
@@ -115,9 +125,6 @@ class FqContext:
 
     def neg(self, a):
         return self._neg[a]
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -148,6 +155,223 @@ class FqContext:
 
     def __repr__(self):
         return f"FqContext(q={self.q})"
+
+
+# Kronecker substitution.  A run of F_q digits d_0, d_1, ... becomes one
+# integer: digit m sits at position m, a position holds 2e - 1 coordinate
+# slots (the F_p coordinates of the digit, with room for the degree 2e - 2
+# of a coordinate product), and a slot is SIZE bytes, wide enough that no
+# sum of digit products carries into its neighbour.  One big-integer
+# product then convolves both the digits and their coordinates; the result
+# is folded modulo the field modulus (e > 1) and read back modulo p.
+
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+_WIDTHS = (1, 1, 2, 4, 4, 8, 8, 8, 8)   # array item size for 0..8 bytes
+
+
+def _slot_size(ctx, terms):
+    """Bytes per slot for a convolution summing at most `terms` digit products.
+
+    A slot holds at most B = terms * e * (p - 1)^2 before the fold.  Folding
+    x^u for u = 2e - 2, ..., e adds at most (p - 1) times slot u to each
+    lower slot, so slot u ends at most B p^(2e - 2 - u) <= B p^(2e - 2).
+    """
+    p, e = ctx.p, ctx.e
+    size = -(-(terms * e * (p - 1) ** 2 * p ** (2 * e - 2)).bit_length() // 8)
+    if size > 8:
+        raise OverflowError("convolution too large for 64-bit Kronecker slots")
+    return _WIDTHS[size]
+
+
+def _pack(ctx, pieces, size):
+    """One integer from (position, digits) pieces.
+
+    The slots start as zero bytes and only the digits' coordinate bytes are
+    written (little-endian, a coordinate < p in its slot's low bytes), so
+    the cost follows the digits, not the zero columns between them.
+    """
+    p, e = ctx.p, ctx.e
+    E = 2 * e - 1
+    step = E * size                         # bytes per position
+    nbytes = -(-(p - 1).bit_length() // 8)  # bytes of one coordinate
+    buf = bytearray(max((pos + len(digits) for pos, digits in pieces),
+                        default=0) * step)
+    for pos, digits in pieces:
+        for u in range(e):
+            pu = p ** u
+            coords = digits if e == 1 else [d // pu % p for d in digits]
+            for k in range(nbytes):
+                lo = (pos * E + u) * size + k
+                buf[lo:lo + len(digits) * step:step] = bytes(
+                    coords if nbytes == 1 else [c >> 8 * k & 255
+                                                for c in coords])
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(ctx, prod, length, size):
+    """The slots of the first `length` positions of a product, folded.
+
+    Returns (raw, view): the little-endian bytes and the slots as an array.
+    """
+    e = ctx.e
+    E = 2 * e - 1
+    prod &= (1 << 8 * length * E * size) - 1
+    if e > 1:
+        bits = 8 * size
+        low = int.from_bytes((b"\xff" * size + bytes(size * (E - 1))) * length,
+                             "little")
+        fold = [(-m) % ctx.p for m in ctx.modulus[:e]]
+        for u in range(2 * e - 2, e - 1, -1):
+            top = (prod >> u * bits) & low
+            prod -= top << u * bits
+            for i, c in enumerate(fold):
+                if c:
+                    prod += c * top << (u - e + i) * bits
+    raw = prod.to_bytes(length * E * size, "little")
+    view = array(_TYPECODES[size], raw)
+    if sys.byteorder == "big":
+        view.byteswap()
+    return raw, view
+
+
+def _digits(ctx, view, lo, hi):
+    """F_q digit codes of the folded positions lo, ..., hi - 1."""
+    p, e = ctx.p, ctx.e
+    E = 2 * e - 1
+    out = [x % p for x in view[lo * E:hi * E:E]]
+    for u in range(1, e):
+        pu = p ** u
+        out = [c + pu * (x % p)
+               for c, x in zip(out, view[lo * E + u:hi * E:E])]
+    return out
+
+
+def _pair_sums(ctx, xs, ys, n):
+    """(sums, reached) of the products of (position, nonzero digit) pairs:
+    sums[k] adds x y over x at i in xs and y at j in ys with i + j = k < n,
+    through the rows of the F_q tables, and reached marks the k that a pair
+    reaches.  The positions of ys ascend."""
+    add, mul = ctx._add, ctx._mul
+    acc = [0] * n
+    hit = bytearray(n)
+    for i, x in xs:
+        row = mul[x]
+        for j, y in ys:
+            k = i + j
+            if k >= n:
+                break
+            acc[k] = add[acc[k]][row[y]]
+            hit[k] = 1
+    return acc, hit
+
+
+def fq_convolve(ctx, a, b, n):
+    """The first n coefficients of the product of two sequences of F_q
+    codes, as a list of at most len(a) + len(b) - 1 codes.
+
+    The one F_q product of the package: LocalNum digits and PolyA
+    coefficients.  It routes as _grid_product does.  When the pairs of
+    nonzero entries are at most the n positions, each pair's product is
+    added into its position through the rows of the F_q tables (an operand
+    of one entry scales the other by its row).  Otherwise one big-integer
+    product gives them all (Kronecker substitution).  For e = 1 with
+    one-byte slots the operands' own bytes are the packed integers, and the
+    product's bytes are read modulo p through a byte table; other fields
+    pack coordinate slots as above.
+    """
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return []
+    if la == 1 or lb == 1:
+        row, rest = (ctx._mul[b[0]], a) if lb == 1 else (ctx._mul[a[0]], b)
+        return [row[x] for x in rest[:n]]
+    n = min(n, la + lb - 1)
+    if (la - a.count(0)) * (lb - b.count(0)) <= n:
+        return _pair_sums(ctx, [(i, x) for i, x in enumerate(a[:n]) if x],
+                          [(j, y) for j, y in enumerate(b) if y], n)[0]
+    if ctx.e == 1 and min(la, lb) * (ctx.p - 1) ** 2 < 256:
+        prod = (int.from_bytes(bytes(a), "little")
+                * int.from_bytes(bytes(b), "little"))
+        return list(prod.to_bytes(la + lb - 1, "little")[:n]
+                    .translate(ctx._residue))
+    size = _slot_size(ctx, min(la, lb))
+    prod = _pack(ctx, [(0, a)], size) * _pack(ctx, [(0, b)], size)
+    return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
+
+
+def _grid_product(ctx, a, b, stride, widths, terms):
+    """The product of two digit grids, read back row by row.
+
+    A grid is a list of (position, digits) pieces: a run of F_q digits
+    starting at position row * stride + column, the positions ascending.
+    `terms` bounds the number of digit products that meet in one position
+    of the product.  Returns, for each product row r, (lo, digits): its
+    digits at columns lo, ..., w - 1, w = widths[r] <= stride, where the
+    columns below lo hold zero digits and lo is the first column that a
+    pair of nonzero digits reaches (w when none does).
+
+    Two routes give the same rows.  The packed route pays per position: it
+    unpacks and reads all len(widths) * stride positions of the product.
+    The sparse route pays per pair of nonzero digits, one table step each.
+    So the sparse route is taken when the pairs are at most the positions:
+    then it does no more steps than the packed route reads positions.  The
+    q^i-th powers in Omega and the twisted deformation rows spread digits
+    q^i apart, so most products of built series take it.
+    """
+    pairs = (sum(len(d) - d.count(0) for _, d in a)
+             * sum(len(d) - d.count(0) for _, d in b))
+    if pairs <= len(widths) * stride:
+        return _sparse_product(ctx, a, b, stride, widths)
+    return _packed_product(ctx, a, b, stride, widths, terms)
+
+
+def _packed_product(ctx, a, b, stride, widths, terms):
+    """_grid_product by one big-integer product of the packed grids."""
+    size = _slot_size(ctx, terms)
+    prod = _pack(ctx, a, size) * _pack(ctx, b, size)
+    return _rows(ctx, prod, stride, widths, size)
+
+
+def _sparse_product(ctx, a, b, stride, widths):
+    """_grid_product by adding the product of each pair of nonzero digits
+    into its position through the rows of the F_q tables."""
+    acc, hit = _pair_sums(
+        ctx, [(pos + k, d) for pos, ds in a for k, d in enumerate(ds) if d],
+        [(pos + k, d) for pos, ds in b for k, d in enumerate(ds) if d],
+        len(widths) * stride)
+    out = []
+    for r, width in enumerate(widths):
+        lo, hi = r * stride, r * stride + width
+        first = hit.find(1, lo, hi)
+        lo = hi if first < 0 else first
+        out.append((lo - r * stride, acc[lo:hi]))
+    return out
+
+
+def _rows(ctx, packed, stride, widths, size):
+    """Rows (lo, digits) of the first len(widths) rows of a packed grid."""
+    raw, view = _unpack(ctx, packed, len(widths) * stride, size)
+    step = (2 * ctx.e - 1) * size       # bytes per position
+    out = []
+    for r, width in enumerate(widths):
+        lo, hi = r * stride, r * stride + width
+        seg = raw[lo * step:hi * step]
+        lo += (len(seg) - len(seg.lstrip(b"\0"))) // step
+        out.append((lo - r * stride, _digits(ctx, view, lo, hi)))
+    return out
+
+
+def binary_power(x, n):
+    """x^n for n >= 1 by square and multiply, squaring only while bits of
+    n remain."""
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
 
 
 class PolyA:
@@ -202,39 +426,29 @@ class PolyA:
         return hash((self.ctx, self.coeffs))
 
     def __add__(self, other):
-        ctx = self.ctx
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
+        add = self.ctx._add
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return PolyA(ctx, out)
+            out[i] = add[out[i]][c]
+        return PolyA(self.ctx, out)
 
     def __neg__(self):
-        ctx = self.ctx
-        return PolyA(ctx, [ctx.neg(c) for c in self.coeffs])
+        neg = self.ctx._neg
+        return PolyA(self.ctx, [neg[c] for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        ctx = self.ctx
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return PolyA.zero(ctx)
-        out = [0] * (len(a) + len(b) - 1)
-        mul, add = ctx.mul, ctx.add
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = add(out[i + j], mul(ai, bj))
-        return PolyA(ctx, out)
+        return PolyA(self.ctx, fq_convolve(self.ctx, a, b, len(a) + len(b)))
 
     def scale(self, c):
-        ctx = self.ctx
-        return PolyA(ctx, [ctx.mul(c, x) for x in self.coeffs])
+        row = self.ctx._mul[c]
+        return PolyA(self.ctx, [row[x] for x in self.coeffs])
 
     def shift(self, n):
         """Multiply by T^n."""
@@ -245,29 +459,24 @@ class PolyA:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = PolyA.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n) if n else PolyA.one(self.ctx)
 
     def divmod(self, other):
         if other.is_zero():
             raise DivisionByZero("division by zero polynomial")
         ctx = self.ctx
+        add, mul, neg = ctx._add, ctx._mul, ctx._neg
         rem = list(self.coeffs)
         db = other.degree
         inv_lead = ctx.inv(other.lead)
         quo = [0] * max(len(rem) - db, 0)
-        while len(rem) - 1 >= db and rem:
-            c = ctx.mul(rem[-1], inv_lead)
+        while len(rem) > db:
+            # rem -= c T^shift other, which clears rem's top coefficient
             shift = len(rem) - 1 - db
-            quo[shift] = c
-            for i, bc in enumerate(other.coeffs):
-                rem[shift + i] = ctx.sub(rem[shift + i], ctx.mul(c, bc))
+            quo[shift] = c = mul[rem[-1]][inv_lead]
+            row = mul[neg[c]]
+            for i, y in enumerate(other.coeffs, shift):
+                rem[i] = add[rem[i]][row[y]]
             while rem and rem[-1] == 0:
                 rem.pop()
         return PolyA(ctx, quo), PolyA(ctx, rem)

@@ -15,182 +15,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
-from array import array
 
-from .algebra import FqContext, PolyA, RatK
+from .algebra import FqContext, PolyA, RatK, binary_power, fq_convolve
 from .errors import DivisionByZero, PrecisionLoss
 
 INF = math.inf
 
-# Kronecker substitution.  A run of F_q digits d_0, d_1, ... becomes one
-# integer: digit m sits at position m, a position holds 2e - 1 coordinate
-# slots (the F_p coordinates of the digit, with room for the degree 2e - 2
-# of a coordinate product), and a slot is SIZE bytes, wide enough that no
-# sum of digit products carries into its neighbour.  One big-integer
-# product then convolves both the digits and their coordinates; the result
-# is folded modulo the field modulus (e > 1) and read back modulo p.
-
-_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
-_WIDTHS = (1, 1, 2, 4, 4, 8, 8, 8, 8)   # array item size for 0..8 bytes
-
-
-def _slot_size(ctx, terms):
-    """Bytes per slot for a convolution summing at most `terms` digit products.
-
-    A slot holds at most B = terms * e * (p - 1)^2 before the fold.  Folding
-    x^u for u = 2e - 2, ..., e adds at most (p - 1) times slot u to each
-    lower slot, so slot u ends at most B p^(2e - 2 - u) <= B p^(2e - 2).
-    """
-    p, e = ctx.p, ctx.e
-    size = -(-(terms * e * (p - 1) ** 2 * p ** (2 * e - 2)).bit_length() // 8)
-    if size > 8:
-        raise OverflowError("convolution too large for 64-bit Kronecker slots")
-    return _WIDTHS[size]
-
-
-def _pack(ctx, pieces, size):
-    """One integer from (position, digits) pieces.
-
-    The slots start as zero bytes and only the digits' coordinate bytes are
-    written (little-endian, a coordinate < p in its slot's low bytes), so
-    the cost follows the digits, not the zero columns between them.
-    """
-    p, e = ctx.p, ctx.e
-    E = 2 * e - 1
-    step = E * size                         # bytes per position
-    nbytes = -(-(p - 1).bit_length() // 8)  # bytes of one coordinate
-    buf = bytearray(max((pos + len(digits) for pos, digits in pieces),
-                        default=0) * step)
-    for pos, digits in pieces:
-        for u in range(e):
-            pu = p ** u
-            coords = digits if e == 1 else [d // pu % p for d in digits]
-            for k in range(nbytes):
-                lo = (pos * E + u) * size + k
-                buf[lo:lo + len(digits) * step:step] = bytes(
-                    coords if nbytes == 1 else [c >> 8 * k & 255
-                                                for c in coords])
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(ctx, prod, length, size):
-    """The slots of the first `length` positions of a product, folded.
-
-    Returns (raw, view): the little-endian bytes and the slots as an array.
-    """
-    e = ctx.e
-    E = 2 * e - 1
-    prod &= (1 << 8 * length * E * size) - 1
-    if e > 1:
-        bits = 8 * size
-        low = int.from_bytes((b"\xff" * size + bytes(size * (E - 1))) * length,
-                             "little")
-        fold = [(-m) % ctx.p for m in ctx.modulus[:e]]
-        for u in range(2 * e - 2, e - 1, -1):
-            top = (prod >> u * bits) & low
-            prod -= top << u * bits
-            for i, c in enumerate(fold):
-                if c:
-                    prod += c * top << (u - e + i) * bits
-    raw = prod.to_bytes(length * E * size, "little")
-    view = array(_TYPECODES[size], raw)
-    if sys.byteorder == "big":
-        view.byteswap()
-    return raw, view
-
-
-def _digits(ctx, view, lo, hi):
-    """F_q digit codes of the folded positions lo, ..., hi - 1."""
-    p, e = ctx.p, ctx.e
-    E = 2 * e - 1
-    out = [x % p for x in view[lo * E:hi * E:E]]
-    for u in range(1, e):
-        pu = p ** u
-        out = [c + pu * (x % p)
-               for c, x in zip(out, view[lo * E + u:hi * E:E])]
-    return out
-
-
-def _grid_product(ctx, a, b, stride, widths, terms):
-    """The product of two digit grids, read back row by row.
-
-    A grid is a list of (position, digits) pieces: a run of F_q digits
-    starting at position row * stride + column.  `terms` bounds the number of
-    digit products that meet in one position of the product.  Returns, for
-    each product row r, (lo, digits): its digits at columns lo, ..., w - 1,
-    w = widths[r] <= stride, where the columns below lo hold zero digits
-    and lo is the first column that a pair of nonzero digits reaches (w when
-    none does).
-
-    Two routes give the same rows.  The packed route pays per position: it
-    unpacks and reads all len(widths) * stride positions of the product.
-    The sparse route pays per pair of nonzero digits, one table step each.
-    So the sparse route is taken when the pairs are at most the positions:
-    then it does no more steps than the packed route reads positions.  The
-    q^i-th powers in Omega and the twisted deformation rows spread digits
-    q^i apart, so most products of built series take it.
-    """
-    pairs = (sum(len(d) - d.count(0) for _, d in a)
-             * sum(len(d) - d.count(0) for _, d in b))
-    if pairs <= len(widths) * stride:
-        return _sparse_product(ctx, a, b, stride, widths)
-    return _packed_product(ctx, a, b, stride, widths, terms)
-
-
-def _packed_product(ctx, a, b, stride, widths, terms):
-    """_grid_product by one big-integer product of the packed grids."""
-    size = _slot_size(ctx, terms)
-    prod = _pack(ctx, a, size) * _pack(ctx, b, size)
-    return _rows(ctx, prod, stride, widths, size)
-
-
-def _sparse_product(ctx, a, b, stride, widths):
-    """_grid_product by adding the product of each pair of nonzero digits
-    into its position through the rows of the F_q tables."""
-    add, mul = ctx._add, ctx._mul
-    xs = [(pos + k, d) for pos, digits in a for k, d in enumerate(digits) if d]
-    ys = [(pos + k, d) for pos, digits in b for k, d in enumerate(digits) if d]
-    n = len(widths) * stride
-    acc = [0] * n
-    hit = bytearray(n)      # positions that a pair of nonzero digits reaches
-    for i, x in xs:
-        row = mul[x]
-        for j, y in ys:
-            k = i + j
-            if k < n:
-                acc[k] = add[acc[k]][row[y]]
-                hit[k] = 1
-    out = []
-    for r, width in enumerate(widths):
-        lo, hi = r * stride, r * stride + width
-        first = hit.find(1, lo, hi)
-        lo = hi if first < 0 else first
-        out.append((lo - r * stride, acc[lo:hi]))
-    return out
-
-
-def _rows(ctx, packed, stride, widths, size):
-    """Rows (lo, digits) of the first len(widths) rows of a packed grid."""
-    raw, view = _unpack(ctx, packed, len(widths) * stride, size)
-    step = (2 * ctx.e - 1) * size       # bytes per position
-    out = []
-    for r, width in enumerate(widths):
-        lo, hi = r * stride, r * stride + width
-        seg = raw[lo * step:hi * step]
-        lo += (len(seg) - len(seg.lstrip(b"\0"))) // step
-        out.append((lo - r * stride, _digits(ctx, view, lo, hi)))
-    return out
-
-
-def _convolve(ctx, a, b, n):
-    """The first n coefficients of the convolution of two F_q digit runs."""
-    if not a or not b:
-        return []
-    n = min(n, len(a) + len(b) - 1)
-    size = _slot_size(ctx, min(len(a), len(b)))
-    prod = _pack(ctx, [(0, a)], size) * _pack(ctx, [(0, b)], size)
-    return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
+# Every F_q product of digits goes through algebra: fq_convolve for two
+# runs of digits, algebra._grid_product for the digit grids of a series
+# product.
 
 
 class Place:
@@ -457,24 +290,22 @@ class LocalNum:
         self._check_place(other)
         if self.is_exact_zero() or other.is_exact_zero():
             return LocalNum.exact_zero(self.place)
-        cutoff = min(self.nu + other.cutoff, other.nu + self.cutoff)
-        if not self.coeffs or not other.coeffs:
-            return LocalNum.zero_to_precision(self.place, cutoff)
         a, b = self.coeffs, other.coeffs
-        # leading digits are nonzero, so the product keeps n = min(W_a, W_b);
-        # its first n digits read only the first n of each operand, so an
-        # operand c pi^nu there scales the other's digits by c
+        if not a or not b:
+            cutoff = min(self.nu + other.cutoff, other.nu + self.cutoff)
+            return LocalNum.zero_to_precision(self.place, cutoff)
+        # leading digits are nonzero, so the product keeps n = min(W_a, W_b)
+        # digits from nu_a + nu_b on, its cutoff min(nu_a + c_b, nu_b + c_a);
+        # they read only the first n of each operand, so an operand c pi^nu
+        # there is its one digit c, and fq_convolve scales the other by c
         n = min(len(a), len(b))
-        if not any(a[1:n]):
-            row = self.place.ctx._mul[a[0]]
-            digits = [row[x] for x in b[:n]]
-        elif not any(b[1:n]):
-            row = self.place.ctx._mul[b[0]]
-            digits = [row[x] for x in a[:n]]
-        else:
-            digits = _convolve(self.place.ctx, a, b, n)
-        out = LocalNum(self.place, self.nu + other.nu, digits)
-        return out.truncate(cutoff)
+        a, b = a[:n], b[:n]
+        if not any(a[1:]):
+            a = a[:1]
+        elif not any(b[1:]):
+            b = b[:1]
+        return LocalNum(self.place, self.nu + other.nu,
+                        fq_convolve(self.place.ctx, a, b, n))
 
     def scale_fq(self, c):
         """Multiply by a nonzero constant of F_q (window preserved)."""
@@ -492,22 +323,25 @@ class LocalNum:
         return LocalNum(self.place, self.nu + n, self.coeffs)
 
     def inv(self):
+        """Schoolbook series inversion of the unit part: out_0 = 1/a_0 and
+        out_n = -out_0 sum_(1 <= i <= n) a_i out_(n - i), over the rows of
+        the F_q tables of the nonzero a_i."""
         if self.is_exact_zero() or not self.coeffs:
             raise DivisionByZero("inverse of (possible) zero")
         ctx = self.place.ctx
-        W = len(self.coeffs)
         a = self.coeffs
         inv0 = ctx.inv(a[0])
-        out = [0] * W
-        out[0] = inv0
-        # schoolbook series inversion of the unit part
-        mul, add = ctx.mul, ctx.add
-        for n in range(1, W):
+        add, mul = ctx._add, ctx._mul
+        scale = mul[ctx._neg[inv0]]
+        rows = [(i, mul[x]) for i, x in enumerate(a) if i and x]
+        out = [inv0]
+        for n in range(1, len(a)):
             s = 0
-            for i in range(1, n + 1):
-                if i < len(a) and a[i]:
-                    s = add(s, mul(a[i], out[n - i]))
-            out[n] = ctx.neg(mul(inv0, s))
+            for i, row in rows:
+                if i > n:
+                    break
+                s = add[s][row[out[n - i]]]
+            out.append(scale[s])
         return LocalNum(self.place, -self.nu, out)
 
     def __truediv__(self, other):
@@ -519,16 +353,8 @@ class LocalNum:
         if n == 0:
             if self.is_exact_zero():
                 raise ValueError("0^0")
-            return LocalNum(self.place, 0, (1,) + (0,) * (self.window - 1))
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+            return LocalNum.unit_one(self.place, self.window)
+        return binary_power(self, n)
 
     def qpow(self, n=1):
         """Raise to the Q = q^n power by spreading the digits.
@@ -588,8 +414,9 @@ class LocalNum:
         return f"LocalNum({self})"
 
 
-def geometric_product(place, exponents, window):
-    """prod_m 1/(1 - pi^m) over the exponents m >= 1, to `window` digits.
+def geometric_prefixes(place, exponents, window):
+    """prod_m 1/(1 - pi^m) over each prefix of the exponents m >= 1, to
+    `window` digits: entry k is the product of the first k factors.
 
     The digit of pi^n counts, mod p, the ways to write n as a sum of the
     exponents.  A factor is a prefix sum with stride m, and costs nothing
@@ -598,27 +425,23 @@ def geometric_product(place, exponents, window):
         raise ValueError("window must be >= 1")
     p = place.ctx.p
     counts = [1] + [0] * (window - 1)
+    out = [LocalNum(place, 0, counts)]
     for m in exponents:
         for r in range(m if m < window else 0):
             counts[r::m] = [c % p for c in itertools.accumulate(counts[r::m])]
-    return LocalNum(place, 0, counts)
+        out.append(LocalNum(place, 0, counts))
+    return out
 
 
 def embed_poly(f, place, window):
     """Embed a polynomial with the stated window (exact valuation)."""
     if f.is_zero():
         return LocalNum.exact_zero(place)
-    digits = place.poly_digits(f)
-    if isinstance(place, PlaceInf):
-        nu = -f.degree
-    else:
-        nu = 0
-    x = LocalNum(place, nu, digits)
+    x = LocalNum(place, -f.degree if isinstance(place, PlaceInf) else 0,
+                 place.poly_digits(f))
     # a polynomial is exact; pad the window with exact zero digits
-    need = x.nu + window - x.cutoff
-    if need > 0:
-        x = LocalNum(place, x.nu, x.coeffs + (0,) * int(need))
-    return x.truncate(x.nu + window)
+    return LocalNum(place, x.nu, x.coeffs + (0,) * window).truncate(
+        x.nu + window)
 
 
 def embed_local(r, place, window):

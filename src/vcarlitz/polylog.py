@@ -24,7 +24,7 @@ import itertools
 
 from .algebra import RatK
 from .errors import DomainError, ParseError, PrecisionLoss
-from .local import LocalNum, PlaceInf, PlaceV, embed_local, geometric_product
+from .local import LocalNum, PlaceInf, PlaceV, embed_local, geometric_prefixes
 
 
 class Index:
@@ -134,24 +134,26 @@ def domain_check(s, u, tag, place=None):
     raise ValueError(f"unknown domain tag {tag!r}")
 
 
-def inv_ell(place, i, window):
-    """1/ell_i, ell_i = (theta - theta^q) ... (theta - theta^(q^i)), to `window` digits.
+def inv_ells(place, count, window):
+    """1/ell_i for i < count, ell_i = (theta - theta^q) ... (theta -
+    theta^(q^i)), to `window` digits.
 
     A factor is pi (1 - pi^(q^j - 1)) at v, as lambda^(q^j) = lambda, and
     -w^(-q^j) (1 - w^(q^j - 1)) at infinity, so 1/ell_i is pi^(-i) G_i at v
     and (-1)^i w^(q + ... + q^i) G_i at infinity, G_i = prod_(j <= i)
-    1/(1 - pi^(q^j - 1)); its factors with j >= W.bit_length() are 1 mod pi^W.
+    1/(1 - pi^(q^j - 1)); its factors with j >= W.bit_length() are 1 mod
+    pi^W.  One prefix pass of geometric_prefixes gives every G_i.
     """
-    if i < 0:
-        raise ValueError("index must be >= 0")
     q = place.q
-    G = geometric_product(
-        place, [q ** j - 1 for j in range(1, min(i, window.bit_length()) + 1)],
-        window)
+    top = min(count - 1, window.bit_length())
+    G = geometric_prefixes(place, [q ** j - 1 for j in range(1, top + 1)],
+                           window)
     if isinstance(place, PlaceV):
-        return G.shift(-i)
-    G = G.shift((q ** (i + 1) - q) // (q - 1))
-    return G.scale_fq(place.ctx.neg(1)) if i % 2 else G
+        return [G[min(i, top)].shift(-i) for i in range(count)]
+    out = [G[min(i, top)].shift((q ** (i + 1) - q) // (q - 1))
+           for i in range(count)]
+    out[1::2] = [g.scale_fq(place.ctx.neg(1)) for g in out[1::2]]
+    return out
 
 
 def _truncation_index(bound, prec, cap=10000):
@@ -246,11 +248,20 @@ def _clip(total, place, prec):
     return out
 
 
+def _chain_rows(s, u, place, window, factors, start=0):
+    """Row l of a chain sum: u_l^(q^i) f_i^(s_l) for i = start, start + 1,
+    ..., factors[i - start] = f_i, with the window; each power of the
+    factors is built once per distinct s_l."""
+    I = start + len(factors)
+    pows = {si: [f.pow(si) for f in factors] for si in set(s)}
+    return [[a * f for a, f in zip(_tower(x, place, window, I)[start:],
+                                   pows[si])]
+            for si, x in zip(s, u)]
+
+
 def _chain_sum(s, u, place, prec, strict):
     I, W = _chain_plan(s, u, place, prec)
-    inv = [inv_ell(place, i, W) for i in range(I)]
-    rows = [[a * inv[i].pow(si) for i, a in enumerate(_tower(x, place, W, I))]
-            for si, x in zip(s, u)]
+    rows = _chain_rows(s, u, place, W, inv_ells(place, I, W))
     return _clip(_nested_sum(rows, strict)[-1], place, prec)
 
 
@@ -354,9 +365,9 @@ def power_sum_inf(ctx, d, s, prec):
     betas = []
     for i in itertools.takewhile(lambda i: q ** i < s, range(d + 1)):
         o = i * q ** i + sigma(d) - sigma(i)
-        betas.append(None if o >= R else geometric_product(
-            place, [q ** i - q ** j for j in range(i)], R - o).shift(i * q ** i)
-            * inv_ell(place, d - i, R - o).qpow(i))
+        betas.append(None if o >= R else geometric_prefixes(
+            place, [q ** i - q ** j for j in range(i)], R - o)[-1].shift(
+                i * q ** i) * inv_ells(place, d - i + 1, R - o)[-1].qpow(i))
     c = [LocalNum.unit_one(place, R)]
     for n in range(1, s):
         acc = LocalNum.zero_to_precision(place, R)
@@ -364,7 +375,7 @@ def power_sum_inf(ctx, d, s, prec):
             if beta is not None and q ** i <= n:
                 acc = acc + beta * c[n - q ** i]
         c.append(-acc)
-    out = inv_ell(place, d, R) * c[-1]
+    out = inv_ells(place, d + 1, R)[-1] * c[-1]
     return _clip(out if s % 2 else -out, place, prec)
 
 
@@ -544,9 +555,9 @@ def _specialize_sums(s, u, place, N_twist, prec, shift):
     I = max(_truncation_index(bound, prec), N_twist + s.depth)
     floor = min(bound(i) for i in range(I + 1))
     W = prec + max(0, -floor) + 8
-    rows = [[a * _F_at_inverse_power(place, i, N_twist, W).pow(si)
-             for i, a in enumerate(_tower(x, place, W, I)) if i >= N_twist]
-            for si, x in zip(s, u)]
+    rows = _chain_rows(s, u, place, W, [
+        _F_at_inverse_power(place, i, N_twist, W) for i in range(N_twist, I)],
+        N_twist)
     return _nested_sum(rows, strict=True)
 
 

@@ -42,7 +42,7 @@ from .linalg import (
     kmat_add, kmat_identity, kmat_inv, kmat_poly_eval,
     kmat_scale,
 )
-from .local import LocalNum, PlaceV, embed_local, geometric_product
+from .local import LocalNum, PlaceV, embed_local, geometric_prefixes
 from .polylog import DEF_V, ArgTuple, Index, cmspl_eval, domain_check
 
 
@@ -282,7 +282,7 @@ def residue_annihilator(spec, place):
 def _delta_inv(place, i, W):
     """1/delta_i to W digits at a degree-one place, where delta_i =
     theta^(q^i) - theta = pi^(q^i) - pi: -pi^(-1) / (1 - pi^(q^i - 1))."""
-    out = geometric_product(place, [place.q ** i - 1], W).shift(-1)
+    out = geometric_prefixes(place, [place.q ** i - 1], W)[-1].shift(-1)
     return out.scale_fq(place.ctx.neg(1))
 
 

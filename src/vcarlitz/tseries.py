@@ -21,7 +21,7 @@ the product of Q copies of it, so the digits are that product's.
 A sum, a difference and a scaling by one LocalNum walk the runs: each
 stretch where the operands' runs are constant is one LocalNum sum or
 product, with its window.  The product multiplies the operands' digit
-grids, t by pi, in one call (``local._grid_product``).  Their digits are
+grids, t by pi, in one call (``algebra._grid_product``).  Their digits are
 mostly zero (a q^i-th power spreads digits q^i apart), so it adds the
 product of each pair of nonzero digits into the product rows; when the
 pairs outnumber the product's positions it makes one big-integer
@@ -47,7 +47,8 @@ import bisect
 import heapq
 import itertools
 
-from .local import INF, LocalNum, _grid_product
+from .algebra import _grid_product
+from .local import INF, LocalNum
 
 
 class TSeries:
@@ -415,7 +416,7 @@ def residual_order(place, base, terms, N):
         ob = min(y.nu for _, y in live_g)
         xs = [(m, c.nu, c.coeffs[:max(low - ob - c.nu, 0)]) for m, c in live_c]
         ys = [(j, y.nu, y.coeffs[:max(low - oa - y.nu, 0)]) for j, y in live_g]
-        # the rule of local._grid_product: when the pairs of nonzero digits
+        # the rule of algebra._grid_product: when the pairs of nonzero digits
         # outnumber the positions of the product grid (the rows from
         # t^(ta + tb) to the last that a pair reaches below t^D, and
         # C = low - oa - ob columns at stride 2C - 1, so no row spills into

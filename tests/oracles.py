@@ -17,8 +17,10 @@ determinant test on the whole twisted matrix, the vABP check on the whole
 psi vector, a t-polynomial acting on a series as one product series and
 the residuals read from the built differences, the telescoping Horner
 solve of the twisted Sylvester equation, the log coefficients with each
-right-hand side a dense matrix product, and F_q row reduction one element
-at a time.
+right-hand side a dense matrix product, the F_q products (one schoolbook
+for F_q codes and LocalNum coefficients alike), polynomial division and
+series inversion one field operation at a time, and F_q row reduction one
+element at a time.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
 action), the zeta(s)_v pipeline, the padding of a coefficient list to a
@@ -34,16 +36,16 @@ from array import array
 from fractions import Fraction
 
 from vcarlitz import diffsys, polylog, relations, tmodule
-from vcarlitz.algebra import PolyA, RatK, _parse_fq_coeff, _parse_int
+from vcarlitz.algebra import (
+    _WIDTHS, PolyA, RatK, _pack, _packed_product, _parse_fq_coeff, _parse_int,
+    _rows,
+)
 from vcarlitz.errors import DomainError, ParseError, SingularStep
 from vcarlitz.linalg import (
     fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity, kmat_mul,
     kmat_scale, kmat_zero,
 )
-from vcarlitz.local import (
-    _WIDTHS, INF, LocalNum, PlaceInf, _pack, _packed_product, _rows,
-    embed_local,
-)
+from vcarlitz.local import INF, LocalNum, PlaceInf, embed_local
 from vcarlitz.polylog import ArgTuple, Index
 from vcarlitz.tmodule import _delta_inv
 from vcarlitz.tseries import TSeries, _aligned
@@ -129,7 +131,7 @@ def delta_local(place, i, W):
 #
 # A series here is a sequence of LocalNum, one per power of t.  These are the
 # operations as they ran before the run-length layout: each walks every
-# coefficient, with the packed digit arithmetic (``local._packed_product``,
+# coefficient, with the packed digit arithmetic (``algebra._packed_product``,
 # never the sparse route).
 
 _FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
@@ -138,10 +140,10 @@ _FIELD_CODES = {array(code).itemsize: code for code in "BHILQ"}
 def _grid_sum(ctx, a, b, stride, widths, negate=False):
     """The sum a + b, or a - b when `negate`, of two digit grids.
 
-    Grids and the rows returned are as for ``local._grid_product``.  A
+    Grids and the rows returned are as for ``algebra._grid_product``.  A
     difference adds (p - 1) * b, so a coordinate slot holds at most
     (p - 1) + (p - 1)^2 = p (p - 1) before it is read modulo p; the fold
-    of ``local._unpack`` finds nothing above degree e - 1.
+    of ``algebra._unpack`` finds nothing above degree e - 1.
     """
     p = ctx.p
     size = _WIDTHS[-(-(p * (p - 1)).bit_length() // 8)]
@@ -380,6 +382,63 @@ def localnum_scale_fq(x, c):
     return LocalNum(x.place, x.nu, [mul(c, d) for d in x.coeffs])
 
 
+# -- the F_q products, division and inversion one element at a time -------
+
+def fq_schoolbook(a, b, n, add, mul, zero=0):
+    """The first n coefficients of the product of two sequences, one ring
+    operation per pair: coefficient k is zero + a_0 b_k + a_1 b_(k-1) + ...
+
+    Over F_q codes (add and mul the field's methods) it is the oracle of
+    algebra.fq_convolve and of the loop PolyA's product was.  Over LocalNum
+    coefficients, from an exact zero, it is the coefficient schoolbook of
+    the series product, each sum keeping LocalNum's window.  Empty when a
+    factor is.
+    """
+    out = []
+    for k in range(min(n, len(a) + len(b) - 1) if a and b else 0):
+        acc = zero
+        for i in range(max(0, k - len(b) + 1), min(k + 1, len(a))):
+            acc = add(acc, mul(a[i], b[k - i]))
+        out.append(acc)
+    return out
+
+
+def polya_divmod_loop(f, g):
+    """(quotient, remainder) of f by g != 0, one field method call per
+    coefficient step."""
+    ctx = f.ctx
+    rem = list(f.coeffs)
+    db = g.degree
+    inv_lead = ctx.inv(g.lead)
+    quo = [0] * max(len(rem) - db, 0)
+    while len(rem) - 1 >= db and rem:
+        c = ctx.mul(rem[-1], inv_lead)
+        shift = len(rem) - 1 - db
+        quo[shift] = c
+        for i, bc in enumerate(g.coeffs):
+            rem[shift + i] = ctx.add(rem[shift + i], ctx.neg(ctx.mul(c, bc)))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return PolyA(ctx, quo), PolyA(ctx, rem)
+
+
+def localnum_inv_loop(x):
+    """Schoolbook series inversion of a LocalNum with digits, one field
+    method call per step."""
+    ctx = x.place.ctx
+    a = x.coeffs
+    inv0 = ctx.inv(a[0])
+    out = [0] * len(a)
+    out[0] = inv0
+    for n in range(1, len(a)):
+        s = 0
+        for i in range(1, n + 1):
+            if a[i]:
+                s = ctx.add(s, ctx.mul(a[i], out[n - i]))
+        out[n] = ctx.neg(ctx.mul(inv0, s))
+    return LocalNum(x.place, -x.nu, out)
+
+
 # -- F_q row reduction one element at a time ------------------------------
 
 def fq_rref_loop(ctx, rows):
@@ -399,7 +458,7 @@ def fq_rref_loop(ctx, rows):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [ctx.sub(x, ctx.mul(f, y))
+                rows[i] = [ctx.add(x, ctx.neg(ctx.mul(f, y)))
                            for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1

@@ -10,7 +10,9 @@ from vcarlitz.algebra import (
 )
 from vcarlitz.errors import DivisionByZero, ParseError
 
-from oracles import carlitz_action, carlitz_theta
+from oracles import (
+    carlitz_action, carlitz_theta, fq_schoolbook, polya_divmod_loop,
+)
 
 CTX3 = FqContext(3)
 CTX4 = FqContext(2, 2)
@@ -86,6 +88,49 @@ def test_poly_divmod(f, g):
     q, r = f.divmod(g)
     assert q * g + r == f
     assert r.is_zero() or r.degree < g.degree
+
+
+# q in {2, 3, 4, 5, 9, 17, 101}: e > 1 and p > 16 (multi-byte slots) too
+KERNEL_FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1),
+                                           (3, 2), (17, 1), (101, 1))]
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials over one field with 0 to 100 coefficients, dense or
+    mostly zero."""
+    ctx = draw(st.sampled_from(KERNEL_FIELDS))
+
+    def poly():
+        digit = st.integers(0, ctx.q - 1)
+        if draw(st.booleans()):
+            digit = st.one_of(st.just(0), st.just(0), st.just(0), digit)
+        return PolyA(ctx, draw(st.lists(digit, max_size=100)))
+
+    return poly(), poly()
+
+
+@given(poly_pairs())
+@settings(max_examples=300, deadline=None)
+def test_poly_product_and_division_match_field_method_loops(pair):
+    f, g = pair
+    ctx = f.ctx
+    want = fq_schoolbook(f.coeffs, g.coeffs, len(f.coeffs) + len(g.coeffs),
+                         ctx.add, ctx.mul)
+    assert f * g == PolyA(ctx, want)
+    if not g.is_zero():
+        assert f.divmod(g) == polya_divmod_loop(f, g)
+        assert (f * g).divmod(g) == (f, PolyA.zero(ctx))
+
+
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(
+    lambda ctx: poly_strategy(ctx, 5)))
+@settings(max_examples=100, deadline=None)
+def test_poly_power_matches_repeated_product(f):
+    want = PolyA.one(f.ctx)
+    for n in range(10):
+        assert f ** n == want
+        want = want * f
 
 
 @given(poly_strategy(CTX9, 4), poly_strategy(CTX9, 4))

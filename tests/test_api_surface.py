@@ -90,7 +90,7 @@ SHARED = {
         "local.LocalNum.shift": "diffsys._specialization_holds",
     },
     "truncate": {
-        "local.LocalNum.truncate": "local.LocalNum.__mul__",
+        "local.LocalNum.truncate": "local.embed_poly",
         "tseries.TSeries.truncate": "diffsys.verify_difference",
     },
     "zero": {

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly, parse_ratk
+from vcarlitz.algebra import (
+    FqContext, PolyA, RatK, fq_convolve, parse_poly, parse_ratk,
+)
 from vcarlitz.errors import DivisionByZero, ParseError, PrecisionLoss
 from vcarlitz.local import (
-    INF, LocalNum, PlaceInf, PlaceV, _convolve, embed_local, embed_poly,
+    INF, LocalNum, PlaceInf, PlaceV, embed_local, embed_poly,
 )
 
 from oracles import (
-    localnum_add, localnum_neg, localnum_scale_fq, localnum_sub,
-    ord_poly_divmod, parse_local,
+    fq_schoolbook, localnum_add, localnum_inv_loop, localnum_neg,
+    localnum_scale_fq, localnum_sub, ord_poly_divmod, parse_local,
 )
 
 CTX3 = FqContext(3)
@@ -253,31 +255,46 @@ def test_sums_and_scaling_match_digit_loops(case):
     assert _state(x.scale_fq(c)) == _state(localnum_scale_fq(x, c))
 
 
-def _convolve_schoolbook(ctx, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return out
+# q in {2, 3, 4, 5, 8, 9, 17, 101}: e > 1 and p > 16 (multi-byte slots) too
+KERNEL_FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1),
+                                           (2, 3), (3, 2), (17, 1), (101, 1))]
 
 
-FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
-                                    (3, 2))]
+def _schoolbook(ctx, a, b, n):
+    return fq_schoolbook(a, b, n, ctx.add, ctx.mul)
 
 
-@given(st.sampled_from(FIELDS).flatmap(lambda ctx: st.tuples(
-    st.just(ctx),
-    st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=30),
-    st.lists(st.integers(0, ctx.q - 1), min_size=1, max_size=30))))
-@settings(deadline=None)
-def test_convolve_matches_schoolbook(case):
+@st.composite
+def kernel_operands(draw):
+    """(ctx, a, b): two code sequences of length 0 to 100, dense, sparse
+    (mostly zero) or all q - 1 (every slot at its largest sum)."""
+    ctx = draw(st.sampled_from(KERNEL_FIELDS))
+
+    def seq():
+        n = draw(st.integers(0, 100))
+        kind = draw(st.sampled_from(["dense", "sparse", "top"]))
+        if kind == "top":
+            return [ctx.q - 1] * n
+        digit = st.integers(0, ctx.q - 1)
+        if kind == "sparse":
+            digit = st.one_of(st.just(0), st.just(0), st.just(0), digit)
+        return draw(st.lists(digit, min_size=n, max_size=n))
+
+    return ctx, seq(), seq()
+
+
+@given(kernel_operands(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_convolve_matches_schoolbook(case, data):
+    # fq_convolve against one field operation per pair, at the full length,
+    # at an n below both operand lengths, and on tuples (LocalNum digits)
     ctx, a, b = case
-    n = len(a) + len(b) - 1
-    top = [ctx.q - 1] * len(a)       # every slot at its largest sum
-    for x in (a, top):
-        want = _convolve_schoolbook(ctx, x, b)
-        assert _convolve(ctx, x, b, n) == want
-        assert _convolve(ctx, x, b, len(b)) == want[:len(b)]
+    full = len(a) + len(b) - 1
+    want = _schoolbook(ctx, a, b, full)
+    assert fq_convolve(ctx, a, b, full) == want
+    assert fq_convolve(ctx, a, b, full + 5) == want
+    n = data.draw(st.integers(0, max(0, min(len(a), len(b)) - 1)))
+    assert fq_convolve(ctx, tuple(a), tuple(b), n) == want[:n]
 
 
 @st.composite
@@ -302,15 +319,73 @@ def monomial_products(draw):
 @settings(max_examples=300, deadline=None)
 def test_monomial_operand_product_matches_convolve(case):
     # an operand that is c pi^nu on the first min(W_a, W_b) digits skips
-    # the convolution; the digits must be _convolve's, in either order
+    # the convolution; the digits must be fq_convolve's, in either order
     x, y = case
     ctx = x.place.ctx
     n = min(x.window, y.window)
     want = LocalNum(x.place, x.nu + y.nu,
-                    _convolve(ctx, x.coeffs, y.coeffs, n)).truncate(
+                    fq_convolve(ctx, x.coeffs, y.coeffs, n)).truncate(
         min(x.nu + y.cutoff, y.nu + x.cutoff))
     assert _state(x * y) == _state(want)
     assert _state(y * x) == _state(want)
+
+
+@st.composite
+def window_operands(draw):
+    """Two LocalNum at one place, q in {2, 3, 4, 5, 8, 9, 17}, each an
+    exact zero, a zero known to pi^c, c pi^nu (zeros after the digit) or
+    dense digits, windows of 1 to 60 digits."""
+    ctx = draw(st.sampled_from([c for c in KERNEL_FIELDS if c.q < 101]))
+    place = draw(st.sampled_from([PlaceV(ctx, draw(st.integers(0, ctx.q - 1))),
+                                  PlaceInf(ctx)]))
+
+    def operand():
+        kind = draw(st.sampled_from(["exact", "window", "monomial", "dense"]))
+        nu = draw(st.integers(-5, 5))
+        if kind == "exact":
+            return LocalNum.exact_zero(place)
+        if kind == "window":
+            return LocalNum.zero_to_precision(place, nu)
+        lead = draw(st.integers(1, ctx.q - 1))
+        n = draw(st.integers(0, 59))
+        tail = ([0] * n if kind == "monomial" else draw(st.lists(
+            st.integers(0, ctx.q - 1), min_size=n, max_size=n)))
+        return LocalNum(place, nu, [lead] + tail)
+
+    return operand(), operand()
+
+
+@given(window_operands())
+@settings(max_examples=400, deadline=None)
+def test_product_window(case):
+    # the cutoff is min(nu_a + c_b, nu_b + c_a) with no truncation step,
+    # and the digits are the schoolbook product's below it
+    x, y = case
+    ctx = x.place.ctx
+    for a, b in ((x, y), (y, x)):
+        prod = a * b
+        if a.is_exact_zero() or b.is_exact_zero():
+            assert prod.is_exact_zero()
+            continue
+        cutoff = min(a.nu + b.cutoff, b.nu + a.cutoff)
+        assert prod.cutoff == cutoff
+        if not a.coeffs or not b.coeffs:
+            assert prod.is_zero_to_precision()
+            continue
+        assert prod.nu == a.nu + b.nu
+        assert list(prod.coeffs) == fq_schoolbook(
+            a.coeffs, b.coeffs, cutoff - prod.nu, ctx.add, ctx.mul)
+
+
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda ctx: st.tuples(
+    st.sampled_from([PlaceV(ctx, 0), PlaceV(ctx, 1 % ctx.p), PlaceInf(ctx)]),
+    st.integers(-5, 5), st.integers(1, ctx.q - 1),
+    st.lists(st.integers(0, ctx.q - 1), max_size=99))))
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_field_method_loop(case):
+    place, nu, lead, tail = case
+    x = LocalNum(place, nu, [lead] + tail)
+    assert _state(x.inv()) == _state(localnum_inv_loop(x))
 
 
 def test_convolve_slots_never_overflow():

@@ -73,9 +73,9 @@ def test_L_factorial_values():
     assert str(L_factorial(CTX3, 1)) == "2*T^3+T"  # theta - theta^3
     assert embed_poly(L_factorial(CTX3, 2), V0, 8).valuation() == 2
     assert embed_poly(L_factorial(CTX3, 3), V1, 8).valuation() == 3
-    assert pl.inv_ell(V0, 2, 8).valuation() == -2
-    assert pl.inv_ell(V1, 3, 8).valuation() == -3
-    assert pl.inv_ell(INF3, 2, 8).valuation() == 3 + 9
+    assert pl.inv_ells(V0, 3, 8)[-1].valuation() == -2
+    assert pl.inv_ells(V1, 4, 8)[-1].valuation() == -3
+    assert pl.inv_ells(INF3, 3, 8)[-1].valuation() == 3 + 9
 
 
 def test_L_factorial_recursion():
@@ -100,8 +100,11 @@ def places(draw, finite=False):
 @settings(max_examples=150, deadline=None)
 @given(places(), st.integers(0, 5), st.sampled_from([1, 2, 5, 20, 60]))
 def test_inv_ell_matches_exact_factorial(place, i, window):
-    exact = embed_poly(L_factorial(place.ctx, i), place, window).inv()
-    assert pl.inv_ell(place, i, window) == exact
+    # every entry of the prefix pass, not only the last
+    got = pl.inv_ells(place, i + 1, window)
+    assert len(got) == i + 1
+    for j, x in enumerate(got):
+        assert x == embed_poly(L_factorial(place.ctx, j), place, window).inv()
 
 
 @settings(max_examples=100, deadline=None)

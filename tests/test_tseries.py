@@ -1,15 +1,16 @@
 """Tests for truncated Tate-algebra series."""
 
+import operator
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext, RatK, parse_ratk
-from vcarlitz.local import (
-    INF, LocalNum, PlaceInf, PlaceV, _packed_product, _sparse_product,
+from vcarlitz.algebra import (
+    FqContext, RatK, _packed_product, _sparse_product, parse_ratk,
 )
+from vcarlitz.local import INF, LocalNum, PlaceInf, PlaceV
 from vcarlitz.polylog import ArgTuple, Index, deformation_build, omega_product
 from vcarlitz.tseries import TSeries, _window_rule, frobenius_twist
 
@@ -63,16 +64,9 @@ FIELDS = {2: FqContext(2), 3: FqContext(3), 4: FqContext(2, 2),
 
 
 def _schoolbook(f, g):
-    D = min(f.order, g.order)
-    a, b = f.coeffs, g.coeffs
-    out = []
-    for n in range(D):
-        acc = None
-        for i in range(n + 1):
-            term = a[i] * b[n - i]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+    return oracles.fq_schoolbook(f.coeffs, g.coeffs, min(f.order, g.order),
+                                 operator.add, operator.mul,
+                                 LocalNum.exact_zero(f.place))
 
 
 def _states(coeffs):
