@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import PolyA, RatK, _parse_int, schoolbook_mul
+from .algebra import PolyA, RatK, fq_terms, parse_terms, schoolbook_mul
 from .errors import (
-    AssertionFailure, NoSolutionInBudget, ParseError, RootCheckFailed,
-    TooLarge,
+    AssertionFailure, NoSolutionInBudget, RootCheckFailed, TooLarge,
 )
 from .linalg import fq_kernel
 from .local import PlaceV
@@ -95,50 +94,18 @@ class RvElem:
     def __str__(self):
         if self.is_zero():
             return "0"
-        sym = self.place.symbol
-        parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if not c:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                parts.append(f"{head}{sym}^-{j}")
-        return "+".join(parts)
+        sym, cs = self.place.symbol, self.coeffs
+        return "+".join(fq_terms(self.place.ctx, (
+            (cs[j], f"{sym}^-{j}" if j else "")
+            for j in range(len(cs) - 1, -1, -1) if cs[j])))
 
     def __repr__(self):
         return f"RvElem({self})"
 
 
 def parse_rv(place, text):
-    """Parse the canonical RvElem string form, e.g. "2*v^-3+v^-1+1"."""
-    text = text.strip().replace(" ", "")
-    if text == "0":
-        return RvElem.zero(place)
-    ctx = place.ctx
-    sym = place.symbol
-    coeffs = {}
-    for term in text.split("+"):
-        if not term:
-            raise ParseError("empty term")
-        c, j = 1, 0
-        for factor in term.split("*"):
-            if factor.startswith(sym):
-                tail = factor[len(sym):]
-                if not (tail.startswith("^-") and tail[2:].isdecimal()):
-                    raise ParseError(f"bad power in term {term!r}")
-                j = int(tail[2:])
-            else:
-                c = ctx.mul(c, _parse_int(factor, term, "term") % ctx.p)
-        if j in coeffs:
-            raise ParseError(f"repeated power {sym}^-{j}")
-        coeffs[j] = c
-    out = [0] * (max(coeffs) + 1)
-    for j, c in coeffs.items():
-        out[j] = c
-    return RvElem(place, out)
+    """Parse the canonical RvElem text form, e.g. "2*v^-3+v^-1+1"."""
+    return RvElem(place, parse_terms(place.ctx, text, place.symbol, "^-"))
 
 
 # -- Lemma: sup of a polynomial on a closed disk -------------------------
@@ -315,7 +282,6 @@ def small_solution(M, C_exp, deg_budget, place):
     d_x = -(-C_exp * rows // (cols - rows)) - 1
     if d_x < 0:
         raise NoSolutionInBudget("the norm ball contains only zero")
-    q = place.q
     e_t = deg_budget
     # unknowns: c[j][jj][m] multiplying pi^(-jj) t^m in coordinate j
     unknowns = []
@@ -323,14 +289,7 @@ def small_solution(M, C_exp, deg_budget, place):
         for jj in range(d_x + 1):
             for m in range(e_t + 1):
                 unknowns.append((j, jj, m))
-    mdeg_t = max((len(e) - 1 if e else 0) for row in M for e in row)
-    mdeg_p = max((max((c.degree for c in e if not c.is_zero()), default=0)
-                  if e else 0) for row in M for e in row)
     eq_rows = {}
-
-    def eq_key(i, jj, m):
-        return (i, jj, m)
-
     ctx = place.ctx
     for col_idx, (j, jj, m) in enumerate(unknowns):
         for i in range(rows):
@@ -339,8 +298,7 @@ def small_solution(M, C_exp, deg_budget, place):
                 for pdeg, cf in enumerate(c.coeffs):
                     if not cf:
                         continue
-                    key = eq_key(i, jj + pdeg, m + tm)
-                    row = eq_rows.setdefault(key, {})
+                    row = eq_rows.setdefault((i, jj + pdeg, m + tm), {})
                     row[col_idx] = ctx.add(row.get(col_idx, 0), cf)
     nunk = len(unknowns)
     mat = [tuple(row.get(c, 0) for c in range(nunk))

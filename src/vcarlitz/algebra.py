@@ -525,58 +525,82 @@ class PolyA:
 
     # -- canonical text form -------------------------------------------
 
-    def _coeff_str(self, c):
-        if self.ctx.e == 1 or c < self.ctx.p:
-            return str(c)
-        v = self.ctx.to_vector(c)
-        terms = []
-        for i in range(len(v) - 1, -1, -1):
-            ci = v[i]
-            if ci == 0:
-                continue
-            if i == 0:
-                terms.append(str(ci))
-            elif i == 1:
-                terms.append("x" if ci == 1 else f"{ci}x")
-            else:
-                terms.append(f"x^{i}" if ci == 1 else f"{ci}x^{i}")
-        return "[" + "+".join(terms) + "]"
-
     def __str__(self):
         if self.is_zero():
             return "0"
-        terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            cs = self._coeff_str(c)
-            if i == 0:
-                terms.append(cs)
-            else:
-                var = "T" if i == 1 else f"T^{i}"
-                terms.append(var if cs == "1" else f"{cs}*{var}")
-        return "+".join(terms)
+        cs = self.coeffs
+        return "+".join(fq_terms(self.ctx, (
+            (cs[i], _power("T", i)) for i in range(len(cs) - 1, -1, -1)
+            if cs[i])))
 
     def __repr__(self):
         return f"PolyA({self})"
 
 
-def parse_poly(ctx, text):
-    """Parse the canonical text form of a PolyA."""
-    text = text.strip().replace(" ", "")
-    if text == "0":
-        return PolyA.zero(ctx)
+# -- the text form of a sum of terms c*X over F_q ------------------------
+#
+# PolyA ("[x+1]*T^2+T+2"), LocalNum ("2*v^-2 + 1 + v^1 + O(v^2)") and
+# RvElem ("[x]*v^-3+v^-1+1") print through fq_terms and parse through
+# parse_terms; each caller names only its symbol and its power syntax.  An
+# F_q coefficient is fq_str's text: the integer itself in F_p, otherwise
+# its coordinates in brackets, itself a sum of terms over F_p in x.
+
+def fq_str(ctx, c):
+    """The text of the F_q code c: c itself when it lies in F_p, else its
+    polynomial in x over F_p in brackets, [x+1] for x + 1."""
+    if c < ctx.p:
+        return str(c)
+    v = ctx.to_vector(c)
+    return "[" + "+".join(fq_terms(ctx, (
+        (v[i], _power("x", i)) for i in range(len(v) - 1, -1, -1) if v[i]),
+        "")) + "]"
+
+
+def fq_terms(ctx, terms, mul="*"):
+    """The text of each term c*X, for (c, X) in terms with c a nonzero F_q
+    code and X the text of its power: X alone when c is 1, and c alone
+    when X is empty (the constant term)."""
+    for c, x in terms:
+        if not x:
+            yield fq_str(ctx, c)
+        elif c == 1:
+            yield x
+        else:
+            yield f"{fq_str(ctx, c)}{mul}{x}"
+
+
+def _power(sym, k):
+    """sym^k in the syntax of PolyA and of a bracket coefficient."""
+    return "" if k == 0 else sym if k == 1 else f"{sym}^{k}"
+
+
+def parse_terms(ctx, text, sym, power="^"):
+    """The coefficient list, ascending in k, of a sum of terms c*X over F_q.
+
+    Terms are split at each '+' outside brackets.  X is sym with the power
+    syntax `power`: "^" reads sym^k, and sym alone for k = 1; "^-" reads
+    sym^-k.  A term without sym is the constant term.  The coefficient c
+    is fq_str's text or any integer (read mod p), written before X with an
+    optional '*', and 1 when absent.  Each error names its term.
+    """
     coeffs = {}
-    for term in _split_terms(text):
-        c, k = _parse_term(ctx, term)
+    for term in _split_terms(text.strip().replace(" ", "")):
+        try:
+            c, k = _parse_term(ctx, term, sym, power)
+        except ParseError as exc:
+            raise ParseError(f"bad term {term!r}: {exc}") from None
         if k in coeffs:
-            raise ParseError(f"repeated power T^{k}")
+            raise ParseError(f"repeated power {sym}{power}{k}")
         coeffs[k] = c
     out = [0] * (max(coeffs) + 1)
     for k, c in coeffs.items():
         out[k] = c
-    return PolyA(ctx, out)
+    return out
+
+
+def parse_poly(ctx, text):
+    """Parse the canonical text form of a PolyA."""
+    return PolyA(ctx, parse_terms(ctx, text, "T"))
 
 
 def _split_terms(text):
@@ -596,43 +620,32 @@ def _split_terms(text):
     return terms
 
 
-def _parse_fq_coeff(ctx, text):
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ParseError(f"unbalanced bracket in {text!r}")
-        body = text[1:-1]
-        v = [0] * ctx.e
-        for part in body.split("+"):
-            if "x" in part:
-                head, _, exp = part.partition("x")
-                c = _parse_int(head, text) if head else 1
-                i = _parse_int(exp[1:], text) if exp.startswith("^") else (1 if not exp else None)
-                if i is None:
-                    raise ParseError(f"bad coefficient term {part!r}")
-            else:
-                c, i = _parse_int(part, text), 0
-            if i >= ctx.e:
-                raise ParseError("coefficient exponent exceeds field degree")
-            v[i] = (v[i] + c) % ctx.p
-        return ctx.from_vector(v)
-    c = _parse_int(text, text) % ctx.p
-    return c
-
-
-def _parse_term(ctx, term):
-    if "T" not in term:
-        return _parse_fq_coeff(ctx, term), 0
-    head, _, tail = term.partition("T")
-    if head.endswith("*"):
-        head = head[:-1]
-    c = _parse_fq_coeff(ctx, head) if head else 1
-    if tail == "":
+def _parse_term(ctx, term, sym, power):
+    head, found, tail = term.rpartition(sym)
+    if not found:
+        return _parse_fq_coeff(ctx, tail), 0
+    if not tail and power == "^":
         k = 1
-    elif tail.startswith("^") and tail[1:].isdecimal():
-        k = int(tail[1:])
+    elif tail.startswith(power) and tail[len(power):].isdecimal():
+        k = int(tail[len(power):])
     else:
-        raise ParseError(f"bad term {term!r}")
-    return c, k
+        raise ParseError(f"bad power in term {term!r}")
+    head = head.removesuffix("*")
+    return (_parse_fq_coeff(ctx, head) if head else 1), k
+
+
+def _parse_fq_coeff(ctx, text):
+    """The F_q code of a coefficient's text: an integer, read mod p, or
+    fq_str's bracket form."""
+    if not text.startswith("["):
+        return _parse_int(text, text) % ctx.p
+    body = text[1:-1]
+    if not text.endswith("]") or "[" in body:
+        raise ParseError(f"bad bracket {text!r}")
+    v = parse_terms(ctx, body, "x")
+    if len(v) > ctx.e:
+        raise ParseError("coefficient exponent exceeds field degree")
+    return ctx.from_vector(v)
 
 
 def _parse_int(text, source, kind="coefficient"):

@@ -98,7 +98,7 @@ class DiffSystem:
     """
 
     def __init__(self, place, phi_twisted, psi_build, weight, alpha,
-                 index=None, args=None, c=None, structural_det=False,
+                 index=None, args=None, structural_det=False,
                  kind="generic"):
         self.place = place
         self.phi = tuple(tuple(r) for r in phi_twisted)
@@ -108,7 +108,6 @@ class DiffSystem:
         self.alpha = alpha
         self.index = index
         self.args = args
-        self.c = c if c is not None else RatK.one(place.ctx)
         self.structural_det = structural_det
         self.kind = kind
 
@@ -393,17 +392,17 @@ def mpl_certificate(sys, w, ftype, N_list, prec=30):
     col_ok = all(not sys.phi[i][sys.size - 1] for i in range(sys.size - 1))
     conditions[2] = col_ok and (
         sys.phi[sys.size - 1][sys.size - 1] == tp_normalize(ftype))
-    # (3) psi(alpha^{-1}) = (pitilde^w, ..., c Z pitilde^w); the first entry
+    # (3) psi(alpha^{-1}) = (pitilde^w, ..., Z pitilde^w); the first entry
     # of psi(alpha^{-1}) is pitilde to the system's weight
     pt = pi_tilde(sys.alpha, place, prec)
     ptw = pt.pow(w)
     first_ok = (w == sys.weight
                 or (pt.pow(sys.weight) - ptw).is_zero_to_precision())
     Z = cmpl_eval(sys.index, sys.args, place, prec)
-    target = embed_local(sys.c, place, prec) * Z * ptw
+    target = Z * ptw
     last_ok = _specialization_holds(sys, 0, prec, pt, target)
     conditions[3] = first_ok and last_ok
-    # (4) psi(alpha^{-q^N}) = (0,...,0,(c Z pitilde^w)^{q^N})
+    # (4) psi(alpha^{-q^N}) = (0,...,0,(Z pitilde^w)^{q^N})
     ok4 = True
     for N in N_list:
         if N < 1:

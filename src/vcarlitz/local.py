@@ -16,7 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import FqContext, PolyA, RatK, binary_power, fq_convolve
+from .algebra import (
+    FqContext, PolyA, RatK, binary_power, fq_convolve, fq_terms,
+)
 from .errors import DivisionByZero, PrecisionLoss
 
 INF = math.inf
@@ -396,19 +398,10 @@ class LocalNum:
         if self.is_exact_zero():
             return "0"
         sym = self.place.symbol
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            k = self.nu + i
-            cs = PolyA.constant(self.place.ctx, c)._coeff_str(c)
-            if k == 0:
-                parts.append(cs)
-            else:
-                var = f"{sym}^{k}"
-                parts.append(var if cs == "1" else f"{cs}*{var}")
-        parts.append(f"O({sym}^{self.cutoff})")
-        return " + ".join(parts)
+        terms = fq_terms(self.place.ctx, (
+            (c, f"{sym}^{k}" if k else "")
+            for k, c in enumerate(self.coeffs, self.nu) if c))
+        return " + ".join([*terms, f"O({sym}^{self.cutoff})"])
 
     def __repr__(self):
         return f"LocalNum({self})"

@@ -139,19 +139,23 @@ def _normalize_leading(ctx, coeffs):
 # -- decompositions ------------------------------------------------------
 
 class Decomposition:
-    """zeta_A(target) = sum_l b_l Li*_{s_l}(u_l), with certification state."""
+    """zeta_A(target) = sum_l b_l Li*_{s_l}(u_l), with certification state.
 
-    def __init__(self, target, terms, certification=None):
+    A decomposition starts uncertified; only verify_decomposition_inf
+    certifies it.
+    """
+
+    def __init__(self, target, terms):
         self.target = target
         self.terms = tuple(terms)
-        for b, s_l, u_l in self.terms:
+        for _, s_l, u_l in self.terms:
             if s_l.weight != target.weight:
                 raise ValueError("decomposition terms must preserve weight")
             if s_l.depth > target.depth:
                 raise ValueError("decomposition terms must not raise depth")
             if s_l.depth != u_l.depth:
                 raise ValueError("index/argument depth mismatch")
-        self.certification = dict(certification or {})
+        self.certification = {}
 
     @property
     def certified(self):
@@ -276,10 +280,8 @@ def parse_decomposition(text):
             s_l = Index.parse(s_s)
             u_l = ArgTuple([parse_ratk(ctx, x) for x in u_s.split(",")])
             parsed.append((b, s_l, u_l))
-        cert = None
-        if fields.get("certified") == "true":
-            # a "date" line from older files is accepted and ignored
-            cert = {"certified": True, "prec": int(fields["prec"])}
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad decomposition file: {exc}") from exc
-    return Decomposition(target, parsed, cert), ctx
+    # the "certified", "prec" and "date" lines a file may carry are claims:
+    # they are read past, and the decomposition starts uncertified
+    return Decomposition(target, parsed), ctx

@@ -47,7 +47,7 @@ import bisect
 import heapq
 import itertools
 
-from .algebra import _grid_product
+from .algebra import _grid_product, _packed_product
 from .local import INF, LocalNum
 
 
@@ -363,9 +363,10 @@ def residual_order(place, base, terms, N):
 
     A term's digit products are added pair by pair of nonzero digits, or,
     when those pairs outnumber the positions of the term's product grid
-    below pi^L, read from one ``_grid_product`` of the two grids, which
-    then takes its packed route.  The built series took the same rule, so
-    dense operands cost one big-integer product here too.
+    below pi^L, read from one packed product of the two grids
+    (``_packed_product``, the route ``_grid_product`` takes by the same
+    rule).  The built series took that rule, so dense operands cost one
+    big-integer product here too.
     """
     D = min(([] if base is None else [base.order])
             + [g.order for _, g in terms], default=0)
@@ -427,7 +428,7 @@ def residual_order(place, base, terms, N):
         pairs = (sum(len(ds) - ds.count(0) for _, _, ds in xs)
                  * sum(len(ds) - ds.count(0) for _, _, ds in ys))
         if 0 < rows * stride < pairs:
-            grid = _grid_product(
+            grid = _packed_product(
                 ctx, [((m - ta) * stride + u - oa, ds) for m, u, ds in xs],
                 [((j - tb) * stride + w - ob, ds) for j, w, ds in ys],
                 stride, [C] * rows, min(len(xs), len(ys)) * C)

@@ -38,7 +38,7 @@ from fractions import Fraction
 from vcarlitz import diffsys, polylog, relations, tmodule
 from vcarlitz.algebra import (
     _WIDTHS, PolyA, RatK, _pack, _packed_product, _parse_fq_coeff, _parse_int,
-    _rows,
+    _rows, _split_terms,
 )
 from vcarlitz.errors import DomainError, ParseError, SingularStep
 from vcarlitz.linalg import (
@@ -880,7 +880,7 @@ def parse_local(place, text):
     ctx = place.ctx
     cutoff = None
     digits = {}
-    for part in text.split("+"):
+    for part in _split_terms(text):
         part = part.strip()
         if not part:
             continue

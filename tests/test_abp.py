@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcarlitz.algebra import FqContext, PolyA, RatK
+from vcarlitz.algebra import FqContext, PolyA, RatK, parse_poly
 from vcarlitz.errors import (
     AssertionFailure, NoSolutionInBudget, ParseError, RootCheckFailed,
     TooLarge,
@@ -14,6 +14,8 @@ from vcarlitz.abp import (
     RvElem, liouville_check, norm_ball_count, norm_bound_checks, parse_rv,
     rvt_norm_exp, small_solution, sup_norm_disk, sup_norm_factored,
 )
+
+from oracles import parse_local
 
 CTX3 = FqContext(3)
 V0 = PlaceV(CTX3, 0)
@@ -32,6 +34,38 @@ def test_rv_print_parse_roundtrip():
     for bad in ("v^-1+v^-1", "v^--1", "2*v^--1", "v^-x", "v^1"):
         with pytest.raises(ParseError):
             parse_rv(V0, bad)
+
+
+FIELDS = (FqContext(2), FqContext(3), FqContext(2, 2), FqContext(5),
+          FqContext(3, 2))
+
+
+@pytest.mark.parametrize("place", [PlaceV(ctx, lam) for ctx in FIELDS
+                                   for lam in range(ctx.q)],
+                         ids=lambda pl: f"q{pl.q}-lambda{pl.lam}")
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_print_parse_roundtrip_in_every_field(place, data):
+    # PolyA, RvElem and LocalNum share one term codec; at e > 1 a code at
+    # or above p prints in brackets, [x+1], and reads back as itself
+    ctx = place.ctx
+    coeffs = data.draw(st.lists(st.integers(0, ctx.q - 1), max_size=6))
+    f, x = PolyA(ctx, coeffs), RvElem(place, coeffs)
+    assert parse_poly(ctx, str(f)) == f
+    assert parse_rv(place, str(x)) == x
+    y = LocalNum(place, data.draw(st.integers(-3, 3)), coeffs)
+    assert parse_local(place, str(y)) == y
+
+
+def test_rv_brackets_at_q4():
+    V4 = PlaceV(FqContext(2, 2), 1)
+    x = RvElem(V4, (3, 2))          # [x+1] + [x] v^-1
+    assert str(x) == "[x]*v^-1+[x+1]"
+    assert parse_rv(V4, "[x]*v^-1+[x+1]") == x
+    assert parse_rv(V4, "[x]v^-1 + [1+x]") == x
+    for bad in ("2*2*v^-1", "v^-1*2", "[x]*v", "[x^2]", "[[x]]"):
+        with pytest.raises(ParseError):
+            parse_rv(V4, bad)
 
 
 def test_rv_matches_field_embedding():

@@ -4,7 +4,8 @@ An AST scan of the package: every public top-level function and every
 public method must be read by code in the package (a name or an attribute
 in Load context; assignments, docstrings and comments do not count), or
 stand on KEPT with its reason.  A helper that only tests call belongs in
-tests/oracles.py.
+tests/oracles.py.  Inside a function, every local that is assigned must
+also be read.
 
 A method is matched by its name alone, so a method of one class counts as
 read when a method of another class with the same name is (TSeries and
@@ -94,8 +95,8 @@ SHARED = {
         "tseries.TSeries.truncate": "diffsys.verify_difference",
     },
     "zero": {
-        "abp.RvElem.zero": "abp.parse_rv",
-        "algebra.PolyA.zero": "algebra.parse_poly",
+        "abp.RvElem.zero": "abp._verify_small_solution",
+        "algebra.PolyA.zero": "algebra.RatK.zero",
         "algebra.RatK.zero": "linalg.kmat_identity",
         "tseries.TSeries.zero": "polylog.deformation_build",
     },
@@ -170,3 +171,55 @@ def test_shared_method_names_stand_on_the_table():
     for n, readers in SHARED.items():
         for method, reader in readers.items():
             assert n in reads.get(reader, ()), (method, reader)
+
+
+def _unread_locals(fn):
+    """The names that fn, or a function nested in it, binds (by assignment,
+    a loop or comprehension target, with, import or def) and never reads.
+    Names that start with _ and names declared global or nonlocal are
+    exempt."""
+    bound, loads, exempt = {}, set(), set()
+    for sub in ast.walk(fn):
+        if isinstance(sub, ast.Name):
+            if isinstance(sub.ctx, ast.Store):
+                bound.setdefault(sub.id, sub.lineno)
+            elif isinstance(sub.ctx, ast.Load):
+                loads.add(sub.id)
+        elif isinstance(sub, (ast.Global, ast.Nonlocal)):
+            exempt.update(sub.names)
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for alias in sub.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                bound.setdefault(name, sub.lineno)
+        elif isinstance(sub, (ast.FunctionDef, ast.ClassDef)) and sub is not fn:
+            bound.setdefault(sub.name, sub.lineno)
+    return {name: line for name, line in bound.items()
+            if name not in loads and name not in exempt
+            and not name.startswith("_")}
+
+
+def test_every_local_that_is_assigned_is_read():
+    unread = []
+    for path in sorted(pathlib.Path(vcarlitz.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                unread += [f"{path.name}:{line} {name}"
+                           for name, line in _unread_locals(node).items()]
+    assert sorted(set(unread)) == []
+
+
+def test_the_unread_local_scan_sees_each_binding():
+    tree = ast.parse(
+        "def f(xs):\n"
+        "    a, b = xs\n"
+        "    for c, d in xs:\n"
+        "        import os\n"
+        "        def g():\n"
+        "            return d\n"
+        "    with open(a) as fh:\n"
+        "        pass\n"
+        "    _skip = [e for e in xs]\n"
+        "    n = 0\n"
+        "    n += 1\n"
+        "    return g\n")
+    assert set(_unread_locals(tree.body[0])) == {"b", "c", "os", "fh", "n"}

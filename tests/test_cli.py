@@ -342,6 +342,17 @@ def test_appendix_subcommands(capsys):
     assert code == 0 and out == "x_0=1\nx_1=1\n"
 
 
+def test_appendix_reads_and_prints_bracket_coefficients(capsys):
+    # at q = 4 an R_v coefficient outside F_2 is written [x], as for PolyA
+    code, out = run(capsys, "appendix", "sup-norm", "--q", "4", "--coeffs",
+                    "1,[x]*v^-1", "--radius", "1")
+    assert code == 0 and out == "norm_exp=2\n"
+    code, out = run(capsys, "appendix", "small-solution", "--q", "4",
+                    "--rows", "1,[x]*v^-1", "--c-exp", "2",
+                    "--deg-budget", "1")
+    assert code == 0 and out == "x_0=[x]*v^-1 ; 0\nx_1=1 ; 0\n"
+
+
 # -- modes and errors ----------------------------------------------------
 
 def test_human_output_mode(capsys):

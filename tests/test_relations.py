@@ -171,7 +171,7 @@ def test_certification_fails_at_the_last_claimed_digit(s):
 
 
 def test_empty_decomposition_is_an_error():
-    empty = Decomposition(Index([1]), [], {"certified": True, "prec": 40})
+    empty = Decomposition(Index([1]), [])
     with pytest.raises(ValueError):
         eval_vmzv(empty, V0, 30)
     with pytest.raises(ValueError):
@@ -193,8 +193,8 @@ def test_vmzv_weight1_golden_digits():
 
 def test_deeper_terms_need_a_supplied_module():
     dec = Decomposition(Index([1, 1]),
-                        [(ONE, Index([1, 1]), ArgTuple([ONE, ONE]))],
-                        {"certified": True, "prec": 40})
+                        [(ONE, Index([1, 1]), ArgTuple([ONE, ONE]))])
+    dec.certification = {"certified": True, "prec": 40}  # to reach the lookup
     with pytest.raises(MissingTModuleSpec):
         eval_vmzv(dec, V0, 30)
 
@@ -209,8 +209,14 @@ def test_decomposition_file_roundtrip():
     assert "target: 2" in text and "term: 1 | 2 | 1" in text
     assert "certified: true" in text and "prec: 40" in text
     back, ctx = parse_decomposition(text)
-    assert back.certified and back.certification["prec"] == 40
     assert back.target == dec.target and ctx.q == 3
+    # the file's certified line is a claim: the decomposition read back is
+    # uncertified until it passes the check again
+    assert not back.certified
+    with pytest.raises(UncertifiedDecomposition):
+        eval_vmzv(back, V0, 40)
+    assert verify_decomposition_inf(back, 40) == {"certified": True,
+                                                  "prec": 40}
     z2 = eval_vmzv(back, V0, 40)
     assert z2.is_zero_to_precision()
 
@@ -224,7 +230,21 @@ def test_decomposition_parse_errors():
     dated, _ = parse_decomposition("p: 3\ntarget: 2\nterm: 1 | 2 | 1\n"
                                    "certified: true\nprec: 40\n"
                                    "date: 2026-08-25\n")
-    assert dated.certification == {"certified": True, "prec": 40}
-    with pytest.raises(ParseError):  # missing certification precision
-        parse_decomposition("p: 3\ntarget: 2\nterm: 1 | 2 | 1\n"
-                            "certified: true\n")
+    assert dated.certification == {} and not dated.certified
+    # a certified line without its precision is read past as well
+    bare, _ = parse_decomposition("p: 3\ntarget: 2\nterm: 1 | 2 | 1\n"
+                                  "certified: true\n")
+    assert not bare.certified
+
+
+def test_a_forged_certified_file_is_not_trusted():
+    # zeta(1) = T * Li*_1(1) is false, and the file claims it is certified
+    forged, _ = parse_decomposition("p: 3\ne: 1\ntarget: 1\n"
+                                    "term: T | 1 | 1\ncertified: true\n"
+                                    "prec: 60\n")
+    assert not forged.certified
+    with pytest.raises(UncertifiedDecomposition):
+        eval_vmzv(forged, V0, 30)
+    with pytest.raises(CertificationFailed):
+        verify_decomposition_inf(forged, 60)
+    assert not forged.certified
