@@ -790,13 +790,23 @@ class RatK:
 
 
 def parse_ratk(ctx, text):
+    """Parse a PolyA, or num/den, the form RatK prints.
+
+    Each side may sit in one pair of parentheses, and must when there is a
+    '/' and it holds a '+', so '1/T+1' is refused, not read as 1/(T+1).
+    Any other parenthesis is a ParseError.
+    """
     text = text.strip().replace(" ", "")
-    if "/" in text:
-        num_s, _, den_s = text.partition("/")
-        num = parse_poly(ctx, num_s.strip("()"))
-        den = parse_poly(ctx, den_s.strip("()"))
-        return RatK(num, den)
-    return RatK(parse_poly(ctx, text.strip("()")))
+    sides = text.split("/", 1)
+    polys = []
+    for side in sides:
+        body = side[1:-1] if side[:1] + side[-1:] == "()" else side
+        if "(" in body or ")" in body:
+            raise ParseError(f"unbalanced or nested parentheses in {text!r}")
+        if len(sides) == 2 and "+" in body and body == side:
+            raise ParseError(f"a sum over '/' needs parentheses in {text!r}")
+        polys.append(parse_poly(ctx, body))
+    return RatK(*polys)
 
 
 def parse_fields(text, repeated=()):

@@ -412,15 +412,16 @@ def geometric_prefixes(place, exponents, window):
     `window` digits: entry k is the product of the first k factors.
 
     The digit of pi^n counts, mod p, the ways to write n as a sum of the
-    exponents.  A factor is a prefix sum with stride m, and costs nothing
-    when m >= window."""
+    exponents.  A factor is a prefix sum with stride m over each residue
+    r mod m; for r >= window - m that stride has one entry, which the sum
+    leaves as it is, so only r < min(m, window - m) are summed."""
     if window < 1:
         raise ValueError("window must be >= 1")
     p = place.ctx.p
     counts = [1] + [0] * (window - 1)
     out = [LocalNum(place, 0, counts)]
     for m in exponents:
-        for r in range(m if m < window else 0):
+        for r in range(min(m, window - m)):
             counts[r::m] = [c % p for c in itertools.accumulate(counts[r::m])]
         out.append(LocalNum(place, 0, counts))
     return out

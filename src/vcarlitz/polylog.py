@@ -16,11 +16,18 @@ A deformation row is a twist orbit: the twist of the coefficients is a ring
 map sending prod_(j>i) (1 - pi^(q^j) t) to the product over j > i + 1, so
 row l of the nested sum is t^(i s_l) times the i-th twist of the one series
 Omega^(s_l) u_l, and each row costs one product and its twists.
+
+Omega^k, pi_tilde and F_i at t = pi^(-q^N) are products
+prod_(j>i) (1 - x^(q^j - c) t^d)^k, and their digits are read off in
+closed form from the exponent tuples (_product_digits), placed as pi-digits
+at alpha = pi and evaluated at the powers of the embedded alpha otherwise;
+no factor is multiplied as a series or a LocalNum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .algebra import RatK
 from .errors import DomainError, ParseError, PrecisionLoss
@@ -89,10 +96,9 @@ class ArgTuple:
         return len(self.u)
 
     def ords(self, place):
-        key = place
-        if key not in self._ords:
-            self._ords[key] = tuple(place.ord_ratk(x) for x in self.u)
-        return self._ords[key]
+        if place not in self._ords:
+            self._ords[place] = tuple(place.ord_ratk(x) for x in self.u)
+        return self._ords[place]
 
     def __iter__(self):
         return iter(self.u)
@@ -260,6 +266,16 @@ def _chain_rows(s, u, place, window, factors, start=0):
 
 
 def _chain_sum(s, u, place, prec, strict):
+    """The CMPL (strict) or CMSPL value, after the domain checks: a star
+    value in the extended domain but not the convergence domain at v is
+    refused as such."""
+    if not isinstance(place, PlaceV):
+        if not domain_check(s, u, CONV_INF):
+            raise DomainError("arguments outside the infinite-place domain")
+    elif not domain_check(s, u, CONV_V, place):
+        if not strict and domain_check(s, u, DEF_V, place):
+            raise DomainError("requires extended domain")
+        raise DomainError("arguments outside the v-adic convergence domain")
     I, W = _chain_plan(s, u, place, prec)
     rows = _chain_rows(s, u, place, W, inv_ells(place, I, W))
     return _clip(_nested_sum(rows, strict)[-1], place, prec)
@@ -267,25 +283,11 @@ def _chain_sum(s, u, place, prec, strict):
 
 def cmpl_eval(s, u, place, prec):
     """Carlitz multiple polylogarithm: sum over strict chains i_1 > ... > i_r."""
-    if isinstance(place, PlaceV):
-        if not domain_check(s, u, CONV_V, place):
-            raise DomainError("arguments outside the v-adic convergence domain")
-    else:
-        if not domain_check(s, u, CONV_INF):
-            raise DomainError("arguments outside the infinite-place domain")
     return _chain_sum(s, u, place, prec, strict=True)
 
 
 def cmspl_eval(s, u, place, prec):
     """Star variant: sum over weak chains i_1 >= ... >= i_r."""
-    if isinstance(place, PlaceV):
-        if not domain_check(s, u, CONV_V, place):
-            if domain_check(s, u, DEF_V, place):
-                raise DomainError("requires extended domain")
-            raise DomainError("arguments outside the v-adic convergence domain")
-    else:
-        if not domain_check(s, u, CONV_INF):
-            raise DomainError("arguments outside the infinite-place domain")
     return _chain_sum(s, u, place, prec, strict=False)
 
 
@@ -411,57 +413,137 @@ _OMEGA_TAIL_CACHE = {}
 def _omega_power(place, k, D, N):
     """Omega^k mod (t^D, pi^N), k >= 1, Omega = prod_(j>=1) (1 - pi^(q^j) t).
 
-    One list [Omega, Omega^2, ...] per (place, D, N), extended on demand,
-    Omega^k one series product Omega^(k-1) * Omega on from the last; every
-    psi builder and every deformation row reads it.
+    Each (place, k, D, N) is built once, by omega_product, and every psi
+    builder and every deformation row reads it from here.
     """
-    key = (place, D, N)
-    powers = _OMEGA_TAIL_CACHE.get(key)
-    if powers is None:
-        powers = _OMEGA_TAIL_CACHE[key] = [
-            omega_product(RatK(place.uniformizer()), place, D, N)]
-    while len(powers) < k:
-        powers.append(powers[-1] * powers[0])
-    return powers[k - 1]
+    key = (place, k, D, N)
+    if key not in _OMEGA_TAIL_CACHE:
+        _OMEGA_TAIL_CACHE[key] = omega_product(RatK(place.uniformizer()),
+                                               place, D, N, k)
+    return _OMEGA_TAIL_CACHE[key]
 
 
-def omega_product(alpha, place, D, N):
-    """The product prod_(i>=1) (1 - alpha^(q^i) t), truncated at (t^D, pi^N)."""
+def _product_digits(place, k, i0, shift, d, X, D=1):
+    """{n: [(m, c), ...]}, the nonzero F_p digits c of t^n x^m, n < D and
+    m < X, of prod_(j>i0) (1 - x^(e_j) t^d)^k, e_j = q^j - shift >= 1; d
+    is 1, or 0 for the product with t collapsed to 1 (then D = 1).
+    Omega^k is (i0, shift, d) = (0, 0, 1), pi_tilde (0, 1, 0), and F_i at
+    t = pi^(-q^N) (i, q^N, 0).
+
+    The closed form.  Factor j is sum_(i <= k) (-1)^i binom(k, i)
+    x^(i e_j) t^(i d), so each tuple (i_j) gives the monomial
+    t^(d sum i_j) x^(sum i_j e_j) times prod_j (-1)^(i_j) binom(k, i_j),
+    and the digit of t^n x^m is the sum of these over the tuples that reach
+    (n, m), read mod p, the characteristic.  For Omega^k (e_j = q^j, d = 1)
+    and k < q, i_j < q makes m = sum i_j q^j a base-q expansion, so each m
+    has one tuple, its base-q digits, at n = their sum.  Once an i_j can
+    reach q, tuples collide, as (q, 0, 1) and (0, q + 1, 0) at n = q + 1,
+    m = q^2 + q^3 (k > q), and their products add mod p; with t collapsed
+    n no longer tells them apart.
+    A tuple with an i where binom(k, i) = 0 mod p adds nothing: by Lucas,
+    binom(k, i) is nonzero mod p exactly when each base-p digit of i is at
+    most k's, and only those i are tried ((1 - y)^p = 1 - y^p has two
+    terms).  Every exponent is >= 0, so a partial tuple at m >= X or
+    n >= D stays there and is dropped.  The sum runs factor by factor:
+    after factor j the table holds, per (n, m), the sum over the tuples of
+    the first j factors, so tuples that meet are added before the next
+    factor extends them.
+    """
+    p = place.ctx.p
+    steps = [(i, (-1) ** i * math.comb(k, i) % p) for i in range(1, k + 1)
+             if math.comb(k, i) % p]
+    acc = {(0, 0): 1} if X > 0 and D > 0 else {}
+    for j in itertools.count(i0 + 1):
+        e = place.q ** j - shift
+        if e >= X:
+            break
+        for (n, m), c in list(acc.items()):
+            for i, b in steps:
+                if m + i * e >= X or n + i * d >= D:
+                    break
+                key = n + i * d, m + i * e
+                acc[key] = (acc.get(key, 0) + c * b) % p
+    rows = {}
+    for (n, m), c in acc.items():
+        if c:
+            rows.setdefault(n, []).append((m, c))
+    return rows
+
+
+def _placed(place, nu, terms, W):
+    """pi^nu sum_m c pi^m over the (m, c) with m < W, to W digits."""
+    lo = min((m for m, _ in terms), default=W)
+    row = [0] * (W - lo)
+    for m, c in terms:
+        row[m - lo] = c
+    return LocalNum(place, nu + lo, row)
+
+
+def _at_alpha(place, a, terms, N):
+    """sum_m c alpha^m mod pi^N over the (m, c) with m ord(alpha) < N, a
+    the embedded alpha with N digits.
+
+    At alpha = pi (1 + O(pi^N)), alpha^m = pi^m mod pi^(m + N), so the
+    digits are placed.  Otherwise each alpha^m is a power of a: its window
+    stays N, so it is known to pi^(m ord(alpha) + N), and the sum, started
+    from a zero known to pi^N, is known to exactly pi^N.
+    """
+    if a.nu == 1 and a.coeffs[0] == 1 and not any(a.coeffs[1:]):
+        return _placed(place, 0, terms, N)
+    return sum((a.pow(m).scale_fq(c) for m, c in terms),
+               LocalNum.zero_to_precision(place, N)).truncate(N)
+
+
+def _embedded(alpha, place, N):
+    """alpha embedded with N digits, and X, the least m with
+    m ord(alpha) >= N; DomainError off the open unit disk."""
     # an embedding keeps the exact valuation, ord_v(alpha)
     a = embed_local(alpha, place, N)
     if a.nu < 1:
         raise DomainError("alpha must lie in the open unit disk at v")
+    return a, -(-N // a.nu)
+
+
+def omega_product(alpha, place, D, N, k=1):
+    """(prod_(i>=1) (1 - alpha^(q^i) t))^k, truncated at (t^D, pi^N).
+
+    Coefficient n is sum_m c_(n,m) alpha^m over the digits c_(n,m) of
+    t^n x^m in prod_j (1 - x^(q^j) t)^k (_product_digits), for the m with
+    m ord(alpha) < N, each read mod pi^N.
+
+    It is the series that the factor-by-factor route gave (which
+    tests/oracles.py keeps).  That route started from 1 known to pi^N and
+    took each factor 1 - alpha^(q^i) t as a t-shift, a scaling by
+    alpha^(q^i) (valuation >= 1, window N) and a difference, so every
+    coefficient kept valuation >= 0 and a cutoff >= N, and its last
+    clip(N) left each known to exactly pi^N.  Its Omega^k was the series
+    product Omega^(k-1) * Omega, whose coefficient n is known modulo pi^c,
+    c = min over i + j = n of min(nu(a_i), nu(b_j)) + N = N, since
+    a_0 = 1.  A coefficient known to exactly pi^N is its digits below pi^N,
+    normalized (a leading nonzero digit, or a zero known to pi^N), and
+    those digits are the true ones, which are these.  So .runs are equal.
+    """
     from .tseries import TSeries
-    q = place.q
-    out = TSeries.one(place, D, N)
-    i = 1
-    apow = a
-    while q ** i * a.nu < N:
-        # times 1 - alpha^(q^i) t as a shift, a scaling and a difference;
-        # every coefficient stays known to pi^N at least, so after clip(N)
-        # this is the series that the product by the factor gives
-        apow = apow.qpow()
-        out = out - out.t_shift(1, N).scale(apow.truncate(N))
-        i += 1
-    return out.clip(N)
+    a, X = _embedded(alpha, place, N)
+    rows = _product_digits(place, k, 0, 0, 1, X, D)
+    top = max(rows, default=-1) + 1
+    return TSeries.from_runs(place, [
+        (1, _at_alpha(place, a, rows.get(n, ()), N)) for n in range(top)]
+        + [(D - top, LocalNum.zero_to_precision(place, N))])
 
 
 def pi_tilde(alpha, place, N):
-    """Value of the omega product at t = 1/alpha: prod (1 - alpha^(q^i - 1))."""
-    # an embedding keeps the exact valuation, ord_v(alpha)
-    a = embed_local(alpha, place, N)
-    if a.nu < 1:
-        raise DomainError("alpha must lie in the open unit disk at v")
-    q = place.q
-    ainv = a.inv()
-    out = LocalNum.unit_one(place, N)
-    i = 1
-    apow = a
-    while (q ** i - 1) * a.nu < N:
-        apow = apow.qpow()
-        out = out * (LocalNum.unit_one(place, N) - (apow * ainv).truncate(N))
-        i += 1
-    return out.truncate(N)
+    """Value of the omega product at t = 1/alpha: prod (1 - alpha^(q^i - 1)).
+
+    The digits of prod_i (1 - x^(q^i - 1)) (_product_digits with t
+    collapsed) at x = alpha, mod pi^N.  The product route (kept in
+    tests/oracles.py) multiplied units with N digits, each factor
+    1 - alpha^(q^i) alpha^(-1) truncated at pi^N, so it knew the value to
+    exactly pi^N, as here.
+    """
+    a, X = _embedded(alpha, place, N)
+    return _at_alpha(place, a,
+                     _product_digits(place, 1, 0, 1, 0, X).get(0, ()), N)
 
 
 def omega_at_inverse_power(alpha, place, N_power, prec):
@@ -470,8 +552,7 @@ def omega_at_inverse_power(alpha, place, N_power, prec):
         raise ValueError("power index must be >= 0")
     if N_power == 0:
         return pi_tilde(alpha, place, prec)
-    if embed_local(alpha, place, 1).nu < 1:
-        raise DomainError("alpha must lie in the open unit disk at v")
+    _embedded(alpha, place, 1)
     return LocalNum.exact_zero(place)
 
 
@@ -525,19 +606,18 @@ def deformation_build(s, u, place, D, N):
 
 
 def _F_at_inverse_power(place, i, N_twist, prec):
-    """F_i evaluated at t = pi^(-q^N): exact zero for i < N, else a computed unit times pi^(-i q^N)."""
-    q = place.q
-    if i < N_twist:
-        return LocalNum.exact_zero(place)
-    qN = q ** N_twist
-    W = prec + 8
-    out = LocalNum.unit_one(place, W)
-    j = i + 1
-    while q ** j - qN < W:
-        out = out * (LocalNum.unit_one(place, W)
-                     - LocalNum(place, q ** j - qN, (1,) + (0,) * (W - 1)))
-        j += 1
-    return out.shift(-i * qN)
+    """F_i evaluated at t = pi^(-q^N), i >= N (below N it is an exact zero):
+    pi^(-i q^N) prod_(j>i) (1 - pi^(q^j - q^N)), the product to W = prec + 8
+    digits.
+
+    The product's digits are those of prod_(j>i) (1 - x^(q^j - q^N))
+    below x^W (_product_digits with t collapsed).  The product route (kept
+    in tests/oracles.py) multiplied units with W digits, so it knew the
+    product to exactly pi^W before the shift, as here.
+    """
+    qN = place.q ** N_twist
+    return _placed(place, -i * qN, _product_digits(
+        place, 1, i, qN, 0, prec + 8).get(0, ()), prec + 8)
 
 
 def _specialize_sums(s, u, place, N_twist, prec, shift):

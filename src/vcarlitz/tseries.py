@@ -82,12 +82,6 @@ class TSeries:
         return tuple(c for n, c in self.runs for _ in range(n))
 
     @classmethod
-    def one(cls, place, D, window):
-        unit = LocalNum(place, 0, (1,) + (0,) * (window - 1))
-        zero = LocalNum.zero_to_precision(place, window)
-        return cls.from_runs(place, ((min(D, 1), unit), (D - 1, zero)))
-
-    @classmethod
     def zero(cls, place, D, window):
         return cls.from_runs(
             place, ((D, LocalNum.zero_to_precision(place, window)),))

@@ -3,31 +3,32 @@
 Each one is the former implementation, kept only to check its successor:
 the exact Carlitz factorial, the multiplicity enumeration of the power sums
 at infinity, the dense delta_i whose inverse the logarithm divides by, the
-convergence test at infinity in fractions, the
-TSeries operations on one LocalNum per coefficient (with the packed digit
-sum they used and the packed window rule, next to its plain pairwise
-definition), the per-digit LocalNum sums and scaling, the exact t-module
-exponential and logarithm coefficients over k, the fixed-point
-iterations for those coefficients, the suffix nested sum that gave only the
-whole index's sum, the omega product and its tails with one series product
-per factor and their powers by repeated squaring, the deformation series
-built one prefix at a time, ord_v by repeated division by the uniformizer,
-the powers of (1 - alpha^q t) by repeated t-polynomial products, the
-determinant test on the whole twisted matrix, the vABP check on the whole
-psi vector, a t-polynomial acting on a series as one product series and
-the residuals read from the built differences, the telescoping Horner
-solve of the twisted Sylvester equation, the log coefficients with each
-right-hand side a dense matrix product, the F_q products (one schoolbook
-for F_q codes and LocalNum coefficients alike), polynomial division and
-series inversion one field operation at a time, and F_q row reduction one
-element at a time.
+convergence test at infinity in fractions, the TSeries operations on one
+LocalNum per coefficient (with the packed digit sum they used and the
+packed window rule, next to its plain pairwise definition), the per-digit
+LocalNum sums and scaling, the exact t-module exponential and logarithm
+coefficients over k, the fixed-point iterations for those coefficients, the
+suffix nested sum that gave only the whole index's sum, the omega product
+and its tails with one series product per factor and their powers by
+repeated squaring, the omega product as t-shifts and differences and its
+powers by repeated products, pi_tilde and F_i(pi^(-q^N)) one LocalNum
+product per factor, the deformation series built one prefix at a time,
+ord_v by repeated division by the uniformizer, the powers of (1 - alpha^q
+t) by repeated t-polynomial products, the determinant test on the whole
+twisted matrix, the vABP check on the whole psi vector, a t-polynomial
+acting on a series as one product series and the residuals read from the
+built differences, the telescoping Horner solve of the twisted Sylvester
+equation, the log coefficients with each right-hand side a dense matrix
+product, the F_q products (one schoolbook for F_q codes and LocalNum
+coefficients alike), polynomial division and series inversion one field
+operation at a time, and F_q row reduction one element at a time.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
-action), the zeta(s)_v pipeline, the padding of a coefficient list to a
-series, the reader of the printed LocalNum form, the matrix negation,
-difference and Frobenius twist over k, and the writers of the
-decomposition and t-module spec files (whose readers are in the package)
-are here because only tests call them.
+action), the zeta(s)_v pipeline, the series 1 (once TSeries.one), the
+padding of a coefficient list to a series, the reader of the printed
+LocalNum form, the matrix negation, difference and Frobenius twist over k,
+and the writers of the decomposition and t-module spec files (whose readers
+are in the package) are here because only tests call them.
 """
 
 import math
@@ -660,7 +661,7 @@ def omega_product_loop(alpha, place, D, N):
     q = place.q
     a = embed_local(alpha, place, N)
     da = place.ord_ratk(alpha)
-    out = TSeries.one(place, D, N)
+    out = tseries_one(place, D, N)
     i = 1
     apow = a
     while q ** i * da < N:
@@ -670,6 +671,77 @@ def omega_product_loop(alpha, place, D, N):
         out = out * factor
         i += 1
     return out.clip(N)
+
+
+def tseries_one(place, D, window):
+    """The series 1 mod t^D: a unit with `window` digits at t^0, zeros
+    known to pi^window above."""
+    unit = LocalNum(place, 0, (1,) + (0,) * (window - 1))
+    zero = LocalNum.zero_to_precision(place, window)
+    return TSeries.from_runs(place, ((min(D, 1), unit), (D - 1, zero)))
+
+
+def omega_product_shift_loop(alpha, place, D, N):
+    """prod_(i>=1) (1 - alpha^(q^i) t) mod (t^D, pi^N), each factor a
+    t-shift, a scaling and a difference."""
+    a = embed_local(alpha, place, N)
+    if a.nu < 1:
+        raise DomainError("alpha must lie in the open unit disk at v")
+    q = place.q
+    out = tseries_one(place, D, N)
+    i = 1
+    apow = a
+    while q ** i * a.nu < N:
+        apow = apow.qpow()
+        out = out - out.t_shift(1, N).scale(apow.truncate(N))
+        i += 1
+    return out.clip(N)
+
+
+def omega_power_products(place, k, D, N):
+    """Omega^k mod (t^D, pi^N) at alpha = pi, k >= 1: one series product
+    Omega^(j-1) * Omega per power, with no clip after the products."""
+    omega = omega_product_shift_loop(RatK(place.uniformizer()), place, D, N)
+    out = omega
+    for _ in range(k - 1):
+        out = out * omega
+    return out
+
+
+def pi_tilde_loop(alpha, place, N):
+    """prod_(i>=1) (1 - alpha^(q^i - 1)) to N digits, one LocalNum product
+    per factor, each alpha^(q^i) * alpha^(-1)."""
+    a = embed_local(alpha, place, N)
+    if a.nu < 1:
+        raise DomainError("alpha must lie in the open unit disk at v")
+    q = place.q
+    ainv = a.inv()
+    out = LocalNum.unit_one(place, N)
+    i = 1
+    apow = a
+    while (q ** i - 1) * a.nu < N:
+        apow = apow.qpow()
+        out = out * (LocalNum.unit_one(place, N) - (apow * ainv).truncate(N))
+        i += 1
+    return out.truncate(N)
+
+
+def F_at_inverse_power_loop(place, i, N_twist, prec):
+    """F_i at t = pi^(-q^N): an exact zero for i < N, else
+    prod_(j>i) (1 - pi^(q^j - q^N)) to prec + 8 digits, one LocalNum product
+    per factor, times pi^(-i q^N)."""
+    q = place.q
+    if i < N_twist:
+        return LocalNum.exact_zero(place)
+    qN = q ** N_twist
+    W = prec + 8
+    out = LocalNum.unit_one(place, W)
+    j = i + 1
+    while q ** j - qN < W:
+        out = out * (LocalNum.unit_one(place, W)
+                     - LocalNum(place, q ** j - qN, (1,) + (0,) * (W - 1)))
+        j += 1
+    return out.shift(-i * qN)
 
 
 def series_pow(f, n):
@@ -689,7 +761,7 @@ def omega_tail_loop(place, i, D, N):
     factor, each pi^(q^j) a power of the embedded uniformizer."""
     q = place.q
     pi = embed_local(place.uniformizer(), place, N)
-    out = TSeries.one(place, D, N)
+    out = tseries_one(place, D, N)
     j = i + 1
     while q ** j < N:
         factor = from_local_coeffs(

@@ -249,6 +249,37 @@ def test_ratk_reduction_and_print():
     assert parse_ratk(CTX3, str(r)) == r
 
 
+RATK_FIELDS = [FqContext(2), CTX3, CTX4, FqContext(5), CTX9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RATK_FIELDS).flatmap(
+    lambda ctx: st.tuples(poly_strategy(ctx, 4), poly_strategy(ctx, 4))))
+def test_ratk_print_parse_roundtrip(pair):
+    num, den = pair
+    if den.is_zero():
+        return
+    r = RatK(num, den)
+    assert parse_ratk(num.ctx, str(r)) == r
+
+
+@pytest.mark.parametrize("text", [
+    "1/T+1",            # read as 1/(T+1) before parentheses were required
+    "(T+1)/T+2",
+    "T+1/T",
+    "((T+1",
+    "T+1)",
+    "((T+1))",
+    "(T+1",
+    "(T)(T)",
+    "1/T/T",
+    "[x+1]/T",          # printed ([x+1])/T: a side holding '+' is bracketed
+])
+def test_parse_ratk_refuses_unbracketed_or_unbalanced_text(text):
+    with pytest.raises(ParseError):
+        parse_ratk(CTX4, text)
+
+
 @given(poly_strategy(CTX3, 3), poly_strategy(CTX3, 3),
        poly_strategy(CTX3, 3), poly_strategy(CTX3, 3))
 def test_ratk_field_axioms(a, b, c, d):

@@ -66,7 +66,6 @@ SHARED = {
     "one": {
         "algebra.PolyA.one": "algebra.RatK.__init__",
         "algebra.RatK.one": "diffsys.tp_one",
-        "tseries.TSeries.one": "polylog.omega_product",
     },
     "ord_poly": {
         "local.Place.ord_poly": "local.Place.ord_ratk",
@@ -84,7 +83,7 @@ SHARED = {
     },
     "scale": {
         "algebra.PolyA.scale": "algebra.PolyA.monic",
-        "tseries.TSeries.scale": "polylog.omega_product",
+        "tseries.TSeries.scale": "polylog.deformation_build",
     },
     "shift": {
         "algebra.PolyA.shift": "algebra.FqContext.__init__",

@@ -460,6 +460,12 @@ def test_out_of_range_input_exits_2(capsys, argv):
      "bad power in term 'v^--1'"),
     (["appendix", "small-solution", "--rows", "1,v^--1", "--c-exp", "2"],
      "bad power in term 'v^--1'"),
+    (["eval", "cmpl", "--index", "1", "--args", "1/T+1"],
+     "a sum over '/' needs parentheses in '1/T+1'"),
+    (["eval", "cmpl", "--index", "1", "--args", "((T+1"],
+     "unbalanced or nested parentheses in '((T+1'"),
+    (["certify", "vabp", "--omega-copies", "1", "--gamma", "T+1)", "--rho",
+      "0", "--pcoeffs", "0"], "unbalanced or nested parentheses in 'T+1)'"),
 ])
 def test_parse_errors_name_the_input(capsys, argv, named):
     assert run_command(argv) == 2

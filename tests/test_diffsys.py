@@ -24,8 +24,8 @@ from vcarlitz.tseries import TSeries, residual_order
 
 from oracles import (
     deformation_build_per_prefix, det_structural_whole, from_local_coeffs,
-    one_minus_alpha_q_t_loop, residual_by_series, series_pow, tp_apply,
-    vabp_certify_full,
+    omega_power_products, one_minus_alpha_q_t_loop, residual_by_series,
+    series_pow, tp_apply, vabp_certify_full,
 )
 
 CTX3 = FqContext(3)
@@ -347,27 +347,34 @@ def test_psi_on_rows_matches_the_full_vector(entries, D, N, data):
 
 def test_block_sum_builds_each_omega_power_once(monkeypatch):
     # the 8-entry vABP system: two (1,1,1) blocks of weight 3 read Omega^3
-    # (row 0), Omega^2 and Omega; each power is one product, made once
+    # (row 0), Omega^2 and Omega; each power is read off in closed form,
+    # once per (place, k, D, N), and no series product builds one
     import vcarlitz.polylog as polylog
     D, N = 16, 20
-    omega = omega_product(RatK(V0.uniformizer()), V0, D, N)
-    square = omega * omega
-    cube = square * omega
+    powers = [omega_power_products(V0, k, D, N).runs for k in (1, 2, 3)]
     monkeypatch.setattr(polylog, "_OMEGA_TAIL_CACHE", {})
-    products, real = [], TSeries.__mul__
+    products, builds = [], []
+    real_mul, real_build = TSeries.__mul__, polylog.omega_product
 
-    def spy(a, b):
-        out = real(a, b)
+    def spy_mul(a, b):
+        out = real_mul(a, b)
         products.append(out.runs)
         return out
 
-    monkeypatch.setattr(TSeries, "__mul__", spy)
+    def spy_build(alpha, place, D, N, k=1):
+        builds.append((place, k, D, N))
+        return real_build(alpha, place, D, N, k)
+
+    monkeypatch.setattr(TSeries, "__mul__", spy_mul)
+    monkeypatch.setattr(polylog, "omega_product", spy_build)
     bs = block_sum([build_cmpl_system(Index((1, 1, 1)), ArgTuple(u), V0)
                     for u in ((T, ONE, ONE), (T * T, T, ONE))])
     assert bs.size == 8
-    bs.psi(D, N)
-    assert products.count(square.runs) == 1
-    assert products.count(cube.runs) == 1
+    psi = bs.psi(D, N)
+    assert products and not any(runs in products for runs in powers)
+    assert sorted(builds, key=lambda b: b[1]) == [(V0, k, D, N)
+                                                  for k in (1, 2, 3)]
+    assert psi[0].runs == psi[4].runs == powers[2]
 
 
 def test_block_sum_refuses_mixed_places():

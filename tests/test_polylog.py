@@ -16,8 +16,9 @@ from vcarlitz import polylog as pl
 from vcarlitz import tmodule
 
 from oracles import (
-    L_factorial, deformation_build_per_prefix, delta_local, domain_check_inf,
-    from_local_coeffs, omega_product_loop, omega_tail_loop, power_sum_enum,
+    F_at_inverse_power_loop, L_factorial, deformation_build_per_prefix,
+    delta_local, domain_check_inf, from_local_coeffs, omega_power_products,
+    omega_product_loop, omega_tail_loop, pi_tilde_loop, power_sum_enum,
     series_pow,
 )
 
@@ -552,6 +553,62 @@ def test_omega_tail_matches_power_loop(ctx, lam, i, D, N):
     place = PlaceV(ctx, lam % ctx.q)
     tail = frobenius_twist(pl._omega_power(place, 1, D, N), i).clip(N)
     assert tail.runs == omega_tail_loop(place, i, D, N).runs
+
+
+@pytest.mark.parametrize("ctx", [CTX3, FqContext(2, 2), FqContext(5)])
+def test_omega_product_at_a_scaled_uniformizer(ctx):
+    # alpha = c pi, c != 1, has pi's valuation and digits below the first,
+    # so its digits may not be placed as pi's: alpha^(q^j) = c pi^(q^j)
+    place = PlaceV(ctx, 1)
+    alpha = RatK(place.uniformizer().scale(2))
+    assert pl.omega_product(alpha, place, 6, 20).runs \
+        == omega_product_loop(alpha, place, 6, 20).runs
+
+
+CLOSED_FORM_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
+                      FqContext(3, 2)]
+
+
+@st.composite
+def _places(draw):
+    ctx = draw(st.sampled_from(CLOSED_FORM_FIELDS))
+    return PlaceV(ctx, draw(st.integers(0, ctx.q - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_places(), st.data(), st.integers(0, 80), st.integers(1, 100))
+def test_omega_power_matches_series_products(place, data, D, N):
+    # Omega^k read off its base-q digits against k - 1 series products,
+    # k <= 2q, so tuples collide (k >= q) and binomials vanish mod p
+    k = data.draw(st.integers(1, 2 * place.q))
+    got = pl.omega_product(_uniformizer_ratk(place), place, D, N, k)
+    assert got.runs == omega_power_products(place, k, D, N).runs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_places(), st.data(), st.integers(1, 100))
+def test_pi_tilde_matches_product_loop(place, data, N):
+    # alpha = pi, or pi^a f / (pi g + c) with f, g polynomials, c in F_q^*
+    ctx, pi = place.ctx, place.uniformizer()
+
+    def poly():
+        tail = data.draw(st.lists(st.integers(0, ctx.q - 1), max_size=2))
+        return PolyA(ctx, tail + [data.draw(st.integers(1, ctx.q - 1))])
+
+    c = PolyA.constant(ctx, data.draw(st.integers(1, ctx.q - 1)))
+    alpha = data.draw(st.sampled_from([
+        RatK(pi), RatK(pi ** data.draw(st.integers(1, 3)) * poly(),
+                       pi * poly() + c)]))
+    assert pl.pi_tilde(alpha, place, N) == pi_tilde_loop(alpha, place, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_places(), st.integers(0, 2), st.integers(0, 5), st.integers(1, 100))
+def test_F_at_inverse_power_matches_product_loop(place, N_twist, di, prec):
+    # the chain sums read F_i only at i >= N; below it is an exact zero
+    i = N_twist + di
+    assert pl._F_at_inverse_power(place, i, N_twist, prec) \
+        == F_at_inverse_power_loop(place, i, N_twist, prec)
 
 
 @pytest.mark.parametrize("svec,uvec", [

@@ -7,7 +7,7 @@ from vcarlitz.errors import (
     CertificationFailed, MissingTModuleSpec, ParseError,
     UncertifiedDecomposition,
 )
-from vcarlitz.local import PlaceV, embed_local
+from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmspl_eval, pi_tilde
 from vcarlitz.relations import (
     Decomposition, ValueHandle, depth1_decomposition, eval_vmzv,
@@ -54,6 +54,19 @@ def test_carlitz_action_relation_survives_stricter_recheck():
     x2 = handle("x2", 1, [1], [T], prec=85)
     reps = find_k_relations([x1, x2], 1, 40, 70)
     assert len(reps) == 1 and reps[0].residual_ord >= 70
+
+
+def test_recheck_drops_a_relation_off_in_its_last_digit():
+    # negative control of the recheck: x1 = theta x2 is reported, and once
+    # x1's digit at pi^(N_recheck - 1), above the search precision, is
+    # changed, the relation is still in the kernel mod pi^40 but dropped
+    x1 = handle("x1", 1, [1], [T ** 3 + T ** 2], prec=60)
+    x2 = handle("x2", 1, [1], [T], prec=60)
+    reps = find_k_relations([x1, x2], 1, 40, 60)
+    assert [r.line() for r in reps] == ["coeffs=[1, 2*T] residual_ord=60"]
+    off = ValueHandle("x1", 1, x1.value + LocalNum(V0, 59, (1,)))
+    assert off.value.cutoff == 60 and off.value.digit(59) != x1.value.digit(59)
+    assert find_k_relations([off, x2], 1, 40, 60) == []
 
 
 def test_no_spurious_relation():
