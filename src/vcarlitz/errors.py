@@ -22,7 +22,7 @@ class SingularStep(VCarlitzError):
 
 
 class ConvergenceNotCertified(VCarlitzError):
-    """The logarithm stopping rule could not certify the requested precision."""
+    """The logarithm could not certify convergence to the asked precision."""
 
 
 class AnnihilationFailure(VCarlitzError):

@@ -1,15 +1,16 @@
 """Small linear algebra helpers: matrices over k, its completions, and F_q.
 
-Matrices are tuples of tuples.  The kmat_* helpers serve any entry ring
-with + - * (RatK over k, LocalNum over a completion); kmat_identity,
-kmat_zero, kmat_inv and kmat_poly_eval are exact, over k.
-The fq* helpers serve F_q.  Everything is Gaussian elimination at desk
-scale; no pivoting heuristics beyond "first nonzero".
+Matrices are tuples of tuples; kmat holds entries of any ring (RatK over
+k, LocalNum over a completion).  No product or inverse of matrices over k
+is formed: the t-module reads d[a]^(-1) in k[N0] (tmodule._da_inv_row) and
+solves its Sylvester steps by F_q combinations.  The fq* helpers serve
+F_q, by Gaussian elimination at desk scale with no pivoting heuristics
+beyond "first nonzero".
 """
 
 from __future__ import annotations
 
-from .algebra import PolyA, RatK
+from .algebra import PolyA
 from .errors import SingularStep
 
 
@@ -17,71 +18,6 @@ from .errors import SingularStep
 
 def kmat(rows):
     return tuple(tuple(r) for r in rows)
-
-
-def kmat_identity(ctx, d):
-    one, zero = RatK.one(ctx), RatK.zero(ctx)
-    return kmat([[one if i == j else zero for j in range(d)] for i in range(d)])
-
-
-def kmat_zero(ctx, rows, cols):
-    zero = RatK.zero(ctx)
-    return kmat([[zero] * cols for _ in range(rows)])
-
-
-def kmat_add(A, B):
-    return kmat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
-
-
-def kmat_scale(A, c):
-    return kmat([[a * c for a in r] for r in A])
-
-
-def kmat_mul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = None
-            for l in range(m):
-                t = A[i][l] * B[l][j]
-                acc = t if acc is None else acc + t
-            row.append(acc)
-        out.append(row)
-    return kmat(out)
-
-
-def kmat_inv(A):
-    """Gauss-Jordan inverse over k; raises SingularStep when singular."""
-    d = len(A)
-    ctx = A[0][0].ctx
-    work = [list(r) + list(ir) for r, ir in zip(A, kmat_identity(ctx, d))]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if not work[r][col].is_zero()), None)
-        if piv is None:
-            raise SingularStep("matrix over k is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = work[col][col].inv()
-        work[col] = [x * inv for x in work[col]]
-        for r in range(d):
-            if r != col and not work[r][col].is_zero():
-                c = work[r][col]
-                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
-    return kmat([row[d:] for row in work])
-
-
-def kmat_poly_eval(a, M, ctx):
-    """Evaluate a polynomial a in A at a square matrix over k."""
-    d = len(M)
-    out = kmat_zero(ctx, d, d)
-    power = kmat_identity(ctx, d)
-    for i, c in enumerate(a.coeffs):
-        if i:
-            power = kmat_mul(power, M)
-        if c:
-            out = kmat_add(out, kmat_scale(power, RatK(PolyA.constant(ctx, c))))
-    return out
 
 
 # -- matrices over F_q --------------------------------------------------

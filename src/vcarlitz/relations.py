@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .algebra import FqContext, PolyA, RatK, parse_fields, parse_ratk
 from .errors import (
-    CertificationFailed, MissingTModuleSpec, ParseError,
+    CertificationFailed, MissingTModuleSpec, ParseError, PrecisionLoss,
     UncertifiedDecomposition,
 )
 from .linalg import fq_kernel
@@ -181,9 +181,10 @@ def depth1_decomposition(ctx, s):
 def verify_decomposition_inf(dec, N):
     """Certify a decomposition by comparing both sides at the infinite place.
 
-    The zeta side is summed with its tail bound below q^-N; the star side
-    is evaluated to the same window; the difference must vanish to N digits
-    or CertificationFailed carries the observed residual valuation.
+    The zeta side is summed with its tail bound below q^-N; each term
+    b Li*(u) of the star side is formed to N by _term_prec and _times; the
+    difference must vanish to N digits or CertificationFailed carries the
+    observed residual valuation.
     """
     if not dec.terms:
         raise ValueError("empty decomposition")
@@ -198,8 +199,8 @@ def verify_decomposition_inf(dec, N):
     lhs = mzv_inf(dec.target, ctx, D_max, prec=N)
     rhs = LocalNum.exact_zero(inf)
     for b, s_l, u_l in dec.terms:
-        term = cmspl_eval(s_l, u_l, inf, N + 4)
-        rhs = rhs + embed_local(b, inf, N + 4) * term
+        term = cmspl_eval(s_l, u_l, inf, _term_prec(b, inf, N))
+        rhs = rhs + _times(b, term, inf, N)
     residual = lhs - rhs
     bound = INF if residual.is_exact_zero() \
         else residual.valuation_lower_bound()
@@ -209,6 +210,25 @@ def verify_decomposition_inf(dec, N):
             residual_ord=bound)
     dec.certification = {"certified": True, "prec": N}
     return dict(dec.certification)
+
+
+def _term_prec(b, place, prec):
+    """The precision a value x needs for b x to be known to prec from x's
+    side: ord b + prec + max(0, -ord b) >= prec."""
+    return prec + max(0, -place.ord_ratk(b))
+
+
+def _times(b, x, place, prec):
+    """b x, known to prec for x known to _term_prec(b, place, prec).
+
+    A product is known to min(ord b + cutoff(x), nu(x) + cutoff(b)).  The
+    first is >= prec by _term_prec, and b embedded with
+    prec - ord b - nu(x) digits has cutoff prec - nu(x), which closes the
+    second at prec.
+    """
+    if x.is_exact_zero():
+        return x
+    return embed_local(b, place, max(1, prec - place.ord_ratk(b) - x.nu)) * x
 
 
 _TENSOR_CACHE = {}
@@ -239,6 +259,8 @@ def eval_vmzv(dec, place, prec, tmodules=None):
     Terms inside the convergence domain go through the direct star series;
     terms that are merely v-integral need a validated t-module (depth one
     is built in via the tensor powers; deeper terms must be supplied).
+    Each term b Li*(u) is formed to prec by _term_prec and _times; a value
+    still known below prec raises PrecisionLoss.
     """
     if not dec.terms:
         raise ValueError("empty decomposition")
@@ -247,23 +269,28 @@ def eval_vmzv(dec, place, prec, tmodules=None):
             "decomposition lacks infinite-place certification")
     out = LocalNum.exact_zero(place)
     for b, s_l, u_l in dec.terms:
+        tprec = _term_prec(b, place, prec)
         if domain_check(s_l, u_l, CONV_V, place):
-            term = cmspl_eval(s_l, u_l, place, prec)
+            term = cmspl_eval(s_l, u_l, place, tprec)
         elif domain_check(s_l, u_l, DEF_V, place):
             if s_l.depth == 1:
-                term = _depth1_extended(s_l[0], u_l[0], place, prec)
+                term = _depth1_extended(s_l[0], u_l[0], place, tprec)
             else:
                 spec = (tmodules or {}).get(str(s_l))
                 if spec is None or not spec.validated:
                     raise MissingTModuleSpec(
                         f"no validated t-module for index ({s_l})")
                 from .tmodule import extended_cmspl_v
-                term = extended_cmspl_v(spec, place, prec)
+                term = extended_cmspl_v(spec, place, tprec)
         else:
             raise CertificationFailed(
                 "a term lies outside the v-adic defining domain")
-        out = out + embed_local(b, place, prec + 8) * term
-    return out.truncate(prec)
+        out = out + _times(b, term, place, prec)
+    out = out.truncate(prec)
+    if out.cutoff < prec:
+        raise PrecisionLoss(
+            "v-adic MZV is known below the requested precision")
+    return out
 
 
 # -- decomposition files -------------------------------------------------

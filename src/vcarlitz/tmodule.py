@@ -30,6 +30,8 @@ basis are F_q combinations.
 
 from __future__ import annotations
 
+from math import comb
+
 from .algebra import (
     FqContext, PolyA, RatK, parse_fields, parse_poly, parse_ratk,
 )
@@ -39,11 +41,11 @@ from .errors import (
 )
 from .linalg import (
     fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat,
-    kmat_add, kmat_identity, kmat_inv, kmat_poly_eval,
-    kmat_scale,
 )
 from .local import LocalNum, PlaceV, embed_local, geometric_prefixes
-from .polylog import DEF_V, ArgTuple, Index, cmspl_eval, domain_check
+from .polylog import (
+    DEF_V, ArgTuple, Index, _truncation_index, cmspl_eval, domain_check,
+)
 
 
 class TModuleSpec:
@@ -88,11 +90,6 @@ class TModuleSpec:
         rref, _ = fq_rref(ctx, [r + e for r, e in zip(B, fqmat_identity(dim))])
         S = tuple(r[dim:] for r in rref)
         self._flag = (B, S, fqmat_mul(ctx, fqmat_mul(ctx, S, self.N0), B))
-        # N0 lifted to k, and B0 = theta*Id + N0
-        lift = kmat([[RatK(PolyA.constant(ctx, c)) for c in r]
-                     for r in self.N0])
-        theta = RatK.T(ctx)
-        self.B0 = kmat_add(kmat_scale(kmat_identity(ctx, dim), theta), lift)
         # (place, W) -> _LocalLogCoeffs
         self._llog_cache = {}
 
@@ -141,12 +138,13 @@ def with_args(spec, args, point):
 # -- the module action ---------------------------------------------------
 
 def _phi_theta(spec, z):
-    zq = [x.frobenius() for x in z]
+    """phi_theta(z) = theta z + N0 z + B1 z^(1) for z over k."""
+    theta, zq = RatK.T(spec.ctx), [x.frobenius() for x in z]
     out = []
-    for i in range(spec.dim):
-        acc = RatK.zero(spec.ctx)
-        for j in range(spec.dim):
-            acc = acc + spec.B0[i][j] * z[j] + spec.B1[i][j] * zq[j]
+    for x, n0, b1 in zip(z, spec.N0, spec.B1):
+        acc = theta * x + _fq_combo(n0, z)
+        for b, y in zip(b1, zq):
+            acc = acc + b * y
         out.append(acc)
     return tuple(out)
 
@@ -272,12 +270,9 @@ def residue_annihilator(spec, place):
 
 # -- logarithm evaluation ------------------------------------------------
 #
-# Exact coefficient matrices over k (the test oracle) involve polynomials
-# of degree ~ q^i, and exact rational arithmetic is hopeless beyond small
-# indices.  Evaluation therefore solves the same recursions in windowed
-# local arithmetic: valuation *lower bounds* read off the windows are sound
-# inputs to the stopping rule, and the windows themselves bound the error
-# of every retained digit.
+# Exact coefficient matrices over k (the test oracle) have polynomials of
+# degree ~ q^i.  Evaluation solves the same recursions in windowed local
+# arithmetic, whose windows bound the error of every retained digit.
 
 def _delta_inv(place, i, W):
     """1/delta_i to W digits at a degree-one place, where delta_i =
@@ -352,33 +347,26 @@ def _local_log_coeffs(spec, place, W):
     return out
 
 
-def _mat_ord_bound(P):
-    """Sound lower bound for the valuation of the entries, or None if 0."""
-    best = None
-    for r in P:
-        for e in r:
-            if e.is_exact_zero():
-                continue
-            b = e.valuation_lower_bound()
-            if best is None or b < best:
-                best = b
-    return best
-
-
 def log_at_point(spec, w, place, prec, I_cap=64):
-    """Log(w) = sum_i P_i w^(i), with a certified stopping rule.
+    """Log(w) = sum_(i < I) P_i w^(i), with I proved a priori.
 
-    Valuation lower bounds of the P_i entries are tracked; the loop stops
-    once three consecutive term bounds clear prec and the tail bound
-    q^j * minord(w) - c*j stays above prec and is climbing.  The rate
-    c = 2 dim - 1 is the one proved in _LocalLogCoeffs, so the bound covers
-    the terms not computed; a computed P_i below -c*i contradicts the proof
-    and raises AssertionFailure.
+    _LocalLogCoeffs proves ord P_i >= -c i, c = 2 dim - 1, so with m the
+    least ord of w the term P_i w^(i) has ord >= f(i) = q^i m - c i.  f is
+    convex, and _truncation_index gives an I with f(j) >= prec for every
+    j >= I: those terms vanish mod pi^prec, so only P_0, ..., P_(I-1) are
+    computed.  An I past I_cap + 1 raises ConvergenceNotCertified; a P_i
+    below -c i contradicts the proof and raises AssertionFailure.
 
-    The coefficients are computed with the window _log_window derives,
-    which makes every computed term known to prec.  It depends on
-    (prec, dim, q) only, so each prec has one set of coefficients.  A
-    returned coordinate known below prec raises PrecisionLoss.
+    Each term is formed to prec only.  A product x y is known to
+    min(nu_x + cutoff_y, nu_y + cutoff_x), and x.truncate(prec - nu_y) to
+    min(cutoff_x, prec - nu_y), so P[r][j].truncate(prec - nu(z_j)) times
+    z_j.truncate(prec - nu(P[r][j])), z = w^(i), has the full product's
+    digits below its cutoff min(prec, full cutoff).  A pair with nu sum
+    >= prec (an exact zero among them) is 0 mod pi^prec, known to prec, and
+    is skipped.  So the sum has the full sum's digits below prec, and falls
+    short of prec (raising PrecisionLoss) exactly when that one does: never,
+    with the coefficients' window from _log_window, which depends on
+    (prec, dim, q) only.
     """
     w = tuple(w)
     ords = [x.valuation() for x in w if not x.is_exact_zero()]
@@ -390,44 +378,31 @@ def log_at_point(spec, w, place, prec, I_cap=64):
     if m < 1:
         raise ConvergenceNotCertified(
             "point is not inside the domain of the logarithm")
-    q = place.q
-    c = 2 * spec.dim - 1
+    q, c = place.q, 2 * spec.dim - 1
+    try:
+        I = _truncation_index(lambda i: q ** i * m - c * i, prec, I_cap + 2)
+    except PrecisionLoss:
+        raise ConvergenceNotCertified(
+            "logarithm truncation index beyond the term cap") from None
     coeffs = _local_log_coeffs(spec, place, _log_window(spec, q, prec))
-    acc = [LocalNum.zero_to_precision(place, prec) for _ in range(spec.dim)]
-    term_ords = []
-    wq = w
-    for i in range(I_cap + 1):
-        coeffs.ensure(i)
-        P = coeffs.P[i]
-        ordP = _mat_ord_bound(P)
-        if ordP is None:
-            term_ords.append(None)
-        else:
-            if ordP < -c * i:
-                raise AssertionFailure(
-                    f"log coefficient P_{i} has ord {ordP}, below the "
-                    f"proved bound -{c}*{i}")
-            term_ords.append(ordP + q ** i * m)
-            for r in range(spec.dim):
-                row = LocalNum.exact_zero(place)
-                for jc in range(spec.dim):
-                    row = row + P[r][jc] * wq[jc]
-                acc[r] = acc[r] + row
-        # stopping rule
-        if i >= 2:
-            last3 = term_ords[i - 2:i + 1]
-            if all(t is None or t >= prec for t in last3):
-                f = lambda j: q ** j * m - c * j  # noqa: E731
-                if f(i + 1) >= prec and f(i + 2) >= f(i + 1):
-                    out = tuple(x.truncate(prec) for x in acc)
-                    if any(x.cutoff < prec for x in out):
-                        raise PrecisionLoss(
-                            "logarithm window fell short of the requested "
-                            "precision")
-                    return out
-        wq = tuple(x.qpow() for x in wq)
-    raise ConvergenceNotCertified(
-        "logarithm stopping rule not achieved within the term cap")
+    coeffs.ensure(I - 1)
+    acc = [LocalNum.zero_to_precision(place, prec)] * spec.dim
+    for i in range(I):
+        z = [x.qpow(i) for x in w]
+        for r, row in enumerate(coeffs.P[i]):
+            for x, y in zip(row, z):
+                if x.nu < -c * i:
+                    raise AssertionFailure(
+                        f"log coefficient P_{i} has ord {x.nu}, below the "
+                        f"proved bound -{c}*{i}")
+                if x.nu + y.nu < prec:
+                    acc[r] = acc[r] + (x.truncate(prec - y.nu)
+                                       * y.truncate(prec - x.nu))
+    out = tuple(x.truncate(prec) for x in acc)
+    if any(x.cutoff < prec for x in out):
+        raise PrecisionLoss(
+            "logarithm window fell short of the requested precision")
+    return out
 
 
 def _log_window(spec, q, prec):
@@ -459,6 +434,31 @@ def _log_window(spec, q, prec):
     return max(1, prec + g)
 
 
+def _da_inv_row(spec, a):
+    """The readout row of d[a]^(-1), d[a] = a(B0), read in k[N0].
+
+    B0 = theta Id + N0 with N0^dim = 0, so Taylor's formula gives
+    d[a] = sum_(k < dim) c_k N0^k, c_k = (H^k a)(theta), where H^k is the
+    k-th Hasse derivative, (H^k a)_j = C(j + k, k) a_(j+k) mod p.  As
+    c_0 = a(theta) is nonzero, the inverse in k[N0] is the power series
+    sum_(n < dim) e_n N0^n, e_0 = 1/c_0 and
+    e_n = -e_0 sum_(1 <= i <= n) c_i e_(n-i).  Row r is
+    sum_n e_n (N0^n)[r], F_q combinations of the e_n.
+    """
+    ctx, dim = spec.ctx, spec.dim
+    c = [RatK(PolyA(ctx, [ctx.mul(comb(j, k) % ctx.p, x)
+                          for j, x in enumerate(a.coeffs[k:], k)]))
+         for k in range(dim)]
+    e = [c[0].inv()]
+    for n in range(1, dim):
+        e.append(-e[0] * sum((c[i] * e[n - i] for i in range(1, n + 1)
+                              if not c[i].is_zero()), RatK.zero(ctx)))
+    powers = [fqmat_identity(dim)[spec.readout[0]]]
+    while len(powers) < dim:
+        powers.append(fqmat_mul(ctx, powers[-1:], spec.N0)[0])
+    return [_fq_combo(col, e) for col in zip(*powers)]
+
+
 def extended_cmspl_v(spec, place, prec, annihilator=None):
     """Extended-domain v-adic CMSPL value carried by a validated t-module.
 
@@ -486,8 +486,7 @@ def extended_cmspl_v(spec, place, prec, annihilator=None):
         if not x.is_zero() and place.ord_ratk(x) < 1:
             raise AnnihilationFailure(
                 "annihilator left a v-unit coordinate: " + str(x))
-    da = kmat_poly_eval(a, spec.B0, spec.ctx)
-    row = kmat_inv(da)[spec.readout[0]]
+    row = _da_inv_row(spec, a)
     ords = [None if e.is_zero() else place.ord_ratk(e) for e in row]
     lprec = prec + max(0, -min(o for o in ords if o is not None))
     C = _log_window(spec, place.q, lprec)

@@ -19,7 +19,11 @@ twisted matrix, the vABP check on the whole psi vector, a t-polynomial
 acting on a series as one product series and the residuals read from the
 built differences, the telescoping Horner solve of the twisted Sylvester
 equation, the log coefficients with each right-hand side a dense matrix
-product, the F_q products (one schoolbook for F_q codes and LocalNum
+product, the t-module log stopped by observed term bounds with each term
+the full product, d[a] = a(B0) by Horner over k and its Gauss-Jordan
+inverse (with B0 = theta Id + N0 and the matrix sums, scalings, products
+and identity over k they use), the F_q
+products (one schoolbook for F_q codes and LocalNum
 coefficients alike), polynomial division and series inversion one field
 operation at a time, and F_q row reduction one element at a time.
 
@@ -41,11 +45,11 @@ from vcarlitz.algebra import (
     _WIDTHS, PolyA, RatK, _pack, _packed_product, _parse_fq_coeff, _parse_int,
     _rows, _split_terms,
 )
-from vcarlitz.errors import DomainError, ParseError, SingularStep
-from vcarlitz.linalg import (
-    fqmat_identity, fqmat_mul, kmat, kmat_add, kmat_identity, kmat_mul,
-    kmat_scale, kmat_zero,
+from vcarlitz.errors import (
+    AssertionFailure, ConvergenceNotCertified, DomainError, ParseError,
+    PrecisionLoss, SingularStep,
 )
+from vcarlitz.linalg import fqmat_identity, fqmat_mul, kmat
 from vcarlitz.local import INF, LocalNum, PlaceInf, embed_local
 from vcarlitz.polylog import ArgTuple, Index
 from vcarlitz.tmodule import _delta_inv
@@ -580,6 +584,81 @@ def kmat_neg(A):
     return kmat([[-a for a in r] for r in A])
 
 
+def kmat_identity(ctx, d):
+    one, zero = RatK.one(ctx), RatK.zero(ctx)
+    return kmat([[one if i == j else zero for j in range(d)] for i in range(d)])
+
+
+def kmat_add(A, B):
+    return kmat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)])
+
+
+def kmat_scale(A, c):
+    return kmat([[a * c for a in r] for r in A])
+
+
+def tmodule_b0(spec):
+    """B0 = theta Id + N0 over k."""
+    ctx = spec.ctx
+    lift = kmat([[RatK(PolyA.constant(ctx, c)) for c in r] for r in spec.N0])
+    return kmat_add(kmat_scale(kmat_identity(ctx, spec.dim), RatK.T(ctx)),
+                    lift)
+
+
+def kmat_zero(ctx, rows, cols):
+    zero = RatK.zero(ctx)
+    return kmat([[zero] * cols for _ in range(rows)])
+
+
+def kmat_mul(A, B):
+    n, m, p = len(A), len(B), len(B[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            acc = None
+            for l in range(m):
+                t = A[i][l] * B[l][j]
+                acc = t if acc is None else acc + t
+            row.append(acc)
+        out.append(row)
+    return kmat(out)
+
+
+def kmat_inv(A):
+    """Gauss-Jordan inverse over k; raises SingularStep when singular."""
+    d = len(A)
+    ctx = A[0][0].ctx
+    work = [list(r) + list(ir) for r, ir in zip(A, kmat_identity(ctx, d))]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if not work[r][col].is_zero()),
+                   None)
+        if piv is None:
+            raise SingularStep("matrix over k is singular")
+        work[col], work[piv] = work[piv], work[col]
+        inv = work[col][col].inv()
+        work[col] = [x * inv for x in work[col]]
+        for r in range(d):
+            if r != col and not work[r][col].is_zero():
+                c = work[r][col]
+                work[r] = [x - c * y for x, y in zip(work[r], work[col])]
+    return kmat([row[d:] for row in work])
+
+
+def kmat_poly_eval(a, M, ctx):
+    """Evaluate a polynomial a in A at a square matrix over k (Horner in
+    the powers of M)."""
+    d = len(M)
+    out = kmat_zero(ctx, d, d)
+    power = kmat_identity(ctx, d)
+    for i, c in enumerate(a.coeffs):
+        if i:
+            power = kmat_mul(power, M)
+        if c:
+            out = kmat_add(out, kmat_scale(power, RatK(PolyA.constant(ctx, c))))
+    return out
+
+
 def local_log_dense(spec, place, W, i_max):
     """The windowed log coefficients P_0, ..., P_i_max with each right-hand
     side R = -P_(i-1) B1^(i-1) formed by the dense matrix product over every
@@ -616,6 +695,66 @@ def local_log_fixed_point(spec, place, W, i_max):
             Pi = kmat_scale(kmat_add(R, comm), dinv)
         P.append(Pi)
     return P
+
+
+def log_at_point_observed(spec, w, place, prec, I_cap=64):
+    """Log(w) = sum_i P_i w^(i), stopped by observed term bounds: the loop
+    ends once three consecutive term bounds ord P_i + q^i m clear prec and
+    the proved tail bound q^j m - c j clears prec and climbs at j = i + 1,
+    each term the full product of P_i and w^(i)."""
+    w = tuple(w)
+    ords = [x.valuation() for x in w if not x.is_exact_zero()]
+    if not ords:
+        return tuple(LocalNum.exact_zero(place) for _ in w)
+    if any(o is None for o in ords):
+        raise ValueError("logarithm needs exact valuations of the point")
+    m = min(ords)
+    if m < 1:
+        raise ConvergenceNotCertified(
+            "point is not inside the domain of the logarithm")
+    q = place.q
+    c = 2 * spec.dim - 1
+    coeffs = tmodule._local_log_coeffs(
+        spec, place, tmodule._log_window(spec, q, prec))
+
+    def mat_ord_bound(P):
+        bounds = [e.nu for r in P for e in r if not e.is_exact_zero()]
+        return min(bounds) if bounds else None
+
+    acc = [LocalNum.zero_to_precision(place, prec) for _ in range(spec.dim)]
+    term_ords = []
+    wq = w
+    for i in range(I_cap + 1):
+        coeffs.ensure(i)
+        P = coeffs.P[i]
+        ordP = mat_ord_bound(P)
+        if ordP is None:
+            term_ords.append(None)
+        else:
+            if ordP < -c * i:
+                raise AssertionFailure(
+                    f"log coefficient P_{i} has ord {ordP}, below the "
+                    f"proved bound -{c}*{i}")
+            term_ords.append(ordP + q ** i * m)
+            for r in range(spec.dim):
+                row = LocalNum.exact_zero(place)
+                for jc in range(spec.dim):
+                    row = row + P[r][jc] * wq[jc]
+                acc[r] = acc[r] + row
+        if i >= 2:
+            last3 = term_ords[i - 2:i + 1]
+            if all(t is None or t >= prec for t in last3):
+                f = lambda j: q ** j * m - c * j  # noqa: E731
+                if f(i + 1) >= prec and f(i + 2) >= f(i + 1):
+                    out = tuple(x.truncate(prec) for x in acc)
+                    if any(x.cutoff < prec for x in out):
+                        raise PrecisionLoss(
+                            "logarithm window fell short of the requested "
+                            "precision")
+                    return out
+        wq = tuple(x.qpow() for x in wq)
+    raise ConvergenceNotCertified(
+        "logarithm stopping rule not achieved within the term cap")
 
 
 # -- the suffix nested sum and the per-prefix deformation series ----------

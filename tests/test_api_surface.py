@@ -54,7 +54,7 @@ SHARED = {
     },
     "inv": {
         "algebra.FqContext.inv": "local.LocalNum.inv",
-        "algebra.RatK.inv": "linalg.kmat_inv",
+        "algebra.RatK.inv": "tmodule._da_inv_row",
         "local.LocalNum.inv": "local.embed_local",
     },
     "is_zero": {
@@ -96,7 +96,7 @@ SHARED = {
     "zero": {
         "abp.RvElem.zero": "abp._verify_small_solution",
         "algebra.PolyA.zero": "algebra.RatK.zero",
-        "algebra.RatK.zero": "linalg.kmat_identity",
+        "algebra.RatK.zero": "tmodule._zero_like",
         "tseries.TSeries.zero": "polylog.deformation_build",
     },
 }

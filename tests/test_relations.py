@@ -4,7 +4,7 @@ import pytest
 
 from vcarlitz.algebra import FqContext, RatK
 from vcarlitz.errors import (
-    CertificationFailed, MissingTModuleSpec, ParseError,
+    CertificationFailed, MissingTModuleSpec, ParseError, PrecisionLoss,
     UncertifiedDecomposition,
 )
 from vcarlitz.local import LocalNum, PlaceV, embed_local
@@ -181,6 +181,53 @@ def test_certification_fails_at_the_last_claimed_digit(s):
         else:
             assert verify_decomposition_inf(dec, N) == {
                 "certified": True, "prec": N}
+
+
+def _split_zeta1(b):
+    """zeta_A(1) = b Li*_1(1) + (1 - b) Li*_1(1), true for every b."""
+    return Decomposition(Index([1]), [(b, Index([1]), ArgTuple([ONE])),
+                                      (ONE - b, Index([1]), ArgTuple([ONE]))])
+
+
+@pytest.mark.parametrize("k", [5, 8, 20])
+def test_certification_keeps_coefficients_with_poles_at_infinity(k):
+    # ord_inf T^k = -k: each term must be taken k digits further, and the
+    # true decomposition certified at N, not refused at order N - k + 4
+    dec = _split_zeta1(T ** k)
+    assert verify_decomposition_inf(dec, 40) == {"certified": True,
+                                                 "prec": 40}
+    # the deeper terms do not hide a false one
+    bad = Decomposition(Index([1]), [(T ** k, Index([1]), ArgTuple([ONE])),
+                                     (ONE - T ** k + ONE / T ** 39,
+                                      Index([1]), ArgTuple([ONE]))])
+    with pytest.raises(CertificationFailed) as exc:
+        verify_decomposition_inf(bad, 40)
+    assert exc.value.residual_ord == 39
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_vmzv_keeps_prec_when_a_coefficient_has_a_pole_at_v(k):
+    # b = 1/T^k has ord_v b = -k at v = T, so each term is taken k digits
+    # further; the value is zeta(1)_v to prec, as with b = 1
+    dec = _split_zeta1(ONE / T ** k)
+    verify_decomposition_inf(dec, 40)
+    got = eval_vmzv(dec, V0, 30)
+    want = zeta_v(CTX3, V0, 1, 30)
+    assert got.cutoff == want.cutoff == 30
+    assert (got.nu, got.coeffs) == (want.nu, want.coeffs)
+
+
+def test_vmzv_refuses_a_value_known_below_prec(monkeypatch):
+    # a term that comes back one digit short must raise, not shorten the
+    # value
+    import vcarlitz.relations as rel
+    full = rel._depth1_extended
+    monkeypatch.setattr(rel, "_depth1_extended",
+                        lambda *args: full(*args).truncate(args[-1] - 1))
+    dec = depth1_decomposition(CTX3, 1)
+    verify_decomposition_inf(dec, 40)
+    with pytest.raises(PrecisionLoss):
+        eval_vmzv(dec, V0, 30)
 
 
 def test_empty_decomposition_is_an_error():

@@ -13,8 +13,7 @@ from vcarlitz.errors import (
     DomainError, ParseError, PrecisionLoss,
 )
 from vcarlitz.linalg import (
-    kmat, fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul, kmat_add,
-    kmat_identity, kmat_inv, kmat_mul, kmat_zero,
+    kmat, fq_kernel, fq_min_poly, fq_rref, fqmat_identity, fqmat_mul,
 )
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import ArgTuple, Index, cmpl_eval, cmspl_eval
@@ -26,9 +25,11 @@ from vcarlitz.tmodule import (
 
 from oracles import (
     L_factorial, carlitz_action, dump_tmodule_spec, explog_coeffs,
-    fq_rref_loop, kmat_frobenius, local_log_dense, local_log_fixed_point,
-    solve_twisted_sylvester, solve_twisted_sylvester_fixed_point,
-    sylvester_solve_horner, zeta_v,
+    fq_rref_loop, kmat_add, kmat_frobenius, kmat_identity, kmat_inv,
+    kmat_mul, kmat_poly_eval, kmat_zero, local_log_dense,
+    local_log_fixed_point, log_at_point_observed, solve_twisted_sylvester,
+    solve_twisted_sylvester_fixed_point, sylvester_solve_horner, tmodule_b0,
+    zeta_v,
 )
 
 CTX3 = FqContext(3)
@@ -426,11 +427,10 @@ class _StubLogCoeffs:
 
 
 def test_log_tail_bound_uses_the_proved_rate(monkeypatch):
-    # With P_i = 0 for i >= 1 the observed rate is 0.  The term of P_0 has
-    # ord m = 1, so the three last terms clear prec = 75 from i = 3 on, and
-    # then the tail bound at j = 4 (q = 3) decides: 81 - 0 * 4 >= 75 would
-    # stop at i = 3, but the proved rate c = 3 of a 2-dim module gives
-    # 81 - 12 < 75, and 243 - 15 >= 75 stops at i = 4.
+    # With P_i = 0 for i >= 1 the observed rate is 0, so terms from i = 1 on
+    # would look negligible; the proved rate c = 3 of a 2-dim module decides
+    # instead: q^i m - c i at q = 3, m = 1 is 81 - 12 < 75 at i = 4 and
+    # 243 - 15 >= 75 at i = 5, so the log sums i < 5 and asks for P_4.
     spec = tensor_carlitz_spec(2, CTX3)
     stub = _StubLogCoeffs(V0, 2, 200)
     monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
@@ -439,6 +439,61 @@ def test_log_tail_bound_uses_the_proved_rate(monkeypatch):
     out = log_at_point(spec, z, V0, 75)
     assert stub.asked == 4
     assert all(x.congruent(y, 75) for x, y in zip(out, z))
+
+
+class _ExtremeLogCoeffs(_StubLogCoeffs):
+    """P_i = pi^(-c i) Id, the proved extreme, for every i."""
+
+    def __init__(self, place, dim, W):
+        super().__init__(place, dim, W)
+        self.place, self.dim, self.W = place, dim, W
+
+    def ensure(self, i_max):
+        self.asked = max(self.asked, i_max)
+        c = 2 * self.dim - 1
+        while len(self.P) <= i_max:
+            low = LocalNum(self.place, -c * len(self.P),
+                           (1,) + (0,) * (self.W - 1))
+            zero = LocalNum.exact_zero(self.place)
+            self.P.append(kmat([[low if i == j else zero
+                                 for j in range(self.dim)]
+                                for i in range(self.dim)]))
+
+
+@pytest.mark.parametrize("q, dim, m, prec, asked", [
+    # I is the least i with q^j m - (2 dim - 1) j >= prec for all j >= i,
+    # and the log asks for P_(I-1)
+    (3, 1, 1, 30, 3),    # 1, 2, 7, 24, 77
+    (3, 2, 1, 75, 4),    # 1, 0, 3, 18, 69, 228
+    (2, 3, 1, 40, 6),    # 1, -3, -6, -7, -4, 7, 34, 93
+    (5, 2, 2, 50, 2),    # 2, 7, 44, 241
+    (2, 1, 3, 20, 2),    # 3, 5, 10, 21
+    (4, 4, 1, 100, 3),   # 1, -3, 2, 43, 228
+])
+def test_log_asks_for_the_a_priori_truncation_index(monkeypatch, q, dim, m,
+                                                    prec, asked):
+    # every P_i sits at the proved extreme, so every term has ord exactly
+    # q^i m - c i; the log must stop at I, where the observed rule of
+    # three negligible terms asks for P_(I+2)
+    ctx = FqContext(2, 2) if q == 4 else FqContext(q)
+    place = PlaceV(ctx, 0)
+    spec = tensor_carlitz_spec(dim, ctx)
+    stub = _ExtremeLogCoeffs(place, dim, 400)
+    monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
+                        lambda *args: stub)
+    pi = place.uniformizer()
+    z = tuple(embed_local(RatK(pi ** m + pi ** (m + j + 1)), place, 400)
+              for j in range(dim))
+    out = log_at_point(spec, z, place, prec)
+    assert stub.asked == asked
+    # the terms past I change no digit below prec
+    stub.ensure(asked + 3)
+    want = [LocalNum.zero_to_precision(place, prec)] * dim
+    for i in range(asked + 4):
+        for r in range(dim):
+            want[r] = want[r] + stub.P[i][r][r] * z[r].qpow(i)
+    assert [(x.nu, x.coeffs) for x in out] == \
+        [(x.truncate(prec).nu, x.truncate(prec).coeffs) for x in want]
 
 
 def test_log_refuses_a_rate_beyond_the_proof(monkeypatch):
@@ -479,6 +534,67 @@ def test_point_window_is_tight_at_the_proved_rate(monkeypatch):
     assert all(x.cutoff == 25 for x in out)
     with pytest.raises(PrecisionLoss):
         log_at_point(spec, (embed_local(T, V0, C - 1),) * 2, V0, 25)
+
+
+def _log_outcome(fn, spec, z, place, prec):
+    try:
+        return [(x.nu, x.coeffs) for x in fn(spec, z, place, prec)]
+    except (ConvergenceNotCertified, PrecisionLoss, AssertionFailure) as exc:
+        return type(exc).__name__
+
+
+@given(random_specs(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_log_matches_the_observed_rule_loop(spec, data):
+    ctx = spec.ctx
+    place = PlaceV(ctx, data.draw(st.integers(0, ctx.q - 1)))
+    prec = data.draw(st.integers(1, 60))
+    pi = RatK(place.uniformizer())
+    fq = st.integers(0, ctx.q - 1)
+    z = []
+    for _ in range(spec.dim):
+        unit = PolyA(ctx, data.draw(st.lists(fq, max_size=3)))
+        z.append(RatK(unit) * pi ** data.draw(st.integers(1, 3)))
+    C = _log_window(spec, ctx.q, prec)
+    z = tuple(embed_local(x, place, C) for x in z)
+    assert _log_outcome(log_at_point, spec, z, place, prec) == \
+        _log_outcome(log_at_point_observed, spec, z, place, prec)
+
+
+@st.composite
+def conjugated_nilpotents(draw):
+    """(ctx, N0) with N0 = B U B^(-1), U strictly upper triangular and
+    B = L R invertible (L unit lower, R upper triangular with a nonzero
+    diagonal), all random over F_q."""
+    ctx = draw(st.sampled_from(SOLVER_FIELDS))
+    dim = draw(st.integers(1, 4))
+    fq, unit = st.integers(0, ctx.q - 1), st.integers(1, ctx.q - 1)
+    U = tuple(tuple(draw(fq) if j > i else 0 for j in range(dim))
+              for i in range(dim))
+    L = tuple(tuple(draw(fq) if j < i else int(i == j) for j in range(dim))
+              for i in range(dim))
+    R = tuple(tuple(draw(fq) if j > i else draw(unit) if i == j else 0
+                    for j in range(dim)) for i in range(dim))
+    B = fqmat_mul(ctx, L, R)
+    return ctx, fqmat_mul(ctx, fqmat_mul(ctx, B, U), _fq_inverse(ctx, B))
+
+
+@given(conjugated_nilpotents(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_readout_row_in_k_n0_matches_the_matrix_inverse(ctx_n0, data):
+    ctx, N0 = ctx_n0
+    dim = len(N0)
+    fq = st.integers(0, ctx.q - 1)
+    a = PolyA(ctx, data.draw(st.lists(fq, min_size=1, max_size=5)))
+    if a.is_zero():
+        a = PolyA.one(ctx)
+    r = data.draw(st.integers(0, dim - 1))
+    zero = PolyA.zero(ctx)
+    spec = TModuleSpec(ctx, dim, N0, [[zero] * dim] * dim, readout=(r,),
+                       index=Index([dim]), args=ArgTuple([RatK.T(ctx)]),
+                       point=(RatK.T(ctx),) * dim)
+    want = kmat_inv(kmat_poly_eval(a, tmodule_b0(spec), ctx))[r]
+    assert tmodule._da_inv_row(spec, a) == list(want)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
