@@ -227,15 +227,15 @@ class LocalNum:
         keep = min(len(self.coeffs), cutoff - self.nu)
         return LocalNum(self.place, self.nu, self.coeffs[:keep])
 
-    def digit(self, n):
-        """Digit of pi^n, which must lie inside the known window."""
+    def digits(self, lo, hi):
+        """The digits of pi^lo, ..., pi^(hi - 1), zeros below nu; pi^(hi - 1)
+        must lie inside the known window."""
+        if hi > self.cutoff:
+            raise PrecisionLoss(f"digit pi^{self.cutoff} beyond window")
         if self.is_exact_zero():
-            return 0
-        if n >= self.cutoff:
-            raise PrecisionLoss(f"digit pi^{n} beyond window")
-        if n < self.nu:
-            return 0
-        return self.coeffs[n - self.nu]
+            return (0,) * (hi - lo)
+        start = min(max(lo, self.nu), hi)
+        return (0,) * (start - lo) + self.coeffs[start - self.nu:hi - self.nu]
 
     # -- arithmetic ----------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Carlitz multiple (star) polylogarithms and their v-adic deformations.
 
 Everything is evaluated through LocalNum windows, so the returned precision
-is provable: the only analytic input is the choice of a truncation index,
-and the bound justifying each truncation is computed here from exact
-valuations of the arguments.
+is provable: the only analytic input is a convex lower bound on the ord of
+each term, computed here from exact valuations of the arguments, and _plan
+reads both the truncation index and the working window off that bound.
 
 Every nested sum over chains i_1 > ... > i_r (or i_1 >= ... >= i_r) -- the
 CMPL/CMSPL values, the infinite-place MZVs and both deformation sums -- is
@@ -162,36 +162,53 @@ def inv_ells(place, count, window):
     return out
 
 
-def _truncation_index(bound, prec, cap=10000):
-    """Smallest I with bound(i) >= prec for all i >= I, for convex bound."""
-    for i in range(cap):
-        if bound(i) >= prec and bound(i + 1) >= bound(i):
-            return i
+def _plan(bound, prec):
+    """(I, floor) for a sum whose term i has ord >= bound(i), bound convex.
+
+    I is the least index with bound(j) >= prec for every j >= I, so the
+    terms from I on vanish mod pi^prec, and floor is min(prec, bound(i) for
+    i < I), the least ord a summed term can have.  A convex bound that has
+    stopped falling at i (bound(i + 1) >= bound(i)) never falls again, so
+    the scan ends at the first such i with bound(i) >= prec.  A bound still
+    falling or below prec at the cap raises PrecisionLoss.
+
+    The window.  Take each factor of a term with W digits.  A product x y
+    is known to min(nu_x + cutoff_y, nu_y + cutoff_x) and a sum to its
+    operands' least cutoff, so by induction along a prefix pass every
+    partial sum, and so the total, is known to (least ord of a summed term)
+    + W >= floor + W; cancellation can only raise a nu, never lower a
+    cutoff.  W = prec + max(0, -floor) thus brings the sum to prec, with no
+    guard digits.
+    """
+    floor, I = prec, 0
+    for i in range(10000):
+        b = bound(i)
+        if b < prec:
+            floor, I = min(floor, b), i + 1
+        elif bound(i + 1) >= b:
+            return I, floor
     raise PrecisionLoss("truncation index beyond cap; series may diverge")
 
 
 def _chain_plan(s, u, place, prec):
-    """Truncation index and working window for a CMPL/CMSPL evaluation."""
+    """Truncation index and working window for a CMPL/CMSPL evaluation.
+
+    The term of a chain i_1 > ... > i_r (or >=) is prod_l u_l^(q^(i_l))
+    ell_(i_l)^(-s_l).  At v, ord 1/ell_i = -i and ord u_l >= 0, so it has
+    ord >= q^(i_1) ord(u_1) - wt i_1.  At infinity slot l has ord
+    g_l(i) = q^i o_l + s_l (q^(i+1) - q)/(q - 1), and
+    g_l(i+1) - g_l(i) = q^i ((q - 1) o_l + s_l q) > 0 in the domain, so the
+    term has ord >= g_1(i_1) + o_2 + ... + o_r.
+    """
     ords = u.ords(place)
-    wt = s.weight
     q = place.q
     if isinstance(place, PlaceV):
-        d1 = ords[0]
-        bound = lambda i: q ** i * d1 - wt * i  # noqa: E731
-        # the bound is convex: its first rise ends the descent to the minimum
-        floor = bound(next(i for i in itertools.count()
-                           if bound(i + 1) >= bound(i)))
+        bound = lambda i: q ** i * ords[0] - s.weight * i  # noqa: E731
     else:
-        # slot l is bounded by g_l(i) = q^i o_l + s_l (q^(i+1) - q)/(q - 1), and
-        # g_l(i+1) - g_l(i) = q^i ((q - 1) o_l + s_l q) > 0 exactly in the domain
-        if any((q - 1) * o + si * q <= 0 for si, o in zip(s, ords)):
-            raise ValueError("arguments outside the infinite-place domain")
-        floor = sum(ords)
-        g1 = lambda i: q ** i * ords[0] + s[0] * (q ** (i + 1) - q) // (q - 1)  # noqa: E731
-        bound = lambda i: g1(i) + floor - ords[0]  # noqa: E731
-    I = _truncation_index(bound, prec)
-    W = prec + max(0, -floor) + 8
-    return I, W
+        bound = lambda i: (q ** i * ords[0] + sum(ords[1:])  # noqa: E731
+                           + s[0] * (q ** (i + 1) - q) // (q - 1))
+    I, floor = _plan(bound, prec)
+    return I, prec + max(0, -floor)
 
 
 def _nested_sum(rows, strict):
@@ -586,11 +603,8 @@ def deformation_build(s, u, place, D, N):
     if not domain_check(s, u, CONV_V, place):
         raise DomainError("arguments outside the v-adic convergence domain")
     from .tseries import TSeries, frobenius_twist
-    q = place.q
     d1 = u.ords(place)[0]
-    I = 0
-    while q ** I * d1 < N and I < D:
-        I += 1
+    I = min(_plan(lambda i: place.q ** i * d1, N)[0], D)
     rows = []
     for si, x in zip(s, u):
         # slot l at index i carries t^(i*s_l): its row stops where that is >= D
@@ -607,17 +621,16 @@ def deformation_build(s, u, place, D, N):
 
 def _F_at_inverse_power(place, i, N_twist, prec):
     """F_i evaluated at t = pi^(-q^N), i >= N (below N it is an exact zero):
-    pi^(-i q^N) prod_(j>i) (1 - pi^(q^j - q^N)), the product to W = prec + 8
-    digits.
+    pi^(-i q^N) prod_(j>i) (1 - pi^(q^j - q^N)), the product to prec digits.
 
     The product's digits are those of prod_(j>i) (1 - x^(q^j - q^N))
-    below x^W (_product_digits with t collapsed).  The product route (kept
-    in tests/oracles.py) multiplied units with W digits, so it knew the
-    product to exactly pi^W before the shift, as here.
+    below x^prec (_product_digits with t collapsed).  The product route
+    (kept in tests/oracles.py) multiplied units with prec digits, so it
+    knew the product to exactly pi^prec before the shift, as here.
     """
     qN = place.q ** N_twist
     return _placed(place, -i * qN, _product_digits(
-        place, 1, i, qN, 0, prec + 8).get(0, ()), prec + 8)
+        place, 1, i, qN, 0, prec).get(0, ()), prec)
 
 
 def _specialize_sums(s, u, place, N_twist, prec, shift):
@@ -625,16 +638,18 @@ def _specialize_sums(s, u, place, N_twist, prec, shift):
     before the shift by pi^shift, at the plan for the whole index shifted.
 
     Summands with any chain entry below N_twist vanish exactly, so the sums
-    run over chains i_1 > ... > i_r >= N_twist.
+    run over chains i_1 > ... > i_r >= N_twist.  F_i(pi^(-q^N)) has ord
+    -i q^N, so the chain with top entry N_twist + i has ord >= its bound
+    q^(N+i) ord(u_1) - q^N wt (N + i) + shift, and the plan's floor covers
+    the summed tops N_twist <= i < I only.
     """
     q = place.q
-    wt = s.weight
     d1 = u.ords(place)[0]
     qN = q ** N_twist
-    bound = lambda i: q ** i * d1 - qN * wt * i + shift  # noqa: E731
-    I = max(_truncation_index(bound, prec), N_twist + s.depth)
-    floor = min(bound(i) for i in range(I + 1))
-    W = prec + max(0, -floor) + 8
+    I, floor = _plan(lambda i: q ** (N_twist + i) * d1
+                     - qN * s.weight * (N_twist + i) + shift, prec)
+    I = N_twist + max(I, s.depth)
+    W = prec + max(0, -floor)
     rows = _chain_rows(s, u, place, W, [
         _F_at_inverse_power(place, i, N_twist, W) for i in range(N_twist, I)],
         N_twist)

@@ -86,34 +86,15 @@ def find_k_relations(values, d, N, N_recheck):
     th = embed_local(RatK.T(ctx), place, W)
     for _ in range(d):
         powers.append(powers[-1] * th)
-    columns = []       # (value index, theta power) per unknown
-    digitized = []
-    m_min = 0
-    for i, v in enumerate(values):
-        for j, tp in enumerate(powers):
-            y = tp * v.value
-            columns.append((i, j))
-            digitized.append(y)
-            if not y.is_exact_zero():
-                m_min = min(m_min, y.nu)
-    rows = []
-    for m in range(m_min, N):
-        row = []
-        for y in digitized:
-            if y.is_exact_zero() or m < y.nu:
-                row.append(0)
-            else:
-                row.append(y.digit(m))
-        rows.append(tuple(row))
+    # unknown i (d + 1) + j is the coefficient of theta^j x_i
+    digitized = [tp * v.value for v in values for tp in powers]
+    m_min = min([0] + [y.nu for y in digitized if not y.is_exact_zero()])
+    columns = [y.digits(m_min, N) for y in digitized]
+    rows = list(zip(*columns))
     reports = []
     for ker in fq_kernel(ctx, rows, len(columns)):
-        coeffs = []
-        for i in range(len(values)):
-            poly = [0] * (d + 1)
-            for col_idx, (vi, j) in enumerate(columns):
-                if vi == i:
-                    poly[j] = ker[col_idx]
-            coeffs.append(PolyA(ctx, poly))
+        coeffs = [PolyA(ctx, ker[i * (d + 1):(i + 1) * (d + 1)])
+                  for i in range(len(values))]
         if all(c.is_zero() for c in coeffs):
             continue
         coeffs = _normalize_leading(ctx, coeffs)
@@ -241,7 +222,7 @@ def _depth1_extended(s, u1, place, prec):
     key = (place, s)
     spec = _TENSOR_CACHE.get(key)
     if spec is None:
-        spec = tensor_carlitz_spec(s, place.ctx)
+        spec = tensor_carlitz_spec(s, place)
         cert = validate_tmodule(spec, place, 30)
         if not cert.ok:
             raise MissingTModuleSpec(

@@ -44,7 +44,7 @@ from .linalg import (
 )
 from .local import LocalNum, PlaceV, embed_local, geometric_prefixes
 from .polylog import (
-    DEF_V, ArgTuple, Index, _truncation_index, cmspl_eval, domain_check,
+    DEF_V, ArgTuple, Index, _plan, cmspl_eval, domain_check,
 )
 
 
@@ -98,24 +98,27 @@ class TModuleSpec:
                 f"validated={self.validated})")
 
 
-def tensor_carlitz_spec(s, ctx):
+def tensor_carlitz_spec(s, place):
     """Tensor power of the Carlitz module realizing Li_(s)(u) at depth one.
 
     The superdiagonal/corner conventions are not trusted: they are pinned
-    down by validate_tmodule against the direct series on the test points.
+    down by validate_tmodule against the direct series on the test points
+    pi, pi^2 and pi^2 + pi, pi the uniformizer of the degree-one place,
+    which lie in its convergence domain at every lambda.
     """
     if s < 1:
         raise ValueError("tensor power must be >= 1")
+    ctx = place.ctx
     N0 = [[1 if j == i + 1 else 0 for j in range(s)] for i in range(s)]
     zero, one = PolyA.zero(ctx), PolyA.one(ctx)
     B1 = [[one if (i, j) == (s - 1, 0) else zero for j in range(s)]
           for i in range(s)]
-    T = RatK.T(ctx)
+    pi = RatK(place.uniformizer())
     tests = []
-    for u in (T, T * T, T * T + T):
+    for u in (pi, pi * pi, pi * pi + pi):
         tests.append((ArgTuple([u]),
                       tuple([RatK.zero(ctx)] * (s - 1) + [u])))
-    u1 = T
+    u1 = pi
     return TModuleSpec(
         ctx, s, N0, B1, readout=(s - 1,), index=Index([s]),
         args=ArgTuple([u1]),
@@ -347,15 +350,22 @@ def _local_log_coeffs(spec, place, W):
     return out
 
 
-def log_at_point(spec, w, place, prec, I_cap=64):
+def _log_plan(spec, q, m, prec):
+    """_plan of the log's term bound q^i m - (2 dim - 1) i at a point of
+    least ord m (log_at_point derives it)."""
+    c = 2 * spec.dim - 1
+    return _plan(lambda i: q ** i * m - c * i, prec)
+
+
+def log_at_point(spec, w, place, prec):
     """Log(w) = sum_(i < I) P_i w^(i), with I proved a priori.
 
     _LocalLogCoeffs proves ord P_i >= -c i, c = 2 dim - 1, so with m the
     least ord of w the term P_i w^(i) has ord >= f(i) = q^i m - c i.  f is
-    convex, and _truncation_index gives an I with f(j) >= prec for every
+    convex, and _plan gives the least I with f(j) >= prec for every
     j >= I: those terms vanish mod pi^prec, so only P_0, ..., P_(I-1) are
-    computed.  An I past I_cap + 1 raises ConvergenceNotCertified; a P_i
-    below -c i contradicts the proof and raises AssertionFailure.
+    computed.  An I past the plan's cap raises ConvergenceNotCertified; a
+    P_i below -c i contradicts the proof and raises AssertionFailure.
 
     Each term is formed to prec only.  A product x y is known to
     min(nu_x + cutoff_y, nu_y + cutoff_x), and x.truncate(prec - nu_y) to
@@ -380,10 +390,10 @@ def log_at_point(spec, w, place, prec, I_cap=64):
             "point is not inside the domain of the logarithm")
     q, c = place.q, 2 * spec.dim - 1
     try:
-        I = _truncation_index(lambda i: q ** i * m - c * i, prec, I_cap + 2)
+        I, _ = _log_plan(spec, q, m, prec)
     except PrecisionLoss:
         raise ConvergenceNotCertified(
-            "logarithm truncation index beyond the term cap") from None
+            "logarithm truncation index beyond the plan's cap") from None
     coeffs = _local_log_coeffs(spec, place, _log_window(spec, q, prec))
     coeffs.ensure(I - 1)
     acc = [LocalNum.zero_to_precision(place, prec)] * spec.dim
@@ -420,18 +430,13 @@ def _log_window(spec, q, prec):
     nu(P_i) + q^i n_j + C >= C - c i + q^i.  (Frobenius alone would keep
     q^i times the absolute precision; qpow keeps the relative window of
     the product of q^i copies.)  Both sides ask for the same
-    prec + max_(i >= 0) g(i), g(i) = c i - q^i.  g is concave with
-    g(i + 1) - g(i) = c - q^i (q - 1), so the loop below climbs to its
-    maximum and stops there.  At least one digit keeps each valuation
-    exact.  A result still known below prec raises PrecisionLoss in
-    log_at_point.
+    prec - min_(i >= 0) (q^i - c i), which is prec - floor for the plan
+    of the log's own term bound at m = 1 (floor is that minimum, or prec
+    when the minimum is not below prec, and then one digit is enough).  At
+    least one digit keeps each valuation exact.  A result still known
+    below prec raises PrecisionLoss in log_at_point.
     """
-    c = 2 * spec.dim - 1
-    g, i = -1, 0
-    while c > q ** i * (q - 1):
-        i += 1
-        g = c * i - q ** i
-    return max(1, prec + g)
+    return max(1, prec - _log_plan(spec, q, 1, prec)[1])
 
 
 def _da_inv_row(spec, a):

@@ -867,13 +867,13 @@ def pi_tilde_loop(alpha, place, N):
 
 def F_at_inverse_power_loop(place, i, N_twist, prec):
     """F_i at t = pi^(-q^N): an exact zero for i < N, else
-    prod_(j>i) (1 - pi^(q^j - q^N)) to prec + 8 digits, one LocalNum product
+    prod_(j>i) (1 - pi^(q^j - q^N)) to prec digits, one LocalNum product
     per factor, times pi^(-i q^N)."""
     q = place.q
     if i < N_twist:
         return LocalNum.exact_zero(place)
     qN = q ** N_twist
-    W = prec + 8
+    W = prec
     out = LocalNum.unit_one(place, W)
     j = i + 1
     while q ** j - qN < W:

@@ -38,7 +38,7 @@ KEPT = {
 SHARED = {
     "T": {
         "algebra.PolyA.T": "algebra.RatK.T",
-        "algebra.RatK.T": "tmodule.tensor_carlitz_spec",
+        "algebra.RatK.T": "tmodule._phi_theta",
     },
     "degree": {
         "abp.RvElem.degree": "abp.RvElem.norm_exp",

@@ -60,6 +60,17 @@ def test_eval_mzv_v_weight1_golden(capsys):
     assert out == "value=2*v^1 + v^2 + v^3 + O(v^5)\nis_zero_to_prec=false\n"
 
 
+@pytest.mark.parametrize("q", ["3", "4"])
+@pytest.mark.parametrize("index", ["1", "2"])
+def test_eval_mzv_v_is_the_same_at_every_lambda(capsys, q, index):
+    # T -> T + c fixes every ell_i, so the digits in the uniformizer of the
+    # place v cannot depend on lambda
+    outs = [run(capsys, "eval", "mzv-v", "--q", q, "--index", index,
+                "--lambda", str(lam), "--prec", "20")
+            for lam in range(int(q))]
+    assert outs[0][0] == 0 and all(out == outs[0] for out in outs)
+
+
 def test_eval_cmspl_at_infinity(capsys):
     code, out = run(capsys, "eval", "cmspl", "--index", "1", "--args", "1",
                     "--place", "inf", "--prec", "8")

@@ -398,8 +398,8 @@ def test_convolve_slots_never_overflow():
         prod = a * b
         for n in (0, 2099, 4199):
             want = sum(a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1))
-            assert prod.digit(n) == want % 1021
-    assert (x * x).digit(4199) == 116
+            assert prod.digits(n, n + 1) == (want % 1021,)
+    assert (x * x).digits(4199, 4200) == (116,)
 
 
 def test_exact_zero_absorbs():
@@ -459,9 +459,11 @@ def test_qpow_matches_repeated_powering(case):
 
 def test_digit_access_and_precision_loss():
     x = LocalNum(V0, 1, (2, 0, 1))
-    assert x.digit(1) == 2 and x.digit(3) == 1 and x.digit(0) == 0
+    assert x.digits(0, 4) == (0, 2, 0, 1) and x.digits(2, 3) == (0,)
+    assert LocalNum.exact_zero(V0).digits(-1, 2) == (0, 0, 0)
+    assert LocalNum.zero_to_precision(V0, 5).digits(1, 5) == (0,) * 4
     with pytest.raises(PrecisionLoss):
-        x.digit(4)
+        x.digits(3, 5)
 
 
 def test_inv_of_possible_zero_raises():

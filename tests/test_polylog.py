@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vcarlitz.algebra import (
     FqContext, PolyA, RatK, monic_enumerate, parse_poly, parse_ratk,
 )
-from vcarlitz.errors import DomainError
+from vcarlitz.errors import DomainError, PrecisionLoss
 from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
 from vcarlitz.tseries import TSeries, frobenius_twist
 from vcarlitz import polylog as pl
@@ -139,7 +139,35 @@ def test_cmpl_v_depth1_theta():
 def test_cmpl_single_term_truncation():
     # at precision 1 only the i = 0 term survives: Li_(1)(theta) = theta + O
     li = pl.cmpl_eval(pl.Index((1,)), pl.ArgTuple((TH,)), V0, 2)
-    assert li.nu == 1 and li.digit(1) == 1
+    assert li.nu == 1 and li.digits(1, 2) == (1,)
+
+
+def test_plan_pins_the_least_index():
+    # the bounds 5, 3, 6, 19, ... never drop below 3: nothing is summed
+    assert pl._plan(lambda i: 5 * 2 ** i - 7 * i, 3) == (0, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 5), st.integers(0, 40),
+       st.integers(-30, 30), st.integers(-20, 80))
+def test_plan_matches_a_scan_of_the_bound(q, a, c, k, prec):
+    # a q^i - c i + k is convex; past i = 12 it is above every prec drawn
+    def bound(i):
+        return a * q ** i - c * i + k
+    ords = [bound(i) for i in range(40)]
+    I = max((i + 1 for i, b in enumerate(ords) if b < prec), default=0)
+    assert pl._plan(bound, prec) == (I, min([prec] + ords[:I]))
+
+
+def test_chain_window_is_tight_at_infinity(monkeypatch):
+    # Li_1(T) at infinity: ord T = -1 is the floor, so W = prec + 1, and
+    # one digit fewer leaves the sum known below prec
+    s, u = pl.Index((1,)), pl.ArgTuple((TH,))
+    I, W = pl._chain_plan(s, u, INF3, 20)
+    assert W == 21 and pl.cmpl_eval(s, u, INF3, 20).cutoff == 20
+    monkeypatch.setattr(pl, "_chain_plan", lambda *args: (I, W - 1))
+    with pytest.raises(PrecisionLoss):
+        pl.cmpl_eval(s, u, INF3, 20)
 
 
 def test_cmpl_inf_depth1_one():
@@ -366,7 +394,7 @@ def test_power_sum_matches_exact_sum(ped, s, prec):
 
 def test_mzv_degree_zero_partial():
     z = pl.mzv_inf(pl.Index((3,)), CTX3, 0)
-    assert z.digit(0) == 1
+    assert z.digits(0, 1) == (1,)
 
 
 def test_mzv_zeta1_through_degree1():
@@ -496,7 +524,7 @@ def test_deformation_constant_term_depth1():
     L, = pl.deformation_build(pl.Index((1,)), pl.ArgTuple((TH,)), V0, D, N)
     c0 = L.coeffs[0]
     # only the chain (0) reaches t^0: u_1 times the omega-tail constant 1
-    assert c0.valuation() == 1 and c0.digit(1) == 1
+    assert c0.valuation() == 1 and c0.digits(1, 2) == (1,)
 
 
 @st.composite

@@ -65,7 +65,8 @@ def test_recheck_drops_a_relation_off_in_its_last_digit():
     reps = find_k_relations([x1, x2], 1, 40, 60)
     assert [r.line() for r in reps] == ["coeffs=[1, 2*T] residual_ord=60"]
     off = ValueHandle("x1", 1, x1.value + LocalNum(V0, 59, (1,)))
-    assert off.value.cutoff == 60 and off.value.digit(59) != x1.value.digit(59)
+    assert off.value.cutoff == 60
+    assert off.value.digits(59, 60) != x1.value.digits(59, 60)
     assert find_k_relations([off, x2], 1, 40, 60) == []
 
 

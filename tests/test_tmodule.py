@@ -41,7 +41,7 @@ SOLVER_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
 
 @pytest.fixture(scope="module")
 def specs():
-    out = {s: tensor_carlitz_spec(s, CTX3) for s in (1, 2, 3)}
+    out = {s: tensor_carlitz_spec(s, V0) for s in (1, 2, 3)}
     for spec in out.values():
         assert validate_tmodule(spec, V0, 30).ok
     return out
@@ -89,14 +89,14 @@ def test_fq_min_poly_involution():
 # -- module action -------------------------------------------------------
 
 def test_action_dim1_is_carlitz():
-    spec = tensor_carlitz_spec(1, CTX3)
+    spec = tensor_carlitz_spec(1, V0)
     a = parse_poly(CTX3, "T^2+2*T")
     z = T * T + T
     assert tm_action(spec, a, (z,))[0] == carlitz_action(a, z)
 
 
 def test_action_identity_and_ring_homomorphism():
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     z = (T, T + RatK.one(CTX3))
     assert tm_action(spec, PolyA.one(CTX3), z) == z
     a = parse_poly(CTX3, "T+1")
@@ -111,7 +111,7 @@ def test_action_identity_and_ring_homomorphism():
 # -- exp/log coefficients ------------------------------------------------
 
 def test_explog_dim1_carlitz_factorials():
-    spec = tensor_carlitz_spec(1, CTX3)
+    spec = tensor_carlitz_spec(1, V0)
     Q, P = explog_coeffs(spec, 3)
     assert P[0][0][0] == RatK.one(CTX3)
     for i in range(4):
@@ -119,7 +119,7 @@ def test_explog_dim1_carlitz_factorials():
 
 
 def test_explog_compositional_inverse():
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     Q, P = explog_coeffs(spec, 3)
     assert Q[0] == P[0] == kmat_identity(CTX3, 2)
     for m in range(1, 4):
@@ -235,7 +235,7 @@ def test_sylvester_solver_matches_fixed_point(spec, data):
 def test_sylvester_solver_is_the_fixed_point_on_tensor_powers(q):
     ctx = FqContext(2, 2) if q == 4 else FqContext(q)
     for s in (1, 2, 3):
-        spec = tensor_carlitz_spec(s, ctx)
+        spec = tensor_carlitz_spec(s, PlaceV(ctx))
         for lam in range(q):
             place = PlaceV(ctx, lam)
             for W in (20, 62):
@@ -262,7 +262,7 @@ def _dense_b1_spec(ctx):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_log_step_from_b1_entries_matches_the_dense_product(q):
     ctx = FqContext(2, 2) if q == 4 else FqContext(q)
-    specs = [tensor_carlitz_spec(s, ctx) for s in (1, 2, 3)]
+    specs = [tensor_carlitz_spec(s, PlaceV(ctx)) for s in (1, 2, 3)]
     for spec in specs + [_dense_b1_spec(ctx)]:
         for lam in range(q):
             place = PlaceV(ctx, lam)
@@ -319,7 +319,7 @@ def test_with_args_shares_local_caches(monkeypatch):
     for _ in range(3):
         zeta_v(ctx, place, 1, 40)
     assert len(built) == 2
-    spec = tensor_carlitz_spec(1, ctx)
+    spec = tensor_carlitz_spec(1, place)
     run = with_args(spec, ArgTuple([T]), (T,))
     assert run._llog_cache is spec._llog_cache
 
@@ -327,19 +327,18 @@ def test_with_args_shares_local_caches(monkeypatch):
 # -- residue annihilators ------------------------------------------------
 
 def test_annihilator_carlitz_lambda0():
-    a, invertible = residue_annihilator(tensor_carlitz_spec(1, CTX3), V0)
+    a, invertible = residue_annihilator(tensor_carlitz_spec(1, V0), V0)
     assert str(a) == "T+2" and invertible  # theta - 1
 
 
 def test_annihilator_carlitz_q2_lambda1():
-    ctx = FqContext(2)
-    a, invertible = residue_annihilator(
-        tensor_carlitz_spec(1, ctx), PlaceV(ctx, 1))
+    place = PlaceV(FqContext(2), 1)
+    a, invertible = residue_annihilator(tensor_carlitz_spec(1, place), place)
     assert str(a) == "T" and not invertible
 
 
 def test_annihilator_tensor_square():
-    a, invertible = residue_annihilator(tensor_carlitz_spec(2, CTX3), V0)
+    a, invertible = residue_annihilator(tensor_carlitz_spec(2, V0), V0)
     assert str(a) == "T^2+2" and invertible  # theta^2 - 1
 
 
@@ -359,7 +358,7 @@ def test_validation_passes_tensor_powers(specs):
 
 
 def test_validation_fails_broken_corner():
-    good = tensor_carlitz_spec(2, CTX3)
+    good = tensor_carlitz_spec(2, V0)
     zero = PolyA.zero(CTX3)
     broken = TModuleSpec(
         CTX3, 2, good.N0, [[zero, zero], [zero, zero]], good.readout,
@@ -372,7 +371,7 @@ def test_validation_fails_broken_corner():
 
 
 def test_validation_needs_three_points():
-    spec = tensor_carlitz_spec(1, CTX3)
+    spec = tensor_carlitz_spec(1, V0)
     starved = TModuleSpec(CTX3, 1, spec.N0,
                           [[e.num for e in r] for r in spec.B1],
                           spec.readout, spec.index, spec.args, spec.point,
@@ -396,7 +395,7 @@ def test_log_functional_equation(specs):
 
 
 def test_log_rejects_units():
-    spec = tensor_carlitz_spec(1, CTX3)
+    spec = tensor_carlitz_spec(1, V0)
     with pytest.raises(ConvergenceNotCertified):
         log_at_point(spec, (embed_local(RatK.one(CTX3), V0, 40),), V0, 20)
 
@@ -431,7 +430,7 @@ def test_log_tail_bound_uses_the_proved_rate(monkeypatch):
     # would look negligible; the proved rate c = 3 of a 2-dim module decides
     # instead: q^i m - c i at q = 3, m = 1 is 81 - 12 < 75 at i = 4 and
     # 243 - 15 >= 75 at i = 5, so the log sums i < 5 and asks for P_4.
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     stub = _StubLogCoeffs(V0, 2, 200)
     monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
                         lambda *args: stub)
@@ -477,7 +476,7 @@ def test_log_asks_for_the_a_priori_truncation_index(monkeypatch, q, dim, m,
     # three negligible terms asks for P_(I+2)
     ctx = FqContext(2, 2) if q == 4 else FqContext(q)
     place = PlaceV(ctx, 0)
-    spec = tensor_carlitz_spec(dim, ctx)
+    spec = tensor_carlitz_spec(dim, place)
     stub = _ExtremeLogCoeffs(place, dim, 400)
     monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
                         lambda *args: stub)
@@ -498,7 +497,7 @@ def test_log_asks_for_the_a_priori_truncation_index(monkeypatch, q, dim, m,
 
 def test_log_refuses_a_rate_beyond_the_proof(monkeypatch):
     # ord P_1 = -4 < -(2 dim - 1) = -3 contradicts the proved bound
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     low = LocalNum(V0, -4, (1,) + (0,) * 99)
     zero = LocalNum.exact_zero(V0)
     stub = _StubLogCoeffs(V0, 2, 100, P1=kmat([[low, zero], [zero, zero]]))
@@ -511,7 +510,7 @@ def test_log_refuses_a_rate_beyond_the_proof(monkeypatch):
 def test_log_refuses_a_window_short_of_prec(monkeypatch):
     # P_0 known to pi^10 only: the log must raise, not return Log(z) to
     # pi^11 when pi^25 was asked for
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     stub = _StubLogCoeffs(V0, 2, 10)
     monkeypatch.setattr("vcarlitz.tmodule._local_log_coeffs",
                         lambda *args: stub)
@@ -522,7 +521,7 @@ def test_log_refuses_a_window_short_of_prec(monkeypatch):
 def test_point_window_is_tight_at_the_proved_rate(monkeypatch):
     # ord P_1 = -3 = -(2 dim - 1), the proved extreme: a point of ord 1 at
     # q = 3 needs prec good digits, and one fewer leaves term 1 short
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     low = LocalNum(V0, -3, (1,) + (0,) * 99)
     zero = LocalNum.exact_zero(V0)
     stub = _StubLogCoeffs(V0, 2, 100, P1=kmat([[low, zero], [zero, zero]]))
@@ -603,7 +602,7 @@ def test_point_window_covers_every_term(dim, q):
     # C - c i + q^i >= prec for every i, checked far past the loop's stop,
     # and one digit fewer falls short at some i; the same bound serves the
     # coefficients' window, whose P_i are known to C - c i
-    spec = tensor_carlitz_spec(dim, FqContext(q))
+    spec = tensor_carlitz_spec(dim, PlaceV(FqContext(q)))
     C, c = _log_window(spec, q, 30), 2 * dim - 1
     assert all(C - c * i + q ** i >= 30 for i in range(40))
     assert any(C - 1 - c * i + q ** i < 30 for i in range(40))
@@ -615,7 +614,7 @@ def test_log_rejects_b1_that_is_not_v_integral(lam):
     # reach the log, whose valuation bound rests on B1 being v-integral
     place = PlaceV(CTX3, lam)
     pi = T + RatK(PolyA.constant(CTX3, lam))
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, place)
     zero = RatK.zero(CTX3)
     spec.B1 = ((zero, zero), (pi.inv(), zero))
     z = (embed_local(pi, place, 40),) * 2
@@ -645,7 +644,7 @@ def test_extended_zeta1_nonzero_leading_digits(specs):
                      (RatK.one(CTX3),))
     val = extended_cmspl_v(spec, V0, 30)
     assert val.valuation() == 1
-    assert [val.digit(i) for i in range(1, 4)] == [2, 1, 1]
+    assert val.digits(1, 4) == (2, 1, 1)
 
 
 def test_annihilator_invariance(specs):
@@ -684,7 +683,7 @@ def test_extended_requires_defining_domain(specs):
 # -- candidates and spec files ------------------------------------------
 
 def test_spec_without_test_points_is_gated():
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     bare = TModuleSpec(CTX3, spec.dim, spec.N0, spec.B1, spec.readout,
                        spec.index, spec.args, spec.point, test_points=())
     assert not bare.validated
@@ -695,7 +694,7 @@ def test_spec_without_test_points_is_gated():
 
 
 def test_spec_file_roundtrip():
-    spec = tensor_carlitz_spec(2, CTX3)
+    spec = tensor_carlitz_spec(2, V0)
     text = dump_tmodule_spec(spec)
     again = parse_tmodule_spec(text)
     assert dump_tmodule_spec(again) == text
