@@ -290,50 +290,42 @@ def _cmd_verify(ns):
             records.append((f"point_{i}", f"args={args} {note}"))
         cfg.emit(records)
         return EXIT_OK if cert.ok else EXIT_FAILED
-    from .diffsys import (
-        _specialization_holds, block_sum, build_cmpl_system,
-        build_omega_system, verify_difference,
-    )
-    if ns.what == "omega":
-        res = verify_difference(build_omega_system(cfg.place_v),
-                                ns.t_order, cfg.prec)
-        records, code = _residual_records(res)
-        cfg.emit(records)
-        return code
-    if ns.what in ("deformation", "system"):
-        if len(ns.index) != len(ns.args):
-            raise VCarlitzError("each --index needs a matching --args")
-        systems = [build_cmpl_system(Index.parse(i),
-                                     _parse_args_tuple(cfg, a), cfg.place_v)
-                   for i, a in zip(ns.index, ns.args)]
-        sys_ = systems[0] if len(systems) == 1 else block_sum(systems)
-        res = verify_difference(sys_, ns.t_order, cfg.prec)
-        records, code = _residual_records(res)
-        cfg.emit(records)
-        return code
-    # specialize
-    s = Index.parse(ns.index)
-    u = _parse_args_tuple(cfg, ns.args)
+    from .diffsys import _specialization_holds, verify_difference
+    if ns.what == "specialize":
+        sys_ = _system(cfg, [ns.index], [ns.args])
+        place, N = cfg.place_v, ns.twist
+        target = cmpl_eval(sys_.index, sys_.args, place, cfg.prec) \
+            * pi_tilde(sys_.alpha, place, cfg.prec).pow(sys_.weight)
+        ok = _specialization_holds(sys_, N, cfg.prec, target)
+        cfg.emit([("twist", N), ("status", "ok" if ok else "fail")])
+        return EXIT_OK if ok else EXIT_FAILED
+    # omega, deformation, system
+    sys_ = _system(cfg, getattr(ns, "index", []), getattr(ns, "args", []),
+                   int(ns.what == "omega"))
+    records, code = _residual_records(
+        verify_difference(sys_, ns.t_order, cfg.prec))
+    cfg.emit(records)
+    return code
+
+
+def _system(cfg, index, args, omegas=0):
+    """The system of omegas Omega blocks, then one CMPL block per matched
+    --index and --args: the block sum, or the one block itself."""
+    from .diffsys import block_sum, build_cmpl_system, build_omega_system
+    if len(index) != len(args):
+        raise VCarlitzError("each --index needs a matching --args")
     place = cfg.place_v
-    sys_ = build_cmpl_system(s, u, place)
-    N = ns.twist
-    pt = pi_tilde(sys_.alpha, place, cfg.prec)
-    target = cmpl_eval(s, u, place, cfg.prec) * pt.pow(sys_.weight)
-    ok = _specialization_holds(sys_, N, cfg.prec, pt, target)
-    cfg.emit([("twist", N), ("status", "ok" if ok else "fail")])
-    return EXIT_OK if ok else EXIT_FAILED
+    systems = [build_omega_system(place) for _ in range(omegas)] + [
+        build_cmpl_system(Index.parse(i), _parse_args_tuple(cfg, a), place)
+        for i, a in zip(index, args)]
+    return systems[0] if len(systems) == 1 else block_sum(systems)
 
 
 def _cmd_certify(ns):
-    from .diffsys import (
-        block_sum, build_cmpl_system, build_omega_system, mpl_certificate,
-        vabp_certify,
-    )
+    from .diffsys import mpl_certificate, vabp_certify
     cfg = _config(ns)
     if ns.what == "mpl":
-        s = Index.parse(ns.index)
-        u = _parse_args_tuple(cfg, ns.args)
-        sys_ = build_cmpl_system(s, u, cfg.place_v)
+        sys_ = _system(cfg, [ns.index], [ns.args])
         w = sys_.weight
         if ns.ftype is None:
             ftype = (RatK.zero(cfg.ctx),) * w + (RatK.one(cfg.ctx),)
@@ -355,19 +347,9 @@ def _cmd_certify(ns):
     # vabp
     if ns.omega_copies < 0:
         raise ValueError(f"omega-copies must be >= 0, got {ns.omega_copies}")
-    systems = []
-    for _ in range(ns.omega_copies):
-        systems.append(build_omega_system(cfg.place_v))
-    index, args = ns.index or [], ns.args or []
-    if len(index) != len(args):
-        raise VCarlitzError("each --index needs a matching --args")
-    for i, a in zip(index, args):
-        systems.append(build_cmpl_system(Index.parse(i),
-                                         _parse_args_tuple(cfg, a),
-                                         cfg.place_v))
-    if not systems:
+    if not (ns.omega_copies or ns.index or ns.args):
         raise VCarlitzError("vabp needs --omega-copies or --index/--args")
-    sys_ = systems[0] if len(systems) == 1 else block_sum(systems)
+    sys_ = _system(cfg, ns.index or [], ns.args or [], ns.omega_copies)
     gamma = parse_ratk(cfg.ctx, ns.gamma)
     rho = tuple(parse_ratk(cfg.ctx, x) for x in ns.rho.split(","))
     P = tuple(_parse_tpoly(cfg, entry) for entry in ns.pcoeffs.split(";"))

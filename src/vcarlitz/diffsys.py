@@ -16,11 +16,10 @@ import math
 
 from .algebra import RatK, schoolbook_mul
 from .errors import CertificationFailed, DomainError
-from .local import LocalNum, PlaceV, embed_local
+from .local import PlaceV, embed_local
 from .polylog import (
     _omega_power, cmpl_eval, deformation_build, deformation_specialize,
-    deformation_specialize_prefixes, domain_check, omega_at_inverse_power,
-    pi_tilde, CONV_V,
+    domain_check, pi_tilde, CONV_V,
 )
 from .tseries import frobenius_twist, residual_order
 
@@ -297,59 +296,23 @@ def verify_difference(sys, D, N):
 
 # -- specialization ------------------------------------------------------
 
-def _check_constructed(sys):
-    if sys.kind not in ("cmpl", "omega"):
-        raise CertificationFailed("specialization needs a constructed system")
+def _specialization_holds(sys, N, prec, target):
+    """Whether psi(alpha^(-q^N)) of a CMPL system ends in target^(q^N).
 
-
-def _specialize(sys, N_twist, prec, om):
-    """The literal value vector psi(alpha^(-q^N)) of an omega or CMPL system,
-    given om = Omega(alpha^(-q^N)): pi_tilde to prec at N = 0, an exact zero
-    above.  Every prefix series comes from one pass."""
-    _check_constructed(sys)
-    if sys.kind == "omega":
-        return (om,)
-    s = sys.index
-    out = [om.pow(sys.weight) if not om.is_exact_zero() else om]
-    deps = deformation_specialize_prefixes(s, sys.args, sys.place, N_twist,
-                                           prec)
-    for l, dep in enumerate(deps, 1):
-        tail = sum(s[l:])
-        if not tail:
-            out.append(dep)
-        elif N_twist >= 1:
-            # an exactly vanishing omega factor kills the entry
-            out.append(LocalNum.exact_zero(sys.place))
-        else:
-            out.append((dep * om.pow(tail)).truncate(prec))
-    return tuple(out)
-
-
-def _specialization_holds(sys, N, prec, pt, target):
-    """Whether psi(alpha^(-q^N)) ends in target (its q^N-th power at N >= 1).
-
-    pt is pi_tilde = Omega(alpha^(-1)) to prec.  At N = 0 the last entry of
-    psi(alpha^(-1)) is compared with target.  It is built alone: pt for an
-    omega system, and for a CMPL system the deformation series of the whole
-    index at t = alpha^(-1), whose Omega factor has exponent 0 (at N = 0
-    deformation_specialize normalizes by pi^0, so it is the literal value).
-    At N >= 1 Omega(alpha^(-q^N)) vanishes, so every entry but the last must
-    be an exact zero; the last is the literal series value, which carries
-    pi^(-N w q^N) (w the system's weight) because the power of t attached to
-    a chain does not commute with twisting, so it is compared times
-    pi^(N w q^N) with target^(q^N).
+    Every entry but the last carries a positive power of
+    Omega = prod_(i>=1) (1 - alpha^(q^i) t): Omega^w, and Omega^(s_(l+1) +
+    ... + s_r) on the deformation series of the prefix of depth l < r.  At
+    N >= 1 the factor i = N of Omega vanishes at t = alpha^(-q^N), so those
+    entries are exact zeros and condition (4) is the last entry alone, as
+    condition (3) is at N = 0.  That entry is the deformation series of the
+    whole index at t = alpha^(-q^N), whose literal value carries
+    pi^(-N w q^N) (w the system's weight; see deformation_specialize), so
+    it is compared times pi^(N w q^N) with target^(q^N).  At N = 0 the
+    shift and the q-power are the identity.
     """
-    if N == 0:
-        _check_constructed(sys)
-        last = (pt if sys.kind == "omega" else deformation_specialize(
-            sys.index, sys.args, sys.place, 0, prec))
-        return (last - target).is_zero_to_precision()
-    vals = _specialize(sys, N, prec,
-                       omega_at_inverse_power(sys.alpha, sys.place, N, prec))
-    if not all(x.is_exact_zero() for x in vals[:-1]):
-        return False
-    lit = vals[-1].shift(N * sys.weight * sys.place.q ** N)
-    return (lit - target.qpow(N)).is_zero_to_precision()
+    last = deformation_specialize(sys.index, sys.args, sys.place, N, prec)
+    return (last.shift(N * sys.weight * sys.place.q ** N)
+            - target.qpow(N)).is_zero_to_precision()
 
 
 # -- MPL-property certificate -------------------------------------------
@@ -382,8 +345,11 @@ def mpl_certificate(sys, w, ftype, N_list, prec=30):
     when the determinant, computed for the system at hand, equals
     c t^a (1 - alpha^q t)^b, whose zeros never meet alpha^(-q^(-i)); any
     other determinant fails it.  Conditions (2)-(4) are checked
-    numerically to prec; (4) only over the finite N_list.
+    numerically to prec; (4) only over the finite N_list.  A system that is
+    not a CMPL system is refused.
     """
+    if sys.kind != "cmpl":
+        raise CertificationFailed("specialization needs a constructed system")
     place = sys.place
     conditions = {}
     # (1) determinant structure
@@ -400,14 +366,14 @@ def mpl_certificate(sys, w, ftype, N_list, prec=30):
                 or (pt.pow(sys.weight) - ptw).is_zero_to_precision())
     Z = cmpl_eval(sys.index, sys.args, place, prec)
     target = Z * ptw
-    last_ok = _specialization_holds(sys, 0, prec, pt, target)
+    last_ok = _specialization_holds(sys, 0, prec, target)
     conditions[3] = first_ok and last_ok
     # (4) psi(alpha^{-q^N}) = (0,...,0,(Z pitilde^w)^{q^N})
     ok4 = True
     for N in N_list:
         if N < 1:
             raise ValueError("condition (4) indices must be positive")
-        ok4 = _specialization_holds(sys, N, prec, pt, target) and ok4
+        ok4 = _specialization_holds(sys, N, prec, target) and ok4
     conditions[4] = ok4
     return MplCertificate(conditions)
 

@@ -563,16 +563,6 @@ def pi_tilde(alpha, place, N):
                      _product_digits(place, 1, 0, 1, 0, X).get(0, ()), N)
 
 
-def omega_at_inverse_power(alpha, place, N_power, prec):
-    """Omega at t = alpha^(-q^N): exact zero for N >= 1 (a vanishing factor)."""
-    if N_power < 0:
-        raise ValueError("power index must be >= 0")
-    if N_power == 0:
-        return pi_tilde(alpha, place, prec)
-    _embedded(alpha, place, 1)
-    return LocalNum.exact_zero(place)
-
-
 def deformation_build(s, u, place, D, N):
     """The deformation series of every prefix (s_1, ..., s_l; u_1, ..., u_l),
     l = 1, ..., r, assembled from the rearranged product form; the last is
@@ -633,60 +623,33 @@ def _F_at_inverse_power(place, i, N_twist, prec):
         place, 1, i, qN, 0, prec).get(0, ()), prec)
 
 
-def _specialize_sums(s, u, place, N_twist, prec, shift):
-    """Every prefix sum of the deformation series of (s; u) at t = pi^(-q^N),
-    before the shift by pi^shift, at the plan for the whole index shifted.
+def deformation_specialize(s, u, place, N_twist, prec):
+    """The literal value at t = pi^(-q^N) of the deformation series of
+    (s; u), known to prec, by per-summand exact evaluation.
 
-    Summands with any chain entry below N_twist vanish exactly, so the sums
-    run over chains i_1 > ... > i_r >= N_twist.  F_i(pi^(-q^N)) has ord
-    -i q^N, so the chain with top entry N_twist + i has ord >= its bound
-    q^(N+i) ord(u_1) - q^N wt (N + i) + shift, and the plan's floor covers
-    the summed tops N_twist <= i < I only.
+    The value is pi^(-N wt q^N) (pi_tilde^wt Li)^(q^N), Li the v-adic CMPL
+    value: twisting a chain's coefficients q^N times does not move the
+    power of t attached to it.  At N = 0 it is pi_tilde^wt Li.
+
+    Summands with any chain entry below N_twist vanish exactly (F_i has the
+    factor 1 - pi^(q^N) t for i < N), so the sum runs over chains
+    i_1 > ... > i_r >= N_twist.  F_i(pi^(-q^N)) has ord -i q^N, so the
+    chain with top entry N_twist + i has ord >= its bound
+    q^(N+i) ord(u_1) - q^N wt (N + i), and the plan's floor covers the
+    summed tops N_twist <= i < I only.
     """
+    if N_twist < 0:
+        raise ValueError("power index must be >= 0")
+    if not domain_check(s, u, CONV_V, place):
+        raise DomainError("arguments outside the v-adic convergence domain")
     q = place.q
     d1 = u.ords(place)[0]
     qN = q ** N_twist
     I, floor = _plan(lambda i: q ** (N_twist + i) * d1
-                     - qN * s.weight * (N_twist + i) + shift, prec)
+                     - qN * s.weight * (N_twist + i), prec)
     I = N_twist + max(I, s.depth)
     W = prec + max(0, -floor)
     rows = _chain_rows(s, u, place, W, [
         _F_at_inverse_power(place, i, N_twist, W) for i in range(N_twist, I)],
         N_twist)
-    return _nested_sum(rows, strict=True)
-
-
-def deformation_specialize(s, u, place, N_twist, prec):
-    """The deformation series at t = pi^(-q^N), by per-summand exact
-    evaluation, normalized by pi^(N*wt*q^N).
-
-    The raw value of the series at pi^(-q^N) is pi^(-N*wt*q^N) times the
-    q^N-th power of pi_tilde^weight times the v-adic CMPL value, because the
-    power of t attached to a chain does not commute with twisting.  So the
-    normalized value equals (pi_tilde^wt * Li)^(q^N) on the nose; the
-    literal values are deformation_specialize_prefixes'.
-    """
-    if not domain_check(s, u, CONV_V, place):
-        raise DomainError("arguments outside the v-adic convergence domain")
-    shift = N_twist * s.weight * place.q ** N_twist
-    total = _specialize_sums(s, u, place, N_twist, prec, shift)[-1]
-    return _clip(None if total is None else total.shift(shift), place, prec)
-
-
-def deformation_specialize_prefixes(s, u, place, N_twist, prec):
-    """The literal values at t = pi^(-q^N), before deformation_specialize's
-    normalization, of the deformation series of every prefix
-    (s_1, ..., s_l; u_1, ..., u_l), l = 1, ..., r, from one prefix pass at
-    the plan of the whole index.
-
-    That plan covers every prefix.  A chain with top entry i contributes
-    ord >= q^i ord(u_1) - q^N wt_l i to prefix l, and wt_l <= wt, so each
-    prefix's bound is at least the whole index's, with a rise at least as
-    steep: the prefix's own truncation index is no larger, the terms past
-    it lie at or above prec, and its own window is no wider.  Clipped at
-    prec, each value is the one the prefix's own plan gives.
-    """
-    if not domain_check(s, u, CONV_V, place):
-        raise DomainError("arguments outside the v-adic convergence domain")
-    return [_clip(total, place, prec)
-            for total in _specialize_sums(s, u, place, N_twist, prec, 0)]
+    return _clip(_nested_sum(rows, strict=True)[-1], place, prec)

@@ -13,6 +13,9 @@ and its tails with one series product per factor and their powers by
 repeated squaring, the omega product as t-shifts and differences and its
 powers by repeated products, pi_tilde and F_i(pi^(-q^N)) one LocalNum
 product per factor, the deformation series built one prefix at a time,
+its values at t = pi^(-q^N) for every prefix from one pass, and the
+two-path specialization check that set the zero entries of
+psi(alpha^(-q^N)) at N >= 1 and read Omega(alpha^(-q^N)) as one,
 ord_v by repeated division by the uniformizer, the powers of (1 - alpha^q
 t) by repeated t-polynomial products, the determinant test on the whole
 twisted matrix, the vABP check on the whole psi vector, a t-polynomial
@@ -46,8 +49,8 @@ from vcarlitz.algebra import (
     _rows, _split_terms,
 )
 from vcarlitz.errors import (
-    AssertionFailure, ConvergenceNotCertified, DomainError, ParseError,
-    PrecisionLoss, SingularStep,
+    AssertionFailure, CertificationFailed, ConvergenceNotCertified,
+    DomainError, ParseError, PrecisionLoss, SingularStep,
 )
 from vcarlitz.linalg import fqmat_identity, fqmat_mul, kmat
 from vcarlitz.local import INF, LocalNum, PlaceInf, embed_local
@@ -943,6 +946,87 @@ def deformation_build_per_prefix(s, u, place, D, N):
     """The series of every prefix of (s; u), each built on its own."""
     return [deformation_build_one(Index(s.s[:l]), ArgTuple(u.u[:l]), place,
                                   D, N) for l in range(1, s.depth + 1)]
+
+
+# -- the specialization at t = alpha^(-q^N) by prefixes and two paths -----
+
+def deformation_specialize_prefixes(s, u, place, N_twist, prec):
+    """The literal values at t = pi^(-q^N) of the deformation series of
+    every prefix (s_1, ..., s_l; u_1, ..., u_l), l = 1, ..., r, from one
+    prefix pass at the plan of the whole index.
+
+    That plan covers every prefix.  A chain with top entry i contributes
+    ord >= q^i ord(u_1) - q^N wt_l i to prefix l, and wt_l <= wt, so each
+    prefix's bound is at least the whole index's, with a rise at least as
+    steep: the prefix's own truncation index is no larger, the terms past
+    it lie at or above prec, and its own window is no wider.  Clipped at
+    prec, each value is the one the prefix's own plan gives.
+    """
+    if not polylog.domain_check(s, u, polylog.CONV_V, place):
+        raise DomainError("arguments outside the v-adic convergence domain")
+    q = place.q
+    d1 = u.ords(place)[0]
+    qN = q ** N_twist
+    I, floor = polylog._plan(lambda i: q ** (N_twist + i) * d1
+                             - qN * s.weight * (N_twist + i), prec)
+    I = N_twist + max(I, s.depth)
+    W = prec + max(0, -floor)
+    rows = polylog._chain_rows(s, u, place, W, [
+        polylog._F_at_inverse_power(place, i, N_twist, W)
+        for i in range(N_twist, I)], N_twist)
+    return [polylog._clip(total, place, prec)
+            for total in polylog._nested_sum(rows, strict=True)]
+
+
+def omega_at_inverse_power(alpha, place, N_power, prec):
+    """Omega at t = alpha^(-q^N): pi_tilde to prec at N = 0, and an exact
+    zero for N >= 1 (the factor 1 - alpha^(q^N) t vanishes)."""
+    if N_power < 0:
+        raise ValueError("power index must be >= 0")
+    if N_power == 0:
+        return polylog.pi_tilde(alpha, place, prec)
+    polylog._embedded(alpha, place, 1)
+    return LocalNum.exact_zero(place)
+
+
+def specialize_vector(sys, N_twist, prec, om):
+    """The literal value vector psi(alpha^(-q^N)) of an omega or CMPL
+    system, given om = Omega(alpha^(-q^N)); at N >= 1 every entry but the
+    last is set to an exact zero."""
+    if sys.kind not in ("cmpl", "omega"):
+        raise CertificationFailed("specialization needs a constructed system")
+    if sys.kind == "omega":
+        return (om,)
+    s = sys.index
+    out = [om.pow(sys.weight) if not om.is_exact_zero() else om]
+    deps = deformation_specialize_prefixes(s, sys.args, sys.place, N_twist,
+                                           prec)
+    for l, dep in enumerate(deps, 1):
+        tail = sum(s[l:])
+        if not tail:
+            out.append(dep)
+        elif N_twist >= 1:
+            out.append(LocalNum.exact_zero(sys.place))
+        else:
+            out.append((dep * om.pow(tail)).truncate(prec))
+    return tuple(out)
+
+
+def specialization_holds_two_path(sys, N, prec, pt, target):
+    """Whether psi(alpha^(-q^N)) ends in target (its q^N-th power at
+    N >= 1): at N = 0 the last entry alone, at N >= 1 the whole vector,
+    whose entries but the last must be exact zeros, and its last entry
+    times pi^(N w q^N)."""
+    if N == 0:
+        last = (pt if sys.kind == "omega" else deformation_specialize_prefixes(
+            sys.index, sys.args, sys.place, 0, prec)[-1])
+        return (last - target).is_zero_to_precision()
+    vals = specialize_vector(
+        sys, N, prec, omega_at_inverse_power(sys.alpha, sys.place, N, prec))
+    if not all(x.is_exact_zero() for x in vals[:-1]):
+        return False
+    lit = vals[-1].shift(N * sys.weight * sys.place.q ** N)
+    return (lit - target.qpow(N)).is_zero_to_precision()
 
 
 # -- the powers of (1 - alpha^q t) and the whole-matrix determinant test ---

@@ -14,7 +14,7 @@ from vcarlitz.algebra import FqContext, PolyA, RatK, parse_ratk
 from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local
 from vcarlitz import polylog as pl
 from vcarlitz.diffsys import (
-    _specialize, block_sum, build_cmpl_system, build_omega_system,
+    _specialization_holds, block_sum, build_cmpl_system, build_omega_system,
     mpl_certificate, tp_one, tp_scale, vabp_certify, verify_difference,
 )
 from vcarlitz.abp import (
@@ -88,26 +88,30 @@ def test_criterion_03_specialization_identity():
     for s, u in _instances():
         base = pt.pow(s.weight) * pl.cmpl_eval(s, u, V0, 45)
         for N in (0, 1):
-            got = pl.deformation_specialize(s, u, V0, N, 40)
+            got = pl.deformation_specialize(s, u, V0, N, 40).shift(
+                N * s.weight * V0.q ** N)
             assert got.congruent(base.qpow(N), 40), (s, u, N)
     _report(3, "L(pi^(-q^N)) = (pitilde^w Li)^(q^N) mod pi^40, N in {0,1}")
 
 
 def test_criterion_04_exact_zeros():
+    # Omega(alpha^(-q^N)) vanishes for N >= 1, so psi(alpha^(-q^N)) is its
+    # last entry, whose literal value times pi^(N w q^N) is the target's
+    # q^N-th power
+    s, u = pl.Index((2, 1)), pl.ArgTuple((T, T + ONE))
+    sys_ = build_cmpl_system(s, u, V0)
+    target = pl.cmpl_eval(s, u, V0, 20) \
+        * pl.pi_tilde(sys_.alpha, V0, 20).pow(s.weight)
     for N in (1, 2, 3):
-        assert pl.omega_at_inverse_power(T, V0, N, 9).is_exact_zero()
+        assert _specialization_holds(sys_, N, 20, target), N
     # chains with an entry below the twist vanish identically: the twist-2
     # value is exactly the double q-power of the twist-0 value
     s, u = pl.Index((1,)), pl.ArgTuple((T,))
     v0 = pl.deformation_specialize(s, u, V0, 0, 12)
-    assert pl.deformation_specialize(s, u, V0, 2, 12).congruent(
+    assert pl.deformation_specialize(s, u, V0, 2, 12).shift(18).congruent(
         v0.qpow(2), 10)
-    sys_ = build_cmpl_system(pl.Index((2, 1)),
-                             pl.ArgTuple((T, T + ONE)), V0)
-    vals = _specialize(sys_, 1, 20,
-                       pl.omega_at_inverse_power(sys_.alpha, V0, 1, 20))
-    assert all(x.is_exact_zero() for x in vals[:-1])
-    _report(4, "omega(alpha^(-q^N)) and low-chain summands vanish exactly")
+    _report(4, "psi(alpha^(-q^N)) ends in (Z pitilde^w)^(q^N), N in {1,2,3}; "
+               "low-chain summands vanish exactly")
 
 
 def test_criterion_05_goss_vanishing_and_golden_value():

@@ -3,9 +3,10 @@
 An AST scan of the package: every public top-level function and every
 public method must be read by code in the package (a name or an attribute
 in Load context; assignments, docstrings and comments do not count), or
-stand on KEPT with its reason.  A helper that only tests call belongs in
-tests/oracles.py.  Inside a function, every local that is assigned must
-also be read.
+stand on KEPT with its reason.  Every private top-level function and every
+private method but the dunders must be read as well, with no exceptions.
+A helper that only tests call belongs in tests/oracles.py.  Inside a
+function, every local that is assigned must also be read.
 
 A method is matched by its name alone, so a method of one class counts as
 read when a method of another class with the same name is (TSeries and
@@ -79,7 +80,7 @@ SHARED = {
     },
     "pow": {
         "algebra.FqContext.pow": "local._taylor_shift",
-        "local.LocalNum.pow": "diffsys._specialize",
+        "local.LocalNum.pow": "diffsys.mpl_certificate",
     },
     "scale": {
         "algebra.PolyA.scale": "algebra.PolyA.monic",
@@ -115,8 +116,8 @@ def _loads(node):
 
 
 def _scan():
-    """(qualified name -> bare name) of the public functions and methods,
-    the qualified names that package code reads, and (qualified name ->
+    """(qualified name -> bare name) of the functions and methods, the
+    qualified names that package code reads, and (qualified name ->
     attribute names it reads) of every function and method.
 
     A top-level function is read by a name or an attribute (module.f); a
@@ -138,29 +139,42 @@ def _scan():
         n, a = _loads(tree)
         names |= n
         attrs |= a
-    public = {q: n for q, n in defs.items() if not n.startswith("_")}
-    read = {q for q, n in public.items()
+    read = {q for q, n in defs.items()
             if n in attrs or (q.count(".") == 1 and n in names)}
-    return public, read, reads
+    return defs, read, reads
+
+
+def _public(defs):
+    return {q: n for q, n in defs.items() if not n.startswith("_")}
 
 
 def test_every_public_function_has_a_reader_in_the_package():
-    public, read, _ = _scan()
-    unread = sorted(q for q in public if q not in read and q not in KEPT)
+    defs, read, _ = _scan()
+    unread = sorted(q for q in _public(defs) if q not in read and q not in KEPT)
+    assert unread == []
+
+
+def test_every_private_function_has_a_reader_in_the_package():
+    # a private helper that only tests keep alive is caught as well
+    defs, read, _ = _scan()
+    unread = sorted(q for q, n in defs.items()
+                    if n.startswith("_") and not n.endswith("__")
+                    and q not in read)
     assert unread == []
 
 
 def test_kept_names_exist_and_are_still_unread():
-    public, read, _ = _scan()
+    defs, read, _ = _scan()
+    public = _public(defs)
     for name in KEPT:
         assert name in public, name
         assert name not in read, f"{name} is read now; unlist it"
 
 
 def test_shared_method_names_stand_on_the_table():
-    public, _, reads = _scan()
+    defs, _, reads = _scan()
     methods = {}
-    for q, n in public.items():
+    for q, n in _public(defs).items():
         if q.count(".") == 2:
             methods.setdefault(n, set()).add(q)
     shared = {n: qs for n, qs in methods.items() if len(qs) > 1}

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import vcarlitz
-from vcarlitz import diffsys, polylog
+from vcarlitz import diffsys, polylog, relations
 from vcarlitz.algebra import FqContext
 from vcarlitz.cli import RunConfig, run_command
 from vcarlitz.local import LocalNum, PlaceInf
@@ -50,6 +50,26 @@ def test_eval_mzv_v_example(capsys):
                     "--lambda", "0", "--prec", "40")
     assert code == 0
     assert out == "value=O(v^40)\nis_zero_to_prec=true\n"
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("beyond, word", [(0, "false"), (1, "true")])
+def test_eval_mzv_v_is_zero_sees_the_last_claimed_digit(
+        capsys, monkeypatch, c, beyond, word):
+    # zeta(2)_v at q = 3 is zero to prec: c pi^(prec - 1) added to it must
+    # print is_zero_to_prec=false, and c pi^prec, past the window, true
+    prec = 40
+    real = relations.eval_vmzv
+
+    def moved(dec, place, p, tmodules=None):
+        val = real(dec, place, p, tmodules=tmodules)
+        return val + _digit_at(place, p - 1 + beyond, c, p)
+
+    monkeypatch.setattr("vcarlitz.relations.eval_vmzv", moved)
+    code, out = run(capsys, "eval", "mzv-v", "--index", "2", "--q", "3",
+                    "--prec", str(prec))
+    assert code == 0
+    assert out.endswith(f"is_zero_to_prec={word}\n")
 
 
 # -- other subcommands ---------------------------------------------------
@@ -263,13 +283,13 @@ def test_certify_mpl_condition4_sees_the_last_compared_digit(
     real = diffsys._specialization_holds
     seen = []
 
-    def moved(sys_, k, prec, pt, target):
+    def moved(sys_, k, prec, target):
         if k:
             seen.append(k)
             n = _last_compared(prec, target.nu, sys_.place.q, k,
                                sys_.weight) + beyond
             target = target + _digit_at(sys_.place, n, c, prec)
-        return real(sys_, k, prec, pt, target)
+        return real(sys_, k, prec, target)
 
     monkeypatch.setattr("vcarlitz.diffsys._specialization_holds", moved)
     code, rec = _mpl(capsys, str(N))
@@ -455,6 +475,15 @@ def test_out_of_range_input_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {argv[-2][2:]} must be >= ")
+
+
+def test_verify_specialize_negative_twist_exits_2(capsys):
+    argv = ["verify", "specialize", "--index", "1", "--args", "T",
+            "--twist", "-1"]
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: power index must be >= 0\n"
 
 
 @pytest.mark.parametrize("argv,named", [

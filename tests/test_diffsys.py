@@ -11,10 +11,11 @@ from vcarlitz.cli import _residual_records
 from vcarlitz.errors import CertificationFailed, DomainError
 from vcarlitz.local import LocalNum, PlaceV, embed_local
 from vcarlitz.polylog import (
-    ArgTuple, Index, cmpl_eval, omega_product, pi_tilde,
+    ArgTuple, Index, cmpl_eval, deformation_specialize, omega_product,
+    pi_tilde,
 )
 from vcarlitz.diffsys import (
-    DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t, _specialize,
+    DiffSystem, Residual, _det_structural, _one_minus_alpha_q_t,
     _specialization_holds, _tp_det, block_sum, build_cmpl_system, build_omega_system,
     mpl_certificate, tp_add, tp_eval_k, tp_mul, tp_normalize,
     tp_one, tp_scale, vabp_certify, verify_difference,
@@ -386,39 +387,37 @@ def test_block_sum_refuses_mixed_places():
 # -- specialization ------------------------------------------------------
 
 def test_specialization_at_inverse_uniformizer():
+    # the last entry of psi(alpha^(-1)) is pitilde^w Li, read literally
     s = Index([2])
     u = ArgTuple([T])
-    sys = build_cmpl_system(s, u, V0)
-    pt = pi_tilde(sys.alpha, V0, 30)
-    vals = _specialize(sys, 0, 30, pt)
-    assert (vals[0] - pt.pow(2)).is_zero_to_precision()
+    pt = pi_tilde(RatK(V0.uniformizer()), V0, 30)
     li = cmpl_eval(s, u, V0, 30)
-    assert (vals[-1] - pt.pow(2) * li).is_zero_to_precision()
+    last = deformation_specialize(s, u, V0, 0, 30)
+    assert (last - pt.pow(2) * li).is_zero_to_precision()
 
 
 def test_specialization_at_higher_twist_kills_all_but_last():
+    # Omega(alpha^(-q^N)) = 0 for N >= 1 leaves the last entry, read
+    # literally, as the whole check
     sys = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
-    vals = _specialize(sys, 1, 30, LocalNum.exact_zero(V0))
-    assert all(v.is_exact_zero() for v in vals[:-1])
-    assert not vals[-1].is_zero_to_precision()
+    target = cmpl_eval(sys.index, sys.args, V0, 30) \
+        * pi_tilde(sys.alpha, V0, 30).pow(sys.weight)
+    assert not deformation_specialize(sys.index, sys.args, V0, 1, 30) \
+        .is_zero_to_precision()
+    assert _specialization_holds(sys, 1, 30, target)
+    assert not _specialization_holds(sys, 1, 30,
+                                     target + LocalNum(V0, 1, (1,) + (0,) * 30))
 
 
-@pytest.mark.parametrize("kind", ["omega", "cmpl"])
-def test_specialization_at_zero_twist_reads_the_last_entry(kind):
-    """At N = 0 the check builds only the last entry of psi(alpha^(-1)): it
-    passes that entry of the whole vector and fails it off in its last
-    digit; a system that is not constructed is refused."""
-    sys = build_omega_system(V0) if kind == "omega" else build_cmpl_system(
-        Index([2, 1]), ArgTuple([T, T + ONE]), V0)
-    pt = pi_tilde(sys.alpha, V0, 30)
-    last = _specialize(sys, 0, 30, pt)[-1]
+def test_specialization_at_zero_twist_reads_the_last_entry():
+    """At N = 0 the check reads only the last entry of psi(alpha^(-1)): it
+    passes that entry and fails it off in its last digit."""
+    sys = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
+    last = deformation_specialize(sys.index, sys.args, V0, 0, 30)
     assert last.cutoff == 30
-    assert _specialization_holds(sys, 0, 30, pt, last)
-    assert not _specialization_holds(sys, 0, 30, pt,
+    assert _specialization_holds(sys, 0, 30, last)
+    assert not _specialization_holds(sys, 0, 30,
                                      last + LocalNum(V0, 29, (1,)))
-    generic = DiffSystem(V0, sys.phi, sys.psi, sys.weight, sys.alpha)
-    with pytest.raises(CertificationFailed):
-        _specialization_holds(generic, 0, 30, pt, last)
 
 
 # -- MPL certificates ----------------------------------------------------
@@ -446,6 +445,19 @@ def test_mpl_certificate_wrong_ftype_fails_condition2():
     sys = build_cmpl_system(Index([1]), ArgTuple([T]), V0)
     cert = mpl_certificate(sys, 1, t_power(2), [1], prec=20)
     assert 2 in cert.failed()
+
+
+@pytest.mark.parametrize("kind", ["omega", "block", "generic"])
+def test_mpl_certificate_refuses_a_system_that_is_not_cmpl(kind):
+    # none of these has an index to evaluate Z at
+    cmpl = build_cmpl_system(Index([1]), ArgTuple([T]), V0)
+    sys = {"omega": lambda: build_omega_system(V0),
+           "block": lambda: block_sum([build_omega_system(V0), cmpl]),
+           "generic": lambda: DiffSystem(V0, cmpl.phi, cmpl.psi, cmpl.weight,
+                                         cmpl.alpha)}[kind]()
+    with pytest.raises(CertificationFailed,
+                       match="specialization needs a constructed system"):
+        mpl_certificate(sys, 1, t_power(1), [1], prec=20)
 
 
 # -- vABP certification --------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from vcarlitz.algebra import (
     FqContext, PolyA, RatK, monic_enumerate, parse_poly, parse_ratk,
 )
+from vcarlitz.diffsys import _specialization_holds, build_cmpl_system
 from vcarlitz.errors import DomainError, PrecisionLoss
 from vcarlitz.local import LocalNum, PlaceInf, PlaceV, embed_local, embed_poly
 from vcarlitz.tseries import TSeries, frobenius_twist
@@ -17,9 +18,10 @@ from vcarlitz import tmodule
 
 from oracles import (
     F_at_inverse_power_loop, L_factorial, deformation_build_per_prefix,
-    delta_local, domain_check_inf, from_local_coeffs, omega_power_products,
-    omega_product_loop, omega_tail_loop, pi_tilde_loop, power_sum_enum,
-    series_pow,
+    deformation_specialize_prefixes, delta_local, domain_check_inf,
+    from_local_coeffs, omega_power_products, omega_product_loop,
+    omega_tail_loop, pi_tilde_loop, power_sum_enum, series_pow,
+    specialization_holds_two_path,
 )
 
 CTX3 = FqContext(3)
@@ -470,13 +472,6 @@ def test_pi_tilde_agrees_with_series_evaluation():
     assert val.congruent(pl.pi_tilde(TH, V0, 9), 9)
 
 
-def test_omega_at_inverse_powers():
-    assert pl.omega_at_inverse_power(TH, V0, 1, 9).is_exact_zero()
-    assert pl.omega_at_inverse_power(TH, V0, 2, 9).is_exact_zero()
-    assert pl.omega_at_inverse_power(TH, V0, 0, 9).congruent(
-        pl.pi_tilde(TH, V0, 9), 9)
-
-
 # -- deformation series -------------------------------------------------
 
 def _uniformizer_ratk(place):
@@ -655,15 +650,16 @@ def test_specialize_twist_is_qpow():
     s, u = pl.Index((1,)), pl.ArgTuple((TH,))
     v0 = pl.deformation_specialize(s, u, V0, 0, 20)
     v1 = pl.deformation_specialize(s, u, V0, 1, 20)
-    assert v1.congruent(v0.qpow(), 18)
+    assert v1.shift(3).congruent(v0.qpow(), 18)
 
 
 def test_specialize_raw_value_carries_uniformizer_power():
-    # the literal series value differs from the normalized one by pi^(N*wt*q^N)
+    # the literal value at twist N is pi^(-N*wt*q^N) (pitilde^wt Li)^(q^N)
     s, u = pl.Index((1,)), pl.ArgTuple((TH,))
-    norm = pl.deformation_specialize(s, u, V0, 1, 15)
-    raw = pl.deformation_specialize_prefixes(s, u, V0, 1, 15)[-1]
-    assert raw.congruent(norm.shift(-3), 12)
+    v0 = pl.deformation_specialize(s, u, V0, 0, 15)
+    raw = pl.deformation_specialize(s, u, V0, 1, 15)
+    assert raw.nu == 3 * v0.nu - 3
+    assert raw.shift(3).congruent(v0.qpow(), 12)
 
 
 @st.composite
@@ -684,12 +680,32 @@ def _specialize_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(_specialize_cases())
 def test_specialize_prefixes_match_each_prefix(case):
+    # each prefix on its own plan gives the value the one prefix pass at
+    # the whole index's plan gave it
     s, u, place, N, prec = case
-    got = pl.deformation_specialize_prefixes(s, u, place, N, prec)
-    want = [pl.deformation_specialize_prefixes(
-                pl.Index(s.s[:l]), pl.ArgTuple(u.u[:l]), place, N, prec)[-1]
-            for l in range(1, s.depth + 1)]
+    got = [pl.deformation_specialize(pl.Index(s.s[:l]), pl.ArgTuple(u.u[:l]),
+                                     place, N, prec)
+           for l in range(1, s.depth + 1)]
+    want = deformation_specialize_prefixes(s, u, place, N, prec)
     assert [(x.nu, x.coeffs) for x in got] == [(x.nu, x.coeffs) for x in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_specialize_cases(), st.data())
+def test_specialization_check_matches_the_two_path_check(case, data):
+    # one comparison at every twist gives the verdict of the route that
+    # built psi(alpha^(-q^N)) with its zero entries set at N >= 1, for the
+    # target and for the target moved by one digit
+    s, u, place, N, prec = case
+    sys_ = build_cmpl_system(s, u, place)
+    pt = pl.pi_tilde(sys_.alpha, place, prec)
+    target = pl.cmpl_eval(s, u, place, prec) * pt.pow(sys_.weight)
+    n = data.draw(st.integers(min(0, target.nu), target.cutoff))
+    c = data.draw(st.integers(1, place.q - 1))
+    moved = target + LocalNum(place, n, (c,) + (0,) * (target.cutoff - n))
+    for tgt in (target, moved):
+        assert _specialization_holds(sys_, N, prec, tgt) \
+            == specialization_holds_two_path(sys_, N, prec, pt, tgt)
 
 
 def test_specialize_drops_low_chains():
@@ -698,4 +714,4 @@ def test_specialize_drops_low_chains():
     s, u = pl.Index((1,)), pl.ArgTuple((TH,))
     v0 = pl.deformation_specialize(s, u, V0, 0, 12)
     v2 = pl.deformation_specialize(s, u, V0, 2, 12)
-    assert v2.congruent(v0.qpow(2), 10)
+    assert v2.shift(18).congruent(v0.qpow(2), 10)
