@@ -11,10 +11,11 @@ polynomial arithmetic over a finite field in the package.
 
 Every product of two runs of F_q codes -- PolyA coefficients and LocalNum
 digits -- is one call of fq_convolve, and the digit grids of a series
-product go through _grid_product.  Both add pair by pair of nonzero
-entries through the table rows when those pairs are no more than the
-product's positions, and otherwise make one big-integer product of the
-packed runs (Kronecker substitution).
+product go through _grid_product.  Both either add pair by pair of nonzero
+entries through the table rows or make one big-integer product of the
+packed runs (Kronecker substitution): fq_convolve takes the route of least
+estimated cost, _grid_product the pair loop when those pairs are no more
+than the product's positions.
 
 Polynomials over F_q (type PolyA) are coefficient tuples, ascending in T,
 with trailing zeros stripped.  Rational functions (type RatK) are reduced
@@ -100,7 +101,13 @@ class FqContext:
                 self._mul.append(row)
         self._neg = [row.index(0) for row in self._add]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
-        self._residue = bytes(i % p for i in range(256))   # a byte mod p
+        # fq_convolve's byte slots (e = 1, p < 128): the longest operand
+        # whose slot sums m (p - 1)^2 fit one and two bytes, a byte mod p,
+        # and a high byte's weight 256 h mod p
+        small = e == 1 and p < 128
+        self._byte_slots = [c // (p - 1) ** 2 * small for c in (255, 65535)]
+        self._residue = bytes(i % p for i in range(256))
+        self._high = bytes(h * 256 % p for h in range(256)) if small else b""
 
     # -- element codec -------------------------------------------------
 
@@ -270,14 +277,40 @@ def fq_convolve(ctx, a, b, n):
     codes, as a list of at most len(a) + len(b) - 1 codes.
 
     The one F_q product of the package: LocalNum digits and PolyA
-    coefficients.  It routes as _grid_product does.  When the pairs of
-    nonzero entries are at most the n positions, each pair's product is
-    added into its position through the rows of the F_q tables (an operand
-    of one entry scales the other by its row).  Otherwise one big-integer
-    product gives them all (Kronecker substitution).  For e = 1 with
-    one-byte slots the operands' own bytes are the packed integers, and the
-    product's bytes are read modulo p through a byte table; other fields
-    pack coordinate slots as above.
+    coefficients.  An operand of one entry scales the other by its table
+    row.  Otherwise one rule picks the cheaper of two routes by their
+    estimated costs.  The pair loop (_pair_sums) adds each product of
+    nonzero entries below n into its position through the table rows.  A
+    packed route makes one big-integer product (Kronecker substitution):
+
+    - byte slots, for e = 1 and p < 128 while a slot's largest sum,
+      m (p - 1)^2 with m = min(len a, len b), is below 256 (w = 1 byte)
+      or 65536 (w = 2).  The codes are the slots' low bytes; the product's
+      bytes are read modulo p through the byte table _residue, and at
+      w = 2 a high byte h through _high (h 256 mod p), the two added as
+      integers (each byte below 2p - 1 < 256, so nothing carries) and read
+      once more;
+    - otherwise coordinate slots of `size` bytes (_pack, _unpack, _digits).
+
+    Costs are in steps of the pair loop's inner loop, from least-squares
+    fits (relative error) of timeit samples of each route over q in {3, 5,
+    7, 17, 31, 101, 4, 8, 9}, lengths 2 to 128 and densities 1 to 1/12
+    (CPython 3.11 on x86-64, where a step is 0.08 us).  With P = len a +
+    len b - 1 the product's positions, A the nonzero entries of a and
+    I = pairs n / P the estimated inner steps, the pair loop took 1.15 +
+    0.080 I + 0.088 A + 0.027 P us, so its cost is I + A + P / 3 steps
+    beyond its 1.15 us.  Beyond the same 1.15 us, the byte route took
+    0.45 + 0.0135 P us at w = 1 and 0.98 + 0.032 P at w = 2, or 6 + P / 6
+    and 12 + 3 P / 8 steps.  The coordinate route took 5.1 + 0.021 size P
+    us at e = 1 and 10.4 + 0.043 (2e - 1) size P at e > 1, or 60 +
+    size P / 4 and 60 e + (2e - 1) size P / 2 steps; its cost is taken at
+    its usual slots, 4 bytes at e = 1 (where it serves p > 127 and
+    products beyond two-byte slots) and 2 at e > 1, as 60 e + (2e - 1) P
+    steps, so the rule does not compute the slot size of a product the
+    pair loop takes.  The pair loop runs when its cost is at most the
+    packed route's.  So a sparse or short product adds its few pairs, and
+    at e > 1 a dense one does too up to about 20 entries, below the
+    coordinate route's fixed cost of packing and folding.
     """
     la, lb = len(a), len(b)
     if not la or not lb:
@@ -285,18 +318,36 @@ def fq_convolve(ctx, a, b, n):
     if la == 1 or lb == 1:
         row, rest = (ctx._mul[b[0]], a) if lb == 1 else (ctx._mul[a[0]], b)
         return [row[x] for x in rest[:n]]
-    n = min(n, la + lb - 1)
-    if (la - a.count(0)) * (lb - b.count(0)) <= n:
+    P = la + lb - 1                 # the product's positions
+    n, m = (n if n < P else P), (la if la < lb else lb)
+    if m <= ctx._byte_slots[1]:     # slots of w bytes
+        w = 1 if m <= ctx._byte_slots[0] else 2
+        cost = 6 + P / 6 if w == 1 else 12 + 3 * P / 8
+        # past 36 positions one-byte slots always win (6 + P / 6 is below
+        # P / 3, the pair loop's least cost): make the bytes the packing
+        # needs now, and count zeros in them, faster than in tuples
+        a, b = (bytes(a), bytes(b)) if P > 36 else (a, b)
+    else:                           # coordinate slots
+        w, cost = 0, 60 * ctx.e + (2 * ctx.e - 1) * P
+    if (la - a.count(0)) * (1 + (lb - b.count(0)) * n / P) + P / 3 <= cost:
         return _pair_sums(ctx, [(i, x) for i, x in enumerate(a[:n]) if x],
                           [(j, y) for j, y in enumerate(b) if y], n)[0]
-    if ctx.e == 1 and min(la, lb) * (ctx.p - 1) ** 2 < 256:
-        prod = (int.from_bytes(bytes(a), "little")
-                * int.from_bytes(bytes(b), "little"))
-        return list(prod.to_bytes(la + lb - 1, "little")[:n]
-                    .translate(ctx._residue))
-    size = _slot_size(ctx, min(la, lb))
-    prod = _pack(ctx, [(0, a)], size) * _pack(ctx, [(0, b)], size)
-    return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
+    if not w:
+        size = _slot_size(ctx, m)
+        prod = _pack(ctx, [(0, a)], size) * _pack(ctx, [(0, b)], size)
+        return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
+    A, B = ((bytes(a), bytes(b)) if w == 1
+            else (bytearray(2 * la), bytearray(2 * lb)))
+    if w == 2:                      # the codes are the low bytes
+        A[::2], B[::2] = bytes(a), bytes(b)
+    raw = (int.from_bytes(A, "little") * int.from_bytes(B, "little")
+           ).to_bytes(w * P, "little")
+    out = raw[:w * n:w].translate(ctx._residue)
+    if w == 2:
+        out = (int.from_bytes(out, "little") + int.from_bytes(
+            raw[1:2 * n:2].translate(ctx._high), "little")
+               ).to_bytes(n, "little").translate(ctx._residue)
+    return list(out)
 
 
 def _grid_product(ctx, a, b, stride, widths, terms):

@@ -221,6 +221,7 @@ def _cmd_eval(ns):
     if ns.cert_prec < 1:
         raise ValueError(f"cert-prec must be >= 1, got {ns.cert_prec}")
     s = Index.parse(ns.index)
+    spec = _read_tmodule(cfg, ns.tmodule) if ns.tmodule else None
     if ns.decomposition:
         with open(ns.decomposition) as fh:
             dec, ctx = parse_decomposition(fh.read())
@@ -235,27 +236,32 @@ def _cmd_eval(ns):
         dec = depth1_decomposition(cfg.ctx, s[0])
     # a "certified" line in a file is a claim, never a substitute for the check
     verify_decomposition_inf(dec, ns.cert_prec)
-    tmodules = None
-    if ns.tmodule:
-        from .tmodule import parse_tmodule_spec, validate_tmodule
-        with open(ns.tmodule) as fh:
-            spec = parse_tmodule_spec(fh.read())
-        if not spec.validated:
-            try:
-                validate_tmodule(spec, cfg.place_v, 30)
-            except (VCarlitzError, ValueError):
-                pass
-        if not spec.validated:
-            if not ns.trust_unvalidated:
-                raise MissingTModuleSpec(
-                    "t-module spec is not validated; pass "
-                    "--trust-unvalidated to use it anyway")
-            spec.validated = True
-        tmodules = {str(spec.index): spec}
+    if spec is not None and not spec.validated:
+        from .tmodule import validate_tmodule
+        try:
+            validate_tmodule(spec, cfg.place_v, 30)
+        except (VCarlitzError, ValueError):
+            pass
+        if not spec.validated and not ns.trust_unvalidated:
+            raise MissingTModuleSpec(
+                "t-module spec is not validated; pass "
+                "--trust-unvalidated to use it anyway")
+        spec.validated = True
+    tmodules = None if spec is None else {str(spec.index): spec}
     val = eval_vmzv(dec, cfg.place_v, cfg.prec, tmodules=tmodules)
     cfg.emit([("value", val),
               ("is_zero_to_prec", str(val.is_zero_to_precision()).lower())])
     return EXIT_OK
+
+
+def _read_tmodule(cfg, path):
+    """The t-module spec in a file, refused unless its field is --q's."""
+    from .tmodule import parse_tmodule_spec
+    with open(path) as fh:
+        spec = parse_tmodule_spec(fh.read())
+    if spec.ctx != cfg.ctx:
+        raise VCarlitzError("t-module spec is for a different q")
+    return spec
 
 
 def _residual_records(res):
@@ -280,9 +286,8 @@ def _cmd_verify(ns):
         cfg.emit([("certified", "true"), ("prec", cert["prec"])])
         return EXIT_OK
     if ns.what == "tmodule":
-        from .tmodule import parse_tmodule_spec, validate_tmodule
-        with open(ns.file) as fh:
-            spec = parse_tmodule_spec(fh.read())
+        from .tmodule import validate_tmodule
+        spec = _read_tmodule(cfg, ns.file)
         cert = validate_tmodule(spec, cfg.place_v, min(cfg.prec, 30))
         records = [("validated", str(cert.ok).lower())]
         for i, (args, _pt, ok, residual) in enumerate(cert.results):

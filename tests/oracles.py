@@ -27,7 +27,8 @@ the full product, d[a] = a(B0) by Horner over k and its Gauss-Jordan
 inverse (with B0 = theta Id + N0 and the matrix sums, scalings, products
 and identity over k they use), the F_q
 products (one schoolbook for F_q codes and LocalNum
-coefficients alike), polynomial division and series inversion one field
+coefficients alike, and the F_q product kernel routed by counts of
+pairs and positions with one-byte slots only), polynomial division and series inversion one field
 operation at a time, and F_q row reduction one element at a time.
 
 The Carlitz action over k (the one-dimensional oracle of the t-module
@@ -45,8 +46,8 @@ from fractions import Fraction
 
 from vcarlitz import diffsys, polylog, relations, tmodule
 from vcarlitz.algebra import (
-    _WIDTHS, PolyA, RatK, _pack, _packed_product, _parse_fq_coeff, _parse_int,
-    _rows, _split_terms,
+    _WIDTHS, PolyA, RatK, _digits, _pack, _packed_product, _pair_sums,
+    _parse_fq_coeff, _parse_int, _rows, _slot_size, _split_terms, _unpack,
 )
 from vcarlitz.errors import (
     AssertionFailure, CertificationFailed, ConvergenceNotCertified,
@@ -409,6 +410,31 @@ def fq_schoolbook(a, b, n, add, mul, zero=0):
             acc = add(acc, mul(a[i], b[k - i]))
         out.append(acc)
     return out
+
+
+def fq_convolve_by_count(ctx, a, b, n):
+    """algebra.fq_convolve as it was before its routes were chosen by cost:
+    the pair loop while the pairs of nonzero entries are at most the n
+    positions, then one-byte slots for e = 1 while min(len a, len b)
+    (p - 1)^2 < 256, then coordinate slots."""
+    la, lb = len(a), len(b)
+    if not la or not lb:
+        return []
+    if la == 1 or lb == 1:
+        row, rest = (ctx._mul[b[0]], a) if lb == 1 else (ctx._mul[a[0]], b)
+        return [row[x] for x in rest[:n]]
+    n = min(n, la + lb - 1)
+    if (la - a.count(0)) * (lb - b.count(0)) <= n:
+        return _pair_sums(ctx, [(i, x) for i, x in enumerate(a[:n]) if x],
+                          [(j, y) for j, y in enumerate(b) if y], n)[0]
+    if ctx.e == 1 and min(la, lb) * (ctx.p - 1) ** 2 < 256:
+        prod = (int.from_bytes(bytes(a), "little")
+                * int.from_bytes(bytes(b), "little"))
+        return list(prod.to_bytes(la + lb - 1, "little")[:n]
+                    .translate(ctx._residue))
+    size = _slot_size(ctx, min(la, lb))
+    prod = _pack(ctx, [(0, a)], size) * _pack(ctx, [(0, b)], size)
+    return _digits(ctx, _unpack(ctx, prod, n, size)[1], 0, n)
 
 
 def polya_divmod_loop(f, g):

@@ -12,7 +12,7 @@ import pytest
 
 import vcarlitz
 from vcarlitz import diffsys, polylog, relations
-from vcarlitz.algebra import FqContext
+from vcarlitz.algebra import FqContext, parse_ratk
 from vcarlitz.cli import RunConfig, run_command
 from vcarlitz.local import LocalNum, PlaceInf
 
@@ -222,6 +222,35 @@ def test_verify_tmodule_sees_the_last_checked_digit(capsys, monkeypatch, c,
     assert out.splitlines()[0] == f"validated={word}"
 
 
+@pytest.mark.parametrize("q", ["2", "5"])
+@pytest.mark.parametrize("argv", [("verify", "tmodule", "--file"),
+                                  ("eval", "mzv-v", "--index", "3",
+                                   "--tmodule")])
+def test_tmodule_spec_for_another_field_exits_2(capsys, argv, q):
+    # a p = 3 spec is refused under --q 2 and --q 5, not read in their field
+    path = data_path("tmodules", "tensor_q3_s3.txt")
+    code = run_command([*argv, path, "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: t-module spec is for a different q\n"
+
+
+@pytest.mark.parametrize("trust, code_want", [((), 1),
+                                              (("--trust-unvalidated",), 0)])
+def test_eval_mzv_v_refuses_an_unvalidated_tmodule_unless_trusted(
+        capsys, tmp_path, trust, code_want):
+    # a corner of B1 zeroed: the spec fails its validation
+    with open(data_path("tmodules", "tensor_q3_s2.txt")) as fh:
+        text = fh.read()
+    path = tmp_path / "broken.txt"
+    path.write_text(text.replace("b1-row: 1, 0", "b1-row: 0, 0", 1))
+    code = run_command(["eval", "mzv-v", "--index", "2", "--tmodule",
+                        str(path), *trust])
+    captured = capsys.readouterr()
+    assert code == code_want
+    assert ("not validated" in captured.err) == (code_want == 1)
+
+
 def test_verify_tmodule_refuses_n0_that_is_not_nilpotent(capsys, tmp_path):
     with open(data_path("tmodules", "tensor_q3_s3.txt")) as fh:
         text = fh.read()
@@ -247,6 +276,21 @@ def test_certify_mpl(capsys):
     assert code == 0
     assert out == ("ok=true\nweight=1\ncondition_1=pass\ncondition_2=pass\n"
                    "condition_3=pass\ncondition_4=pass\n")
+
+
+def test_certify_mpl_checks_to_prec_30(capsys, monkeypatch):
+    # at the default --prec 40 the certificate is computed and compared at 30
+    precs = set()
+
+    def spy(index, args, place, prec):
+        precs.add(prec)
+        return polylog.cmpl_eval(index, args, place, prec)
+
+    monkeypatch.setattr("vcarlitz.diffsys.cmpl_eval", spy)
+    code, out = run(capsys, "certify", "mpl", "--index", "1", "--args", "T",
+                    "--n-list", "1,2")
+    assert precs == {30}
+    assert code == 0 and out.startswith("ok=true\n")
 
 
 def _mpl(capsys, n_list):
@@ -360,6 +404,28 @@ def test_relations_find(capsys):
     assert code == 0
     assert out == ("count=1\n"
                    "relation_0=coeffs=[1, 2*T] residual_ord=70\n")
+
+
+@pytest.mark.parametrize("at, count", [(59, 0), (60, 1)])
+def test_relations_find_recheck_drops_a_relation_off_in_its_last_digit(
+        capsys, monkeypatch, at, count):
+    # negative control of the recheck through the CLI: a digit added to
+    # the first value at pi^(n_recheck - 1) drops Li_1(T^3 + T^2) =
+    # theta Li_1(T); at pi^(n_recheck) it is past the recheck and the
+    # relation stays
+    def moved(index, args, place, prec):
+        val = polylog.cmspl_eval(index, args, place, prec)
+        if args[0] == parse_ratk(place.ctx, "T^3+T^2"):
+            val = val + LocalNum(place, at, (1,))
+        return val
+
+    monkeypatch.setattr("vcarlitz.cli.cmspl_eval", moved)
+    code, out = run(capsys, "relations", "find", "--value", "1|T^3+T^2",
+                    "--value", "1|T", "--deg", "1", "--prec", "40",
+                    "--n-recheck", "60")
+    assert code == 0
+    assert out.splitlines()[0] == f"count={count}"
+    assert len(out.splitlines()) == 1 + count
 
 
 def test_appendix_subcommands(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vcarlitz import algebra
 from vcarlitz.algebra import (
     FqContext, PolyA, RatK, fq_convolve, parse_poly, parse_ratk,
 )
@@ -13,8 +14,9 @@ from vcarlitz.local import (
 )
 
 from oracles import (
-    fq_schoolbook, localnum_add, localnum_inv_loop, localnum_neg,
-    localnum_scale_fq, localnum_sub, ord_poly_divmod, parse_local,
+    fq_convolve_by_count, fq_schoolbook, localnum_add, localnum_inv_loop,
+    localnum_neg, localnum_scale_fq, localnum_sub, ord_poly_divmod,
+    parse_local,
 )
 
 CTX3 = FqContext(3)
@@ -255,9 +257,16 @@ def test_sums_and_scaling_match_digit_loops(case):
     assert _state(x.scale_fq(c)) == _state(localnum_scale_fq(x, c))
 
 
-# q in {2, 3, 4, 5, 8, 9, 17, 101}: e > 1 and p > 16 (multi-byte slots) too
+# q in {2, 3, 4, 5, 8, 9, 17, 31, 101}: e > 1 and p > 16 (two-byte and
+# coordinate slots) too
 KERNEL_FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1),
-                                           (2, 3), (3, 2), (17, 1), (101, 1))]
+                                           (2, 3), (3, 2), (17, 1), (31, 1),
+                                           (101, 1))]
+
+# min(len a, len b) on either side of a slot-width boundary: one- to
+# two-byte slots at q = 3 (64 digits) and q = 5 (16), two-byte to
+# coordinate slots at q = 31 (73) and q = 101 (7)
+BOUNDARY_LENGTHS = [6, 7, 15, 16, 63, 64, 72, 73]
 
 
 def _schoolbook(ctx, a, b, n):
@@ -266,12 +275,14 @@ def _schoolbook(ctx, a, b, n):
 
 @st.composite
 def kernel_operands(draw):
-    """(ctx, a, b): two code sequences of length 0 to 100, dense, sparse
-    (mostly zero) or all q - 1 (every slot at its largest sum)."""
+    """(ctx, a, b): two code sequences of length 0 to 130 or at a slot
+    boundary, dense, sparse (mostly zero) or all q - 1 (every slot at its
+    largest sum)."""
     ctx = draw(st.sampled_from(KERNEL_FIELDS))
+    length = st.one_of(st.integers(0, 130), st.sampled_from(BOUNDARY_LENGTHS))
 
     def seq():
-        n = draw(st.integers(0, 100))
+        n = draw(length)
         kind = draw(st.sampled_from(["dense", "sparse", "top"]))
         if kind == "top":
             return [ctx.q - 1] * n
@@ -286,15 +297,65 @@ def kernel_operands(draw):
 @given(kernel_operands(), st.data())
 @settings(max_examples=400, deadline=None)
 def test_convolve_matches_schoolbook(case, data):
-    # fq_convolve against one field operation per pair, at the full length,
-    # at an n below both operand lengths, and on tuples (LocalNum digits)
+    # fq_convolve against one field operation per pair and against the
+    # kernel routed by counts, at the full length, at an n below both
+    # operand lengths, and on tuples (LocalNum digits)
     ctx, a, b = case
     full = len(a) + len(b) - 1
     want = _schoolbook(ctx, a, b, full)
     assert fq_convolve(ctx, a, b, full) == want
     assert fq_convolve(ctx, a, b, full + 5) == want
+    assert fq_convolve_by_count(ctx, a, b, full) == want
     n = data.draw(st.integers(0, max(0, min(len(a), len(b)) - 1)))
     assert fq_convolve(ctx, tuple(a), tuple(b), n) == want[:n]
+    assert fq_convolve_by_count(ctx, tuple(a), tuple(b), n) == want[:n]
+
+
+@pytest.mark.parametrize("p, m", [(3, 63), (3, 64), (5, 15), (5, 16),
+                                  (31, 72), (31, 73), (101, 6), (101, 7)])
+def test_convolve_at_slot_width_boundaries(p, m):
+    # all entries p - 1: the middle position sums m (p - 1)^2, the largest
+    # sum a slot holds, on each side of each slot-width boundary
+    ctx = FqContext(p)
+    a = [p - 1] * m
+    assert fq_convolve(ctx, a, a, 2 * m - 1) == _schoolbook(ctx, a, a,
+                                                            2 * m - 1)
+
+
+@pytest.mark.parametrize("pe, W, called", [
+    ((2, 2), 4, ["_pair_sums"]),        # q = 4: not coordinate slots
+    ((3, 1), 80, []),                   # q = 3: two-byte slots
+    ((3, 2), 64, ["_pack", "_pack"]),   # q = 9: coordinate slots
+])
+def test_convolve_takes_the_cheaper_route(monkeypatch, pe, W, called):
+    # dense products: the first two went to coordinate slots under the
+    # rule of pairs against positions, at 3 to 5 times the cost
+    seen = []
+
+    def spy(name):
+        real = getattr(algebra, name)
+        return lambda *args: seen.append(name) or real(*args)
+
+    for name in ("_pair_sums", "_pack"):
+        monkeypatch.setattr(algebra, name, spy(name))
+    ctx = FqContext(*pe)
+    a = [i % (ctx.q - 1) + 1 for i in range(W)]
+    assert fq_convolve(ctx, a, a, W) == _schoolbook(ctx, a, a, W)
+    assert seen == called
+
+
+@given(st.sampled_from([FqContext(127), FqContext(131), FqContext(181)]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_convolve_reads_two_byte_slots_only_below_p_128(ctx, data):
+    # at p > 128 a slot's two residues, low byte mod p and 256 h mod p,
+    # can add up to 256 and carry; a short operand of large codes times a
+    # long one at p = 131 and 181 would be read wrong in two-byte slots
+    code = st.integers(ctx.p // 2, ctx.p - 1)
+    a = data.draw(st.lists(code, min_size=2, max_size=3))
+    b = data.draw(st.lists(code, min_size=20, max_size=60))
+    full = len(a) + len(b) - 1
+    assert fq_convolve(ctx, a, b, full) == _schoolbook(ctx, a, b, full)
 
 
 @st.composite

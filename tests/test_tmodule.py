@@ -370,6 +370,21 @@ def test_validation_fails_broken_corner():
         extended_cmspl_v(broken, V0, 20)
 
 
+@pytest.mark.parametrize("short, ok", [(1, False), (0, True)])
+def test_validation_refuses_a_comparison_known_below_prec(monkeypatch, short,
+                                                          ok):
+    # the direct series known only to pi^(prec - 1) agrees with the log to
+    # its cutoff; the comparison is then not known to prec and fails
+    def known_to(index, args, place, prec):
+        return cmspl_eval(index, args, place, prec).truncate(prec - short)
+
+    monkeypatch.setattr("vcarlitz.tmodule.cmspl_eval", known_to)
+    spec = tensor_carlitz_spec(2, V0)
+    cert = validate_tmodule(spec, V0, 30)
+    assert cert.ok is ok and spec.validated is ok
+    assert [r[3] for r in cert.results] == [None if ok else 29] * 3
+
+
 def test_validation_needs_three_points():
     spec = tensor_carlitz_spec(1, V0)
     starved = TModuleSpec(CTX3, 1, spec.N0,
