@@ -323,10 +323,6 @@ def fq_convolve(ctx, a, b, n):
     if m <= ctx._byte_slots[1]:     # slots of w bytes
         w = 1 if m <= ctx._byte_slots[0] else 2
         cost = 6 + P / 6 if w == 1 else 12 + 3 * P / 8
-        # past 36 positions one-byte slots always win (6 + P / 6 is below
-        # P / 3, the pair loop's least cost): make the bytes the packing
-        # needs now, and count zeros in them, faster than in tuples
-        a, b = (bytes(a), bytes(b)) if P > 36 else (a, b)
     else:                           # coordinate slots
         w, cost = 0, 60 * ctx.e + (2 * ctx.e - 1) * P
     if (la - a.count(0)) * (1 + (lb - b.count(0)) * n / P) + P / 3 <= cost:

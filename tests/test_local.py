@@ -14,9 +14,8 @@ from vcarlitz.local import (
 )
 
 from oracles import (
-    fq_convolve_by_count, fq_schoolbook, localnum_add, localnum_inv_loop,
-    localnum_neg, localnum_scale_fq, localnum_sub, ord_poly_divmod,
-    parse_local,
+    fq_schoolbook, localnum_add, localnum_inv_loop, localnum_neg,
+    localnum_scale_fq, localnum_sub, ord_poly_divmod, parse_local,
 )
 
 CTX3 = FqContext(3)
@@ -297,18 +296,15 @@ def kernel_operands(draw):
 @given(kernel_operands(), st.data())
 @settings(max_examples=400, deadline=None)
 def test_convolve_matches_schoolbook(case, data):
-    # fq_convolve against one field operation per pair and against the
-    # kernel routed by counts, at the full length, at an n below both
-    # operand lengths, and on tuples (LocalNum digits)
+    # fq_convolve against one field operation per pair, at the full length,
+    # at an n below both operand lengths, and on tuples (LocalNum digits)
     ctx, a, b = case
     full = len(a) + len(b) - 1
     want = _schoolbook(ctx, a, b, full)
     assert fq_convolve(ctx, a, b, full) == want
     assert fq_convolve(ctx, a, b, full + 5) == want
-    assert fq_convolve_by_count(ctx, a, b, full) == want
     n = data.draw(st.integers(0, max(0, min(len(a), len(b)) - 1)))
     assert fq_convolve(ctx, tuple(a), tuple(b), n) == want[:n]
-    assert fq_convolve_by_count(ctx, tuple(a), tuple(b), n) == want[:n]
 
 
 @pytest.mark.parametrize("p, m", [(3, 63), (3, 64), (5, 15), (5, 16),
