@@ -407,24 +407,74 @@ class LocalNum:
         return f"LocalNum({self})"
 
 
+def geometric_divide(x, m, S=1):
+    """x / (1 - pi^m)^S for m >= 1 and S >= 0, with the window of x.
+
+    The divisor g is a unit known exactly, so the quotient keeps the
+    valuation and the cutoff of x: if x is known mod pi^c, x = x' + pi^c z
+    with z integral, then x/g = x'/g + pi^c z/g and z/g is integral, so x/g
+    is known mod pi^c; and the digit of pi^n of x'/g reads the digits of x'
+    up to pi^n only, its leading digit being that of x'.  So the W digits
+    of x give the W digits of x/g from the same nu.
+
+    In characteristic p, (1 - pi^m)^(p^j) = 1 - pi^(m p^j), so for each
+    base-p digit k of S at p^j the digits are divided k times by
+    1 - pi^M, M = m p^j; the divisions with M >= W leave the W digits as
+    they are.
+
+    Dividing by 1 - pi^M is the prefix sum y_n = x_n + y_(n - M), and
+    1/(1 - z) = (1 + z)(1 + z^2)(1 + z^4) ... mod z^K, so it is
+    ceil(log2(W / M)) shift-adds y += y pi^(2^b M), 2^b M < W, on one
+    integer with a byte slot per digit, the fq_convolve byte slots.  The
+    divisor has F_p coefficients, so each F_p coordinate plane of the codes
+    is divided on its own: digits outside F_p (only at e > 1) take e byte
+    slots each, one per plane.  A code's byte read mod p through the table
+    _residue is its first coordinate; subtracting it leaves a multiple of p
+    in every byte, and the exact quotient by p holds the next coordinates.
+    The slots are read mod p before a shift-add could carry one past 255,
+    so a slot never exceeds 2 (p - 1) < 256 for p < 128.
+    Codes that need more than a byte (q > 256) or slots that would (p >
+    127) take the same shift-adds on the list, through the F_q addition
+    table.
+    """
+    W, ctx, p, shifts = len(x.coeffs), x.place.ctx, x.place.ctx.p, []
+    while S and m < W:      # the shifts 2^b M < W, k times for each M
+        doubled = [m << b for b in range(((W - 1) // m).bit_length())]
+        shifts, S, m = shifts + doubled * (S % p), S // p, m * p
+    if not shifts:
+        return x
+    out = list(x.coeffs)
+    if p > 127 or ctx.q > 256:
+        for M in shifts:
+            out[M:] = [ctx._add[a][b] for a, b in zip(out[M:], out)]
+        return LocalNum(x.place, x.nu, out)
+    e, data = (ctx.e if max(out) >= p else 1), bytes(out)
+    if e > 1:       # the planes, interleaved: byte u of a digit's e bytes
+        y, data = int.from_bytes(data, "little"), bytearray(e * W)
+        for u in range(e):
+            data[u::e] = y.to_bytes(W, "little").translate(ctx._residue)
+            y = (y - int.from_bytes(data[u::e], "little")) // p
+    y, top, mask = int.from_bytes(data, "little"), p - 1, (1 << 8 * e * W) - 1
+    for M in shifts:
+        if 2 * top > 255:
+            y, top = int.from_bytes(y.to_bytes(e * W, "little").translate(
+                ctx._residue), "little"), p - 1
+        y, top = (y + (y << 8 * e * M)) & mask, 2 * top
+    raw = y.to_bytes(e * W, "little").translate(ctx._residue)
+    return LocalNum(x.place, x.nu, sum(
+        p ** u * int.from_bytes(raw[u::e], "little") for u in range(e)
+    ).to_bytes(W, "little"))
+
+
 def geometric_prefixes(place, exponents, window):
     """prod_m 1/(1 - pi^m) over each prefix of the exponents m >= 1, to
-    `window` digits: entry k is the product of the first k factors.
-
-    The digit of pi^n counts, mod p, the ways to write n as a sum of the
-    exponents.  A factor is a prefix sum with stride m over each residue
-    r mod m; for r >= window - m that stride has one entry, which the sum
-    leaves as it is, so only r < min(m, window - m) are summed."""
+    `window` digits: entry k is the product of the first k factors, each
+    one geometric_divide of the entry before.  The digit of pi^n counts,
+    mod p, the ways to write n as a sum of the exponents."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    p = place.ctx.p
-    counts = [1] + [0] * (window - 1)
-    out = [LocalNum(place, 0, counts)]
-    for m in exponents:
-        for r in range(min(m, window - m)):
-            counts[r::m] = [c % p for c in itertools.accumulate(counts[r::m])]
-        out.append(LocalNum(place, 0, counts))
-    return out
+    return list(itertools.accumulate(exponents, geometric_divide,
+                                     initial=LocalNum.unit_one(place, window)))
 
 
 def embed_poly(f, place, window):

@@ -5,12 +5,18 @@ is provable: the only analytic input is a convex lower bound on the ord of
 each term, computed here from exact valuations of the arguments, and _plan
 reads both the truncation index and the working window off that bound.
 
-Every nested sum over chains i_1 > ... > i_r (or i_1 >= ... >= i_r) -- the
-CMPL/CMSPL values, the infinite-place MZVs and both deformation sums -- is
-evaluated by one prefix pass, _nested_sum, in O(r * I) products of its
-factor rows rather than one product per chain.  The pass gives the sum of
-every prefix of the index at once, so deformation_build returns the series
-of every prefix, which is what a difference system's psi holds.
+No nested sum takes one product per chain.  The CMPL and CMSPL values run
+down the chain entries by Horner's rule over the factorial ratios
+ell_i / ell_(i-1) (_chain_sum): each step is a division by a power of
+1 - pi^(q^i - 1), a prefix pass over the digits (geometric_divide), and a
+product by a q^i-th power tower entry per slot, with no power of 1/ell_i.
+The infinite-place MZVs and both deformation sums keep one prefix pass,
+_nested_sum, in O(r * I) products of their factor rows over strict chains.
+The pass gives the sum of every prefix of the index at once, so
+deformation_build returns the series of every prefix, which is what a
+difference system's psi holds.  The specialization at t = pi^(-q^N) keeps
+its own product route on purpose: MPL conditions (3) and (4) compare it
+with the chain sum, so it must not rest on the same recursion.
 
 A deformation row is a twist orbit: the twist of the coefficients is a ring
 map sending prod_(j>i) (1 - pi^(q^j) t) to the product over j > i + 1, so
@@ -26,12 +32,14 @@ no factor is multiplied as a series or a LocalNum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 from .algebra import RatK
-from .errors import DomainError, ParseError, PrecisionLoss
-from .local import LocalNum, PlaceInf, PlaceV, embed_local, geometric_prefixes
+from .errors import DomainError, ParseError, PrecisionLoss, TooLarge
+from .local import (LocalNum, PlaceInf, PlaceV, embed_local, geometric_divide,
+                    geometric_prefixes)
 
 
 class Index:
@@ -147,17 +155,16 @@ def inv_ells(place, count, window):
     A factor is pi (1 - pi^(q^j - 1)) at v, as lambda^(q^j) = lambda, and
     -w^(-q^j) (1 - w^(q^j - 1)) at infinity, so 1/ell_i is pi^(-i) G_i at v
     and (-1)^i w^(q + ... + q^i) G_i at infinity, G_i = prod_(j <= i)
-    1/(1 - pi^(q^j - 1)); its factors with j >= W.bit_length() are 1 mod
-    pi^W.  One prefix pass of geometric_prefixes gives every G_i.
+    1/(1 - pi^(q^j - 1)); a factor with q^j - 1 >= W is 1 mod pi^W, and
+    geometric_divide returns its dividend as it is.  One prefix pass of
+    geometric_prefixes gives every G_i.
     """
     q = place.q
-    top = min(count - 1, window.bit_length())
-    G = geometric_prefixes(place, [q ** j - 1 for j in range(1, top + 1)],
-                           window)
+    G = geometric_prefixes(place, [q ** j - 1 for j in range(1, count)],
+                           window)[:count]
     if isinstance(place, PlaceV):
-        return [G[min(i, top)].shift(-i) for i in range(count)]
-    out = [G[min(i, top)].shift((q ** (i + 1) - q) // (q - 1))
-           for i in range(count)]
+        return [g.shift(-i) for i, g in enumerate(G)]
+    out = [g.shift((q ** (i + 1) - q) // (q - 1)) for i, g in enumerate(G)]
     out[1::2] = [g.scale_fq(place.ctx.neg(1)) for g in out[1::2]]
     return out
 
@@ -211,42 +218,33 @@ def _chain_plan(s, u, place, prec):
     return I, prec + max(0, -floor)
 
 
-def _nested_sum(rows, strict):
-    """Sums of f_1(i_1) ... f_l(i_l) over chains i_1 > ... > i_l (>= if not
-    strict), one for each prefix length l = 1, ..., r.
+def _nested_sum(rows):
+    """Sums of f_1(i_1) ... f_l(i_l) over strict chains i_1 > ... > i_l, one
+    for each prefix length l = 1, ..., r.
 
     rows[l - 1][i] is f_l(i); entries past the end of a row count as zero.
     One pass from the outer slot inwards takes O(r * I) products:
-    P_1(i) = f_1(i) and P_l(i) = f_l(i) * sum_(j > i) P_(l-1)(j), with
-    j >= i for weak chains, and the prefix-l sum is sum_i P_l(i).  The
-    running sum over P_(l-1) that slot l reads ends on the prefix-(l-1)
-    sum.  Partial sums start from the empty sum (None, also the sum of a
-    prefix with no chain), so each product keeps the window its chains give
-    it and one code serves LocalNum and TSeries rows.
+    P_1(i) = f_1(i) and P_l(i) = f_l(i) * sum_(j > i) P_(l-1)(j), and the
+    prefix-l sum is sum_i P_l(i).  The running sum over P_(l-1) that slot l
+    reads ends on the prefix-(l-1) sum.  Partial sums start from the empty
+    sum (None, also the sum of a prefix with no chain), so each product
+    keeps the window its chains give it and one code serves LocalNum and
+    TSeries rows.
     """
     totals, above = [], None
     for row in rows:
         if above is None:
             above = list(row)
             continue
-        acc = None
-        for x in reversed(above[len(row):]):
-            acc = _add(acc, x)
+        acc = functools.reduce(_add, reversed(above[len(row):]), None)
         cur = [None] * len(row)
         for i in reversed(range(len(row))):
-            if not strict and i < len(above):
-                acc = _add(acc, above[i])
-            if acc is not None:
-                cur[i] = row[i] * acc
-            if strict and i < len(above):
+            cur[i] = None if acc is None else row[i] * acc
+            if i < len(above):
                 acc = _add(acc, above[i])
         totals.append(acc)
         above = cur
-    total = None
-    for x in above:
-        total = _add(total, x)
-    totals.append(total)
-    return totals
+    return totals + [functools.reduce(_add, above, None)]
 
 
 def _add(acc, x):
@@ -257,10 +255,8 @@ def _add(acc, x):
 
 def _tower(x, place, window, I):
     """x, x^q, ..., x^(q^(I-1)) embedded with the window."""
-    out = [embed_local(x, place, window)]
-    while len(out) < I:
-        out.append(out[-1].qpow())
-    return out[:I]
+    x = embed_local(x, place, window)
+    return [x.qpow(i) if i else x for i in range(I)]
 
 
 def _clip(total, place, prec):
@@ -285,7 +281,41 @@ def _chain_rows(s, u, place, window, factors, start=0):
 def _chain_sum(s, u, place, prec, strict):
     """The CMPL (strict) or CMSPL value, after the domain checks: a star
     value in the extended domain but not the convergence domain at v is
-    refused as such."""
+    refused as such.
+
+    The sum runs down the chain entries by Horner's rule over the ratios
+    ell_i / ell_(i-1).  Write 1/ell_i = c_i G_i as in inv_ells, c_i =
+    pi^(-i) at v and (-1)^i w^(q + ... + q^i) at infinity, G_i = G_(i-1) /
+    (1 - pi^(q^i - 1)), and S_l = s_1 + ... + s_l.  Let A_l(i) be the sum
+    over the chains i_1 > ... > i_l > i (i_1 >= ... >= i_l > i for star
+    values) of prod_m u_m^(q^(i_m)) c_(i_m)^(s_m), each times the factors
+    1/(1 - pi^(q^j - 1)), j > i, of prod_m G_(i_m)^(s_m).  All l entries
+    are >= i, so the factor j = i comes with the power S_l whether i_l = i
+    or i_l > i, and
+
+        A_l(i - 1) = (Q_l(i) + A_l(i)) / (1 - pi^(q^i - 1))^(S_l),
+
+    where Q_l(i) = u_l^(q^i) c_i^(s_l) A_(l-1)(i), A_0 = 1, sums the chains
+    with i_l = i (for star values A_(l-1)(i) becomes the sum through i,
+    Q_(l-1)(i) + A_(l-1)(i)).  The chains with i_1 >= I are dropped, so
+    A_l(I - 1) = 0, and G_0 = 1, so the value is Q_r(0) + A_r(0).  Step
+    i (from I - 1 down to 0) divides B[l] = Q_l(i + 1) + A_l(i + 1) by
+    (1 - pi^(q^(i+1) - 1))^(S_l), which gives A_l(i), and adds Q_l(i).  It
+    updates the slots from r down for strict chains, so that slot l reads
+    A_(l-1)(i), and from 1 up for star values, so that it reads the sum
+    through i.  There is no power of a window and no product of two dense
+    windows, only geometric_divide and products by the tower entries
+    u_l^(q^i), whose digits are q^i apart.
+
+    The window.  _chain_plan's W is kept: every partial sum is known to
+    (least ord of its chains) + W, as in _plan's induction.  A tower entry
+    has W digits and c_i is exact, so Q_l(i) is known to
+    min(nu_t + cutoff_A, nu_A + nu_t + W), at least its least chain ord
+    plus W, and a sum keeps the least cutoff.  Dividing by a unit known
+    exactly keeps the valuation and the cutoff (geometric_divide).  So the
+    value is known to floor + W >= prec, and _clip prints the digits that
+    the product route printed.
+    """
     if not isinstance(place, PlaceV):
         if not domain_check(s, u, CONV_INF):
             raise DomainError("arguments outside the infinite-place domain")
@@ -294,8 +324,21 @@ def _chain_sum(s, u, place, prec, strict):
             raise DomainError("requires extended domain")
         raise DomainError("arguments outside the v-adic convergence domain")
     I, W = _chain_plan(s, u, place, prec)
-    rows = _chain_rows(s, u, place, W, inv_ells(place, I, W))
-    return _clip(_nested_sum(rows, strict)[-1], place, prec)
+    q, neg, at_v = place.q, place.ctx.neg(1), isinstance(place, PlaceV)
+    towers = [_tower(x, place, W, I) for x in u]
+    B = [LocalNum.exact_zero(place)] * s.depth
+    for i in reversed(range(I)):
+        B = [geometric_divide(b, q ** (i + 1) - 1, S)
+             for b, S in zip(B, itertools.accumulate(s))]
+        k = -i if at_v else (q ** (i + 1) - q) // (q - 1)
+        for l in reversed(range(s.depth)) if strict else range(s.depth):
+            if l and B[l - 1].is_exact_zero():      # no chain through i yet
+                continue
+            x = towers[l][i].shift(k * s[l])
+            if not at_v and i * s[l] % 2 and neg != 1:
+                x = x.scale_fq(neg)
+            B[l] = B[l] + (x * B[l - 1] if l else x)
+    return _clip(B[-1], place, prec)
 
 
 def cmpl_eval(s, u, place, prec):
@@ -417,7 +460,7 @@ def mzv_inf(s, ctx, D_max, prec=None):
     while n and sums[s[0]][n - 1].is_zero_to_precision():
         n -= 1
     rows = [sums[si][:n - ell] for ell, si in enumerate(s.s)]
-    return _clip(_nested_sum(rows, strict=True)[-1], PlaceInf(ctx), prec)
+    return _clip(_nested_sum(rows)[-1], PlaceInf(ctx), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +649,7 @@ def deformation_build(s, u, place, D, N):
         rows.append(row[:I])
     zero = TSeries.zero(place, D, N)
     return [_add(zero, total).clip(N)
-            for total in _nested_sum(rows, strict=True)]
+            for total in _nested_sum(rows)]
 
 
 def _F_at_inverse_power(place, i, N_twist, prec):
@@ -623,6 +666,10 @@ def _F_at_inverse_power(place, i, N_twist, prec):
         place, 1, i, qN, 0, prec).get(0, ()), prec)
 
 
+# the most digits deformation_specialize takes in a window
+WINDOW_BUDGET = 1 << 20
+
+
 def deformation_specialize(s, u, place, N_twist, prec):
     """The literal value at t = pi^(-q^N) of the deformation series of
     (s; u), known to prec, by per-summand exact evaluation.
@@ -637,6 +684,10 @@ def deformation_specialize(s, u, place, N_twist, prec):
     chain with top entry N_twist + i has ord >= its bound
     q^(N+i) ord(u_1) - q^N wt (N + i), and the plan's floor covers the
     summed tops N_twist <= i < I only.
+
+    The window is prec minus that floor, about prec + N wt q^N digits (40 +
+    40 * 3^40 at q = 3, N = 40, wt = 1).  A window of more than
+    WINDOW_BUDGET digits is refused with TooLarge before any is allocated.
     """
     if N_twist < 0:
         raise ValueError("power index must be >= 0")
@@ -649,7 +700,9 @@ def deformation_specialize(s, u, place, N_twist, prec):
                      - qN * s.weight * (N_twist + i), prec)
     I = N_twist + max(I, s.depth)
     W = prec + max(0, -floor)
+    if W > WINDOW_BUDGET:
+        raise TooLarge(f"a window of {W} digits, past {WINDOW_BUDGET}")
     rows = _chain_rows(s, u, place, W, [
         _F_at_inverse_power(place, i, N_twist, W) for i in range(N_twist, I)],
         N_twist)
-    return _clip(_nested_sum(rows, strict=True)[-1], place, prec)
+    return _clip(_nested_sum(rows)[-1], place, prec)

@@ -13,7 +13,10 @@ and its tails with one series product per factor and their powers by
 repeated squaring, the omega product as t-shifts and differences and its
 powers by repeated products, pi_tilde and F_i(pi^(-q^N)) one LocalNum
 product per factor, the deformation series built one prefix at a time,
-its values at t = pi^(-q^N) for every prefix from one pass, and the
+its values at t = pi^(-q^N) for every prefix from one pass, the CMPL and
+CMSPL values as products of rows of powers of 1/ell_i (with the prefix pass
+that also summed weak chains) and the division by (1 - pi^m)^S one digit at
+a time, the
 two-path specialization check that set the zero entries of
 psi(alpha^(-q^N)) at N >= 1 and read Omega(alpha^(-q^N)) as one,
 ord_v by repeated division by the uniformizer, the powers of (1 - alpha^q
@@ -786,6 +789,59 @@ def log_at_point_observed(spec, w, place, prec, I_cap=64):
         "logarithm stopping rule not achieved within the term cap")
 
 
+# -- the chain sums as products of factor rows, and the digit division ---
+
+def nested_sum_prefixes(rows, strict):
+    """Sums of f_1(i_1) ... f_l(i_l) over chains i_1 > ... > i_l (>= if not
+    strict), one for each prefix length l = 1, ..., r: the prefix pass
+    polylog._nested_sum was while the star chain sums used it, with its
+    weak-chain branch.  rows[l - 1][i] is f_l(i); entries past the end of a
+    row count as zero, and the empty sum is None."""
+    totals, above = [], None
+    for row in rows:
+        if above is None:
+            above = list(row)
+            continue
+        acc = None
+        for x in reversed(above[len(row):]):
+            acc = polylog._add(acc, x)
+        cur = [None] * len(row)
+        for i in reversed(range(len(row))):
+            if not strict and i < len(above):
+                acc = polylog._add(acc, above[i])
+            if acc is not None:
+                cur[i] = row[i] * acc
+            if strict and i < len(above):
+                acc = polylog._add(acc, above[i])
+        totals.append(acc)
+        above = cur
+    total = None
+    for x in above:
+        total = polylog._add(total, x)
+    totals.append(total)
+    return totals
+
+
+def geometric_divide_loop(x, m, S=1):
+    """x / (1 - pi^m)^S with the window of x: S prefix sums with stride m,
+    y_n = x_n + y_(n - m), one F_q addition per digit."""
+    add, out = x.place.ctx._add, list(x.coeffs)
+    for _ in range(S):
+        for n in range(m, len(out)):
+            out[n] = add[out[n]][out[n - m]]
+    return LocalNum(x.place, x.nu, out) if out else x
+
+
+def chain_sum_products(s, u, place, prec, strict):
+    """The CMPL (strict) or CMSPL value by the product route that the Horner
+    recursion over the factorial ratios replaced: row l holds
+    u_l^(q^i) (1/ell_i)^(s_l), each power of 1/ell_i by LocalNum.pow, and
+    one prefix pass multiplies the rows, at the same plan and window."""
+    I, W = polylog._chain_plan(s, u, place, prec)
+    rows = polylog._chain_rows(s, u, place, W, polylog.inv_ells(place, I, W))
+    return polylog._clip(nested_sum_prefixes(rows, strict)[-1], place, prec)
+
+
 # -- the suffix nested sum and the per-prefix deformation series ----------
 
 def nested_sum_suffix(rows, strict):
@@ -1001,7 +1057,7 @@ def deformation_specialize_prefixes(s, u, place, N_twist, prec):
         polylog._F_at_inverse_power(place, i, N_twist, W)
         for i in range(N_twist, I)], N_twist)
     return [polylog._clip(total, place, prec)
-            for total in polylog._nested_sum(rows, strict=True)]
+            for total in polylog._nested_sum(rows)]
 
 
 def omega_at_inverse_power(alpha, place, N_power, prec):

@@ -293,6 +293,28 @@ def test_certify_mpl_checks_to_prec_30(capsys, monkeypatch):
     assert code == 0 and out.startswith("ok=true\n")
 
 
+def test_certify_mpl_compares_two_independent_routes(capsys, monkeypatch):
+    # conditions (3) and (4) compare the chain sum with the literal value
+    # of the deformation series, which has its own product route: chain
+    # sums that skip the division by the ratio ell_1 / ell_0 in the first
+    # slot (m = q - 1, S_1 = 2) must fail condition (3), with
+    # deformation_specialize untouched; a specialization routed through
+    # the same recursion would skip it too and pass
+    divide, skipped = polylog.geometric_divide, []
+
+    def skip_one_ratio(x, m, S=1):
+        if (m, S) == (2, 2):
+            skipped.append(x)
+            return x
+        return divide(x, m, S)
+
+    monkeypatch.setattr(polylog, "geometric_divide", skip_one_ratio)
+    code, out = run(capsys, "certify", "mpl", "--index", "2,1",
+                    "--args", "T,T+1")
+    assert skipped
+    assert code == 1 and "condition_3=fail\n" in out
+
+
 def _mpl(capsys, n_list):
     code, out = run(capsys, "certify", "mpl", "--index", "1", "--args", "T",
                     "--n-list", n_list, "--prec", "30")
@@ -550,6 +572,20 @@ def test_verify_specialize_negative_twist_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: power index must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "specialize", "--index", "1", "--args", "T", "--twist", "40"],
+    ["certify", "mpl", "--index", "1", "--args", "T", "--n-list", "40"],
+])
+def test_twist_past_the_window_budget_exits_2(capsys, argv):
+    # psi(alpha^(-3^40)) needs a window of about 40 * 3^40 digits: it is
+    # refused before any is allocated, with one error line
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a window of ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,named", [

@@ -11,11 +11,13 @@ from vcarlitz.algebra import (
 from vcarlitz.errors import DivisionByZero, ParseError, PrecisionLoss
 from vcarlitz.local import (
     INF, LocalNum, PlaceInf, PlaceV, embed_local, embed_poly,
+    geometric_divide,
 )
 
 from oracles import (
-    fq_schoolbook, localnum_add, localnum_inv_loop, localnum_neg,
-    localnum_scale_fq, localnum_sub, ord_poly_divmod, parse_local,
+    fq_schoolbook, geometric_divide_loop, localnum_add, localnum_inv_loop,
+    localnum_neg, localnum_scale_fq, localnum_sub, ord_poly_divmod,
+    parse_local,
 )
 
 CTX3 = FqContext(3)
@@ -29,6 +31,28 @@ def localnum_strategy(place, q=3):
         st.integers(-5, 5),
         st.lists(st.integers(0, q - 1), min_size=1, max_size=10),
     ).map(lambda t: LocalNum(place, t[0], t[1]))
+
+
+# -- division by (1 - pi^m)^S -------------------------------------------
+
+@st.composite
+def divide_cases(draw):
+    """(x, m, S): q in {2, 3, 4, 5, 9, 127, 131}, digits from all of F_q or
+    only from F_p, windows up to 300 digits."""
+    ctx = FqContext(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1),
+                                           (3, 2), (127, 1), (131, 1)])))
+    top = draw(st.sampled_from([ctx.q, ctx.p])) - 1
+    digits = draw(st.lists(st.integers(0, top), max_size=300))
+    x = LocalNum(PlaceV(ctx, 0), draw(st.integers(-5, 5)), digits)
+    return x, draw(st.integers(1, 40)), draw(st.integers(0, 2 * ctx.p + 1))
+
+
+@given(divide_cases())
+@settings(max_examples=200, deadline=None)
+def test_geometric_divide_matches_the_digit_loop(case):
+    x, m, S = case
+    got, want = geometric_divide(x, m, S), geometric_divide_loop(x, m, S)
+    assert (got.nu, got.coeffs) == (x.nu, want.coeffs)
 
 
 # -- places -------------------------------------------------------------

@@ -17,10 +17,11 @@ from vcarlitz import polylog as pl
 from vcarlitz import tmodule
 
 from oracles import (
-    F_at_inverse_power_loop, L_factorial, deformation_build_per_prefix,
-    deformation_specialize_prefixes, delta_local, domain_check_inf,
-    from_local_coeffs, omega_power_products, omega_product_loop,
-    omega_tail_loop, pi_tilde_loop, power_sum_enum, series_pow,
+    F_at_inverse_power_loop, L_factorial, chain_sum_products,
+    deformation_build_per_prefix, deformation_specialize_prefixes,
+    delta_local, domain_check_inf, from_local_coeffs, nested_sum_prefixes,
+    omega_power_products, omega_product_loop, omega_tail_loop,
+    pi_tilde_loop, power_sum_enum, series_pow,
     specialization_holds_two_path,
 )
 
@@ -250,6 +251,47 @@ def test_depth1_stuffle(place):
     assert lhs.congruent(rhs, 14)
 
 
+# -- the Horner recursion against the product route ----------------------
+
+@st.composite
+def chain_cases(draw):
+    """A chain sum at q in {2, 3, 4, 5, 9}, at a degree-one place with any
+    lambda or at infinity, depth 1-4, strict or star, its argument
+    constants drawn from all of F_q (outside F_p at q = 4 and 9)."""
+    ctx = FqContext(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1),
+                                           (3, 2)])))
+
+    def poly():
+        # a constant or a linear polynomial, so |u|_inf <= q: inside the
+        # domain at infinity for every s >= 1
+        head = draw(st.lists(st.integers(0, ctx.q - 1), max_size=1))
+        return PolyA(ctx, head + [draw(st.integers(1, ctx.q - 1))])
+
+    r = draw(st.integers(1, 4))
+    s = pl.Index(draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+    lam = draw(st.integers(-1, ctx.q - 1))
+    if lam < 0:
+        place = PlaceInf(ctx)
+        u = [RatK(poly(), poly()) for _ in range(r)]
+    else:
+        place = PlaceV(ctx, lam)
+        u = [RatK(place.uniformizer() * poly())] + [RatK(poly())
+                                                    for _ in range(r - 1)]
+    return (s, pl.ArgTuple(u), place, draw(st.integers(1, 40)),
+            draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_cases())
+def test_chain_sum_matches_the_product_route(case):
+    # same digits and cutoff as the rows of 1/ell_i powers multiplied by
+    # one prefix pass, at the same plan
+    s, u, place, prec, strict = case
+    got = (pl.cmpl_eval if strict else pl.cmspl_eval)(s, u, place, prec)
+    want = chain_sum_products(s, u, place, prec, strict)
+    assert (got.nu, got.coeffs) == (want.nu, want.coeffs)
+
+
 # -- the prefix pass against the chain loop -----------------------------
 
 def chain_loop(rows, strict):
@@ -292,19 +334,25 @@ def local_rows(draw, uniform):
             for _ in range(draw(st.integers(1, 4)))]
 
 
+def nested_sum(rows, strict):
+    """The package's prefix pass on strict chains; weak chains, which no
+    package code sums by rows any more, on the oracle that kept them."""
+    return pl._nested_sum(rows) if strict else nested_sum_prefixes(rows, False)
+
+
 @settings(max_examples=150, deadline=None)
 @given(local_rows(uniform=True), st.booleans())
 def test_nested_sum_matches_chain_loop(rows, strict):
     # one relative window, as in every chain sum: same digits, same cutoff,
     # for the sum of every prefix of the rows
-    assert pl._nested_sum(rows, strict) == [
+    assert nested_sum(rows, strict) == [
         chain_loop(rows[:l], strict) for l in range(1, len(rows) + 1)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(local_rows(uniform=False), st.booleans())
 def test_nested_sum_window_never_narrower(rows, strict):
-    for l, fast in enumerate(pl._nested_sum(rows, strict), 1):
+    for l, fast in enumerate(nested_sum(rows, strict), 1):
         slow = chain_loop(rows[:l], strict)
         assert (fast is None) == (slow is None)
         if slow is not None:
@@ -332,7 +380,7 @@ def tseries_rows(draw):
 @given(tseries_rows(), st.booleans())
 def test_nested_sum_matches_chain_loop_on_series(rows_N, strict):
     rows, N = rows_N
-    for l, fast in enumerate(pl._nested_sum(rows, strict), 1):
+    for l, fast in enumerate(nested_sum(rows, strict), 1):
         slow = chain_loop(rows[:l], strict)
         assert (fast is None) == (slow is None)
         if slow is not None:
