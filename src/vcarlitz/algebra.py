@@ -108,6 +108,10 @@ class FqContext:
         self._byte_slots = [c // (p - 1) ** 2 * small for c in (255, 65535)]
         self._residue = bytes(i % p for i in range(256))
         self._high = bytes(h * 256 % p for h in range(256)) if small else b""
+        # a run of codes (LocalNum digits) is bytes while codes fit a byte
+        self.run = bytes if self.q <= 256 else tuple
+        self._byte_rows = self.q <= 256 and [
+            bytes(row).ljust(256, b"\0") for row in self._mul]
 
     # -- element codec -------------------------------------------------
 
@@ -152,6 +156,30 @@ class FqContext:
             base = self._mul[base][base]
             n >>= 1
         return out
+
+    # -- runs of codes -------------------------------------------------
+
+    def run_scale(self, c, d):
+        """The run c d: one translate through the row of c, or its loop."""
+        if self._byte_rows:
+            return d.translate(self._byte_rows[c])
+        row = self._mul[c]
+        return tuple([row[x] for x in d])
+
+    def run_add(self, x, y):
+        """The codewise sum of two runs of one length: where _high is set,
+        one integer add read mod p, else rows of the addition table."""
+        if self._high:
+            return (int.from_bytes(x, "little") + int.from_bytes(y, "little")
+                    ).to_bytes(len(x), "little").translate(self._residue)
+        add = self._add
+        return self.run([add[a][b] for a, b in zip(x, y)])
+
+    def run_strip(self, d):
+        """The run without its leading zero codes."""
+        if self._byte_rows:
+            return d.lstrip(b"\0")
+        return d[next((i for i, c in enumerate(d) if c), len(d)):]
 
     def __eq__(self, other):
         return (isinstance(other, FqContext)
@@ -274,7 +302,8 @@ def _pair_sums(ctx, xs, ys, n):
 
 def fq_convolve(ctx, a, b, n):
     """The first n coefficients of the product of two sequences of F_q
-    codes, as a list of at most len(a) + len(b) - 1 codes.
+    codes, as a list of at most len(a) + len(b) - 1 codes (bytes for bytes a
+    on the byte route).
 
     The one F_q product of the package: LocalNum digits and PolyA
     coefficients.  An operand of one entry scales the other by its table
@@ -343,7 +372,7 @@ def fq_convolve(ctx, a, b, n):
         out = (int.from_bytes(out, "little") + int.from_bytes(
             raw[1:2 * n:2].translate(ctx._high), "little")
                ).to_bytes(n, "little").translate(ctx._residue)
-    return list(out)
+    return out if type(a) is bytes else list(out)
 
 
 def _grid_product(ctx, a, b, stride, widths, terms):

@@ -250,7 +250,7 @@ def _cmd_eval(ns):
     tmodules = None if spec is None else {str(spec.index): spec}
     val = eval_vmzv(dec, cfg.place_v, cfg.prec, tmodules=tmodules)
     cfg.emit([("value", val),
-              ("is_zero_to_prec", str(val.is_zero_to_precision()).lower())])
+              ("is_zero_to_prec", str(val.zero_to(cfg.prec)).lower())])
     return EXIT_OK
 
 

@@ -312,7 +312,7 @@ def _specialization_holds(sys, N, prec, target):
     """
     last = deformation_specialize(sys.index, sys.args, sys.place, N, prec)
     return (last.shift(N * sys.weight * sys.place.q ** N)
-            - target.qpow(N)).is_zero_to_precision()
+            - target.qpow(N)).zero_to(prec)
 
 
 # -- MPL-property certificate -------------------------------------------
@@ -363,7 +363,7 @@ def mpl_certificate(sys, w, ftype, N_list, prec=30):
     pt = pi_tilde(sys.alpha, place, prec)
     ptw = pt.pow(w)
     first_ok = (w == sys.weight
-                or (pt.pow(sys.weight) - ptw).is_zero_to_precision())
+                or (pt.pow(sys.weight) - ptw).zero_to(prec))
     Z = cmpl_eval(sys.index, sys.args, place, prec)
     target = Z * ptw
     last_ok = _specialization_holds(sys, 0, prec, target)

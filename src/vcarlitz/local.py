@@ -9,6 +9,15 @@ result; there are no optimistic digits.
 The leading stored digit is nonzero (so nu is the exact valuation) unless
 the window is empty, in which case the value is only known to be divisible
 by pi^nu.  Exact zero is a separate state with infinite valuation.
+
+The field picks the digit container, FqContext.run: one bytes object
+while every code fits a byte (q <= 256), else a tuple.  On bytes,
+negation and scaling by a constant are one bytes.translate through a row
+of the product table, the q^n-power spreads the digits into a bytearray,
+and the overlap of a sum at e = 1 and p < 128 is one integer add read mod
+p (each byte at most 2 (p - 1) < 256, so nothing carries).  Sums at e > 1
+or p > 127, and every digit operation at q > 256, walk the rows of the
+F_q tables.
 """
 
 from __future__ import annotations
@@ -169,13 +178,11 @@ class LocalNum:
     def __init__(self, place, nu, coeffs):
         self.place = place
         # normalize: strip leading zero digits into the valuation
-        coeffs = tuple(coeffs)
-        if coeffs and coeffs[0] == 0:
-            i = 1
-            while i < len(coeffs) and coeffs[i] == 0:
-                i += 1
-            nu += i
-            coeffs = coeffs[i:]
+        coeffs = place.ctx.run(coeffs)
+        if coeffs and not coeffs[0]:
+            tail = place.ctx.run_strip(coeffs)
+            nu += len(coeffs) - len(tail)
+            coeffs = tail
         self.nu = nu
         self.coeffs = coeffs
 
@@ -207,8 +214,9 @@ class LocalNum:
     def is_exact_zero(self):
         return self.nu is INF
 
-    def is_zero_to_precision(self):
-        return not self.coeffs
+    def zero_to(self, prec):
+        """True for an exact zero, or for no digits known to pi^prec."""
+        return self.nu is INF or not self.coeffs and self.nu >= prec
 
     def valuation(self):
         """Exact valuation, or None when only a lower bound is known."""
@@ -235,7 +243,8 @@ class LocalNum:
         if self.is_exact_zero():
             return (0,) * (hi - lo)
         start = min(max(lo, self.nu), hi)
-        return (0,) * (start - lo) + self.coeffs[start - self.nu:hi - self.nu]
+        return (0,) * (start - lo) + tuple(
+            self.coeffs[start - self.nu:hi - self.nu])
 
     # -- arithmetic ----------------------------------------------------
 
@@ -244,49 +253,41 @@ class LocalNum:
             raise ValueError("operands live at different places")
 
     def __add__(self, other):
-        return self._sum(other, None)
+        return self._sum(other, False)
 
     def __sub__(self, other):
-        return self._sum(other, self.place.ctx._neg)
+        return self._sum(other, True)
 
-    def _sum(self, other, neg):
-        """self + other, or self - other when neg is the F_q negation table.
+    def _sum(self, other, negate):
+        """self + other, or self - other when negate is set.
 
-        The lower operand's digits below the other's start are copied (and
-        negated when they are other's); the overlap is one comprehension
-        over rows of the F_q addition table.
+        A difference negates other's digits first.  The lower operand's
+        digits below the other's start are copied, and the overlap is one
+        FqContext.run_add.
         """
         self._check_place(other)
         if other.nu is INF:
             return self
         if self.nu is INF:
-            return other if neg is None else -other
-        x, y = self.coeffs, other.coeffs
+            return -other if negate else other
+        ctx, x, y = self.place.ctx, self.coeffs, other.coeffs
+        if negate:
+            y = ctx.run_scale(ctx._neg[1], y)
         cutoff = min(self.nu + len(x), other.nu + len(y))
         base = min(self.nu, other.nu)
         n = cutoff - base
         if n <= 0:
             return LocalNum.zero_to_precision(self.place, cutoff)
-        add = self.place.ctx._add
         if self.nu <= other.nu:
             k = min(other.nu - base, n)
             head, x, y = x[:k], x[k:n], y[:n - k]
         else:
             k = min(self.nu - base, n)
             head, x, y = y[:k], x[:n - k], y[k:n]
-            if neg is not None:
-                head = [neg[c] for c in head]
-        if neg is None:
-            body = [add[a][b] for a, b in zip(x, y)]
-        else:
-            body = [add[a][neg[b]] for a, b in zip(x, y)]
-        return LocalNum(self.place, base, [*head, *body])
+        return LocalNum(self.place, base, head + ctx.run_add(x, y))
 
     def __neg__(self):
-        if self.is_exact_zero() or not self.coeffs:
-            return self
-        neg = self.place.ctx._neg
-        return LocalNum(self.place, self.nu, [neg[c] for c in self.coeffs])
+        return self.scale_fq(self.place.ctx._neg[1])
 
     def __mul__(self, other):
         self._check_place(other)
@@ -313,10 +314,10 @@ class LocalNum:
         """Multiply by a nonzero constant of F_q (window preserved)."""
         if c == 0:
             raise ValueError("scale by zero loses the valuation; use mul")
-        if self.is_exact_zero() or not self.coeffs:
+        if c == 1 or self.is_exact_zero() or not self.coeffs:
             return self
-        row = self.place.ctx._mul[c]
-        return LocalNum(self.place, self.nu, [row[x] for x in self.coeffs])
+        return LocalNum(self.place, self.nu,
+                        self.place.ctx.run_scale(c, self.coeffs))
 
     def shift(self, n):
         """Multiply by pi^n (exact)."""
@@ -370,9 +371,9 @@ class LocalNum:
             raise ValueError("only forward q-powers are supported")
         if self.is_exact_zero():
             return self
-        Q = self.place.ctx.q ** n
-        W = len(self.coeffs)
-        out = [0] * W
+        ctx = self.place.ctx
+        Q, W = ctx.q ** n, len(self.coeffs)
+        out = bytearray(W) if ctx.run is bytes else [0] * W
         out[::Q] = self.coeffs[:-(-W // Q)]
         return LocalNum(self.place, Q * self.nu, out)
 
@@ -443,12 +444,13 @@ def geometric_divide(x, m, S=1):
         shifts, S, m = shifts + doubled * (S % p), S // p, m * p
     if not shifts:
         return x
-    out = list(x.coeffs)
     if p > 127 or ctx.q > 256:
+        out = list(x.coeffs)
         for M in shifts:
             out[M:] = [ctx._add[a][b] for a, b in zip(out[M:], out)]
         return LocalNum(x.place, x.nu, out)
-    e, data = (ctx.e if max(out) >= p else 1), bytes(out)
+    data = x.coeffs
+    e = ctx.e if max(data) >= p else 1
     if e > 1:       # the planes, interleaved: byte u of a digit's e bytes
         y, data = int.from_bytes(data, "little"), bytearray(e * W)
         for u in range(e):
@@ -461,9 +463,10 @@ def geometric_divide(x, m, S=1):
                 ctx._residue), "little"), p - 1
         y, top = (y + (y << 8 * e * M)) & mask, 2 * top
     raw = y.to_bytes(e * W, "little").translate(ctx._residue)
-    return LocalNum(x.place, x.nu, sum(
-        p ** u * int.from_bytes(raw[u::e], "little") for u in range(e)
-    ).to_bytes(W, "little"))
+    if e > 1:
+        raw = sum(p ** u * int.from_bytes(raw[u::e], "little")
+                  for u in range(e)).to_bytes(W, "little")
+    return LocalNum(x.place, x.nu, raw)
 
 
 def geometric_prefixes(place, exponents, window):
@@ -484,8 +487,8 @@ def embed_poly(f, place, window):
     x = LocalNum(place, -f.degree if isinstance(place, PlaceInf) else 0,
                  place.poly_digits(f))
     # a polynomial is exact; pad the window with exact zero digits
-    return LocalNum(place, x.nu, x.coeffs + (0,) * window).truncate(
-        x.nu + window)
+    return LocalNum(place, x.nu, x.coeffs + place.ctx.run(bytes(window))
+                    ).truncate(x.nu + window)
 
 
 def embed_local(r, place, window):

@@ -457,7 +457,7 @@ def mzv_inf(s, ctx, D_max, prec=None):
     # every power sum has valuation >= 0, so chains whose top degree has a
     # power sum that is zero to prec add nothing
     n = D_max + 1
-    while n and sums[s[0]][n - 1].is_zero_to_precision():
+    while n and sums[s[0]][n - 1].zero_to(prec):
         n -= 1
     rows = [sums[si][:n - ell] for ell, si in enumerate(s.s)]
     return _clip(_nested_sum(rows)[-1], PlaceInf(ctx), prec)

@@ -543,7 +543,7 @@ def validate_tmodule(spec, place, prec=30):
             got = logz[spec.readout[0]]
             want = cmspl_eval(spec.index, tp_args, place, prec)
             diff = got - want
-            ok = diff.is_zero_to_precision() and diff.cutoff >= prec
+            ok = diff.zero_to(prec)
             residual = None if ok else diff.valuation_lower_bound()
         except ConvergenceNotCertified:
             ok, residual = False, None

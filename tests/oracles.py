@@ -6,7 +6,7 @@ at infinity, the dense delta_i whose inverse the logarithm divides by, the
 convergence test at infinity in fractions, the TSeries operations on one
 LocalNum per coefficient (with the packed digit sum they used and the
 packed window rule, next to its plain pairwise definition), the per-digit
-LocalNum sums and scaling, the exact t-module exponential and logarithm
+LocalNum sums, scaling and q-power spread, the exact t-module exponential and logarithm
 coefficients over k, the fixed-point iterations for those coefficients, the
 suffix nested sum that gave only the whole index's sum, the omega product
 and its tails with one series product per factor and their powers by
@@ -116,8 +116,8 @@ def power_sum_enum(ctx, d, s, prec):
         arr[wgt - lo] = c
     out = LocalNum(place, d * s + lo, arr).truncate(prec)
     pad = prec - out.cutoff
-    if pad > 0 and not out.is_zero_to_precision():
-        out = LocalNum(place, out.nu, out.coeffs + (0,) * int(pad))
+    if pad > 0 and out.coeffs:
+        out = LocalNum(place, out.nu, [*out.coeffs, *[0] * int(pad)])
     return out
 
 
@@ -349,9 +349,18 @@ def window_rule_pairwise(a, b):
             for n in range(D)]
 
 
-# -- the per-digit LocalNum sums and scaling ------------------------------
+# -- the per-digit LocalNum sums, scaling and q-power spread --------------
 #
-# Each walks the digits with one FqContext call per digit.
+# Each walks the digits with one FqContext call per digit, on lists, and
+# moves leading zero digits into nu itself (_normalized), so that none
+# relies on the byte runs or the strip of the LocalNum constructor.
+
+def _normalized(place, nu, digits):
+    digits = list(digits)
+    while digits and digits[0] == 0:
+        nu, digits = nu + 1, digits[1:]
+    return LocalNum(place, nu, digits)
+
 
 def localnum_add(x, y):
     if x.is_exact_zero():
@@ -373,14 +382,14 @@ def localnum_add(x, y):
         pos = int(y.nu - base) + i
         if pos < n:
             out[pos] = add(out[pos], c)
-    return LocalNum(x.place, base, out)
+    return _normalized(x.place, base, out)
 
 
 def localnum_neg(x):
     if x.is_exact_zero() or not x.coeffs:
         return x
     neg = x.place.ctx.neg
-    return LocalNum(x.place, x.nu, [neg(c) for c in x.coeffs])
+    return _normalized(x.place, x.nu, [neg(c) for c in x.coeffs])
 
 
 def localnum_sub(x, y):
@@ -391,7 +400,19 @@ def localnum_scale_fq(x, c):
     if x.is_exact_zero() or not x.coeffs:
         return x
     mul = x.place.ctx.mul
-    return LocalNum(x.place, x.nu, [mul(c, d) for d in x.coeffs])
+    return _normalized(x.place, x.nu, [mul(c, d) for d in x.coeffs])
+
+
+def localnum_qpow(x, n=1):
+    """x^Q, Q = q^n: digit i of x moves to position Q i of the W digits."""
+    if x.is_exact_zero():
+        return x
+    Q, W = x.place.ctx.q ** n, len(x.coeffs)
+    out = [0] * W
+    for i, c in enumerate(x.coeffs):
+        if Q * i < W:
+            out[Q * i] = c
+    return _normalized(x.place, Q * x.nu, out)
 
 
 # -- the F_q products, division and inversion one element at a time -------
@@ -829,7 +850,7 @@ def geometric_divide_loop(x, m, S=1):
     for _ in range(S):
         for n in range(m, len(out)):
             out[n] = add[out[n]][out[n - m]]
-    return LocalNum(x.place, x.nu, out) if out else x
+    return _normalized(x.place, x.nu, out) if out else x
 
 
 def chain_sum_products(s, u, place, prec, strict):
@@ -1102,13 +1123,13 @@ def specialization_holds_two_path(sys, N, prec, pt, target):
     if N == 0:
         last = (pt if sys.kind == "omega" else deformation_specialize_prefixes(
             sys.index, sys.args, sys.place, 0, prec)[-1])
-        return (last - target).is_zero_to_precision()
+        return (last - target).zero_to(prec)
     vals = specialize_vector(
         sys, N, prec, omega_at_inverse_power(sys.alpha, sys.place, N, prec))
     if not all(x.is_exact_zero() for x in vals[:-1]):
         return False
     lit = vals[-1].shift(N * sys.weight * sys.place.q ** N)
-    return (lit - target.qpow(N)).is_zero_to_precision()
+    return (lit - target.qpow(N)).zero_to(prec)
 
 
 # -- the powers of (1 - alpha^q t) and the whole-matrix determinant test ---

@@ -120,7 +120,7 @@ def test_criterion_05_goss_vanishing_and_golden_value():
     cert = verify_decomposition_inf(dec2, 60)   # |residual|_inf <= q^-60
     assert cert["prec"] == 60
     z2 = eval_vmzv(dec2, V0, 40)
-    assert z2.is_zero_to_precision() and z2.cutoff >= 40
+    assert z2.zero_to(40)
     dec1 = depth1_decomposition(CTX3, 1)
     verify_decomposition_inf(dec1, 60)
     z1 = eval_vmzv(dec1, V0, 40)

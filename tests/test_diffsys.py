@@ -57,7 +57,7 @@ def test_tpoly_apply_matches_scalar_action():
     out = tp_apply(a, g, V0, 20)
     # coefficient of t^1: T*T + 1*1
     want = T * T + ONE
-    assert (out.coeffs[1] - embed_local(want, V0, 20)).is_zero_to_precision()
+    assert (out.coeffs[1] - embed_local(want, V0, 20)).zero_to(20)
 
 
 def _tp_apply_by_terms(a, g, place, N):
@@ -393,7 +393,7 @@ def test_specialization_at_inverse_uniformizer():
     pt = pi_tilde(RatK(V0.uniformizer()), V0, 30)
     li = cmpl_eval(s, u, V0, 30)
     last = deformation_specialize(s, u, V0, 0, 30)
-    assert (last - pt.pow(2) * li).is_zero_to_precision()
+    assert (last - pt.pow(2) * li).zero_to(30)
 
 
 def test_specialization_at_higher_twist_kills_all_but_last():
@@ -402,8 +402,7 @@ def test_specialization_at_higher_twist_kills_all_but_last():
     sys = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
     target = cmpl_eval(sys.index, sys.args, V0, 30) \
         * pi_tilde(sys.alpha, V0, 30).pow(sys.weight)
-    assert not deformation_specialize(sys.index, sys.args, V0, 1, 30) \
-        .is_zero_to_precision()
+    assert deformation_specialize(sys.index, sys.args, V0, 1, 30).coeffs
     assert _specialization_holds(sys, 1, 30, target)
     assert not _specialization_holds(sys, 1, 30,
                                      target + LocalNum(V0, 1, (1,) + (0,) * 30))
@@ -418,6 +417,17 @@ def test_specialization_at_zero_twist_reads_the_last_entry():
     assert _specialization_holds(sys, 0, 30, last)
     assert not _specialization_holds(sys, 0, 30,
                                      last + LocalNum(V0, 29, (1,)))
+
+
+def test_specialization_refuses_a_zero_short_of_prec():
+    """A difference with no digits, known only to pi^(prec - 1), is not
+    zero to prec: the check asks zero_to(prec), not only for no digits."""
+    sys = build_cmpl_system(Index([2, 1]), ArgTuple([T, T + ONE]), V0)
+    last = deformation_specialize(sys.index, sys.args, V0, 0, 30)
+    short = last.truncate(29)
+    d = last - short
+    assert not d.coeffs and d.cutoff == 29
+    assert not _specialization_holds(sys, 0, 30, short)
 
 
 # -- MPL certificates ----------------------------------------------------

@@ -16,8 +16,8 @@ from vcarlitz.local import (
 
 from oracles import (
     fq_schoolbook, geometric_divide_loop, localnum_add, localnum_inv_loop,
-    localnum_neg, localnum_scale_fq, localnum_sub, ord_poly_divmod,
-    parse_local,
+    localnum_neg, localnum_qpow, localnum_scale_fq, localnum_sub,
+    ord_poly_divmod, parse_local,
 )
 
 CTX3 = FqContext(3)
@@ -175,14 +175,14 @@ def test_short_taylor_shift_matches_division_loop(case):
 
 def test_embed_poly_exact_padding():
     x = embed_poly(parse_poly(CTX3, "T"), V0, 6)
-    assert x.nu == 1 and x.coeffs == (1, 0, 0, 0, 0, 0)
+    assert x.nu == 1 and tuple(x.coeffs) == (1, 0, 0, 0, 0, 0)
 
 
 def test_embed_geometric_inverse():
     # 1/(1-theta) = 1 + theta + theta^2 + ... at v (lambda = 0)
     r = parse_ratk(CTX3, "1/(2*T+1)")
     x = embed_local(r, V0, 5)
-    assert x.nu == 0 and x.coeffs == (1, 1, 1, 1, 1)
+    assert x.nu == 0 and tuple(x.coeffs) == (1, 1, 1, 1, 1)
 
 
 def test_embed_inf():
@@ -209,7 +209,7 @@ def test_add_mul_distribute_to_window(x, y, z):
 def test_ultrametric_valuation(x, y):
     s = x + y
     assert s.valuation_lower_bound() >= min(x.nu, y.nu)
-    if x.is_zero_to_precision() or y.is_zero_to_precision():
+    if not x.coeffs or not y.coeffs:
         return
     p = x * y
     assert p.nu == x.nu + y.nu
@@ -217,7 +217,7 @@ def test_ultrametric_valuation(x, y):
 
 @given(localnum_strategy(V0))
 def test_inverse_is_inverse(x):
-    if x.is_zero_to_precision():
+    if not x.coeffs:
         return
     prod = x * x.inv()
     one = LocalNum.unit_one(V0, int(prod.cutoff))
@@ -229,7 +229,7 @@ def test_mul_window_soundness():
     x = LocalNum(V0, 0, (1, 2))           # 1 + 2 pi + O(pi^2)
     z = LocalNum.zero_to_precision(V0, 3)  # O(pi^3)
     p = x * z
-    assert p.is_zero_to_precision() and p.cutoff == 3
+    assert p.zero_to(3) and p.cutoff == 3
 
 
 SUM_FIELDS = [FqContext(2), CTX3, FqContext(2, 2), FqContext(5),
@@ -278,6 +278,84 @@ def test_sums_and_scaling_match_digit_loops(case):
     assert _state(x - y) == _state(localnum_sub(x, y))
     assert _state(-x) == _state(localnum_neg(x))
     assert _state(x.scale_fq(c)) == _state(localnum_scale_fq(x, c))
+
+
+# bytes digit runs at e = 1 (p < 128 and p > 127) and e > 1, tuples at 1021
+RUN_FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1),
+                                        (3, 2), (127, 1), (131, 1),
+                                        (1021, 1))]
+
+
+@st.composite
+def run_cases(draw):
+    """(x, y, c, n, m, S) over RUN_FIELDS.  x is an exact zero or up to 60
+    digits from pi^nu (none: a zero known to pi^nu; all zero: one known
+    to pi^(nu + W)).  y is drawn on its own, from x's cutoff on (disjoint
+    windows), inside x's window (nested), or as x's first k digits, negated
+    or not, then others, so that x + y or x - y cancels k leading digits
+    (all of them when nothing follows)."""
+    ctx = draw(st.sampled_from(RUN_FIELDS))
+    place = PlaceV(ctx, 0)
+    digits = st.lists(st.one_of(st.just(0), st.integers(0, ctx.q - 1)),
+                      max_size=60)
+    x = draw(st.one_of(st.just(LocalNum.exact_zero(place)), st.builds(
+        lambda nu, d: LocalNum(place, nu, d), st.integers(-8, 8), digits)))
+    mode = draw(st.sampled_from(["free", "disjoint", "nested", "cancel"]))
+    ys = draw(digits)
+    if x.is_exact_zero() or mode == "free":
+        nu = draw(st.integers(-8, 8))
+    elif mode == "disjoint":
+        nu = x.cutoff + draw(st.integers(0, 3))
+    elif mode == "nested":
+        nu = draw(st.integers(x.nu, x.cutoff))
+        ys = ys[:x.cutoff - nu]
+    else:
+        nu, k = x.nu, draw(st.integers(0, len(x.coeffs)))
+        head = list(x.coeffs[:k])
+        if draw(st.booleans()):
+            head = [ctx.neg(d) for d in head]
+        ys = head + ys[:draw(st.integers(0, 5))]
+    y = LocalNum(place, nu, ys)
+    if draw(st.booleans()):
+        x, y = y, x
+    return (x, y, draw(st.integers(1, ctx.q - 1)), draw(st.integers(0, 2)),
+            draw(st.integers(1, 12)), draw(st.integers(0, 2 * ctx.p + 1)))
+
+
+def _digit_state(x):
+    return x.is_exact_zero(), x.nu, tuple(x.coeffs)
+
+
+@given(run_cases())
+@settings(max_examples=300, deadline=None)
+def test_digit_runs_match_table_loops(case):
+    x, y, c, n, m, S = case
+    pairs = [(x + y, localnum_add(x, y)), (x - y, localnum_sub(x, y)),
+             (-x, localnum_neg(x)), (x.scale_fq(c), localnum_scale_fq(x, c)),
+             (x.qpow(n), localnum_qpow(x, n)),
+             (geometric_divide(x, m, S), geometric_divide_loop(x, m, S))]
+    for got, want in pairs:
+        assert _digit_state(got) == _digit_state(want)
+        assert got.cutoff == want.cutoff
+
+
+@pytest.mark.parametrize("pe", [(2, 1), (3, 2), (131, 1), (1021, 1)])
+def test_the_field_picks_the_digit_container(pe):
+    ctx = FqContext(*pe)
+    place, run = PlaceV(ctx, 0), (bytes if ctx.q <= 256 else tuple)
+    ds = [0, 0, 1, ctx.q - 1, 0, 1]
+    makers = [list, tuple, lambda d: (c for c in d)]
+    if ctx.q <= 256:
+        makers += [bytes, bytearray]
+    xs = [LocalNum(place, -2, make(ds)) for make in makers]
+    x = xs[0]
+    assert all(z == x and hash(z) == hash(x) for z in xs)
+    assert (x.nu, tuple(x.coeffs)) == (0, (1, ctx.q - 1, 0, 1))
+    for z in (x, x + x.shift(1), x - x.shift(1), x - x, -x,
+              x.scale_fq(ctx.q - 1),
+              x.qpow(), x * x, x.inv(), geometric_divide(x, 1),
+              embed_poly(PolyA(ctx, ds), place, 8)):
+        assert type(z.coeffs) is run
 
 
 # q in {2, 3, 4, 5, 8, 9, 17, 31, 101}: e > 1 and p > 16 (two-byte and
@@ -451,7 +529,7 @@ def test_product_window(case):
         cutoff = min(a.nu + b.cutoff, b.nu + a.cutoff)
         assert prod.cutoff == cutoff
         if not a.coeffs or not b.coeffs:
-            assert prod.is_zero_to_precision()
+            assert prod.zero_to(cutoff)
             continue
         assert prod.nu == a.nu + b.nu
         assert list(prod.coeffs) == fq_schoolbook(
@@ -584,5 +662,5 @@ def test_parse_errors_name_the_term():
 
 def test_parse_window_zero():
     z = parse_local(V0, "O(v^5)")
-    assert z.is_zero_to_precision() and z.cutoff == 5
+    assert z.zero_to(5) and z.cutoff == 5
     assert parse_local(V0, "0").is_exact_zero()

@@ -243,13 +243,13 @@ def test_vmzv_weight2_vanishes():
     dec = depth1_decomposition(CTX3, 2)
     verify_decomposition_inf(dec, 40)
     z2 = eval_vmzv(dec, V0, 40)
-    assert z2.is_zero_to_precision() and z2.cutoff >= 40
+    assert z2.zero_to(40)
 
 
 def test_vmzv_weight1_golden_digits():
     z1 = zeta_v(CTX3, V0, 1, 40)
     assert z1.valuation() == 1
-    assert z1.coeffs[:3] == (2, 1, 1)
+    assert tuple(z1.coeffs[:3]) == (2, 1, 1)
 
 
 def test_deeper_terms_need_a_supplied_module():
@@ -279,7 +279,7 @@ def test_decomposition_file_roundtrip():
     assert verify_decomposition_inf(back, 40) == {"certified": True,
                                                   "prec": 40}
     z2 = eval_vmzv(back, V0, 40)
-    assert z2.is_zero_to_precision()
+    assert z2.zero_to(40)
 
 
 def test_decomposition_parse_errors():

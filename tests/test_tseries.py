@@ -43,8 +43,8 @@ def test_telescoping_product():
     b = oracles.from_local_coeffs(V0, [unit(), pi(), pi() * pi()], 5, W)
     c = a * b
     assert c.coeffs[0].congruent(unit())
-    assert c.coeffs[1].is_zero_to_precision()
-    assert c.coeffs[2].is_zero_to_precision()
+    assert c.coeffs[1].zero_to(W)
+    assert c.coeffs[2].zero_to(W)
     assert c.coeffs[3].congruent(-pi().pow(3))
 
 
@@ -170,11 +170,11 @@ def test_t_shift_keeps_the_order():
     f = oracles.from_local_coeffs(V0, [unit(), pi()], 4, W)
     g = f.t_shift(1, W)
     assert g.order == 4
-    assert g.coeffs[0].is_zero_to_precision() and g.coeffs[1].congruent(unit())
+    assert g.coeffs[0].zero_to(W) and g.coeffs[1].congruent(unit())
     for n in (4, 6):
         g = oracles.tseries_one(V0, 4, W).t_shift(n, W)
         assert g.order == 4
-        assert all(c.is_zero_to_precision() and c.cutoff == W
+        assert all(c.zero_to(W) and c.cutoff == W
                    for c in g.coeffs)
 
 
