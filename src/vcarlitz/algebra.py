@@ -167,8 +167,12 @@ class FqContext:
         return tuple([row[x] for x in d])
 
     def run_add(self, x, y):
-        """The codewise sum of two runs of one length: where _high is set,
-        one integer add read mod p, else rows of the addition table."""
+        """The codewise sum of two runs of one length: at p = 2 (q <= 256)
+        one integer XOR, as the codes add bitwise mod 2; where _high is
+        set, one integer add read mod p; else rows of the addition table."""
+        if self.p == 2 and self._byte_rows:
+            return (int.from_bytes(x, "little") ^ int.from_bytes(y, "little")
+                    ).to_bytes(len(x), "little")
         if self._high:
             return (int.from_bytes(x, "little") + int.from_bytes(y, "little")
                     ).to_bytes(len(x), "little").translate(self._residue)

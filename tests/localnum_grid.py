@@ -1,6 +1,6 @@
 """Print the timeit grid of the LocalNum digit operations.
 
-For q in {2, 3, 5, 9, 131, 1021} and windows W in {16, 64, 240}, one row
+For q in {2, 3, 4, 5, 9, 131, 1021} and windows W in {16, 64, 240}, one row
 gives the microseconds per call of x + y, x - y, -x, x.scale_fq(q - 1),
 x.qpow(), x * y and local.geometric_divide(x, 1), the least of five
 timeit repeats in each of three rounds.  x and y are W digits drawn from
@@ -28,7 +28,7 @@ import sys
 import timeit
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-FIELDS = ((2, 1), (3, 1), (5, 1), (3, 2), (131, 1), (1021, 1))
+FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (131, 1), (1021, 1))
 WINDOWS = (16, 64, 240)
 OPS = ("add", "sub", "neg", "scale", "qpow", "mul", "gdiv")
 ROUNDS = 3

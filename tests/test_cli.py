@@ -5,15 +5,18 @@ import importlib.resources as resources
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vcarlitz
 from vcarlitz import diffsys, polylog, relations
 from vcarlitz.algebra import FqContext, parse_ratk
-from vcarlitz.cli import RunConfig, run_command
+from vcarlitz.cli import _COMMANDS, _COMMON, RunConfig, run_command
 from vcarlitz.local import LocalNum, PlaceInf
 
 from oracles import parse_local, power_sum_enum
@@ -677,7 +680,8 @@ _DIFFSYS = _BASE | {"diffsys", "tseries"}
 _CHEAP = ["--prec", "4", "--t-order", "4"]
 
 
-@pytest.mark.parametrize("argv, loaded", [
+# one run of every leaf, with the modules it loads
+LEAF_RUNS = [
     (["eval", "cmpl", "--index", "1", "--args", "T"], _BASE),
     (["eval", "cmspl", "--index", "1", "--args", "1", "--place", "inf"],
      _BASE),
@@ -703,7 +707,10 @@ _CHEAP = ["--prec", "4", "--t-order", "4"]
      _BASE | {"abp", "linalg"}),
     (["appendix", "small-solution", "--rows", "1,2", "--c-exp", "2"],
      _BASE | {"abp", "linalg"}),
-])
+]
+
+
+@pytest.mark.parametrize("argv, loaded", LEAF_RUNS)
 def test_a_process_loads_only_what_its_subcommand_runs(argv, loaded):
     proc = _python("-c", _LOADS, *argv, *_CHEAP)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
@@ -711,3 +718,178 @@ def test_a_process_loads_only_what_its_subcommand_runs(argv, loaded):
     assert {m[len("vcarlitz."):] for m in modules
             if m.startswith("vcarlitz.")} == loaded
     assert "fractions" not in modules
+
+
+# -- every leaf, in both output modes and under fuzzed argv ---------------
+
+LEAVES = sorted((group, leaf) for group, (_help, leaves) in _COMMANDS.items()
+                for leaf in leaves)
+
+
+def test_leaf_runs_name_every_leaf_once():
+    assert sorted(tuple(argv[:2]) for argv, _loaded in LEAF_RUNS) == LEAVES
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _loaded in LEAF_RUNS],
+                         ids=lambda argv: " ".join(argv[:2]))
+def test_every_leaf_prints_its_records_in_both_modes(capsys, argv):
+    code, machine = run(capsys, *argv, *_CHEAP)
+    human_code, human = run(capsys, *argv, *_CHEAP, "--output", "human")
+    assert machine and human_code == code
+    assert human == "".join(line.replace("=", ": ", 1)
+                            for line in machine.splitlines(True))
+
+
+@pytest.mark.parametrize("q, message", [
+    *[(q, f"q = {q} is not a prime power") for q in (-3, 0, 1, 6, 1025)],
+    (2048, "field size beyond desk scale"),
+    (49, "no default modulus for q = 7^2"),
+])
+def test_q_that_is_not_a_field_exits_2(capsys, q, message):
+    assert run_command(["verify", "omega", f"--q={q}", *_CHEAP]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _mostly(valid, invalid):
+    """valid 19 draws in 20, invalid the 20th."""
+    return st.integers(0, 19).flatmap(lambda k: valid if k else invalid)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _joined(values, n, sep=","):
+    return st.lists(values, min_size=n, max_size=n).map(sep.join)
+
+
+_INDEX_VALUES = st.sampled_from(["1", "2", "3", "1,1", "2,1", "1,2", "1,1,1"])
+_ARG_VALUES = st.sampled_from(["T", "T+1", "T^2+T", "1"])
+_K_VALUES = st.sampled_from(["0", "1", "2", "T", "1/T", "T+1"])
+_RV_VALUES = st.sampled_from(["1", "2", "v^-1", "1+v^-1", "[x]*v^-1"])
+_DECOMPOSITIONS, _TMODULES = (
+    sorted(str(path) for path in
+           resources.files("vcarlitz").joinpath("data", kind).iterdir())
+    for kind in ("decompositions", "tmodules"))
+
+
+def _args_for(index):
+    """args of the depth of index; one time in 20 'T^' or another depth."""
+    depth = index.count(",") + 1
+    return _mostly(_joined(_ARG_VALUES, depth), st.one_of(
+        st.just("T^"), _joined(_ARG_VALUES, depth % 3 + 1)))
+
+
+def _args_pool(drawn):
+    # the i-th --args goes with the i-th --index, when there is one
+    indices, i = drawn.get("--index", []), len(drawn.get("--args", []))
+    return _args_for(indices[i]) if i < len(indices) else \
+        _INDEX_VALUES.flatmap(_args_for)
+
+
+def _matrix(rows, cols):
+    """rows x cols over R_v[t]: each entry one or two t-coefficients."""
+    entry = st.integers(1, 2).flatmap(lambda n: _joined(_RV_VALUES, n, ";"))
+    return _joined(_joined(entry, cols), rows, "/")
+
+
+def _system_size(drawn):
+    return int(drawn.get("--omega-copies", ["0"])[0]) + sum(
+        index.count(",") + 2 for index in drawn.get("--index", []))
+
+
+def _q(drawn):
+    return int(drawn["--q"][0])
+
+
+# flag -> the pool of its values, given the values drawn for the flags
+# before it (the argv order of _COMMON and then the leaf's arguments)
+POOLS = {
+    # q = 3 twice, the field of the shipped files; lambda = 0 half the
+    # time, where T and T^2+T lie in the domain of the v-adic series
+    "--q": lambda d: _mostly(st.sampled_from(["2", "3", "3", "4", "5", "9"]),
+                             st.just("6")),
+    "--lambda": lambda d: _mostly(st.one_of(st.just("0"), _ints(0, _q(d) - 1)),
+                                  st.just(str(_q(d)))),
+    "--prec": lambda d: _mostly(_ints(1, 12), st.just("0")),
+    "--t-order": lambda d: _ints(1, 12),
+    "--output": lambda d: st.sampled_from(["machine", "human"]),
+    "--index": lambda d: _INDEX_VALUES,
+    "--args": _args_pool,
+    "--place": lambda d: st.sampled_from(["v", "inf"]),
+    "--decomposition": lambda d: st.sampled_from(_DECOMPOSITIONS),
+    "--tmodule": lambda d: st.sampled_from(_TMODULES),
+    "--cert-prec": lambda d: _ints(1, 12),
+    "--twist": lambda d: _ints(0, 2),
+    "--file": lambda d: st.sampled_from(_DECOMPOSITIONS + _TMODULES),
+    "--ftype": lambda d: st.integers(1, 4).flatmap(
+        lambda n: _joined(_K_VALUES, n)),
+    "--n-list": lambda d: st.sampled_from(["1,2", "1", "2", "0,1"]),
+    "--omega-copies": lambda d: _ints(0, 2),
+    "--gamma": lambda d: _K_VALUES,
+    "--rho": lambda d: _joined(_K_VALUES, _system_size(d)),
+    "--pcoeffs": lambda d: _joined(
+        st.sampled_from(["0", "0", "1", "T,1"]), _system_size(d), ";"),
+    "--value": lambda d: _INDEX_VALUES.flatmap(
+        lambda i: _args_for(i).map(lambda a: f"{i}|{a}")),
+    "--deg": lambda d: _ints(0, 2),
+    "--n-recheck": lambda d: _ints(int(d["--prec"][0]) + 1,
+                                   int(d["--prec"][0]) + 8),
+    "--n": lambda d: _ints(0, 3),
+    "--coeffs": lambda d: st.integers(1, 3).flatmap(
+        lambda n: _joined(_RV_VALUES, n)),
+    "--radius": lambda d: _ints(0, 3),
+    "--rows": lambda d: st.integers(1, 2).flatmap(lambda r: _matrix(r, r + 1)),
+    "--c-exp": lambda d: _ints(0, 3),
+    "--deg-budget": lambda d: _ints(0, 2),
+}
+
+
+@st.composite
+def leaf_argvs(draw):
+    """A leaf of _COMMANDS and a value from its pool for each of its flags
+    and _COMMON's: always for a flag with a default or required, one to
+    two times an appended one (as many --args as --index, mostly), and on
+    a coin otherwise."""
+    group, leaf = draw(st.sampled_from(LEAVES))
+    argv, drawn = [group, leaf], {}
+    for flag, kw in _COMMON + _COMMANDS[group][1][leaf][1]:
+        if kw.get("action") == "store_true":
+            argv += [flag] * draw(st.booleans())
+            continue
+        if flag == "--args" and kw.get("action") == "append":
+            count = draw(_mostly(st.just(len(drawn.get("--index", []))),
+                                 st.integers(0, 2)))
+        elif kw.get("action") == "append":
+            count = draw(st.integers(int(bool(kw.get("required"))), 2))
+        elif kw.get("required") or kw.get("default") is not None:
+            count = 1
+        else:
+            count = draw(st.integers(0, 1))
+        for _ in range(count):
+            value = draw(POOLS[flag](drawn))
+            drawn.setdefault(flag, []).append(value)
+            argv += [flag, value]
+    return argv
+
+
+@given(leaf_argvs())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2_with_clean_streams(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    out, err = out.getvalue(), err.getvalue()
+    sep = ": " if "human" in argv else "="
+    records = out != "" and all(re.fullmatch(f"[a-z][a-z0-9_]*{sep}.*", line)
+                                for line in out.splitlines())
+    one_error = out == "" and err.startswith("error: ") \
+        and err.count("\n") == 1
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == "" and records
+    elif code == 1:
+        assert (err == "" and records) or one_error
+    else:
+        assert out == "" and "error: " in err.splitlines()[-1]

@@ -280,9 +280,10 @@ def test_sums_and_scaling_match_digit_loops(case):
     assert _state(x.scale_fq(c)) == _state(localnum_scale_fq(x, c))
 
 
-# bytes digit runs at e = 1 (p < 128 and p > 127) and e > 1, tuples at 1021
-RUN_FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (5, 1),
-                                        (3, 2), (127, 1), (131, 1),
+# bytes digit runs at e = 1 (p < 128 and p > 127) and e > 1 (XOR sums at
+# q = 2, 4 and 8), tuples at 1021
+RUN_FIELDS = [FqContext(*pe) for pe in ((2, 1), (3, 1), (2, 2), (2, 3),
+                                        (5, 1), (3, 2), (127, 1), (131, 1),
                                         (1021, 1))]
 
 
